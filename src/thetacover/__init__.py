@@ -31,9 +31,8 @@ from .symplectic import (IntegerSymplectic, IwasawaPair, SiegelPoint,
                          sqrt_pd, subgroup_membership)
 from .theta import (CapacityError, ThetaComponentValue, ThetaParams,
                     big_theta, det_invsqrt, epsilon_factor, gamma_pair,
-                    j_half, j_half_bar, j_three_half, j_three_half_bar,
-                    sqrt_det, theta_component, theta_series,
-                    truncation_radius)
+                    j_half, j_half_bar, j_three_half, sqrt_det,
+                    theta_component, theta_series, truncation_radius)
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,7 @@ __all__ = [
     "cover_mul", "det_invsqrt", "enumerate_isotropic", "epsilon_factor",
     "f_shift", "gamma_pair", "induced_rep_matrix", "is_symplectic",
     "iwasawa_decompose", "j_half", "j_half_bar", "j_matrix",
-    "j_three_half", "j_three_half_bar", "lambda_bar",
+    "j_three_half", "lambda_bar",
     "lambda_multiplier", "m_xstar", "make_generator", "maslov_signature",
     "mobius_act", "modified_cocycle", "pws_decompose", "q0_eval",
     "random_word_element", "rao_cocycle", "reduce_mod2",

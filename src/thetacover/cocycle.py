@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla as xla
-from .symplectic import IntegerSymplectic, make_generator
+from .symplectic import IntegerSymplectic, _j_blocks, make_generator
 
 
 class Mu8:
@@ -59,15 +59,6 @@ class Mu8:
         return f"Mu8({self.exponent})"
 
 
-# Gram matrix of the symplectic form <w1, w2> = x1 x2*^T - x1* x2^T
-def _gram(m: int):
-    g = xla.zeros(2 * m, 2 * m)
-    for i in range(m):
-        g[i][m + i] = 1
-        g[m + i][i] = -1
-    return g
-
-
 class Lagrangian:
     """Row span of an m x 2m integer matrix of rank m on which the form vanishes."""
 
@@ -76,11 +67,13 @@ class Lagrangian:
     def __init__(self, rows):
         rows = tuple(tuple(int(x) for x in row) for row in rows)
         m = len(rows)
-        assert m and all(len(r) == 2 * m for r in rows), "need an m x 2m matrix"
-        assert xla.rank([list(r) for r in rows]) == m, "rows must be independent"
-        b = [list(r) for r in rows]
-        pairing = xla.mat_mul(xla.mat_mul(b, _gram(m)), xla.transpose(b))
-        assert all(x == 0 for row in pairing for x in row), "form must vanish"
+        if not m or any(len(r) != 2 * m for r in rows):
+            raise ValueError("need an m x 2m matrix")
+        if xla.rank(rows) != m:
+            raise ValueError("rows must be independent")
+        pairing = xla.mat_mul(xla.mat_mul(rows, _j_blocks(m)), xla.transpose(rows))
+        if any(x for row in pairing for x in row):
+            raise ValueError("form must vanish")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", rows)
 
@@ -107,7 +100,7 @@ def maslov_signature(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
     """
     m = l1.m
     assert l2.m == m and l3.m == m
-    gram = _gram(m)
+    gram = xla.mat_neg(_j_blocks(m))    # the form <w1, w2> = x1 x2*^T - x1* x2^T
     bs = [[list(r) for r in l.rows] for l in (l1, l2, l3)]
 
     def pair(i, j):
@@ -147,6 +140,11 @@ class PwsFactorization:
     S: frozenset
     j: int
     x_sign: int
+
+    @property
+    def m_xstar(self) -> Mu8:
+        """Normalizing constant m(g) = exp(i pi (-j + 2 [x < 0]) / 4)."""
+        return Mu8(-self.j + (2 if self.x_sign < 0 else 0))
 
 
 def _full_pivot_rank_normal(c):
@@ -272,9 +270,8 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
 
 
 def m_xstar(g: IntegerSymplectic) -> Mu8:
-    """Normalizing function m(g) = exp(i pi (-j + 2 [x < 0]) / 4)."""
-    fac = pws_decompose(g)
-    return Mu8(-fac.j + (2 if fac.x_sign < 0 else 0))
+    """Normalizing function m(g), read off the factorization of g."""
+    return pws_decompose(g).m_xstar
 
 
 def cbar_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> int:
@@ -292,7 +289,8 @@ class CoverElement:
     eps: int
 
     def __post_init__(self):
-        assert self.eps in (1, -1)
+        if self.eps not in (1, -1):
+            raise ValueError("eps must be +1 or -1")
 
 
 def cover_mul(x: CoverElement, y: CoverElement) -> CoverElement:

@@ -38,10 +38,6 @@ def mat_add(a: Matrix, b: Matrix) -> list[list]:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> list[list]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_neg(a: Matrix) -> list[list]:
     return [[-x for x in row] for row in a]
 
@@ -239,14 +235,6 @@ def box_representatives(c: Matrix, guard: int = 10**6) -> list[list[int]]:
     for d in diag:
         reps = [rep + [k] for rep in reps for k in range(d)]
     return reps
-
-
-def quotient_index(basis: Matrix, sub: Matrix) -> int:
-    c = lattice_coordinates(basis, sub)
-    d = det(c)
-    assert d != 0, "sublattice has lower rank"
-    assert d.denominator == 1
-    return abs(int(d))
 
 
 # --- signatures of symmetric rational forms ---

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactla as xla
-from .cocycle import CoverElement, Mu8, m_xstar, rao_cocycle
+from .cocycle import CoverElement, Mu8, m_xstar, rao_cocycle, x_star
 from .f2cosets import coset_index_of, coset_table
 from .symplectic import IntegerSymplectic, subgroup_membership
 
@@ -110,10 +110,6 @@ def snap_mu8(raw: complex) -> SnappedRoot:
     return SnappedRoot(value=Mu8(best), raw=raw, residual=residual)
 
 
-def _xstar_rows(m: int) -> list[list[int]]:
-    return [[0] * m + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-
-
 def _beta_degenerate(g: IntegerSymplectic) -> complex:
     """Quotient sum over [L cap (X*+Y*)] / [(X* cap L) + (Y* cap L)].
 
@@ -123,7 +119,7 @@ def _beta_degenerate(g: IntegerSymplectic) -> complex:
     """
     m = g.m
     c_rows, d_rows = g.c, g.d
-    xstar = _xstar_rows(m)
+    xstar = [list(r) for r in x_star(m).rows]
     ystar = [list(c_rows[i]) + list(d_rows[i]) for i in range(m)]
 
     numerator = xla.saturation(xstar + ystar)

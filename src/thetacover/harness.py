@@ -204,6 +204,12 @@ def _stabilized_shifted(table, r: IntegerSymplectic):
             if any(rec.eps_q) and _label_action(rec, r) == rec.q]
 
 
+def _check_trials(trials: int) -> None:
+    # a run that compares nothing must not report "passed"
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
 def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
                       seed: int = 0, params: ThetaParams | None = None) -> VerificationReport:
     """Scalar transformation law over the theta group, both weights.
@@ -215,6 +221,7 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
     (these components vanish identically, so this comparison is absolute;
     the report's worst_case records the magnitudes).
     """
+    _check_trials(trials)
     params = params or ThetaParams()
     table = coset_table(m)
     t_start = time.time()
@@ -283,6 +290,7 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
     (cz+d) acting on the coordinate index (identically vanishing
     components, compared absolutely).
     """
+    _check_trials(trials)
     params = params or ThetaParams()
     table = coset_table(m)
     n = len(table)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,11 +18,21 @@ from . import exactla as xla
 
 
 def _j_blocks(m: int) -> list[list[int]]:
+    """J = (0 -1; 1 0); its negative is the Gram matrix of the form."""
     j = xla.zeros(2 * m, 2 * m)
     for i in range(m):
         j[i][m + i] = -1
         j[m + i][i] = 1
     return j
+
+
+def _exact_symplectic(rows) -> bool:
+    """g^T J g == J in exact arithmetic; rows must be even and square."""
+    n = len(rows)
+    if not n or n % 2 or any(len(r) != n for r in rows):
+        raise ValueError("need an even-dimensional square matrix")
+    j = _j_blocks(n // 2)
+    return xla.mat_eq(xla.mat_mul(xla.mat_mul(xla.transpose(rows), j), rows), j)
 
 
 class IntegerSymplectic:
@@ -31,14 +42,9 @@ class IntegerSymplectic:
 
     def __init__(self, rows):
         rows = tuple(tuple(int(x) for x in row) for row in rows)
-        n = len(rows)
-        assert n and n % 2 == 0, "need even dimension"
-        assert all(len(r) == n for r in rows), "need a square matrix"
-        m = n // 2
-        gt = xla.transpose(rows)
-        assert xla.mat_eq(xla.mat_mul(xla.mat_mul(gt, _j_blocks(m)), rows),
-                          _j_blocks(m)), "matrix is not symplectic"
-        object.__setattr__(self, "m", m)
+        if not _exact_symplectic(rows):
+            raise ValueError("matrix is not symplectic")
+        object.__setattr__(self, "m", len(rows) // 2)
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, *a):
@@ -108,15 +114,13 @@ class IntegerSymplectic:
 def is_symplectic(g, tol: float = 1e-10) -> bool:
     """g^T J g = J, exact for integer input, within tol for float input."""
     arr = np.asarray(g.rows if isinstance(g, IntegerSymplectic) else g)
-    n = arr.shape[0]
-    if arr.ndim != 2 or arr.shape[1] != n or n % 2:
+    if arr.ndim != 2:
         raise ValueError("need an even-dimensional square matrix")
-    m = n // 2
-    j = np.array(_j_blocks(m), dtype=float)
-    if arr.dtype.kind in "iu" or (arr.dtype == object):
-        gt = xla.transpose(arr.tolist())
-        return xla.mat_eq(xla.mat_mul(xla.mat_mul(gt, _j_blocks(m)), arr.tolist()),
-                          _j_blocks(m))
+    if arr.dtype.kind in "iuO":
+        return _exact_symplectic(arr.tolist())
+    if arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
+        raise ValueError("need an even-dimensional square matrix")
+    j = np.array(_j_blocks(arr.shape[0] // 2), dtype=float)
     return bool(np.max(np.abs(arr.T @ j @ arr - j)) < tol)
 
 
@@ -220,48 +224,55 @@ def _diag_even(m1, m2) -> bool:
     return all(prod[i][i] % 2 == 0 for i in range(len(prod)))
 
 
-def subgroup_membership(g: IntegerSymplectic, which: str, d: int | None = None) -> bool:
-    """Membership predicates for Gamma(2), Gamma(1,2), Gamma(d), Gamma(d,2d).
+@lru_cache(maxsize=64)
+def _subgroup(which: str) -> tuple[str, int]:
+    """Parse a subgroup name into (family, d): one spelling, one group.
+
+    Brackets, commas and spaces are dropped, so "Gamma(1,2)", "Gamma1_2"
+    and "Gamma12" all name the theta group Gamma(1,2).  "Sp", "SpZ" name
+    the whole group, "Gamma<d>" the level-d group Gamma(d) and
+    "Gamma<d>_<2d>" (d even) the group Gamma(d, 2d).  Cached, so the
+    per-element callers pay one dictionary lookup.
+    """
+    name = which.replace("(", "").replace(")", "").replace(",", "_").replace(" ", "")
+    if name in ("Sp", "SpZ"):
+        return "Sp", 1
+    if name in ("Gamma12", "Gamma1_2"):
+        return "Gamma(1,2)", 1
+    parts = name[len("Gamma"):].split("_") if name.startswith("Gamma") else []
+    if parts and all(p.isdigit() for p in parts) and int(parts[0]) > 0:
+        d = int(parts[0])
+        if len(parts) == 1:
+            return "Gamma(d)", d
+        if len(parts) == 2 and d % 2 == 0 and int(parts[1]) == 2 * d:
+            return "Gamma(d,2d)", d
+    raise ValueError(f"unknown subgroup {which!r}")
+
+
+def subgroup_membership(g: IntegerSymplectic, which: str) -> bool:
+    """Membership predicates for Sp, Gamma(1,2), Gamma(d), Gamma(d,2d).
 
     Gamma(1,2) is diag(a b^T) and diag(c d^T) even: exactly the elements whose
     mod-2 reduction preserves the quadratic form sum(x_i x*_i) under the row
     action.  (The diag(a c^T)/diag(b d^T) variant is not closed under
     products; u_12(1) h(1 + e_12) is a counterexample at m = 2.)
     Gamma(d) is g = 1 mod d; Gamma(d,2d) additionally has the (i, m+i) and
-    (m+i, i) entries of (g - 1)/d even.
+    (m+i, i) entries of (g - 1)/d even.  Names are parsed by _subgroup.
     """
-    name = which.replace("(", "").replace(")", "").replace(",", "_").replace(" ", "")
-    # numeric forms: Gamma4 -> Gamma(d) with d=4, Gamma4_8 -> Gamma(d,2d) with d=4
-    if name not in ("Gamma1_2", "Gamma2", "Gammad", "Gammad_2d") \
-            and name.startswith("Gamma"):
-        parts = name[len("Gamma"):].split("_")
-        if all(p.isdigit() for p in parts):
-            if len(parts) == 1 and parts[0] != "2":
-                name, d = "Gammad", int(parts[0])
-            elif len(parts) == 2:
-                if int(parts[1]) != 2 * int(parts[0]):
-                    raise ValueError(f"unknown subgroup {which!r}")
-                name, d = "Gammad_2d", int(parts[0])
-    n = 2 * g.m
-    if name == "Gamma1_2":
+    family, d = _subgroup(which)
+    if family == "Sp":
+        return True
+    if family == "Gamma(1,2)":
         return _diag_even(g.a, g.b) and _diag_even(g.c, g.d)
-    if name == "Gamma2":
-        return all((g.rows[i][j] - (i == j)) % 2 == 0
-                   for i in range(n) for j in range(n))
-    if name in ("Gammad", "Gammad_2d"):
-        assert d is not None and d > 0, "these predicates need d"
-        diff = [[g.rows[i][j] - (i == j) for j in range(n)] for i in range(n)]
-        if any(x % d for row in diff for x in row):
-            return False
-        if name == "Gammad":
-            return True
-        if d % 2:
-            raise ValueError("Gamma(d,2d) is defined for even d")
-        gp = [[x // d for x in row] for row in diff]
-        m = g.m
-        return all(gp[m + i][i] % 2 == 0 and gp[i][m + i] % 2 == 0
-                   for i in range(m))
-    raise ValueError(f"unknown subgroup {which!r}")
+    n = 2 * g.m
+    diff = [[g.rows[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    if any(x % d for row in diff for x in row):
+        return False
+    if family == "Gamma(d)":
+        return True
+    m = g.m
+    return all(diff[m + i][i] // d % 2 == 0 and diff[i][m + i] // d % 2 == 0
+               for i in range(m))
 
 
 # --- Siegel upper half space ---
@@ -274,9 +285,12 @@ class SiegelPoint:
     def __init__(self, X, Y):
         X = np.array(X, dtype=float)
         Y = np.array(Y, dtype=float)
-        assert X.shape == Y.shape and X.ndim == 2 and X.shape[0] == X.shape[1]
-        assert np.max(np.abs(X - X.T)) < 1e-12, "X must be symmetric"
-        assert np.max(np.abs(Y - Y.T)) < 1e-12, "Y must be symmetric"
+        if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
+            raise ValueError("X and Y must be square matrices of one size")
+        if not np.max(np.abs(X - X.T)) < 1e-12:
+            raise ValueError("X must be symmetric")
+        if not np.max(np.abs(Y - Y.T)) < 1e-12:
+            raise ValueError("Y must be symmetric")
         try:
             np.linalg.cholesky(Y)
         except np.linalg.LinAlgError:
@@ -362,11 +376,12 @@ def iwasawa_decompose(g) -> IwasawaPair:
 # --- random words ---
 
 def _alphabet(m: int, subgroup: str):
+    family = _subgroup(subgroup)
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i < j]
     out = []
-    if subgroup in ("Sp", "Gamma12"):
+    if family in (("Sp", 1), ("Gamma(1,2)", 1)):
         out.append(("omega", {"S": frozenset(range(1, m + 1))}))
-        step = 2 if subgroup == "Gamma12" else 1
+        step = 2 if family[0] == "Gamma(1,2)" else 1
         for i in range(1, m + 1):          # u with even diagonal inside Gamma(1,2)
             out.append(("u_ij", {"i": i, "j": i, "t": step}))
             out.append(("u_ij", {"i": i, "j": i, "t": -step}))
@@ -377,7 +392,7 @@ def _alphabet(m: int, subgroup: str):
             out.append(("h_elem", {"i": i, "j": j, "t": 1}))
             out.append(("h_elem", {"i": i, "j": j, "t": -1}))
         return out
-    if subgroup == "Gamma2":
+    if family == ("Gamma(d)", 2):
         out.append(("minus_one", {}))
         for i in range(1, m + 1):
             for kind in ("u_ij", "u_minus_ij"):
@@ -388,7 +403,7 @@ def _alphabet(m: int, subgroup: str):
                 out.append((kind, {"i": i, "j": j, "t": 2}))
             out.append(("v_ij", {"i": i, "j": j, "t": 2}))
         return out
-    raise ValueError(f"unknown subgroup {subgroup!r}")
+    raise ValueError(f"no word sampler for subgroup {subgroup!r}")
 
 
 def _letter(kind: str, m: int, params: dict) -> IntegerSymplectic:
@@ -409,15 +424,11 @@ def random_word_element(m: int, subgroup: str, length: int, seed: int):
     Returns (element, word) where word is the list of (kind, params) letters.
     Membership is by construction; the caller can re-check via
     subgroup_membership since the predicates are independent of the sampler.
+    Samplers exist for Sp, Gamma(1,2) and Gamma(2), spelled as _subgroup
+    reads them.
     """
-    name = subgroup.replace("(", "").replace(")", "").replace(",", "").replace(" ", "")
-    table = {"SpZ": "Sp", "Sp": "Sp", "Gamma12": "Gamma12",
-             "Gamma1_2": "Gamma12", "Gamma2": "Gamma2"}
-    if name not in table:
-        raise ValueError(f"no word sampler for subgroup {subgroup!r}")
-    name = table[name]
+    letters = _alphabet(m, subgroup)
     rng = random.Random(seed)
-    letters = _alphabet(m, name)
     g = IntegerSymplectic.identity(m)
     word = []
     for _ in range(length):

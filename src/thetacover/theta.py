@@ -7,14 +7,15 @@ gamma(z', z) and the unimodular ratio epsilon(g; z', z).
 
 The genuine square root of det(cz+d) on integer symplectic matrices is
 pinned differently: the block-triangular factorization g = p1 w p2 gives
-an exact value at the base point (root-of-unity bookkeeping through the
-normalizing constants, with both absorbed cocycle values reducing to
-signs because a factor fixes the reference Lagrangian), and the only
-z-dependent piece, the rank-block minor of p2(z), is continued along a
-straight segment inside the domain where it cannot vanish.  By
-construction its square is det(cz+d) and its composition defect is the
-sign cocycle of the cocycle module; multiplying by m_{X*}(g) gives the
-half-weight factor whose defect is the full degree-8 cocycle.
+an exact value at the base point (the normalizing constant m_{X*}(g)
+with both absorbed cocycle values reducing to signs because a factor
+fixes the reference Lagrangian), and the only z-dependent piece, the
+rank-block minor T of p2(z), has the closed-form root
+e^{i pi j/4} / det^{-1/2}(-i T): Re(-i T) = Im T is positive definite,
+so that branch is continuous from T = i.1.  Its square is det(cz+d) and
+its composition defect is the sign cocycle of the cocycle module;
+multiplying by m_{X*}(g) gives the half-weight factor whose defect is
+the full degree-8 cocycle.
 
 Theta sums are truncated box sums with a certified Gaussian tail bound;
 summation order is fixed (sup-norm shells, lexicographic inside a shell)
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exactla as xla
-from .cocycle import CoverElement, Mu8, m_xstar, pws_decompose
+from .cocycle import CoverElement, Mu8, PwsFactorization, pws_decompose
 from .f2cosets import CosetRecord, coset_table
 from .symplectic import IntegerSymplectic, SiegelPoint, j_matrix, mobius_act
 
@@ -47,7 +48,6 @@ __all__ = [
     "sqrt_det",
     "j_half_bar",
     "j_three_half",
-    "j_three_half_bar",
     "theta_series",
     "theta_component",
     "big_theta",
@@ -127,70 +127,40 @@ def epsilon_factor(g, z1: SiegelPoint, z2: SiegelPoint) -> complex:
     return gamma_pair(mobius_act(g, z1), mobius_act(g, z2)) / gamma_pair(z1, z2)
 
 
-def _segment_sqrt(target: np.ndarray) -> complex:
-    """Square root of det(target) continued from det(i*1) = i^k.
+def _half_factor(fac: PwsFactorization, z: SiegelPoint) -> complex:
+    """m_{X*}(g) sqrt_det(g, z) from the factorization g = p1 omega p2.
 
-    target is a principal minor of a Siegel domain point, so every convex
-    combination with i*1 stays in the domain and the determinant never
-    vanishes along the segment.  The anchor value is e^{i pi k/4}.  Steps
-    are bisected until each determinant ratio sits close to 1, then the
-    principal root of the ratio is safe.
+    Equals |det a(p1) det a(p2)|^{-1/2} / det^{-1/2}(-i T), T the rank-j
+    minor of p2(z) (1 when j = 0): Re(-i T) = Im T is positive definite,
+    so the principal-root product is continuous from its value 1 at
+    T = i.1.
     """
-    k = target.shape[0]
-    if k == 0:
-        return 1.0 + 0.0j
-    start = 1j * np.eye(k)
-
-    def det_at(t: float) -> complex:
-        return complex(np.linalg.det((1.0 - t) * start + t * target))
-
-    val = complex(np.exp(1j * np.pi * k / 4))
-    grid = [i / 8 for i in range(9)]
-    stack = [(grid[i], det_at(grid[i]), grid[i + 1], det_at(grid[i + 1]))
-             for i in range(8)]
-    work = 0
-    while stack:
-        t0, d0, t1, d1 = stack.pop()
-        r = d1 / d0
-        if abs(np.angle(r)) < 1.0 and abs(r - 1.0) < 0.6:
-            val *= np.sqrt(r)
-            continue
-        work += 1
-        if work > 20000:
-            raise ArithmeticError("determinant continuation did not settle")
-        tm = (t0 + t1) / 2
-        dm = det_at(tm)
-        stack.append((tm, dm, t1, d1))
-        stack.append((t0, d0, tm, dm))
-    return val
+    m = len(fac.p1) // 2
+    det1 = xla.det([row[:m] for row in fac.p1[:m]])
+    det2 = xla.det([row[:m] for row in fac.p2[:m]])
+    scale = float(abs(det1 * det2)) ** -0.5
+    if fac.j == 0:
+        return complex(scale)
+    p2f = np.array([[float(x) for x in row] for row in fac.p2])
+    idx = tuple(range(fac.j))
+    t = mobius_act(p2f, z).z[np.ix_(idx, idx)]
+    return scale / det_invsqrt(-1j * t)
 
 
 def sqrt_det(g: IntegerSymplectic, z: SiegelPoint) -> complex:
     """Genuine square root of det(cz+d), branch fixed by exact bookkeeping.
 
     Writing g = p1 w p2 (p1, p2 block upper triangular, w the partial
-    inversion of the rank of the c block), det(cz+d) splits into the two
-    constant triangular determinants and the rank-block minor of p2(z).
-    Each absorbed cocycle value has a factor fixing the reference
-    Lagrangian, so it reduces to a ratio of normalizing constants with the
-    intermediate one cancelling; what remains is an exact eighth root of
-    unity times the continued minor root.  Satisfies
+    inversion of the rank j of the c block), det(cz+d) splits into the
+    two constant triangular determinants and the rank-block minor T of
+    p2(z), whose root is continued from det(i.1)^{1/2} = e^{i pi j/4}.
+    In closed form, sqrt_det(g, z) = m_{X*}(g)^{-1}
+    |det a(p1) det a(p2)|^{-1/2} / det^{-1/2}(-i T).  Satisfies
     sqrt_det(g, z)^2 = det(cz+d), and its composition defect is the sign
     cocycle.
     """
     fac = pws_decompose(g)
-    m = g.m
-    det1 = xla.det([list(row[:m]) for row in fac.p1[:m]])
-    det2 = xla.det([list(row[:m]) for row in fac.p2[:m]])
-    neg = (2 if det1 < 0 else 0) + (2 if det2 < 0 else 0)
-    m_g = Mu8(-fac.j + (2 if fac.x_sign < 0 else 0))
-    sign = (Mu8(neg - fac.j) * m_g.inv()).as_sign()
-    phase = Mu8(-neg).value
-    scale = float(abs(det1 * det2)) ** -0.5
-    p2f = np.array([[float(x) for x in row] for row in fac.p2])
-    w = mobius_act(p2f, z)
-    idx = tuple(range(fac.j))
-    return sign * phase * scale * _segment_sqrt(w.z[np.ix_(idx, idx)])
+    return fac.m_xstar.inv().value * _half_factor(fac, z)
 
 
 def j_half(g, z: SiegelPoint) -> complex:
@@ -204,7 +174,7 @@ def j_half(g, z: SiegelPoint) -> complex:
     and unitary fixed-point elements evaluated at z0).
     """
     if isinstance(g, IntegerSymplectic):
-        return m_xstar(g).value * sqrt_det(g, z)
+        return _half_factor(pws_decompose(g), z)
     z0 = SiegelPoint.z0(z.m)
     return epsilon_factor(g, z, z0) * abs(np.linalg.det(j_matrix(g, z))) ** 0.5
 
@@ -217,11 +187,6 @@ def j_half_bar(gbar: CoverElement, z: SiegelPoint) -> complex:
 def j_three_half(g, z: SiegelPoint) -> np.ndarray:
     """Matrix factor J_{1/2}(g, z) * (cz + d) for the weight-3/2 law."""
     return j_half(g, z) * j_matrix(g, z)
-
-
-def j_three_half_bar(gbar: CoverElement, z: SiegelPoint) -> np.ndarray:
-    """Cover version of the weight-3/2 matrix factor."""
-    return j_half_bar(gbar, z) * j_matrix(gbar.g, z)
 
 
 # --- lattice sums ---

@@ -180,6 +180,21 @@ def test_verify_small_run(capsys):
     assert rep["reports"][0]["m"] == 1
 
 
+def test_out_of_range_runs_exit_2(capsys, tmp_path):
+    # a run that compares nothing must not pass; m = 0 has no coset table
+    fz = point_file(tmp_path, "z.json", 1, [[0.0]], [[1.0]])
+    for argv in (["verify", "--m", "1", "--trials", "0"],
+                 ["verify", "--thm", "vector", "--m", "1", "--trials", "-3"],
+                 ["verify", "--m", "0", "--trials", "1"],
+                 ["verify", "--m", "1", "--trials", "1", "--tail-tol", "0"],
+                 ["coset-table", "--m", "0"],
+                 ["theta", "--z", fz, "--tol", "0"]):
+        code, rep = run_json(capsys, *argv)
+        assert code == 2 and rep["error"], argv
+    code, rep = run_json(capsys, "verify", "--m", "1", "--trials", "0")
+    assert "trials" in rep["error"]
+
+
 def test_verify_unknown_theorem(capsys):
     code, rep = run_json(capsys, "verify", "--thm", "bogus", "--m", "1")
     assert code == 2 and "unknown theorem" in rep["error"]

@@ -38,9 +38,9 @@ def test_mu8_sign_guard():
 def test_lagrangian_validation():
     Lagrangian([[1, 0, 0, 0], [0, 1, 0, 0]])        # the X plane
     assert x_star(2).rows == ((0, 0, 1, 0), (0, 0, 0, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Lagrangian([[1, 0, 0, 0], [2, 0, 0, 0]])    # dependent rows
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Lagrangian([[1, 0, 0, 0], [0, 0, 1, 0]])    # form does not vanish
 
 

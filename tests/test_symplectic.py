@@ -44,7 +44,7 @@ def test_generator_validation():
 
 
 def test_non_symplectic_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         IntegerSymplectic(((1, 1), (1, 1)))
 
 
@@ -124,8 +124,34 @@ def test_iwasawa_factors():
 def test_point_validation():
     with pytest.raises(ValueError):
         SiegelPoint([[0.0]], [[-1.0]])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         SiegelPoint([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
+
+
+# every spelling the word sampler accepts, and the group it names
+SAMPLER_SPELLINGS = {"Sp": "Sp", "SpZ": "Sp", "Sp(Z)": "Sp",
+                     "Gamma12": "Gamma12", "Gamma1_2": "Gamma12",
+                     "Gamma(1,2)": "Gamma12", "Gamma2": "Gamma2",
+                     "Gamma(2)": "Gamma2"}
+
+
+def test_sampler_spellings_round_trip_through_membership():
+    for spelling, group in SAMPLER_SPELLINGS.items():
+        for m in (1, 2):
+            for seed in range(4):
+                g = word(m, spelling, seed)
+                assert g == word(m, group, seed)
+                assert subgroup_membership(g, spelling)
+                assert subgroup_membership(g, group)
+    # "Gamma12" names Gamma(1,2), not the level-12 group
+    g = make_generator("omega", 2)
+    assert not subgroup_membership(g, "Gamma2")
+    assert subgroup_membership(g, "Gamma12")
+    for bad in ("Gamma4_9", "Borel"):
+        with pytest.raises(ValueError):
+            subgroup_membership(g, bad)
+        with pytest.raises(ValueError):
+            random_word_element(2, bad, length=3, seed=0)
 
 
 def test_word_sampler_deterministic():

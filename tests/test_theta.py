@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetacover import (CapacityError, CoverElement, SiegelPoint,
-                        ThetaParams, big_theta, coset_table, det_invsqrt,
-                        epsilon_factor, gamma_pair, j_half, j_half_bar,
-                        j_matrix, j_three_half, make_generator, mobius_act,
-                        random_word_element, sqrt_det, theta_component,
-                        theta_series, truncation_radius)
+from thetacover import (CapacityError, CoverElement, IntegerSymplectic,
+                        SiegelPoint, ThetaParams, big_theta, coset_table,
+                        det_invsqrt, epsilon_factor, gamma_pair, j_half,
+                        j_half_bar, j_matrix, j_three_half, make_generator,
+                        mobius_act, random_word_element, sqrt_det,
+                        theta_component, theta_series, truncation_radius)
+from thetacover import exactla as xla
 from thetacover.cocycle import cbar_cocycle, rao_cocycle
 from thetacover.harness import sample_point
 
@@ -19,6 +20,64 @@ seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 def word(m, seed, length=6):
     return random_word_element(m, "Sp", length=length, seed=seed)[0]
+
+
+# sqrt_det off the base point, where the branch of the rank-j minor root
+# is not trivial: (g rows, X, Y, value) with c-rank j = 1..m for m = 1, 2, 3
+# and four j = 0 elements.  The values were recorded from the earlier
+# implementation, which continued the minor root along a segment by
+# bisection; the closed form must reproduce them.
+PINNED_SQRT_DET = [
+    ([[-1, -1], [2, 1]], [[0.172]], [[0.427]],
+     1.2116874745297885 + 0.35240110092390176j),
+    ([[-1, -1, 0, 0], [0, 0, -1, 1], [0, 0, -1, 0], [0, -1, 1, -1]],
+     [[-0.493, 0.34], [0.34, -0.27]], [[0.254, -0.089], [-0.089, 0.302]],
+     0.8717805147058271 + 0.17320873482811583j),
+    ([[0, 0, 0, -1], [0, 0, 1, -1], [1, 1, -3, -2], [-1, 0, 2, 1]],
+     [[-0.349, -0.351], [-0.351, -0.444]], [[1.008, 0.316], [0.316, 1.093]],
+     -1.3754982241671336 + 1.1520105749023912j),
+    ([[-1, 0, 0, 1, 0, 0], [-1, -1, 1, 1, 0, 0], [1, 1, -2, -1, 0, 0],
+      [0, 0, 0, -1, 1, 0], [0, 0, 1, 0, -2, -1], [0, 0, 1, 0, -1, -1]],
+     [[-1.851, -0.242, -0.345], [-0.242, -0.565, 0.315],
+      [-0.345, 0.315, -0.651]],
+     [[1.867, 1.228, -0.946], [1.228, 1.645, -1.332],
+      [-0.946, -1.332, 1.607]],
+     0.5713860233733457 + 1.4062297065936291j),
+    ([[-1, 0, -1, 0, 0, 0], [0, -1, 1, 0, 0, 0], [0, 0, -1, 0, 0, 0],
+      [0, 0, 1, -1, 0, 0], [0, 0, 0, 0, -1, 0], [1, 0, -1, 1, -1, -1]],
+     [[-1.352, -0.495, 0.058], [-0.495, -0.19, -0.04],
+      [0.058, -0.04, -1.043]],
+     [[0.921, 0.199, 0.009], [0.199, 0.836, -0.231],
+      [0.009, -0.231, 0.888]],
+     -0.9668053292887272 + 1.108921793789393j),
+    ([[0, 0, 0, -1, 0, 0], [0, 0, -1, 0, 0, 0], [0, -1, 0, 1, 1, 0],
+      [1, -1, 0, 1, 0, 0], [0, 1, -1, -1, -1, -1], [0, 0, 1, -1, -1, 0]],
+     [[-0.351, -0.567, 0.392], [-0.567, 0.466, -0.544],
+      [0.392, -0.544, 1.249]],
+     [[4.787, -1.155, -1.151], [-1.155, 1.101, -0.251],
+      [-1.151, -0.251, 0.838]],
+     -5.231722648804475 + 4.185327301420247j),
+    ([[1, 0, 2, 1], [0, 1, 1, -1], [0, 0, 1, 0], [0, 0, 0, 1]],
+     [[0.3, -0.1], [-0.1, 0.2]], [[1.2, 0.4], [0.4, 0.7]], 1 + 0j),
+    ([[-1, 0, 0, -1], [0, 1, 1, 2], [0, 0, -1, 0], [0, 0, 0, 1]],
+     [[0.3, -0.1], [-0.1, 0.2]], [[1.2, 0.4], [0.4, 0.7]],
+     -1.8369701987210297e-16 - 1j),
+    ([[0, 1, 1, 2], [1, 0, 0, 1], [0, 0, 0, 1], [0, 0, 1, 0]],
+     [[0.3, -0.1], [-0.1, 0.2]], [[1.2, 0.4], [0.4, 0.7]],
+     -1.8369701987210297e-16 - 1j),
+    ([[2, 1, 1, 4], [1, 1, 1, 3], [0, 0, 1, -1], [0, 0, -1, 2]],
+     [[0.3, -0.1], [-0.1, 0.2]], [[1.2, 0.4], [0.4, 0.7]], 1 + 0j),
+]
+
+
+def test_sqrt_det_pinned_at_generic_points():
+    ranks = []
+    for rows, X, Y, want in PINNED_SQRT_DET:
+        g = IntegerSymplectic(rows)
+        ranks.append((g.m, xla.rank(g.c)))
+        assert abs(sqrt_det(g, SiegelPoint(X, Y)) - want) < 1e-13
+    assert set(ranks) == {(1, 1), (2, 0), (2, 1), (2, 2),
+                          (3, 1), (3, 2), (3, 3)}
 
 
 def test_truncation_radius_certifies_tail():
