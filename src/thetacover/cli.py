@@ -429,3 +429,7 @@ def cli_run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_run())
+
+
+if __name__ == "__main__":
+    main()

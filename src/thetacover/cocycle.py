@@ -3,9 +3,14 @@
 The cocycle value on a pair (g1, g2) is exp(i pi tau / 4) where tau is the
 signature of the triple-overlap quadratic form attached to the Lagrangian
 row spans (X*, X* g2^{-1}, X* g1), X* = (0 | 1_m).  The normalizing function
-m(g) is read off a factorization g = p1 omega_S p2 with p1, p2 block upper
-triangular over Q; dividing the cocycle by the m coboundary leaves a sign,
-which is the multiplication rule of the nontrivial double cover.
+m(g) = exp(i pi (-j + 2 [x(g) < 0]) / 4) needs only j = rank c and the sign
+of x(g) = det(a1 a2) mod squares, both read off the rank normal form
+P c Q = diag(1_j, 0) of the c block.  The full factorization
+g = p1 omega_S p2 with p1, p2 block upper triangular over Q
+(``pws_decompose``) derives the same constant independently and is kept as
+its oracle and for the square root of det(cz + d).  Dividing the cocycle by
+the m coboundary leaves a sign, which is the multiplication rule of the
+nontrivial double cover.
 
 All arithmetic here is exact (int / Fraction), so cocycle values are honest
 elements of the cyclic group of order eight, not floats.
@@ -16,6 +21,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import exactla as xla
 from .symplectic import IntegerSymplectic, _j_blocks, make_generator
@@ -143,8 +149,12 @@ class PwsFactorization:
 
     @property
     def m_xstar(self) -> Mu8:
-        """Normalizing constant m(g) = exp(i pi (-j + 2 [x < 0]) / 4)."""
-        return Mu8(-self.j + (2 if self.x_sign < 0 else 0))
+        return _normalizing_constant(self.j, self.x_sign)
+
+
+def _normalizing_constant(j: int, x_sign: int) -> Mu8:
+    """m(g) = exp(i pi (-j + 2 [x < 0]) / 4) with j = rank c, x = x(g)."""
+    return Mu8(-j + (2 if x_sign < 0 else 0))
 
 
 def _full_pivot_rank_normal(c):
@@ -269,9 +279,23 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
     )
 
 
+@lru_cache(maxsize=256)
 def m_xstar(g: IntegerSymplectic) -> Mu8:
-    """Normalizing function m(g), read off the factorization of g."""
-    return pws_decompose(g).m_xstar
+    """Normalizing function m(g), read off the rank normal form of c.
+
+    With P c Q = diag(1_j, 0), h(P^{-T}) g h(Q) has c block diag(1_j, 0) and
+    a block P^{-T} a Q, whose lower right (m - j) block a22 is invertible.
+    Then x(g) = det P det a22 / det Q mod squares (no a22 when j = m), the
+    same x = det a(p1) det a(p2) that ``pws_decompose`` gets from the whole
+    factorization; that function is the oracle for this one.
+    """
+    p, q, j = _full_pivot_rank_normal(g.c)
+    x = xla.det(p) / xla.det(q)
+    if j < g.m:
+        rows = xla.transpose(xla.inv(p))[j:]
+        cols = [row[j:] for row in q]
+        x *= xla.det(xla.mat_mul(xla.mat_mul(rows, g.a), cols))
+    return _normalizing_constant(j, 1 if x > 0 else -1)
 
 
 def cbar_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> int:

@@ -57,9 +57,12 @@ class MonomialMatrix:
     coeffs: tuple
 
     def __post_init__(self):
-        assert sorted(self.perm) == list(range(self.n)), "perm must be a permutation"
-        assert len(self.coeffs) == self.n
-        assert all(isinstance(c, Mu8) for c in self.coeffs)
+        if sorted(self.perm) != list(range(self.n)):
+            raise ValueError("perm must be a permutation")
+        if len(self.coeffs) != self.n:
+            raise ValueError("need one coefficient per row")
+        if not all(isinstance(c, Mu8) for c in self.coeffs):
+            raise ValueError("coefficients must be Mu8")
 
     @classmethod
     def identity(cls, n: int) -> "MonomialMatrix":
@@ -157,14 +160,23 @@ def _rel_err(lhs, rhs) -> tuple:
     return abs_err, abs_err / scale
 
 
+# Draw budgets of the resampling loops.  Over 125k sampled verifier trials
+# (m = 1..3) sample_point always passed on its first draw, and the workable
+# loop took at most 978 draws (rare scalar-law elements at m = 1 whose image
+# points are mostly flat).  A loop that reaches its budget raises instead of
+# spinning.
+SAMPLE_BUDGET = 1000
+WORKABLE_BUDGET = 10_000
+
+
 def sample_point(m: int, rng, cond_cap: float = 1e4) -> SiegelPoint:
     """Random z = p(g(z0)): integer word then a generic real parabolic.
 
-    Resamples until cond(Y) <= cond_cap; flat Y makes the truncation
-    radius explode.
+    Resamples until cond(Y) <= cond_cap, at most SAMPLE_BUDGET times; flat
+    Y makes the truncation radius explode.
     """
     z0 = SiegelPoint.z0(m)
-    while True:
+    for _ in range(SAMPLE_BUDGET):
         g, _ = random_word_element(m, "Sp", length=int(rng.integers(1, 9)),
                                    seed=int(rng.integers(2**63)))
         z = mobius_act(g, z0)
@@ -176,6 +188,8 @@ def sample_point(m: int, rng, cond_cap: float = 1e4) -> SiegelPoint:
         z = SiegelPoint(a @ z.X @ a.T + b, a @ z.Y @ a.T)
         if np.linalg.cond(z.Y) <= cond_cap:
             return z
+    raise RuntimeError(f"sample_point: no point with cond(Y) <= {cond_cap} "
+                       f"in {SAMPLE_BUDGET} draws")
 
 
 def _workable(z: SiegelPoint, rz: SiegelPoint, params: ThetaParams,
@@ -187,6 +201,18 @@ def _workable(z: SiegelPoint, rz: SiegelPoint, params: ThetaParams,
                 and truncation_radius(rz.Y, params) <= cap)
     except CapacityError:
         return False
+
+
+def _workable_point(m: int, r: IntegerSymplectic, rng,
+                    params: ThetaParams) -> tuple:
+    """(z, r z) for the first sampled z on which both sides are workable."""
+    for _ in range(WORKABLE_BUDGET):
+        z = sample_point(m, rng)
+        rz = mobius_act(r, z)
+        if _workable(z, rz, params):
+            return z, rz
+    raise RuntimeError(f"_workable_point: no workable point in "
+                       f"{WORKABLE_BUDGET} draws")
 
 
 def _random_gamma12(m: int, rng) -> IntegerSymplectic:
@@ -237,11 +263,7 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
             r = _random_gamma12(m, rng)
             stab = _stabilized_shifted(table, r)
             attempts += 1
-        z = sample_point(m, rng)
-        rz = mobius_act(r, z)
-        while not _workable(z, rz, params):
-            z = sample_point(m, rng)
-            rz = mobius_act(r, z)
+        z, rz = _workable_point(m, r, rng, params)
         sd = sqrt_det(r, z)
 
         lhs = theta_series(rz, "half", params)
@@ -304,11 +326,7 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
                                    seed=int(rng.integers(2**63)))
         eps = 1 if rng.integers(2) == 0 else -1
         rbar = CoverElement(r, eps)
-        z = sample_point(m, rng)
-        rz = mobius_act(r, z)
-        while not _workable(z, rz, params):
-            z = sample_point(m, rng)
-            rz = mobius_act(r, z)
+        z, rz = _workable_point(m, r, rng, params)
         sd = sqrt_det(r, z)
         G = induced_rep_matrix(cover_inv(rbar)).to_array()
 

@@ -2,6 +2,10 @@
 
 import cmath
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,17 @@ def test_selftest_passes(capsys):
     assert rep["passed"] is True
     assert len(rep["checks"]) == 19
     assert all(c["ok"] for c in rep["checks"])
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "thetacover.cli", "selftest"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["passed"] is True and len(rep["checks"]) == 19
 
 
 def test_coset_table_counts(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetacover import (CoverElement, IntegerSymplectic, Lagrangian, Mu8,
-                        cbar_cocycle, cover_inv, cover_mul, m_xstar,
+                        cbar_cocycle, coset_table, cover_inv, cover_mul, m_xstar,
                         make_generator, maslov_signature, pws_decompose,
                         random_word_element, rao_cocycle, x_star)
 from thetacover import exactla as xla
@@ -107,6 +107,37 @@ def test_normalizing_constant_values():
     # h(a) with det a < 0 flips the sign part
     h = make_generator("h", 2, a=[[0, 1], [1, 0]])
     assert m_xstar(h) == Mu8(2)
+
+
+def assert_matches_factorization(words):
+    """m_xstar, computed cold and then cached, equals the oracle on words.
+
+    Returns the ranks j of the c blocks seen, per m.
+    """
+    ranks = {}
+    for g in words:
+        fac = pws_decompose(g)
+        m_xstar.cache_clear()
+        cold = m_xstar(g)
+        warm = m_xstar(IntegerSymplectic(g.rows))      # an equal, new key
+        assert m_xstar.cache_info().hits == 1
+        assert cold == warm == fac.m_xstar, g
+        ranks.setdefault(g.m, set()).add(fac.j)
+    return ranks
+
+
+def test_normalizing_constant_matches_factorization():
+    # 1200 words: m = 1..3, both samplers, lengths 1..30
+    words = [random_word_element(m, group, length=1 + seed % 30, seed=seed)[0]
+             for m in (1, 2, 3) for group in ("Sp", "Gamma(1,2)")
+             for seed in range(200)]
+    ranks = assert_matches_factorization(words)
+    assert ranks == {m: set(range(m + 1)) for m in (1, 2, 3)}
+
+
+def test_normalizing_constant_on_coset_representatives():
+    assert_matches_factorization([rec.M for m in (1, 2, 3)
+                                  for rec in coset_table(m)])
 
 
 @given(seeds)

@@ -8,6 +8,7 @@ from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
                         induced_rep_matrix, lambda_bar, random_word_element,
                         sample_gamma48, sample_point, subgroup_membership,
                         verify_scalar_law, verify_vector_law)
+from thetacover import harness
 from thetacover.harness import _rel_err
 
 
@@ -32,10 +33,12 @@ def test_monomial_group_laws():
 
 
 def test_monomial_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         MonomialMatrix(2, (0, 0), (Mu8(0), Mu8(0)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         MonomialMatrix(2, (0, 1), (Mu8(0),))
+    with pytest.raises(ValueError):
+        MonomialMatrix(1, (0,), (0,))
 
 
 def test_induced_rep_identity_and_center():
@@ -121,6 +124,20 @@ def test_sample_point_is_workable():
         z = sample_point(m, rng)
         assert z.m == m
         assert np.linalg.cond(z.Y) <= 1e4
+
+
+def test_sample_point_budget():
+    # cond(Y) >= 1 always, so no draw can pass
+    with pytest.raises(RuntimeError, match="sample_point"):
+        sample_point(1, np.random.default_rng(0), cond_cap=0.5)
+
+
+@pytest.mark.parametrize("verify", [verify_scalar_law, verify_vector_law])
+def test_workable_point_budget(monkeypatch, verify):
+    monkeypatch.setattr(harness, "_workable", lambda *args: False)
+    monkeypatch.setattr(harness, "WORKABLE_BUDGET", 50)
+    with pytest.raises(RuntimeError, match="_workable_point"):
+        verify(1, trials=1, seed=0)
 
 
 def test_deep_level_sampler():

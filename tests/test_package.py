@@ -10,10 +10,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# transformation_laws.py is left out: it is slow and repeats the work of
-# acceptance criteria 06 and 07
 FAST_DEMOS = ["branch_of_sqrt_det.py", "cocycle_to_sign.py",
-              "coset_walkthrough.py", "trivialize_theta_group.py"]
+              "coset_walkthrough.py", "transformation_laws.py",
+              "trivialize_theta_group.py"]
 
 
 def src_env() -> dict:
@@ -44,7 +43,8 @@ def test_validation_survives_optimize():
     # python -O strips assert statements; input checks must still raise
     code = """
 import numpy as np
-from thetacover import CoverElement, IntegerSymplectic, Lagrangian, SiegelPoint
+from thetacover import (CoverElement, IntegerSymplectic, Lagrangian,
+                        MonomialMatrix, Mu8, SiegelPoint)
 assert False, "asserts are live: not running under -O"
 cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: IntegerSymplectic([[1, 0, 0], [0, 1, 0]]),
@@ -53,7 +53,8 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: SiegelPoint(np.zeros((1, 1)), np.eye(2)),
          lambda: Lagrangian([[1, 0, 0, 0], [2, 0, 0, 0]]),
          lambda: Lagrangian([[1, 0, 0, 0], [0, 0, 1, 0]]),
-         lambda: CoverElement(IntegerSymplectic.identity(1), 0)]
+         lambda: CoverElement(IntegerSymplectic.identity(1), 0),
+         lambda: MonomialMatrix(2, (0, 0), (Mu8(0), Mu8(0)))]
 for case in cases:
     try:
         case()
