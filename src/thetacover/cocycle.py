@@ -93,17 +93,15 @@ class Lagrangian:
         return f"Lagrangian({[list(r) for r in self.rows]})"
 
 
+@lru_cache(maxsize=None)
 def x_star(m: int) -> Lagrangian:
+    """The base Lagrangian X* = (0 | 1_m); cached, as Lagrangian is immutable."""
     return Lagrangian([[0] * m + [1 if j == i else 0 for j in range(m)]
                        for i in range(m)])
 
 
-def maslov_signature(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
-    """Signature of (x1,x2,x3) -> <x1,x2> + <x2,x3> + <x3,x1> on l1+l2+l3.
-
-    Computed as the signature of twice the Gram matrix in the row bases,
-    which is exact and leaves the value unchanged.
-    """
+def _maslov_gram(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> list[list[int]]:
+    """Twice the Gram matrix of the Maslov form in the row bases of l1, l2, l3."""
     m = l1.m
     assert l2.m == m and l3.m == m
     gram = xla.mat_neg(_j_blocks(m))    # the form <w1, w2> = x1 x2*^T - x1* x2^T
@@ -120,7 +118,16 @@ def maslov_signature(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
                    [p31, xla.transpose(p23), z]):
         for i in range(m):
             big.append([x for blk in blocks for x in blk[i]])
-    pos, neg = xla.congruence_signature(big)
+    return big
+
+
+def maslov_signature(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
+    """Signature of (x1,x2,x3) -> <x1,x2> + <x2,x3> + <x3,x1> on l1+l2+l3.
+
+    Computed as the signature of twice the Gram matrix in the row bases,
+    which is exact and leaves the value unchanged.
+    """
+    pos, neg = xla.congruence_signature(_maslov_gram(l1, l2, l3))
     return pos - neg
 
 

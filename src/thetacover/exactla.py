@@ -2,12 +2,14 @@
 
 Everything here operates on matrices given as lists (or tuples) of rows.
 Entries are ints or Fractions; no floats ever enter these routines, so
-results are exact.  Matrices are tiny (at most ~25 x 25), which keeps the
+results are exact.  The congruence signature eliminates fraction-free over
+Python ints.  Matrices are tiny (at most ~25 x 25), which keeps the
 classical O(n^3) algorithms comfortably fast.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -216,23 +218,27 @@ def lattice_coordinates(basis: Matrix, sub: Matrix) -> list[list[int]]:
     return coords
 
 
-def box_representatives(c: Matrix, guard: int = 10**6) -> list[list[int]]:
-    """Coset representatives of Z^r modulo the row lattice of square c.
+def box_sides(h: Matrix, guard: int = 10**6) -> list[int]:
+    """Side lengths of the residue box of Z^r modulo a full-rank row lattice.
 
-    Uses the HNF box: with H upper triangular the products of [0, H_ii)
-    enumerate the quotient exactly once.  Raises if the index exceeds guard.
+    h is the lattice's HNF from ``hnf_with_transform``.  With h upper
+    triangular the products of [0, h_ii) enumerate the quotient exactly
+    once, so the product of the sides is the index |det|.  Raises if that
+    index exceeds guard.
     """
-    h, _ = hnf_with_transform(c)
-    r = len(h)
-    diag = [h[i][i] for i in range(r)]
-    assert all(d > 0 for d in diag), "row lattice does not have full rank"
-    index = 1
-    for d in diag:
-        index *= d
+    sides = [h[i][i] for i in range(len(h))]
+    assert all(d > 0 for d in sides), "row lattice does not have full rank"
+    index = math.prod(sides)
     if index > guard:
         raise ValueError(f"residue system too large: {index} classes > {guard}")
+    return sides
+
+
+def box_representatives(c: Matrix, guard: int = 10**6) -> list[list[int]]:
+    """Coset representatives of Z^r modulo the row lattice of square c,
+    one per point of the HNF box (see ``box_sides``)."""
     reps: list[list[int]] = [[]]
-    for d in diag:
+    for d in box_sides(hnf_with_transform(c)[0], guard):
         reps = [rep + [k] for rep in reps for k in range(d)]
     return reps
 
@@ -242,38 +248,45 @@ def box_representatives(c: Matrix, guard: int = 10**6) -> list[list[int]]:
 def congruence_signature(s: Matrix) -> tuple[int, int]:
     """(positives, negatives) of a symmetric rational matrix, kernel dropped.
 
-    Symmetric congruence pivoting: diagonal pivots when available, otherwise
-    the standard row+column addition to create one.
+    Fraction-free symmetric elimination over Python ints.  Rational input is
+    first scaled by the lcm of its denominators, which is positive and so
+    keeps the signature.  After pivot p on row a of the active block A, the
+    new active block is p A - a a^T: p times the Schur complement, so each
+    negative pivot swaps the roles of positive and negative from then on.
+    Dividing the block by the gcd of its entries (positive) keeps them
+    small.  With a zero diagonal, row+column addition creates a pivot.
     """
-    a = to_fractions(s)
-    n = len(a)
-    assert is_symmetric(a), "signature needs a symmetric matrix"
-    active = list(range(n))
+    assert is_symmetric(s), "signature needs a symmetric matrix"
+    a = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in s]
+    scale = math.lcm(*(x.denominator for row in a for x in row))
+    a = [[int(x * scale) for x in row] for row in a]
     pos = neg = 0
-    while active:
-        k = next((i for i in active if a[i][i] != 0), None)
+    flipped = False                 # active block is a negative multiple
+    while a:
+        n = len(a)
+        k = next((i for i in range(n) if a[i][i]), None)
         if k is None:
-            pair = next(((i, j) for i in active for j in active
-                         if i != j and a[i][j] != 0), None)
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                         if a[i][j]), None)
             if pair is None:
                 break                       # remaining block is zero
-            i, j = pair
-            for t in range(n):              # row_i += row_j, col_i += col_j
-                a[i][t] += a[j][t]
-            for t in range(n):
-                a[t][i] += a[t][j]
+            i, j = pair                     # row_i += row_j, col_i += col_j
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
             k = i
-        p = a[k][k]
-        if p > 0:
+        pivot_row = a[k]
+        p = pivot_row[k]
+        if (p > 0) != flipped:
             pos += 1
         else:
             neg += 1
-        active.remove(k)
-        for i in active:
-            if a[i][k] != 0:
-                f = a[i][k] / p
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
+        if p < 0:
+            flipped = not flipped
+        a = [[p * x - row[k] * y
+              for t, (x, y) in enumerate(zip(row, pivot_row)) if t != k]
+             for r, row in enumerate(a) if r != k]
+        g = math.gcd(*(x for row in a for x in row))
+        if g > 1:
+            a = [[x // g for x in row] for row in a]
     return pos, neg

@@ -6,7 +6,14 @@ is a phase beta_tilde(g), itself an eighth root of unity, with
 c~(h1, h2) = beta_tilde(h1)^{-1} beta_tilde(h2)^{-1} beta_tilde(h1 h2).
 It is computed as a finite exponential sum attached to the pair of row
 Lagrangians (0 | 1) and (c | d): a normalized conjugate Gauss sum when c
-is invertible, and a lattice-quotient sum in general.  The multiplier
+is invertible, and a lattice-quotient sum in general.  The Gauss sum is
+put over the common denominator D = |det c|: with the integer matrix
+Q = D c^{-1} d every phase is e^{i pi k / D} for an integer k mod 2D, so
+the residue classes are counted by k in exact int64 arithmetic (D is at
+most 10**6 classes, which keeps every intermediate below 2m 10**12) and
+floats enter only in the final sum of counts times phases.  The sum is
+defined when c d^T is symmetric with an even diagonal, exactly the
+condition that makes the phase a class function.  The multiplier
 lambda = m_xstar * beta_tilde^{-1} is what the holomorphic transformation
 law of the theta series picks up on this subgroup.
 
@@ -20,8 +27,11 @@ lies in the subgroup, but is not identically one.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import exactla as xla
 from .cocycle import CoverElement, Mu8, m_xstar, rao_cocycle, x_star
@@ -72,24 +82,46 @@ def _phase_mod2(frac: Fraction) -> complex:
 def symplectic_gauss_sum(d, c) -> complex:
     """G(d, c) = sum of e^{i pi x c^{-1} d x^T} over x in Z^m mod rows of c.
 
-    Well defined when (a b; c d) is symplectic with diag(c d^T) even:
-    c^{-1} d is then symmetric and the phase is constant on classes mod 2.
+    Defined when d and c are square of one size and c d^T is symmetric with
+    an even diagonal, which is exactly when the phase is a class function
+    (raises ValueError otherwise, and past 10**6 classes).  Over the common
+    denominator D = |det c| the phase is e^{i pi k / D} with the integer
+    k = x Q x^T mod 2D, Q = D c^{-1} d: the classes are counted by k
+    exactly, and floats enter only in the final sum of counts times phases.
     """
     c_rows = _int_rows(c)
     d_rows = _int_rows(d)
-    if xla.det(c_rows) == 0:
+    m = len(c_rows)
+    if len(d_rows) != m or any(len(r) != m for r in c_rows + d_rows):
+        raise ValueError("Gauss sum needs square blocks d and c of one size")
+    cdt = xla.mat_mul(c_rows, xla.transpose(d_rows))
+    if not xla.is_symmetric(cdt) or any(cdt[i][i] % 2 for i in range(m)):
+        raise ValueError("Gauss sum needs c d^T symmetric with an even diagonal")
+    h, u = xla.hnf_with_transform(c_rows)          # u c = h, u unimodular
+    if not all(h[i][i] for i in range(m)):
         raise ValueError("Gauss sum needs an invertible lower-left block")
-    q = xla.mat_mul(xla.inv(c_rows), d_rows)
-    total = 0j
-    for x in residues_mod_cT(c_rows).reps:
-        ph = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, xj in enumerate(x):
-                    if xj:
-                        ph += q[i][j] * xi * xj
-        total += _phase_mod2(ph)
-    return total
+    sides = xla.box_sides(h)
+    den = math.prod(sides)                          # D = |det c| = det h
+    # Q = D c^{-1} d = D h^{-1} u d is integral (D h^{-1} = adj h): solve
+    # h Q = D u d by back substitution, every division exact.
+    rhs = xla.mat_mul(u, d_rows)
+    q = [None] * m
+    for i in reversed(range(m)):
+        row = [den * x - sum(h[i][j] * q[j][t] for j in range(i + 1, m))
+               for t, x in enumerate(rhs[i])]
+        assert all(x % h[i][i] == 0 for x in row), "D c^-1 d is integral"
+        q[i] = [x // h[i][i] for x in row]
+    # Entries of Q mod 2D and of x stay below 2D, and D <= 10**6 (the class
+    # guard), so x Q and (x Q mod 2D) . x stay below 2m 10**12 in int64.
+    two_den = 2 * den
+    qmod = np.array([[x % two_den for x in row] for row in q],
+                    dtype=np.int64).reshape(m, m)
+    x = np.indices(sides, dtype=np.int64).reshape(m, den)   # one class a column
+    k = ((qmod @ x) % two_den * x).sum(axis=0) % two_den
+    counts = np.bincount(k, minlength=two_den)
+    # e^{i pi (k + D) / D} = -e^{i pi k / D}
+    folded = counts[:den] - counts[den:]
+    return complex(folded @ np.exp(1j * np.pi * np.arange(den) / den))
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,17 @@ def test_module_entry_point_runs_the_cli():
     assert rep["passed"] is True and len(rep["checks"]) == 19
 
 
+def test_package_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "thetacover", "coset-table",
+                           "--m", "1"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 3
+
+
 def test_coset_table_counts(capsys):
     for m, count in ((1, 3), (2, 10), (3, 36)):
         code, rep = run_json(capsys, "coset-table", "--m", str(m))
@@ -102,6 +113,18 @@ def test_gauss_sum_known_value(capsys, tmp_path):
     assert abs(complex(rep["value"]["re"], rep["value"]["im"]) - want) < 1e-12
     assert rep["mu8_exponent"] == 7
     assert rep["residual"] < 1e-12
+
+
+@pytest.mark.parametrize("d, c", [
+    ([[1]], [[3]]),                              # odd diagonal of c d^T
+    ([[1, 0], [1, 1]], [[2, 0], [0, 2]]),        # c d^T not symmetric
+    ([[1, 0], [0, 1]], [[2]]),                   # sizes differ
+])
+def test_gauss_sum_ill_defined_exits_2(capsys, tmp_path, d, c):
+    fd = block_file(tmp_path, "d.json", d)
+    fc = block_file(tmp_path, "c.json", c)
+    code, rep = run_json(capsys, "gauss-sum", "--d", fd, "--c", fc)
+    assert code == 2 and "Gauss sum needs" in rep["error"]
 
 
 def test_beta_member_and_rejection(capsys, tmp_path):

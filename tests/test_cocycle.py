@@ -38,6 +38,7 @@ def test_mu8_sign_guard():
 def test_lagrangian_validation():
     Lagrangian([[1, 0, 0, 0], [0, 1, 0, 0]])        # the X plane
     assert x_star(2).rows == ((0, 0, 1, 0), (0, 0, 0, 1))
+    assert x_star(2) is x_star(2)                   # built and validated once
     with pytest.raises(ValueError):
         Lagrangian([[1, 0, 0, 0], [2, 0, 0, 0]])    # dependent rows
     with pytest.raises(ValueError):

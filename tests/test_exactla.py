@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetacover import exactla as xla
+from thetacover import random_word_element, x_star
+from thetacover.cocycle import _maslov_gram
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -96,6 +99,41 @@ def test_solve_left_consistency():
     assert xla.solve_left([[1, 0, 0]], [0, 1, 0]) is None
 
 
+def reference_signature(s):
+    """The Fraction elimination that the integer one replaced."""
+    a = xla.to_fractions(s)
+    n = len(a)
+    active = list(range(n))
+    pos = neg = 0
+    while active:
+        k = next((i for i in active if a[i][i] != 0), None)
+        if k is None:
+            pair = next(((i, j) for i in active for j in active
+                         if i != j and a[i][j] != 0), None)
+            if pair is None:
+                break
+            i, j = pair
+            for t in range(n):
+                a[i][t] += a[j][t]
+            for t in range(n):
+                a[t][i] += a[t][j]
+            k = i
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(k)
+        for i in active:
+            if a[i][k] != 0:
+                f = a[i][k] / p
+                for t in range(n):
+                    a[i][t] -= f * a[k][t]
+                for t in range(n):
+                    a[t][i] -= f * a[t][k]
+    return pos, neg
+
+
 def test_signature_of_diagonal():
     assert xla.congruence_signature([[2, 0], [0, -3]]) == (1, 1)
     assert xla.congruence_signature([[0, 1], [1, 0]]) == (1, 1)
@@ -110,3 +148,37 @@ def test_signature_matches_eigenvalues(mat):
     eig = np.linalg.eigvalsh(np.array(sym, dtype=float))
     assert pos == int(np.sum(eig > 1e-9))
     assert neg == int(np.sum(eig < -1e-9))
+
+
+@given(st.one_of(square(3), square(4)),
+       st.lists(st.integers(min_value=1, max_value=12), min_size=16, max_size=16))
+@settings(max_examples=60, deadline=None)
+def test_signature_of_fractions_matches_reference(mat, dens):
+    n = len(mat)
+    sym = [[Fraction(mat[i][j] + mat[j][i], dens[min(i, j) * 4 + max(i, j)])
+            for j in range(n)] for i in range(n)]
+    assert xla.congruence_signature(sym) == reference_signature(sym)
+
+
+@pytest.mark.parametrize("s", [
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[0, 3, 0], [3, 0, 0], [0, 0, 0]],
+    [[0, 1, 2], [1, 0, -1], [2, -1, 0]],
+    [[0, 0, 0, 2], [0, 0, 5, 0], [0, 5, 0, 0], [2, 0, 0, 0]],
+    [[1, 0, 0], [0, 0, 0], [0, 0, -4]],
+    [[Fraction(0), Fraction(1, 2)], [Fraction(1, 2), Fraction(0)]],
+])
+def test_signature_zero_diagonal_blocks(s):
+    assert xla.congruence_signature(s) == reference_signature(s)
+
+
+def test_signature_of_maslov_grams_matches_reference():
+    # the 3m x 3m Gram matrices that rao_cocycle hands to the signature
+    for m in (1, 2, 3):
+        xs = x_star(m)
+        for seed in range(400):
+            length = 1 + seed % 12
+            g1 = random_word_element(m, "Sp", length, seed=2 * seed)[0]
+            g2 = random_word_element(m, "Sp", length, seed=2 * seed + 1)[0]
+            gram = _maslov_gram(xs, xs.act(g2.inverse()), xs.act(g1))
+            assert xla.congruence_signature(gram) == reference_signature(gram)

@@ -1,6 +1,7 @@
 """Gauss sums, the trivializing phase, and the shifted cocycle."""
 
 import cmath
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from thetacover import (IntegerSymplectic, Mu8, beta_tilde, coset_split,
                         make_generator, modified_cocycle,
                         random_word_element, rao_cocycle, residues_mod_cT,
                         snap_mu8, subgroup_membership, symplectic_gauss_sum)
+from thetacover import exactla as xla
 from thetacover.cocycle import CoverElement
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -33,6 +35,58 @@ def test_classical_rank_one_sums():
     for c in (2, 4, 6, 8, 10):
         want = c ** 0.5 * cmath.exp(1j * cmath.pi / 4)
         assert abs(symplectic_gauss_sum([[1]], [[c]]) - want) < 1e-12
+
+
+def reference_gauss_sum(d, c) -> complex:
+    """The per-class Fraction loop that the integer kernel replaced."""
+    q = xla.mat_mul(xla.inv(c), d)
+    total = 0j
+    for x in xla.box_representatives(c):
+        ph = Fraction(0)
+        for i, xi in enumerate(x):
+            for j, xj in enumerate(x):
+                ph += q[i][j] * xi * xj
+        total += cmath.exp(1j * cmath.pi * float(ph % 2))
+    return total
+
+
+def test_gauss_sum_matches_fraction_reference():
+    # seeded Gamma(1,2) words with invertible c, |det c| from 1 past 1000
+    for m in (1, 2, 3):
+        largest = 0
+        for seed in range(40):
+            g = random_word_element(m, "Gamma1_2", length=15 * (1 + seed % 4),
+                                    seed=seed)[0]
+            det = abs(int(xla.det(g.c)))
+            if not 0 < det <= 20000:
+                continue
+            largest = max(largest, det)
+            got = symplectic_gauss_sum(g.d, g.c)
+            want = reference_gauss_sum(g.d, g.c)
+            assert abs(got - want) <= 1e-12 * abs(want)
+            assert snap_mu8(got / det ** 0.5).value == \
+                snap_mu8(want / det ** 0.5).value
+        assert largest >= 1000
+
+
+def test_gauss_sum_at_the_class_guard():
+    # 10**6 classes is the largest allowed: G(1, 1000)^2 = (sqrt(1000) e^{i pi/4})^2
+    one = [[1, 0], [0, 1]]
+    got = symplectic_gauss_sum(one, [[1000, 0], [0, 1000]])
+    assert abs(got - 1000j) < 1e-9
+    with pytest.raises(ValueError, match="residue system too large"):
+        symplectic_gauss_sum(one, [[1000, 0], [0, 1002]])
+
+
+@pytest.mark.parametrize("d, c", [
+    ([[1]], [[3]]),                              # odd diagonal of c d^T
+    ([[1, 0], [1, 1]], [[2, 0], [0, 2]]),        # c d^T not symmetric
+    ([[1, 0], [0, 1]], [[2]]),                   # sizes differ
+    ([[1]], [[0]]),                              # c singular
+])
+def test_gauss_sum_rejects_ill_defined_blocks(d, c):
+    with pytest.raises(ValueError):
+        symplectic_gauss_sum(d, c)
 
 
 def test_snap_rejects_generic_values():
