@@ -18,10 +18,9 @@ from .cocycle import (CoverElement, Lagrangian, Mu8, PwsFactorization,
 from .f2cosets import (CosetRecord, coset_index_of, coset_profile,
                        coset_table, enumerate_isotropic, q0_eval,
                        reduce_mod2, transvection_rep)
-from .gauss import (ResidueSystem, SnappedRoot, beta_tilde, coset_split,
-                    f_shift, lambda_bar, lambda_multiplier,
-                    modified_cocycle, residues_mod_cT, snap_mu8,
-                    symplectic_gauss_sum)
+from .gauss import (SnappedRoot, beta_tilde, coset_split, f_shift,
+                    lambda_bar, lambda_multiplier, modified_cocycle,
+                    snap_mu8, symplectic_gauss_sum)
 from .harness import (MonomialMatrix, VerificationReport,
                       induced_rep_matrix, sample_gamma48, sample_point,
                       verify_scalar_law, verify_vector_law)
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "CosetRecord", "CoverElement", "IntegerSymplectic",
     "IwasawaPair", "Lagrangian", "MonomialMatrix", "Mu8",
-    "PwsFactorization", "ResidueSystem", "SiegelPoint", "SnappedRoot",
+    "PwsFactorization", "SiegelPoint", "SnappedRoot",
     "ThetaComponentValue", "ThetaParams", "VerificationReport",
     "beta_tilde", "big_theta", "cbar_cocycle", "coset_index_of",
     "coset_profile", "coset_split", "coset_table", "cover_inv",
@@ -50,7 +49,7 @@ __all__ = [
     "lambda_multiplier", "m_xstar", "make_generator", "maslov_signature",
     "mobius_act", "modified_cocycle", "pws_decompose", "q0_eval",
     "random_word_element", "rao_cocycle", "reduce_mod2",
-    "residues_mod_cT", "sample_gamma48", "sample_point", "snap_mu8",
+    "sample_gamma48", "sample_point", "snap_mu8",
     "sqrt_det", "sqrt_pd", "subgroup_membership", "symplectic_gauss_sum",
     "theta_component", "theta_series", "transvection_rep",
     "truncation_radius", "verify_scalar_law", "verify_vector_law",

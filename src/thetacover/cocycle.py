@@ -100,12 +100,15 @@ def x_star(m: int) -> Lagrangian:
                        for i in range(m)])
 
 
-def _maslov_gram(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> list[list[int]]:
-    """Twice the Gram matrix of the Maslov form in the row bases of l1, l2, l3."""
-    m = l1.m
-    assert l2.m == m and l3.m == m
+def _maslov_gram(l1, l2, l3) -> list[list[int]]:
+    """Twice the Gram matrix of the Maslov form in the row bases l1, l2, l3.
+
+    Each argument is the m x 2m row basis of a Lagrangian.
+    """
+    m = len(l1)
+    assert len(l2) == m and len(l3) == m
     gram = xla.mat_neg(_j_blocks(m))    # the form <w1, w2> = x1 x2*^T - x1* x2^T
-    bs = [[list(r) for r in l.rows] for l in (l1, l2, l3)]
+    bs = (l1, l2, l3)
 
     def pair(i, j):
         return xla.mat_mul(xla.mat_mul(bs[i], gram), xla.transpose(bs[j]))
@@ -127,16 +130,25 @@ def maslov_signature(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
     Computed as the signature of twice the Gram matrix in the row bases,
     which is exact and leaves the value unchanged.
     """
-    pos, neg = xla.congruence_signature(_maslov_gram(l1, l2, l3))
+    pos, neg = xla.congruence_signature(_maslov_gram(l1.rows, l2.rows, l3.rows))
     return pos - neg
 
 
 def rao_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> Mu8:
-    """The eighth-root two-cocycle attached to the base Lagrangian X*."""
+    """The eighth-root two-cocycle attached to the base Lagrangian X*.
+
+    tau is the Maslov signature of (X*, X* g2^{-1}, X* g1), read off the
+    blocks: X* g1 has rows (c1 | d1), and X* g2^{-1} = (-c2^T | a2^T) by
+    g^{-1} = (d^T -b^T; -c^T a^T).  Both are Lagrangian because g1, g2 are
+    validated symplectic matrices.
+    """
     assert g1.m == g2.m
-    xs = x_star(g1.m)
-    tau = maslov_signature(xs, xs.act(g2.inverse()), xs.act(g1))
-    return Mu8(tau)
+    m = g1.m
+    l2 = [[-x for x in row] + list(a) for row, a in
+          zip(xla.transpose(g2.c), xla.transpose(g2.a))]
+    pos, neg = xla.congruence_signature(
+        _maslov_gram(x_star(m).rows, l2, g1.rows[m:]))
+    return Mu8(pos - neg)
 
 
 # --- factorization through the partial involutions ---

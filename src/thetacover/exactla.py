@@ -187,12 +187,6 @@ def hnf_with_transform(m: Matrix) -> tuple[list[list[int]], list[list[int]]]:
     return h, u
 
 
-def lattice_basis(m: Matrix) -> list[list[int]]:
-    """Canonical basis (HNF rows) of the integer row span of m."""
-    h, _ = hnf_with_transform(m)
-    return [row for row in h if any(row)]
-
-
 def int_row_kernel(m: Matrix) -> list[list[int]]:
     """Basis of the saturated lattice {x in Z^r : x . m = 0}."""
     h, u = hnf_with_transform(m)

@@ -30,7 +30,8 @@ def reduce_mod2(g: IntegerSymplectic) -> tuple:
 
 def q0_eval(v) -> int:
     v = tuple(int(x) % 2 for x in v)
-    assert len(v) % 2 == 0
+    if len(v) % 2:
+        raise ValueError("Q0 needs a vector of even length 2m")
     m = len(v) // 2
     return sum(v[i] * v[m + i] for i in range(m)) % 2
 
@@ -45,11 +46,18 @@ def enumerate_isotropic(m: int) -> tuple:
     return vs
 
 
+def _isotropic(q) -> tuple:
+    """q reduced mod 2; raises ValueError unless it is isotropic for Q0."""
+    q = tuple(int(x) % 2 for x in q)
+    if q0_eval(q):
+        raise ValueError("q must be isotropic")
+    return q
+
+
 def transvection_rep(q) -> IntegerSymplectic:
     """Integer matrix of v -> v + <v, q> q, for isotropic q = (x | x*)."""
-    q = tuple(int(x) % 2 for x in q)
+    q = _isotropic(q)
     m = len(q) // 2
-    assert q0_eval(q) == 0, "q must be isotropic"
     u = [q[m + i] for i in range(m)] + [-q[i] for i in range(m)]
     rows = [[(i == j) + u[i] * q[j] for j in range(2 * m)] for i in range(2 * m)]
     return IntegerSymplectic(rows)
@@ -119,9 +127,8 @@ class CosetRecord:
 
 
 def refine_rep(q) -> CosetRecord:
-    q = tuple(int(x) % 2 for x in q)
+    q = _isotropic(q)
     m = len(q) // 2
-    assert q0_eval(q) == 0, "q must be isotropic"
     m_prime = transvection_rep(q)
 
     singles, aniso = [], []

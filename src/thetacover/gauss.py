@@ -4,18 +4,20 @@ On the subgroup of integer symplectic matrices with diag(a b^T) and
 diag(c d^T) even, the eighth-root pairing cocycle is a coboundary: there
 is a phase beta_tilde(g), itself an eighth root of unity, with
 c~(h1, h2) = beta_tilde(h1)^{-1} beta_tilde(h2)^{-1} beta_tilde(h1 h2).
-It is computed as a finite exponential sum attached to the pair of row
-Lagrangians (0 | 1) and (c | d): a normalized conjugate Gauss sum when c
-is invertible, and a lattice-quotient sum in general.  The Gauss sum is
-put over the common denominator D = |det c|: with the integer matrix
-Q = D c^{-1} d every phase is e^{i pi k / D} for an integer k mod 2D, so
-the residue classes are counted by k in exact int64 arithmetic (D is at
-most 10**6 classes, which keeps every intermediate below 2m 10**12) and
-floats enter only in the final sum of counts times phases.  The sum is
-defined when c d^T is symmetric with an even diagonal, exactly the
-condition that makes the phase a class function.  The multiplier
-lambda = m_xstar * beta_tilde^{-1} is what the holomorphic transformation
-law of the theta series picks up on this subgroup.
+It is one normalized conjugate Gauss sum for every rank j of c.  The
+lattice-quotient sum attached to the pair of row Lagrangians (0 | 1) and
+(c | d) reduces to G(d', W), W the j x j block of c in a basis of its
+saturated row lattice (when c is invertible, W is the Hermite form of c).
+The Gauss sum G(d, c) is put over the common denominator D = |det c|:
+with the integer matrix Q = D c^{-1} d every phase is e^{i pi k / D} for
+an integer k mod 2D, so the residue classes are counted by k in exact
+int64 arithmetic (D is at most 10**6 classes, which keeps every
+intermediate below 2m 10**12) and floats enter only in the final sum of
+counts times phases.  The sum is defined when c d^T is symmetric with an
+even diagonal, exactly the condition that makes the phase a class
+function.  The multiplier lambda = m_xstar * beta_tilde^{-1} is what the
+holomorphic transformation law of the theta series picks up on this
+subgroup.
 
 f_shift and modified_cocycle push beta_tilde from the subgroup to the
 whole group along the coset representatives: f(g) = beta_tilde(r) c~(r, M)
@@ -26,15 +28,13 @@ lies in the subgroup, but is not identically one.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import exactla as xla
-from .cocycle import CoverElement, Mu8, m_xstar, rao_cocycle, x_star
+from .cocycle import CoverElement, Mu8, m_xstar, rao_cocycle
 from .f2cosets import coset_index_of, coset_table
 from .symplectic import IntegerSymplectic, subgroup_membership
 
@@ -47,36 +47,6 @@ def _int_rows(mat) -> list[list[int]]:
     if not hasattr(mat, "__len__"):
         return [[int(mat)]]
     return [[int(x) for x in row] for row in mat]
-
-
-@dataclass(frozen=True)
-class ResidueSystem:
-    """Complete residue system of integer row vectors modulo rows of c.
-
-    Two rows are congruent when their difference is an integer combination
-    of the rows of c; the box of the Hermite form enumerates each class
-    exactly once, so |reps| = |det c|.
-    """
-    c: tuple
-    reps: tuple
-
-    def __len__(self):
-        return len(self.reps)
-
-
-def residues_mod_cT(c) -> ResidueSystem:
-    rows = _int_rows(c)
-    if xla.det(rows) == 0:
-        raise ValueError("singular matrix has no finite residue system")
-    reps = xla.box_representatives(rows)
-    return ResidueSystem(c=tuple(tuple(r) for r in rows),
-                         reps=tuple(tuple(r) for r in reps))
-
-
-def _phase_mod2(frac: Fraction) -> complex:
-    # exact rational reduction mod 2 before any floating exponentiation
-    frac = frac % 2
-    return cmath.exp(1j * cmath.pi * float(frac))
 
 
 def symplectic_gauss_sum(d, c) -> complex:
@@ -142,54 +112,31 @@ def snap_mu8(raw: complex) -> SnappedRoot:
     return SnappedRoot(value=Mu8(best), raw=raw, residual=residual)
 
 
-def _beta_degenerate(g: IntegerSymplectic) -> complex:
-    """Quotient sum over [L cap (X*+Y*)] / [(X* cap L) + (Y* cap L)].
-
-    Y* = X* g has rows (c | d).  Each class l splits as x_l + x*_l along
-    the standard frame, giving the parity sign, and as x* + y* along
-    X* + Y*, giving the solved phase; both phases are class functions.
-    """
-    m = g.m
-    c_rows, d_rows = g.c, g.d
-    xstar = [list(r) for r in x_star(m).rows]
-    ystar = [list(c_rows[i]) + list(d_rows[i]) for i in range(m)]
-
-    numerator = xla.saturation(xstar + ystar)
-    denominator = xla.lattice_basis(xstar + xla.saturation(ystar))
-    coords = xla.lattice_coordinates(numerator, denominator)
-    index = abs(int(xla.det(coords)))
-    assert index >= 1
-
-    total = 0j
-    for xi in xla.box_representatives(coords):
-        l = [sum(xi[k] * numerator[k][j] for k in range(len(xi)))
-             for j in range(2 * m)]
-        lx, lxs = l[:m], l[m:]
-        parity = sum(a * b for a, b in zip(lx, lxs)) % 2
-        t = xla.solve_left(c_rows, lx)
-        assert t is not None, "class outside the x-image of the second row space"
-        s = [Fraction(lxs[j]) - sum(t[k] * d_rows[k][j] for k in range(m))
-             for j in range(m)]
-        ph = sum((sj * xj for sj, xj in zip(s, lx)), Fraction(0))
-        total += (-1) ** parity * _phase_mod2(ph)
-    return index ** -0.5 * total
-
-
 def beta_tilde(g: IntegerSymplectic) -> SnappedRoot:
     """Trivializing phase of the pairing cocycle on the even-diagonal subgroup.
 
-    Invertible c: |det c|^{-1/2} conj(G(d, c)).  Degenerate c: the general
-    lattice-quotient sum, which specializes to the former.  The value is an
-    exact eighth root of unity; the float computation is snapped and the
-    residual reported.
+    One formula for every rank j of c: with the HNF u c = h, the nonzero
+    rows c1 = h[:j] and d1 = (u d)[:j] are reduced to a full-rank j x j pair
+    (W, d') by a basis S of the saturated row lattice of c1, c1 = W S and
+    d' = d1 S^T (S = 1 when c is invertible, so W = h).  Then
+    beta_tilde(g) = |det W|^{-1/2} conj(G(d', W)), and 1 when c = 0.  The
+    value is an exact eighth root of unity; the float computation is
+    snapped and the residual reported.
     """
     if not subgroup_membership(g, "Gamma(1,2)"):
         raise ValueError("beta_tilde needs diag(a b^T) and diag(c d^T) even")
-    detc = xla.det(g.c)
-    if detc != 0:
-        raw = abs(int(detc)) ** -0.5 * symplectic_gauss_sum(g.d, g.c).conjugate()
-    else:
-        raw = _beta_degenerate(g)
+    h, u = xla.hnf_with_transform(g.c)             # u c = h, zero rows last
+    j = sum(1 for row in h if any(row))
+    if not j:
+        return snap_mu8(1 + 0j)
+    w, d1 = h[:j], xla.mat_mul(u, g.d)[:j]
+    if j < g.m:
+        # X* = (0 | 1) lies in the quotient's denominator, so every class
+        # has a representative (x | 0), x in sat(c1) / <c1>, with no parity
+        # term; c1 d2^T = 0 by the symmetry of c d^T, so the sum is G(d', W).
+        s = xla.saturation(w)
+        w, d1 = xla.lattice_coordinates(s, w), xla.mat_mul(d1, xla.transpose(s))
+    raw = abs(int(xla.det(w))) ** -0.5 * symplectic_gauss_sum(d1, w).conjugate()
     return snap_mu8(raw)
 
 

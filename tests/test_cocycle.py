@@ -55,6 +55,18 @@ def test_maslov_alternating_in_cyclic_order():
     assert maslov_signature(xs, l3, l2) == -s
 
 
+def test_rao_cocycle_matches_lagrangian_oracle():
+    # the blocks (c1 | d1) and (-c2^T | a2^T) against validated images of X*
+    for m in (1, 2, 3):
+        xs = x_star(m)
+        for seed in range(150):
+            length = 1 + seed % 12
+            g1 = random_word_element(m, "Sp", length, seed=2 * seed)[0]
+            g2 = random_word_element(m, "Sp", length, seed=2 * seed + 1)[0]
+            want = maslov_signature(xs, xs.act(g2.inverse()), xs.act(g1))
+            assert rao_cocycle(g1, g2) == Mu8(want)
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_cocycle_identity(seed):

@@ -180,5 +180,6 @@ def test_signature_of_maslov_grams_matches_reference():
             length = 1 + seed % 12
             g1 = random_word_element(m, "Sp", length, seed=2 * seed)[0]
             g2 = random_word_element(m, "Sp", length, seed=2 * seed + 1)[0]
-            gram = _maslov_gram(xs, xs.act(g2.inverse()), xs.act(g1))
+            gram = _maslov_gram(xs.rows, xs.act(g2.inverse()).rows,
+                                xs.act(g1).rows)
             assert xla.congruence_signature(gram) == reference_signature(gram)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from thetacover import (IntegerSymplectic, Mu8, beta_tilde, coset_split,
                         f_shift, lambda_bar, lambda_multiplier,
                         make_generator, modified_cocycle,
-                        random_word_element, rao_cocycle, residues_mod_cT,
-                        snap_mu8, subgroup_membership, symplectic_gauss_sum)
+                        random_word_element, rao_cocycle, snap_mu8,
+                        subgroup_membership, symplectic_gauss_sum, x_star)
 from thetacover import exactla as xla
 from thetacover.cocycle import CoverElement
 
@@ -20,14 +20,6 @@ seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 def gword(m, seed, length=6):
     return random_word_element(m, "Gamma1_2", length=length, seed=seed)[0]
-
-
-def test_residue_system_sizes():
-    assert len(residues_mod_cT([[2]])) == 2
-    assert len(residues_mod_cT([[2, 0], [0, 3]])) == 6
-    assert len(residues_mod_cT([[2, 1], [0, 2]])) == 4
-    with pytest.raises(ValueError):
-        residues_mod_cT([[0]])
 
 
 def test_classical_rank_one_sums():
@@ -107,6 +99,59 @@ def test_beta_degenerate_anchors():
     assert beta_tilde(off).value == Mu8(0)
     minus = make_generator("h", 2, a=[[-1, 0], [0, -1]])
     assert beta_tilde(minus).value == Mu8(0)
+
+
+def reference_beta_quotient_sum(g) -> tuple[complex, int]:
+    """(value, index) of the per-class Fraction quotient sum for beta_tilde,
+    which beta_tilde reduces to one Gauss sum G(d', W).
+
+    Sum over [L cap (X*+Y*)] / [(X* cap L) + (Y* cap L)], Y* = X* g with
+    rows (c | d): each class l splits as x_l + x*_l along the standard
+    frame, giving the parity sign, and as x* + y* along X* + Y*, giving the
+    solved phase.
+    """
+    m = g.m
+    c_rows, d_rows = g.c, g.d
+    xstar = [list(r) for r in x_star(m).rows]
+    ystar = [list(c_rows[i]) + list(d_rows[i]) for i in range(m)]
+    numerator = xla.saturation(xstar + ystar)
+    h, _ = xla.hnf_with_transform(xstar + xla.saturation(ystar))
+    denominator = [row for row in h if any(row)]
+    coords = xla.lattice_coordinates(numerator, denominator)
+    index = abs(int(xla.det(coords)))
+    total = 0j
+    for xi in xla.box_representatives(coords):
+        l = [sum(xi[k] * numerator[k][j] for k in range(len(xi)))
+             for j in range(2 * m)]
+        lx, lxs = l[:m], l[m:]
+        parity = sum(a * b for a, b in zip(lx, lxs)) % 2
+        t = xla.solve_left(c_rows, lx)
+        assert t is not None, "class outside the x-image of the second row space"
+        s = [Fraction(lxs[j]) - sum(t[k] * d_rows[k][j] for k in range(m))
+             for j in range(m)]
+        ph = sum((sj * xj for sj, xj in zip(s, lx)), Fraction(0))
+        total += (-1) ** parity * cmath.exp(1j * cmath.pi * float(ph % 2))
+    return index ** -0.5 * total, index
+
+
+def test_beta_singular_c_matches_quotient_reference():
+    # seeded Gamma(1,2) words with singular c; every rank 0 < j < m at
+    # m = 2, 3 must occur with a quotient of index > 1
+    seen = set()
+    for m in (1, 2, 3):
+        for seed in range(150):
+            g = random_word_element(m, "Gamma1_2", length=20 + seed % 20,
+                                    seed=seed)[0]
+            j = xla.rank(g.c)
+            if j == m:
+                continue
+            want, index = reference_beta_quotient_sum(g)
+            got = beta_tilde(g)
+            assert got.value == snap_mu8(want).value
+            assert abs(got.raw - want) < 1e-12
+            if index > 1:
+                seen.add((m, j))
+    assert {(2, 1), (3, 1), (3, 2)} <= seen
 
 
 def test_beta_rejects_outside_subgroup():

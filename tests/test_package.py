@@ -44,7 +44,9 @@ def test_validation_survives_optimize():
     code = """
 import numpy as np
 from thetacover import (CoverElement, IntegerSymplectic, Lagrangian,
-                        MonomialMatrix, Mu8, SiegelPoint)
+                        MonomialMatrix, Mu8, SiegelPoint, q0_eval,
+                        transvection_rep)
+from thetacover.f2cosets import refine_rep
 assert False, "asserts are live: not running under -O"
 cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: IntegerSymplectic([[1, 0, 0], [0, 1, 0]]),
@@ -54,7 +56,12 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: Lagrangian([[1, 0, 0, 0], [2, 0, 0, 0]]),
          lambda: Lagrangian([[1, 0, 0, 0], [0, 0, 1, 0]]),
          lambda: CoverElement(IntegerSymplectic.identity(1), 0),
-         lambda: MonomialMatrix(2, (0, 0), (Mu8(0), Mu8(0)))]
+         lambda: MonomialMatrix(2, (0, 0), (Mu8(0), Mu8(0))),
+         lambda: q0_eval((1, 0, 1)),
+         lambda: transvection_rep((1, 1)),
+         lambda: transvection_rep((1, 0, 1)),
+         lambda: refine_rep((1, 1)),
+         lambda: refine_rep((0, 1, 1))]
 for case in cases:
     try:
         case()
