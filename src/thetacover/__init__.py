@@ -7,7 +7,7 @@ an eighth-root-of-unity pairing cocycle with exact Lagrangian
 bookkeeping, quadratic Gauss sums trivializing that cocycle on the
 even-diagonal subgroup, the mod-2 coset geometry labelling theta
 components, a genuine square root of det(cz + d) with a pinned branch,
-and truncated lattice sums with certified tails.  The harness module
+and truncated lattice sums.  The harness module
 runs randomized end-to-end checks of the laws; the cli module exposes
 everything as a command line tool.
 """
@@ -31,7 +31,8 @@ from .symplectic import (IntegerSymplectic, IwasawaPair, SiegelPoint,
 from .theta import (CapacityError, ThetaComponentValue, ThetaParams,
                     big_theta, det_invsqrt, epsilon_factor, gamma_pair,
                     j_half, j_half_bar, j_three_half, sqrt_det,
-                    theta_component, theta_series, truncation_radius)
+                    theta_component, theta_series, theta_vector,
+                    truncation_radius)
 
 __version__ = "0.1.0"
 
@@ -51,7 +52,7 @@ __all__ = [
     "random_word_element", "rao_cocycle", "reduce_mod2",
     "sample_gamma48", "sample_point", "snap_mu8",
     "sqrt_det", "sqrt_pd", "subgroup_membership", "symplectic_gauss_sum",
-    "theta_component", "theta_series", "transvection_rep",
+    "theta_component", "theta_series", "theta_vector", "transvection_rep",
     "truncation_radius", "verify_scalar_law", "verify_vector_law",
     "x_star",
 ]

@@ -70,15 +70,25 @@ def symplectic_gauss_sum(d, c) -> complex:
     h, u = xla.hnf_with_transform(c_rows)          # u c = h, u unimodular
     if not all(h[i][i] for i in range(m)):
         raise ValueError("Gauss sum needs an invertible lower-left block")
+    return _gauss_sum_hnf(h, xla.mat_mul(u, d_rows))[0]
+
+
+def _gauss_sum_hnf(h, ud) -> tuple:
+    """(G(d, c), D) from the HNF u c = h and u d, with D = |det c| = det h.
+
+    The kernel of symplectic_gauss_sum: the rows of h span the lattice of
+    c and h^{-1} u d = c^{-1} d, so G(d, c) = G(u d, h).  The pair is not
+    validated; h must be square with a positive diagonal.
+    """
+    m = len(h)
     sides = xla.box_sides(h)
     den = math.prod(sides)                          # D = |det c| = det h
     # Q = D c^{-1} d = D h^{-1} u d is integral (D h^{-1} = adj h): solve
     # h Q = D u d by back substitution, every division exact.
-    rhs = xla.mat_mul(u, d_rows)
     q = [None] * m
     for i in reversed(range(m)):
         row = [den * x - sum(h[i][j] * q[j][t] for j in range(i + 1, m))
-               for t, x in enumerate(rhs[i])]
+               for t, x in enumerate(ud[i])]
         assert all(x % h[i][i] == 0 for x in row), "D c^-1 d is integral"
         q[i] = [x // h[i][i] for x in row]
     # Entries of Q mod 2D and of x stay below 2D, and D <= 10**6 (the class
@@ -91,7 +101,7 @@ def symplectic_gauss_sum(d, c) -> complex:
     counts = np.bincount(k, minlength=two_den)
     # e^{i pi (k + D) / D} = -e^{i pi k / D}
     folded = counts[:den] - counts[den:]
-    return complex(folded @ np.exp(1j * np.pi * np.arange(den) / den))
+    return complex(folded @ np.exp(1j * np.pi * np.arange(den) / den)), den
 
 
 @dataclass(frozen=True)
@@ -134,10 +144,15 @@ def beta_tilde(g: IntegerSymplectic) -> SnappedRoot:
         # X* = (0 | 1) lies in the quotient's denominator, so every class
         # has a representative (x | 0), x in sat(c1) / <c1>, with no parity
         # term; c1 d2^T = 0 by the symmetry of c d^T, so the sum is G(d', W).
+        # W d'^T = c1 d1^T is a principal block of u c d^T u^T, so the pair
+        # meets the Gauss-sum condition unchecked; the kernel takes W in
+        # Hermite form.
         s = xla.saturation(w)
         w, d1 = xla.lattice_coordinates(s, w), xla.mat_mul(d1, xla.transpose(s))
-    raw = abs(int(xla.det(w))) ** -0.5 * symplectic_gauss_sum(d1, w).conjugate()
-    return snap_mu8(raw)
+        w, uw = xla.hnf_with_transform(w)
+        d1 = xla.mat_mul(uw, d1)
+    gauss, den = _gauss_sum_hnf(w, d1)              # den = |det W|
+    return snap_mu8(den ** -0.5 * gauss.conjugate())
 
 
 def lambda_multiplier(r: IntegerSymplectic) -> Mu8:

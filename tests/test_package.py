@@ -44,8 +44,8 @@ def test_validation_survives_optimize():
     code = """
 import numpy as np
 from thetacover import (CoverElement, IntegerSymplectic, Lagrangian,
-                        MonomialMatrix, Mu8, SiegelPoint, q0_eval,
-                        transvection_rep)
+                        MonomialMatrix, Mu8, SiegelPoint, ThetaComponentValue,
+                        q0_eval, transvection_rep)
 from thetacover.f2cosets import refine_rep
 assert False, "asserts are live: not running under -O"
 cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
@@ -57,6 +57,7 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: Lagrangian([[1, 0, 0, 0], [0, 0, 1, 0]]),
          lambda: CoverElement(IntegerSymplectic.identity(1), 0),
          lambda: MonomialMatrix(2, (0, 0), (Mu8(0), Mu8(0))),
+         lambda: ThetaComponentValue((0, 0), 1.0, 2.0),
          lambda: q0_eval((1, 0, 1)),
          lambda: transvection_rep((1, 1)),
          lambda: transvection_rep((1, 0, 1)),

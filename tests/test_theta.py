@@ -1,5 +1,8 @@
 """Lattice sums, branch bookkeeping, automorphy factors."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +13,10 @@ from thetacover import (CapacityError, CoverElement, IntegerSymplectic,
                         det_invsqrt, epsilon_factor, gamma_pair, j_half,
                         j_half_bar, j_matrix, j_three_half, make_generator,
                         mobius_act, random_word_element, sqrt_det,
-                        theta_component, theta_series, truncation_radius)
+                        theta_component, theta_series, theta_vector,
+                        truncation_radius)
 from thetacover import exactla as xla
+from thetacover import theta
 from thetacover.cocycle import cbar_cocycle, rao_cocycle
 from thetacover.harness import sample_point
 
@@ -152,6 +157,88 @@ def test_big_theta_order_and_length():
     vals = big_theta(SiegelPoint.z0(2), "half")
     assert len(vals) == 10
     assert [v.q for v in vals] == [rec.q for rec in coset_table(2)]
+
+
+def test_box_points_keep_the_sorted_order():
+    # shell, then lex: the order every box sum adds its terms in
+    for m, radii in ((1, (1, 2, 5, 12)), (2, (1, 3, 7)), (3, (1, 2, 4)),
+                     (4, (1, 2, 3))):
+        for r in radii:
+            want = sorted(itertools.product(range(-r, r + 1), repeat=m),
+                          key=lambda n: (max(abs(x) for x in n), n))
+            assert np.array_equal(theta._box_points(m, r), np.array(want))
+
+
+def point_at_radius(m, radius, params, seed):
+    """A sampled point with Y rescaled so that truncation_radius is radius."""
+    z = sample_point(m, np.random.default_rng(seed))
+    lam = float(np.linalg.eigvalsh(z.Y)[0])
+    # midway inside the ceil step that the rule maps to radius
+    target = math.log(1 / params.tail_tol) / (math.pi * (radius - 2.5) ** 2)
+    w = SiegelPoint(z.X, z.Y * (target / lam))
+    assert truncation_radius(w.Y, params) == radius
+    return w
+
+
+def theta_vector_cases():
+    """(m, z, params): sampled points with radius up to 12 (m < 4), and
+    rescaled sampled points at radius 3..12 (3..5 at m = 4; the rule never
+    gives less than 3) under the default tail_tol and at radius 3..6 under a
+    coarse one, where the box edge carries weight and the moment sums are
+    far from their vanishing limit."""
+    for m in (1, 2, 3, 4):
+        rng = np.random.default_rng(10 + m)
+        kept = 0
+        while m < 4 and kept < 3:
+            z = sample_point(m, rng)
+            if truncation_radius(z.Y, ThetaParams()) <= 12:
+                kept += 1
+                yield m, z, ThetaParams()
+        # the oracle sums (2 R + 1)^m points for each of 2 N components
+        for tol, top in ((1e-12, 12 if m < 4 else 5), (0.5, 6)):
+            params = ThetaParams(tail_tol=tol)
+            for radius in range(3, top + 1):
+                yield m, point_at_radius(m, radius, params, radius), params
+
+
+def test_theta_vector_matches_components():
+    worst = 0.0
+    for m, z, params in theta_vector_cases():
+        half, three_half = theta_vector(z, params)
+        table = coset_table(m)
+        assert half.shape == (len(table),)
+        assert three_half.shape == (len(table), m)
+        for k, rec in enumerate(table):
+            for weight, got in (("half", half[k]),
+                                ("three_half", three_half[k])):
+                want = theta_component(rec, 1, z, weight, params).value
+                err = np.max(np.abs(got - want)) \
+                    / max(1.0, float(np.max(np.abs(want))))
+                worst = max(worst, err)
+    assert worst < 1e-13
+
+
+def test_theta_vector_bit_identical_and_read_by_big_theta():
+    for m in (1, 2, 3):
+        z = sample_point(m, np.random.default_rng(m))
+        half, three_half = theta_vector(z)
+        again = theta_vector(z)
+        assert np.array_equal(half, again[0])
+        assert np.array_equal(three_half, again[1])
+        for weight, values in (("half", half), ("three_half", three_half)):
+            comps = big_theta(z, weight)
+            assert [c.q for c in comps] == [rec.q for rec in coset_table(m)]
+            assert np.array_equal(np.array([c.value for c in comps]), values)
+
+
+def test_shift_classes_fold_opposite_shifts():
+    # 2, 5, 14, 41 distinct half shifts eps_q at m = 1..4; eps and -eps
+    # share a box
+    for m, count in ((1, 2), (2, 4), (3, 11), (4, 31)):
+        classes = theta._shift_classes(m)
+        assert len(classes) == count
+        rows = np.sort(np.concatenate([cls.rows for cls in classes]))
+        assert np.array_equal(rows, np.arange(len(coset_table(m))))
 
 
 @given(seeds)
