@@ -24,12 +24,11 @@ from .gauss import (SnappedRoot, beta_tilde, coset_split, f_shift,
 from .harness import (MonomialMatrix, VerificationReport,
                       induced_rep_matrix, sample_gamma48, sample_point,
                       verify_scalar_law, verify_vector_law)
-from .symplectic import (IntegerSymplectic, IwasawaPair, SiegelPoint,
-                         is_symplectic, iwasawa_decompose, j_matrix,
-                         make_generator, mobius_act, random_word_element,
-                         sqrt_pd, subgroup_membership)
+from .symplectic import (IntegerSymplectic, SiegelPoint, is_symplectic,
+                         j_matrix, make_generator, mobius_act,
+                         random_word_element, subgroup_membership)
 from .theta import (CapacityError, ThetaComponentValue, ThetaParams,
-                    big_theta, det_invsqrt, epsilon_factor, gamma_pair,
+                    big_theta, det_invsqrt, gamma_pair,
                     j_half, j_half_bar, j_three_half, sqrt_det,
                     theta_component, theta_series, theta_vector,
                     truncation_radius)
@@ -38,21 +37,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "CosetRecord", "CoverElement", "IntegerSymplectic",
-    "IwasawaPair", "Lagrangian", "MonomialMatrix", "Mu8",
-    "PwsFactorization", "SiegelPoint", "SnappedRoot",
-    "ThetaComponentValue", "ThetaParams", "VerificationReport",
-    "beta_tilde", "big_theta", "cbar_cocycle", "coset_index_of",
-    "coset_profile", "coset_split", "coset_table", "cover_inv",
-    "cover_mul", "det_invsqrt", "enumerate_isotropic", "epsilon_factor",
+    "Lagrangian", "MonomialMatrix", "Mu8", "PwsFactorization",
+    "SiegelPoint", "SnappedRoot", "ThetaComponentValue", "ThetaParams",
+    "VerificationReport", "beta_tilde", "big_theta", "cbar_cocycle",
+    "coset_index_of", "coset_profile", "coset_split", "coset_table",
+    "cover_inv", "cover_mul", "det_invsqrt", "enumerate_isotropic",
     "f_shift", "gamma_pair", "induced_rep_matrix", "is_symplectic",
-    "iwasawa_decompose", "j_half", "j_half_bar", "j_matrix",
-    "j_three_half", "lambda_bar",
+    "j_half", "j_half_bar", "j_matrix", "j_three_half", "lambda_bar",
     "lambda_multiplier", "m_xstar", "make_generator", "maslov_signature",
     "mobius_act", "modified_cocycle", "pws_decompose", "q0_eval",
     "random_word_element", "rao_cocycle", "reduce_mod2",
-    "sample_gamma48", "sample_point", "snap_mu8",
-    "sqrt_det", "sqrt_pd", "subgroup_membership", "symplectic_gauss_sum",
-    "theta_component", "theta_series", "theta_vector", "transvection_rep",
+    "sample_gamma48", "sample_point", "snap_mu8", "sqrt_det",
+    "subgroup_membership", "symplectic_gauss_sum", "theta_component",
+    "theta_series", "theta_vector", "transvection_rep",
     "truncation_radius", "verify_scalar_law", "verify_vector_law",
     "x_star",
 ]

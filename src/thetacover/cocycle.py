@@ -5,11 +5,12 @@ signature of the triple-overlap quadratic form attached to the Lagrangian
 row spans (X*, X* g2^{-1}, X* g1), X* = (0 | 1_m).  The normalizing function
 m(g) = exp(i pi (-j + 2 [x(g) < 0]) / 4) needs only j = rank c and the sign
 of x(g) = det(a1 a2) mod squares, both read off the rank normal form
-P c Q = diag(1_j, 0) of the c block.  The full factorization
-g = p1 omega_S p2 with p1, p2 block upper triangular over Q
-(``pws_decompose``) derives the same constant independently and is kept as
-its oracle and for the square root of det(cz + d).  Dividing the cocycle by
-the m coboundary leaves a sign, which is the multiplication rule of the
+P c Q = diag(1_j, 0) of the c block.  That form, computed once per g, also
+fixes the square root of det(cz + d) in the theta module.  The full
+factorization g = p1 omega_S p2 with p1, p2 block upper triangular over Q,
+below, derives the same constant and branch independently; no library path
+calls it, and it is kept as the oracle of the tests.  Dividing the cocycle
+by the m coboundary leaves a sign, which is the multiplication rule of the
 nontrivial double cover.
 
 All arithmetic here is exact (int / Fraction), so cocycle values are honest
@@ -52,7 +53,8 @@ class Mu8:
         return cmath.exp(1j * cmath.pi * self.exponent / 4)
 
     def as_sign(self) -> int:
-        assert self.exponent in (0, 4), f"not a sign: exponent {self.exponent}"
+        if self.exponent not in (0, 4):
+            raise ValueError(f"not a sign: exponent {self.exponent}")
         return 1 if self.exponent == 0 else -1
 
     def __eq__(self, other):
@@ -106,7 +108,8 @@ def _maslov_gram(l1, l2, l3) -> list[list[int]]:
     Each argument is the m x 2m row basis of a Lagrangian.
     """
     m = len(l1)
-    assert len(l2) == m and len(l3) == m
+    if len(l2) != m or len(l3) != m:
+        raise ValueError("genus mismatch")
     gram = xla.mat_neg(_j_blocks(m))    # the form <w1, w2> = x1 x2*^T - x1* x2^T
     bs = (l1, l2, l3)
 
@@ -142,7 +145,6 @@ def rao_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> Mu8:
     g^{-1} = (d^T -b^T; -c^T a^T).  Both are Lagrangian because g1, g2 are
     validated symplectic matrices.
     """
-    assert g1.m == g2.m
     m = g1.m
     l2 = [[-x for x in row] + list(a) for row, a in
           zip(xla.transpose(g2.c), xla.transpose(g2.a))]
@@ -171,9 +173,9 @@ class PwsFactorization:
         return _normalizing_constant(self.j, self.x_sign)
 
 
-def _normalizing_constant(j: int, x_sign: int) -> Mu8:
+def _normalizing_constant(j: int, x) -> Mu8:
     """m(g) = exp(i pi (-j + 2 [x < 0]) / 4) with j = rank c, x = x(g)."""
-    return Mu8(-j + (2 if x_sign < 0 else 0))
+    return Mu8(-j + (2 if x < 0 else 0))
 
 
 def _full_pivot_rank_normal(c):
@@ -299,14 +301,15 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
 
 
 @lru_cache(maxsize=256)
-def m_xstar(g: IntegerSymplectic) -> Mu8:
-    """Normalizing function m(g), read off the rank normal form of c.
+def _rank_normal_form(g: IntegerSymplectic) -> tuple:
+    """(j, x, P, Q): P c Q = diag(1_j, 0) and x = x(g), once per g.
 
-    With P c Q = diag(1_j, 0), h(P^{-T}) g h(Q) has c block diag(1_j, 0) and
-    a block P^{-T} a Q, whose lower right (m - j) block a22 is invertible.
-    Then x(g) = det P det a22 / det Q mod squares (no a22 when j = m), the
-    same x = det a(p1) det a(p2) that ``pws_decompose`` gets from the whole
-    factorization; that function is the oracle for this one.
+    h(P^{-T}) g h(Q) has c block diag(1_j, 0) and a block P^{-T} a Q, whose
+    lower right (m - j) block a22 is invertible.  Then x = det P det a22 /
+    det Q (no a22 when j = m).  Mod squares it is the x = det a(p1) det a(p2)
+    of the whole factorization g = p1 omega_S p2, and as a number
+    det(cz + d) = det T / x (see ``theta.j_half``).  P and Q are tuples of
+    Fraction rows.
     """
     p, q, j = _full_pivot_rank_normal(g.c)
     x = xla.det(p) / xla.det(q)
@@ -314,11 +317,21 @@ def m_xstar(g: IntegerSymplectic) -> Mu8:
         rows = xla.transpose(xla.inv(p))[j:]
         cols = [row[j:] for row in q]
         x *= xla.det(xla.mat_mul(xla.mat_mul(rows, g.a), cols))
-    return _normalizing_constant(j, 1 if x > 0 else -1)
+    return j, x, tuple(map(tuple, p)), tuple(map(tuple, q))
+
+
+def m_xstar(g: IntegerSymplectic) -> Mu8:
+    """Normalizing function m(g), read off the rank normal form of c.
+
+    The whole factorization g = p1 omega_S p2 derives it too and is the
+    oracle for this one.
+    """
+    j, x, _, _ = _rank_normal_form(g)
+    return _normalizing_constant(j, x)
 
 
 def cbar_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> int:
-    """Sign-valued reduction m(g1 g2)^{-1} m(g1) m(g2) c~(g1, g2); asserts +-1."""
+    """Sign-valued reduction m(g1 g2)^{-1} m(g1) m(g2) c~(g1, g2); checks +-1."""
     val = m_xstar(g1 @ g2).inv() * m_xstar(g1) * m_xstar(g2) * rao_cocycle(g1, g2)
     return val.as_sign()
 

@@ -228,15 +228,6 @@ def box_sides(h: Matrix, guard: int = 10**6) -> list[int]:
     return sides
 
 
-def box_representatives(c: Matrix, guard: int = 10**6) -> list[list[int]]:
-    """Coset representatives of Z^r modulo the row lattice of square c,
-    one per point of the HNF box (see ``box_sides``)."""
-    reps: list[list[int]] = [[]]
-    for d in box_sides(hnf_with_transform(c)[0], guard):
-        reps = [rep + [k] for rep in reps for k in range(d)]
-    return reps
-
-
 # --- signatures of symmetric rational forms ---
 
 def congruence_signature(s: Matrix) -> tuple[int, int]:

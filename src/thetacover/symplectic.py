@@ -9,7 +9,6 @@ g(z) = (az + b)(cz + d)^{-1} with base point z0 = i.1_m.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -74,7 +73,8 @@ class IntegerSymplectic:
         return self.block("d")
 
     def __matmul__(self, other: "IntegerSymplectic") -> "IntegerSymplectic":
-        assert self.m == other.m
+        if self.m != other.m:
+            raise ValueError("genus mismatch")
         return IntegerSymplectic(xla.mat_mul(self.rows, other.rows))
 
     def inverse(self) -> "IntegerSymplectic":
@@ -84,14 +84,6 @@ class IntegerSymplectic:
         at, bt, ct, dt = map(xla.transpose, (a, b, c, d))
         rows = [list(dt[i]) + [-x for x in bt[i]] for i in range(m)]
         rows += [[-x for x in ct[i]] + list(at[i]) for i in range(m)]
-        return IntegerSymplectic(rows)
-
-    def h_conjugate(self) -> "IntegerSymplectic":
-        """Conjugate by diag(1, -1): flips the signs of the b and c blocks."""
-        m = self.m
-        a, b, c, d = self.a, self.b, self.c, self.d
-        rows = [list(a[i]) + [-x for x in b[i]] for i in range(m)]
-        rows += [[-x for x in c[i]] + list(d[i]) for i in range(m)]
         return IntegerSymplectic(rows)
 
     def to_float(self) -> np.ndarray:
@@ -344,33 +336,6 @@ def mobius_act(g, z: SiegelPoint) -> SiegelPoint:
     w = (a @ z.z + b) @ np.linalg.inv(jm)
     w = (w + w.T) / 2                      # symmetrize away roundoff
     return SiegelPoint(w.real, w.imag)
-
-
-def sqrt_pd(y: np.ndarray) -> np.ndarray:
-    """Positive-definite symmetric square root via eigendecomposition."""
-    w, v = np.linalg.eigh((y + y.T) / 2)
-    w = np.clip(w, 1e-14, None)            # guard against tiny negatives
-    return (v * np.sqrt(w)) @ v.T
-
-
-@dataclass(frozen=True)
-class IwasawaPair:
-    """g = p k with p upper block triangular (positive a-block), k fixing z0."""
-    p: np.ndarray
-    k: np.ndarray
-    sqrt_y: np.ndarray
-    z: SiegelPoint
-
-
-def iwasawa_decompose(g) -> IwasawaPair:
-    arr = _as_float(g)
-    m = arr.shape[0] // 2
-    zg = mobius_act(arr, SiegelPoint.z0(m))
-    sy = sqrt_pd(zg.Y)
-    sy_inv = np.linalg.inv(sy)
-    p = np.block([[sy, zg.X @ sy_inv], [np.zeros((m, m)), sy_inv]])
-    k = np.linalg.inv(p) @ arr
-    return IwasawaPair(p=p, k=k, sqrt_y=sy, z=zg)
 
 
 # --- random words ---

@@ -3,19 +3,19 @@
 Two determinant branches live here.  The Gaussian-integral branch
 det^{-1/2} is defined by principal roots of eigenvalues (all of which
 stay in the right half plane on our domain); from it we build the kernel
-gamma(z', z) and the unimodular ratio epsilon(g; z', z).
+gamma(z', z).
 
 The genuine square root of det(cz+d) on integer symplectic matrices is
-pinned differently: the block-triangular factorization g = p1 w p2 gives
-an exact value at the base point (the normalizing constant m_{X*}(g)
-with both absorbed cocycle values reducing to signs because a factor
-fixes the reference Lagrangian), and the only z-dependent piece, the
-rank-block minor T of p2(z), has the closed-form root
-e^{i pi j/4} / det^{-1/2}(-i T): Re(-i T) = Im T is positive definite,
-so that branch is continuous from T = i.1.  Its square is det(cz+d) and
-its composition defect is the sign cocycle of the cocycle module;
-multiplying by m_{X*}(g) gives the half-weight factor whose defect is
-the full degree-8 cocycle.
+pinned by the rank normal form P c Q = diag(1_j, 0) of the c block, the
+form that also gives the normalizing constant m_{X*}(g).  It splits
+det(cz+d) = det T / x(g) into the exact rational x(g) and the rank-j
+minor T = (Q^{-1}[:j] z + P[:j] d) Q^{-1}[:j]^T, the only z-dependent
+piece.  T has the closed-form root e^{i pi j/4} / det^{-1/2}(-i T):
+Re(-i T) = Im T is positive definite, so that branch is continuous from
+T = i.1.  Multiplied by m_{X*}(g)^{-1} |x(g)|^{-1/2}, its square is
+det(cz+d) and its composition defect is the sign cocycle of the cocycle
+module; without m_{X*}(g)^{-1} it is the half-weight factor whose defect
+is the full degree-8 cocycle.
 
 Theta sums are box sums over n in [-R, R]^m, R from ``truncation_radius``
 (a heuristic radius, not a certified tail bound: see there).  Summation
@@ -33,10 +33,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import exactla as xla
-from .cocycle import CoverElement, Mu8, PwsFactorization, pws_decompose
+from .cocycle import CoverElement, Mu8, _rank_normal_form, m_xstar
+# bound here only so that perfbench's tracer test can read theta.pws_decompose
+from .cocycle import pws_decompose  # noqa: F401
 from .f2cosets import CosetRecord, coset_table
-from .symplectic import IntegerSymplectic, SiegelPoint, j_matrix, mobius_act
+from .symplectic import IntegerSymplectic, SiegelPoint, j_matrix
 
 __all__ = [
     "CapacityError",
@@ -45,7 +46,6 @@ __all__ = [
     "truncation_radius",
     "det_invsqrt",
     "gamma_pair",
-    "epsilon_factor",
     "j_half",
     "sqrt_det",
     "j_half_bar",
@@ -131,61 +131,42 @@ def gamma_pair(z1: SiegelPoint, z2: SiegelPoint) -> complex:
         * float(np.linalg.det(z2.Y)) ** 0.25
 
 
-def epsilon_factor(g, z1: SiegelPoint, z2: SiegelPoint) -> complex:
-    """gamma(g(z1), g(z2)) / gamma(z1, z2); unimodular."""
-    return gamma_pair(mobius_act(g, z1), mobius_act(g, z2)) / gamma_pair(z1, z2)
-
-
-def _half_factor(fac: PwsFactorization, z: SiegelPoint) -> complex:
-    """m_{X*}(g) sqrt_det(g, z) from the factorization g = p1 omega p2.
-
-    Equals |det a(p1) det a(p2)|^{-1/2} / det^{-1/2}(-i T), T the rank-j
-    minor of p2(z) (1 when j = 0): Re(-i T) = Im T is positive definite,
-    so the principal-root product is continuous from its value 1 at
-    T = i.1.
-    """
-    m = len(fac.p1) // 2
-    det1 = xla.det([row[:m] for row in fac.p1[:m]])
-    det2 = xla.det([row[:m] for row in fac.p2[:m]])
-    scale = float(abs(det1 * det2)) ** -0.5
-    if fac.j == 0:
+def _half_factor(form: tuple, g: IntegerSymplectic, z: SiegelPoint) -> complex:
+    """|x|^{-1/2} / det^{-1/2}(-i T) from the rank normal form (j, x, P, Q)
+    of g, or |x|^{-1/2} when j = 0 (see ``sqrt_det``)."""
+    if z.m != g.m:
+        raise ValueError("dimension mismatch")
+    j, x, p, q = form
+    scale = float(abs(x)) ** -0.5
+    if j == 0:
         return complex(scale)
-    p2f = np.array([[float(x) for x in row] for row in fac.p2])
-    idx = tuple(range(fac.j))
-    t = mobius_act(p2f, z).z[np.ix_(idx, idx)]
+    q_inv = np.linalg.inv(np.array(q, dtype=float))[:j]
+    pd = np.array(p[:j], dtype=float) @ np.array(g.d, dtype=float)
+    t = (q_inv @ z.z + pd) @ q_inv.T
     return scale / det_invsqrt(-1j * t)
 
 
 def sqrt_det(g: IntegerSymplectic, z: SiegelPoint) -> complex:
     """Genuine square root of det(cz+d), branch fixed by exact bookkeeping.
 
-    Writing g = p1 w p2 (p1, p2 block upper triangular, w the partial
-    inversion of the rank j of the c block), det(cz+d) splits into the
-    two constant triangular determinants and the rank-block minor T of
-    p2(z), whose root is continued from det(i.1)^{1/2} = e^{i pi j/4}.
-    In closed form, sqrt_det(g, z) = m_{X*}(g)^{-1}
-    |det a(p1) det a(p2)|^{-1/2} / det^{-1/2}(-i T).  Satisfies
-    sqrt_det(g, z)^2 = det(cz+d), and its composition defect is the sign
-    cocycle.
+    With P c Q = diag(1_j, 0) the rank normal form of the c block,
+    det(cz+d) = det T / x(g) for the exact rational x(g) of ``m_xstar``
+    and the rank-j minor T = (Q^{-1}[:j] z + P[:j] d) Q^{-1}[:j]^T, whose
+    root is continued from det(i.1)^{1/2} = e^{i pi j/4}.  In closed form,
+    sqrt_det(g, z) = m_{X*}(g)^{-1} |x(g)|^{-1/2} / det^{-1/2}(-i T).
+    Satisfies sqrt_det(g, z)^2 = det(cz+d), and its composition defect is
+    the sign cocycle.
     """
-    fac = pws_decompose(g)
-    return fac.m_xstar.inv().value * _half_factor(fac, z)
+    return m_xstar(g).inv().value * j_half(g, z)
 
 
-def j_half(g, z: SiegelPoint) -> complex:
-    """Half-weight automorphy factor.
+def j_half(g: IntegerSymplectic, z: SiegelPoint) -> complex:
+    """Half-weight automorphy factor m_{X*}(g) sqrt_det(g, z).
 
-    On integer symplectic input this is m_{X*}(g) sqrt_det(g, z), the
-    normalization whose composition defect is the degree-8 cocycle.  For
-    real matrix input it falls back to the kernel-ratio form
-    epsilon(g; z, z0) |det(cz+d)|^{1/2}; the two conventions agree on the
-    anchor families (block upper triangular with positive diagonal block,
-    and unitary fixed-point elements evaluated at z0).
+    In closed form |x(g)|^{-1/2} / det^{-1/2}(-i T) (see ``sqrt_det``);
+    its composition defect is the degree-8 cocycle.
     """
-    if isinstance(g, IntegerSymplectic):
-        return _half_factor(pws_decompose(g), z)
-    z0 = SiegelPoint.z0(z.m)
-    return epsilon_factor(g, z, z0) * abs(np.linalg.det(j_matrix(g, z))) ** 0.5
+    return _half_factor(_rank_normal_form(g), g, z)
 
 
 def j_half_bar(gbar: CoverElement, z: SiegelPoint) -> complex:

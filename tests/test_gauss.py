@@ -29,11 +29,20 @@ def test_classical_rank_one_sums():
         assert abs(symplectic_gauss_sum([[1]], [[c]]) - want) < 1e-12
 
 
+def box_representatives(c) -> list[list[int]]:
+    """Coset representatives of Z^r modulo the row lattice of square c,
+    one per point of the HNF box (see ``exactla.box_sides``)."""
+    reps: list[list[int]] = [[]]
+    for d in xla.box_sides(xla.hnf_with_transform(c)[0]):
+        reps = [rep + [k] for rep in reps for k in range(d)]
+    return reps
+
+
 def reference_gauss_sum(d, c) -> complex:
     """The per-class Fraction loop that the integer kernel replaced."""
     q = xla.mat_mul(xla.inv(c), d)
     total = 0j
-    for x in xla.box_representatives(c):
+    for x in box_representatives(c):
         ph = Fraction(0)
         for i, xi in enumerate(x):
             for j, xj in enumerate(x):
@@ -120,7 +129,7 @@ def reference_beta_quotient_sum(g) -> tuple[complex, int]:
     coords = xla.lattice_coordinates(numerator, denominator)
     index = abs(int(xla.det(coords)))
     total = 0j
-    for xi in xla.box_representatives(coords):
+    for xi in box_representatives(coords):
         l = [sum(xi[k] * numerator[k][j] for k in range(len(xi)))
              for j in range(2 * m)]
         lx, lxs = l[:m], l[m:]

@@ -41,6 +41,8 @@ def test_shifted_equals_alternating_at_i():
 
 def test_pair_kernel_value():
     assert abs(gamma_pair(SiegelPoint([[0]], [[4]]), Z0) - 2 / 5 ** 0.5) < TOL
+    z1 = SiegelPoint([[0.1]], [[1.3]])
+    assert abs(gamma_pair(z1, z1) - 1) < TOL
 
 
 def test_inverse_sqrt_det_branch():

@@ -45,7 +45,8 @@ def test_validation_survives_optimize():
 import numpy as np
 from thetacover import (CoverElement, IntegerSymplectic, Lagrangian,
                         MonomialMatrix, Mu8, SiegelPoint, ThetaComponentValue,
-                        q0_eval, transvection_rep)
+                        make_generator, q0_eval, rao_cocycle, sqrt_det,
+                        transvection_rep)
 from thetacover.f2cosets import refine_rep
 assert False, "asserts are live: not running under -O"
 cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
@@ -62,7 +63,13 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: transvection_rep((1, 1)),
          lambda: transvection_rep((1, 0, 1)),
          lambda: refine_rep((1, 1)),
-         lambda: refine_rep((0, 1, 1))]
+         lambda: refine_rep((0, 1, 1)),
+         lambda: rao_cocycle(make_generator("omega", 1),
+                             make_generator("omega", 2)),
+         lambda: make_generator("omega", 1) @ make_generator("omega", 2),
+         lambda: Mu8(2).as_sign(),
+         lambda: sqrt_det(make_generator("u_ij", 2, i=1, j=1, t=2),
+                          SiegelPoint.z0(1))]
 for case in cases:
     try:
         case()
