@@ -102,21 +102,13 @@ def x_star(m: int) -> Lagrangian:
                        for i in range(m)])
 
 
-def _maslov_gram(l1, l2, l3) -> list[list[int]]:
-    """Twice the Gram matrix of the Maslov form in the row bases l1, l2, l3.
+def _maslov_gram(p12, p23, p31) -> list[list[int]]:
+    """Twice the Gram matrix of the Maslov form of three Lagrangians l1, l2, l3.
 
-    Each argument is the m x 2m row basis of a Lagrangian.
+    p12, p23 and p31 are the m x m pairings <l1, l2>, <l2, l3>, <l3, l1> of
+    their row bases under the form <w1, w2> = x1 x2*^T - x1* x2^T.
     """
-    m = len(l1)
-    if len(l2) != m or len(l3) != m:
-        raise ValueError("genus mismatch")
-    gram = xla.mat_neg(_j_blocks(m))    # the form <w1, w2> = x1 x2*^T - x1* x2^T
-    bs = (l1, l2, l3)
-
-    def pair(i, j):
-        return xla.mat_mul(xla.mat_mul(bs[i], gram), xla.transpose(bs[j]))
-
-    p12, p23, p31 = pair(0, 1), pair(1, 2), pair(2, 0)
+    m = len(p12)
     z = xla.zeros(m, m)
     big = []
     for blocks in ([z, p12, xla.transpose(p31)],
@@ -133,23 +125,33 @@ def maslov_signature(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
     Computed as the signature of twice the Gram matrix in the row bases,
     which is exact and leaves the value unchanged.
     """
-    pos, neg = xla.congruence_signature(_maslov_gram(l1.rows, l2.rows, l3.rows))
+    if not l1.m == l2.m == l3.m:
+        raise ValueError("genus mismatch")
+    gram = xla.mat_neg(_j_blocks(l1.m))    # the form <w1, w2> = x1 x2*^T - x1* x2^T
+
+    def pair(u, v):
+        return xla.mat_mul(xla.mat_mul(u.rows, gram), xla.transpose(v.rows))
+
+    pos, neg = xla.congruence_signature(
+        _maslov_gram(pair(l1, l2), pair(l2, l3), pair(l3, l1)))
     return pos - neg
 
 
 def rao_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> Mu8:
     """The eighth-root two-cocycle attached to the base Lagrangian X*.
 
-    tau is the Maslov signature of (X*, X* g2^{-1}, X* g1), read off the
-    blocks: X* g1 has rows (c1 | d1), and X* g2^{-1} = (-c2^T | a2^T) by
-    g^{-1} = (d^T -b^T; -c^T a^T).  Both are Lagrangian because g1, g2 are
-    validated symplectic matrices.
+    tau is the Maslov signature of (X*, X* g2^{-1}, X* g1).  X* g1 has rows
+    (c1 | d1), and X* g2^{-1} = (-c2^T | a2^T) by g^{-1} = (d^T -b^T; -c^T a^T);
+    both are Lagrangian because g1, g2 are symplectic.  So the pairings are
+    read off the blocks: <X*, X* g2^{-1}> = c2, <X* g1, X*> = c1, and
+    <X* g2^{-1}, X* g1> = -c2^T d1^T - a2^T c1^T = -(c1 a2 + d1 c2)^T.
     """
-    m = g1.m
-    l2 = [[-x for x in row] + list(a) for row, a in
-          zip(xla.transpose(g2.c), xla.transpose(g2.a))]
-    pos, neg = xla.congruence_signature(
-        _maslov_gram(x_star(m).rows, l2, g1.rows[m:]))
+    if g1.m != g2.m:
+        raise ValueError("genus mismatch")
+    c1 = g1.c
+    p23 = xla.mat_neg(xla.transpose(xla.mat_add(xla.mat_mul(c1, g2.a),
+                                                xla.mat_mul(g1.d, g2.c))))
+    pos, neg = xla.congruence_signature(_maslov_gram(g2.c, p23, c1))
     return Mu8(pos - neg)
 
 
@@ -178,48 +180,6 @@ def _normalizing_constant(j: int, x) -> Mu8:
     return Mu8(-j + (2 if x < 0 else 0))
 
 
-def _full_pivot_rank_normal(c):
-    """P, Q unimodular-free rational with P c Q = diag(1_j, 0); returns (P, Q, j)."""
-    m = len(c)
-    work = [[Fraction(x) for x in row] for row in c]
-    p = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    q = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    k = 0
-    while k < m:
-        pr, pc = None, None
-        for i in range(k, m):
-            for j in range(k, m):
-                if work[i][j] != 0:
-                    pr, pc = i, j
-                    break
-            if pr is not None:
-                break
-        if pr is None:
-            break
-        work[k], work[pr] = work[pr], work[k]
-        p[k], p[pr] = p[pr], p[k]
-        for i in range(m):
-            work[i][k], work[i][pc] = work[i][pc], work[i][k]
-        for i in range(m):
-            q[i][k], q[i][pc] = q[i][pc], q[i][k]
-        piv = work[k][k]
-        work[k] = [x / piv for x in work[k]]
-        p[k] = [x / piv for x in p[k]]
-        for i in range(m):
-            if i != k and work[i][k] != 0:
-                f = work[i][k]
-                work[i] = [x - f * y for x, y in zip(work[i], work[k])]
-                p[i] = [x - f * y for x, y in zip(p[i], p[k])]
-        for j in range(m):
-            if j != k and work[k][j] != 0:
-                f = work[k][j]
-                for i in range(m):
-                    work[i][j] -= f * work[i][k]
-                    q[i][j] -= f * q[i][k]
-        k += 1
-    return p, q, k
-
-
 def _h_mat(a):
     m = len(a)
     ainv_t = xla.transpose(xla.inv(a))
@@ -244,7 +204,7 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
     never return silently.
     """
     m = g.m
-    p_row, q_col, j = _full_pivot_rank_normal(g.c)
+    j, _, p_row, q_col = _rank_normal_form(g)
     a1 = xla.transpose(p_row)                       # P c Q = E_j, a1 = P^T
     a2 = xla.inv(q_col)                             # a2 = Q^{-1}
     gq = [[Fraction(x) for x in row] for row in g.rows]
@@ -300,24 +260,81 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
     )
 
 
+def _fraction_free_pivoting(c) -> tuple:
+    """Full-pivot elimination P c Q = diag(1_j, 0) of an int matrix, in ints.
+
+    Each pivot is the first nonzero entry of the remaining block, row by
+    row, swapped to the diagonal; the Bareiss update (piv * x - f * y) / prev
+    divides exactly.  With piv_k the pivots, d = piv_{j-1} (1 if j = 0) and
+    piv_{-1} = 1: P[k] = p[k] / piv_k, Q[:, k] = q[:, k] / piv_{k-1} for
+    k < j, and P[i] = p[i] / d, Q[:, i] = q[:, i] / d for i >= j.  Returns
+    (pivots, sign, order, p, q); order[k] is the row of c moved to row k and
+    sign that of all swaps, so det c = sign * d when j = m.
+    """
+    m = len(c)
+    work = [list(row) for row in c]
+    p, q = xla.identity(m), xla.identity(m)
+    order = list(range(m))
+    pivots, sign, prev = [], 1, 1
+    for k in range(m):
+        pivot = next(((i, t) for i in range(k, m) for t in range(k, m)
+                      if work[i][t]), None)
+        if pivot is None:
+            break
+        pr, pc = pivot
+        if pr != k:
+            work[k], work[pr], p[k], p[pr] = work[pr], work[k], p[pr], p[k]
+            order[k], order[pr] = order[pr], order[k]
+            sign = -sign
+        if pc != k:
+            for row in work + q:
+                row[k], row[pc] = row[pc], row[k]
+            sign = -sign
+        top = work[k]
+        piv = top[k]
+        for i in range(k + 1, m):
+            f = work[i][k]
+            work[i] = [(piv * x - f * y) // prev for x, y in zip(work[i], top)]
+            p[i] = [(piv * x - f * y) // prev for x, y in zip(p[i], p[k])]
+        for row in q:
+            for t in range(k + 1, m):
+                row[t] = (piv * row[t] - top[t] * row[k]) // prev
+        pivots.append(piv)
+        prev = piv
+    return pivots, sign, order, p, q
+
+
 @lru_cache(maxsize=256)
 def _rank_normal_form(g: IntegerSymplectic) -> tuple:
     """(j, x, P, Q): P c Q = diag(1_j, 0) and x = x(g), once per g.
 
     h(P^{-T}) g h(Q) has c block diag(1_j, 0) and a block P^{-T} a Q, whose
-    lower right (m - j) block a22 is invertible.  Then x = det P det a22 /
+    lower right (m - j) block a22 is invertible, and x = det P det a22 /
     det Q (no a22 when j = m).  Mod squares it is the x = det a(p1) det a(p2)
     of the whole factorization g = p1 omega_S p2, and as a number
-    det(cz + d) = det T / x (see ``theta.j_half``).  P and Q are tuples of
-    Fraction rows.
+    det(cz + d) = det T / x (see ``theta.j_half``).  In integers, with d the
+    last pivot of c and s = +-1 the sign of its swaps, det P / det Q = s / d
+    and det a22 = s det K / d for K the rows of c at the j pivot rows and of
+    a at the others, so x = det K / d^2.  P and Q are tuples of Fraction
+    rows.
     """
-    p, q, j = _full_pivot_rank_normal(g.c)
-    x = xla.det(p) / xla.det(q)
-    if j < g.m:
-        rows = xla.transpose(xla.inv(p))[j:]
-        cols = [row[j:] for row in q]
-        x *= xla.det(xla.mat_mul(xla.mat_mul(rows, g.a), cols))
-    return j, x, tuple(map(tuple, p)), tuple(map(tuple, q))
+    m, c = g.m, g.c
+    pivots, sign, order, p, q = _fraction_free_pivoting(c)
+    j = len(pivots)
+    d = pivots[-1] if j else 1
+    if j == m:
+        det_k = sign * d
+    else:
+        pivot_rows = set(order[:j])
+        mixed = [row if i in pivot_rows else a_row
+                 for i, (row, a_row) in enumerate(zip(c, g.a))]
+        pivots_k, sign_k, *_ = _fraction_free_pivoting(mixed)
+        det_k = sign_k * pivots_k[-1]
+    row_den = pivots + [d] * (m - j)
+    col_den = ([1] + pivots)[:j] + [d] * (m - j)
+    big_p = tuple(tuple(Fraction(x, den) for x in row) for row, den in zip(p, row_den))
+    big_q = tuple(tuple(Fraction(x, den) for x, den in zip(row, col_den)) for row in q)
+    return j, Fraction(det_k, d * d), big_p, big_q
 
 
 def m_xstar(g: IntegerSymplectic) -> Mu8:
@@ -330,10 +347,16 @@ def m_xstar(g: IntegerSymplectic) -> Mu8:
     return _normalizing_constant(j, x)
 
 
+def _cbar(g1: IntegerSymplectic, g2: IntegerSymplectic,
+          g12: IntegerSymplectic) -> int:
+    """cbar_cocycle(g1, g2) with the product g12 = g1 g2 already formed."""
+    val = m_xstar(g12).inv() * m_xstar(g1) * m_xstar(g2) * rao_cocycle(g1, g2)
+    return val.as_sign()
+
+
 def cbar_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> int:
     """Sign-valued reduction m(g1 g2)^{-1} m(g1) m(g2) c~(g1, g2); checks +-1."""
-    val = m_xstar(g1 @ g2).inv() * m_xstar(g1) * m_xstar(g2) * rao_cocycle(g1, g2)
-    return val.as_sign()
+    return _cbar(g1, g2, g1 @ g2)
 
 
 # --- the two-fold cover ---
@@ -349,8 +372,14 @@ class CoverElement:
             raise ValueError("eps must be +1 or -1")
 
 
+def _cover_product(x: CoverElement, y: CoverElement,
+                   g: IntegerSymplectic) -> CoverElement:
+    """x y in the cover, for a caller that already formed g = x.g @ y.g."""
+    return CoverElement(g, x.eps * y.eps * _cbar(x.g, y.g, g))
+
+
 def cover_mul(x: CoverElement, y: CoverElement) -> CoverElement:
-    return CoverElement(x.g @ y.g, x.eps * y.eps * cbar_cocycle(x.g, y.g))
+    return _cover_product(x, y, x.g @ y.g)
 
 
 def cover_inv(x: CoverElement) -> CoverElement:

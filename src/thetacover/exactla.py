@@ -10,6 +10,7 @@ classical O(n^3) algorithms comfortably fast.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,7 +34,7 @@ def transpose(m: Matrix) -> list[list]:
 
 def mat_mul(a: Matrix, b: Matrix) -> list[list]:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def mat_add(a: Matrix, b: Matrix) -> list[list]:

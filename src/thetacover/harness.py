@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cocycle import CoverElement, Mu8, cover_inv, cover_mul
+from .cocycle import CoverElement, Mu8, _cover_product, cover_inv, cover_mul
 from .f2cosets import coset_profile, coset_table
 from .gauss import lambda_bar, lambda_multiplier
 from .symplectic import (IntegerSymplectic, SiegelPoint, j_matrix, mobius_act,
@@ -69,7 +69,8 @@ class MonomialMatrix:
         return cls(n, tuple(range(n)), tuple(Mu8(0) for _ in range(n)))
 
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError("size mismatch")
         perm = tuple(other.perm[self.perm[i]] for i in range(self.n))
         coeffs = tuple(self.coeffs[i] * other.coeffs[self.perm[i]]
                        for i in range(self.n))
@@ -106,7 +107,8 @@ def induced_rep_matrix(rbar: CoverElement) -> MonomialMatrix:
     Entry (i, j) = lambda_bar(Mbar_i rbar Mbar_j^{-1})^{-1} where
     j = index(label_i . r) and Mbar is the fixed lift (M, kappa) of each
     coset representative; the conjugated element lands in the theta group
-    (asserted).  Exact in Mu8.
+    (asserted).  Exact in Mu8.  Each row forms M_i r once, for its column
+    label and its first cover product, and one product more.
     """
     m = rbar.g.m
     table = coset_table(m)
@@ -115,9 +117,10 @@ def induced_rep_matrix(rbar: CoverElement) -> MonomialMatrix:
     perm = [0] * n
     coeffs = [Mu8(0)] * n
     for i, rec in enumerate(table):
-        j = index[coset_profile(rec.M @ rbar.g)]
-        mi = CoverElement(rec.M, rec.kappa)
-        sbar = cover_mul(cover_mul(mi, rbar), _inv_lift(m, j))
+        mr = rec.M @ rbar.g
+        j = index[coset_profile(mr)]
+        mi_r = _cover_product(CoverElement(rec.M, rec.kappa), rbar, mr)
+        sbar = cover_mul(mi_r, _inv_lift(m, j))
         assert subgroup_membership(sbar.g, "Gamma1_2"), "coset bookkeeping broke"
         perm[i] = j
         coeffs[i] = lambda_bar(sbar).inv()

@@ -4,6 +4,11 @@ Conventions: the group acts on row vectors w = (x | x*) by w -> w.g, matrices
 are written in m x m blocks (a b; c d), and membership is the exact identity
 g^T J g = J with J = (0 -1; 1 0).  The Siegel half space carries the action
 g(z) = (az + b)(cz + d)^{-1} with base point z0 = i.1_m.
+
+Validation happens where matrices enter: IntegerSymplectic(rows) and
+make_generator raise ValueError on bad input.  Products and inverses of
+validated elements are symplectic by closure, so @ and inverse() build them
+unchecked, through _trusted.
 """
 
 from __future__ import annotations
@@ -35,7 +40,11 @@ def _exact_symplectic(rows) -> bool:
 
 
 class IntegerSymplectic:
-    """Immutable 2m x 2m integer matrix with g^T J g = J exactly."""
+    """Immutable 2m x 2m integer matrix with g^T J g = J exactly.
+
+    The constructor checks the identity; @ and inverse() need not (see the
+    module docstring).
+    """
 
     __slots__ = ("m", "rows")
 
@@ -75,16 +84,15 @@ class IntegerSymplectic:
     def __matmul__(self, other: "IntegerSymplectic") -> "IntegerSymplectic":
         if self.m != other.m:
             raise ValueError("genus mismatch")
-        return IntegerSymplectic(xla.mat_mul(self.rows, other.rows))
+        return _trusted(tuple(map(tuple, xla.mat_mul(self.rows, other.rows))))
 
     def inverse(self) -> "IntegerSymplectic":
         # g^{-1} = (d^T -b^T; -c^T a^T), an exact consequence of g^T J g = J
         m = self.m
-        a, b, c, d = self.a, self.b, self.c, self.d
-        at, bt, ct, dt = map(xla.transpose, (a, b, c, d))
-        rows = [list(dt[i]) + [-x for x in bt[i]] for i in range(m)]
-        rows += [[-x for x in ct[i]] + list(at[i]) for i in range(m)]
-        return IntegerSymplectic(rows)
+        cols = list(zip(*self.rows))
+        rows = [cols[m + i][m:] + tuple(-x for x in cols[m + i][:m]) for i in range(m)]
+        rows += [tuple(-x for x in cols[i][m:]) + cols[i][:m] for i in range(m)]
+        return _trusted(tuple(rows))
 
     def to_float(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
@@ -101,6 +109,15 @@ class IntegerSymplectic:
     @classmethod
     def identity(cls, m: int) -> "IntegerSymplectic":
         return cls(xla.identity(2 * m))
+
+
+def _trusted(rows: tuple) -> IntegerSymplectic:
+    """Unchecked IntegerSymplectic from int row tuples known to be symplectic;
+    only for @ and inverse(), never for outside input."""
+    g = object.__new__(IntegerSymplectic)
+    object.__setattr__(g, "m", len(rows) // 2)
+    object.__setattr__(g, "rows", rows)
+    return g
 
 
 def is_symplectic(g, tol: float = 1e-10) -> bool:
@@ -124,6 +141,14 @@ def _eps(m, i, j, t=1):
     return e
 
 
+def _int_square(mat, n: int, name: str) -> list[list[int]]:
+    """mat as n x n int rows; ValueError for any other shape."""
+    rows = [[int(x) for x in row] for row in mat]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"{name} must be {n} x {n}")
+    return rows
+
+
 def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
     """Standard generators and embeddings, all exactly integral.
 
@@ -141,17 +166,17 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
         return IntegerSymplectic(rows)
 
     if kind == "u":
-        b = [[int(x) for x in row] for row in params["b"]]
+        b = _int_square(params["b"], m, "b")
         if not xla.is_symmetric(b):
             raise ValueError("u(b) needs symmetric b")
         return assemble(one, b, zero, one)
     if kind == "u_minus":
-        c = [[int(x) for x in row] for row in params["c"]]
+        c = _int_square(params["c"], m, "c")
         if not xla.is_symmetric(c):
             raise ValueError("u_minus(c) needs symmetric c")
         return assemble(one, zero, c, one)
     if kind == "h":
-        a = [[int(x) for x in row] for row in params["a"]]
+        a = _int_square(params["a"], m, "a")
         if abs(xla.det(a)) != 1:
             raise ValueError("h(a) needs unimodular a")
         d = [[int(x) for x in row] for row in xla.transpose(xla.inv(a))]
@@ -188,7 +213,7 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
         return assemble(a, zero, zero, d)
     if kind == "iota":
         i = params["i"]
-        g2 = [[int(x) for x in row] for row in params["g"]]
+        g2 = _int_square(params["g"], 2, "g")
         rows = xla.identity(2 * m)
         idx = [i - 1, m + i - 1]
         for r in range(2):
@@ -199,7 +224,7 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
         j, k = params["jk"]
         if j == k:
             raise ValueError("iota_pair needs distinct indices")
-        g4 = [[int(x) for x in row] for row in params["g"]]
+        g4 = _int_square(params["g"], 4, "g")
         rows = xla.identity(2 * m)
         idx = [j - 1, k - 1, m + j - 1, m + k - 1]
         for r in range(4):
@@ -340,8 +365,10 @@ def mobius_act(g, z: SiegelPoint) -> SiegelPoint:
 
 # --- random words ---
 
-def _alphabet(m: int, subgroup: str):
-    family = _subgroup(subgroup)
+@lru_cache(maxsize=None)
+def _alphabet(m: int, family: tuple) -> tuple:
+    """(kind, params, element) per letter of a word sampler, each built and
+    validated once, by make_generator."""
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i < j]
     out = []
     if family in (("Sp", 1), ("Gamma(1,2)", 1)):
@@ -356,8 +383,7 @@ def _alphabet(m: int, subgroup: str):
         for i, j in pairs:
             out.append(("h_elem", {"i": i, "j": j, "t": 1}))
             out.append(("h_elem", {"i": i, "j": j, "t": -1}))
-        return out
-    if family == ("Gamma(d)", 2):
+    elif family == ("Gamma(d)", 2):
         out.append(("minus_one", {}))
         for i in range(1, m + 1):
             for kind in ("u_ij", "u_minus_ij"):
@@ -367,8 +393,9 @@ def _alphabet(m: int, subgroup: str):
             for kind in ("u_ij", "u_minus_ij"):
                 out.append((kind, {"i": i, "j": j, "t": 2}))
             out.append(("v_ij", {"i": i, "j": j, "t": 2}))
-        return out
-    raise ValueError(f"no word sampler for subgroup {subgroup!r}")
+    else:
+        raise ValueError(f"no word sampler for {family[0]} with d = {family[1]}")
+    return tuple((kind, params, _letter(kind, m, params)) for kind, params in out)
 
 
 def _letter(kind: str, m: int, params: dict) -> IntegerSymplectic:
@@ -392,12 +419,12 @@ def random_word_element(m: int, subgroup: str, length: int, seed: int):
     Samplers exist for Sp, Gamma(1,2) and Gamma(2), spelled as _subgroup
     reads them.
     """
-    letters = _alphabet(m, subgroup)
+    letters = _alphabet(m, _subgroup(subgroup))
     rng = random.Random(seed)
     g = IntegerSymplectic.identity(m)
     word = []
     for _ in range(length):
-        kind, params = rng.choice(letters)
+        kind, params, letter = rng.choice(letters)
         word.append((kind, dict(params)))
-        g = g @ _letter(kind, m, params)
+        g = g @ letter
     return g, word

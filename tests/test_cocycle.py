@@ -149,6 +149,80 @@ def test_normalizing_constant_matches_factorization():
     assert ranks == {m: set(range(m + 1)) for m in (1, 2, 3)}
 
 
+def reference_rank_normal(c):
+    """Fraction full-pivot elimination: (P, Q, j) with P c Q = diag(1_j, 0).
+
+    The elimination the library ran before it went fraction-free; each
+    pivot is the first nonzero entry of the remaining block, row by row.
+    """
+    m = len(c)
+    work = [[Fraction(x) for x in row] for row in c]
+    p = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+    q = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+    k = 0
+    while k < m:
+        pr, pc = None, None
+        for i in range(k, m):
+            for j in range(k, m):
+                if work[i][j] != 0:
+                    pr, pc = i, j
+                    break
+            if pr is not None:
+                break
+        if pr is None:
+            break
+        work[k], work[pr] = work[pr], work[k]
+        p[k], p[pr] = p[pr], p[k]
+        for i in range(m):
+            work[i][k], work[i][pc] = work[i][pc], work[i][k]
+        for i in range(m):
+            q[i][k], q[i][pc] = q[i][pc], q[i][k]
+        piv = work[k][k]
+        work[k] = [x / piv for x in work[k]]
+        p[k] = [x / piv for x in p[k]]
+        for i in range(m):
+            if i != k and work[i][k] != 0:
+                f = work[i][k]
+                work[i] = [x - f * y for x, y in zip(work[i], work[k])]
+                p[i] = [x - f * y for x, y in zip(p[i], p[k])]
+        for j in range(m):
+            if j != k and work[k][j] != 0:
+                f = work[k][j]
+                for i in range(m):
+                    work[i][j] -= f * work[i][k]
+                    q[i][j] -= f * q[i][k]
+        k += 1
+    return p, q, k
+
+
+def reference_rank_normal_form(g):
+    """(j, x, P, Q) from the Fraction elimination, x = det P det a22 / det Q."""
+    p, q, j = reference_rank_normal(g.c)
+    x = xla.det(p) / xla.det(q)
+    if j < g.m:
+        rows = xla.transpose(xla.inv(p))[j:]
+        cols = [row[j:] for row in q]
+        x *= xla.det(xla.mat_mul(xla.mat_mul(rows, g.a), cols))
+    return j, x, tuple(map(tuple, p)), tuple(map(tuple, q))
+
+
+def test_rank_normal_form_matches_fraction_elimination():
+    # 480 words (m = 1..4, three samplers, lengths 1..30) and the coset
+    # representatives; every rank of c occurs at every m
+    words = [random_word_element(m, group, length=1 + seed % 30, seed=seed)[0]
+             for m in (1, 2, 3, 4) for group in ("Sp", "Gamma(1,2)", "Gamma2")
+             for seed in range(40)]
+    words += [rec.M for m in (1, 2, 3) for rec in coset_table(m)]
+    ranks = {}
+    for g in words:
+        want = reference_rank_normal_form(g)
+        got = _rank_normal_form(g)
+        assert got == want, g
+        assert all(type(v) is Fraction for mat in got[2:] for row in mat for v in row)
+        ranks.setdefault(g.m, set()).add(got[0])
+    assert ranks == {m: set(range(m + 1)) for m in (1, 2, 3, 4)}
+
+
 def test_normalizing_constant_on_coset_representatives():
     assert_matches_factorization([rec.M for m in (1, 2, 3)
                                   for rec in coset_table(m)])

@@ -173,6 +173,15 @@ def test_signature_zero_diagonal_blocks(s):
     assert xla.congruence_signature(s) == reference_signature(s)
 
 
+def pairing(l1, l2):
+    """<l1, l2> = x1 y*^T - x1* y^T on the row bases of two Lagrangians."""
+    m = l1.m
+    x, xs = [r[:m] for r in l1.rows], [r[m:] for r in l1.rows]
+    y, ys = [r[:m] for r in l2.rows], [r[m:] for r in l2.rows]
+    return xla.mat_add(xla.mat_mul(x, xla.transpose(ys)),
+                       xla.mat_neg(xla.mat_mul(xs, xla.transpose(y))))
+
+
 def test_signature_of_maslov_grams_matches_reference():
     # the 3m x 3m Gram matrices that rao_cocycle hands to the signature
     for m in (1, 2, 3):
@@ -181,6 +190,7 @@ def test_signature_of_maslov_grams_matches_reference():
             length = 1 + seed % 12
             g1 = random_word_element(m, "Sp", length, seed=2 * seed)[0]
             g2 = random_word_element(m, "Sp", length, seed=2 * seed + 1)[0]
-            gram = _maslov_gram(xs.rows, xs.act(g2.inverse()).rows,
-                                xs.act(g1).rows)
+            l2, l3 = xs.act(g2.inverse()), xs.act(g1)
+            gram = _maslov_gram(pairing(xs, l2), pairing(l2, l3),
+                                pairing(l3, xs))
             assert xla.congruence_signature(gram) == reference_signature(gram)

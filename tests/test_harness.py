@@ -39,6 +39,8 @@ def test_monomial_validation():
         MonomialMatrix(2, (0, 1), (Mu8(0),))
     with pytest.raises(ValueError):
         MonomialMatrix(1, (0,), (0,))
+    with pytest.raises(ValueError):
+        MonomialMatrix.identity(2) @ MonomialMatrix.identity(3)
 
 
 def test_induced_rep_identity_and_center():

@@ -67,6 +67,13 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: rao_cocycle(make_generator("omega", 1),
                              make_generator("omega", 2)),
          lambda: make_generator("omega", 1) @ make_generator("omega", 2),
+         lambda: make_generator("h", 2, a=[[1, 0, 0], [0, 1, 0]]),
+         lambda: make_generator("h", 2, a=[[1]]),
+         lambda: make_generator("h", 2, a=[[1, 0], [0, 1], [0, 0]]),
+         lambda: make_generator("u", 2, b=[[1]]),
+         lambda: make_generator("iota", 2, i=1, g=[[1]]),
+         lambda: make_generator("iota_pair", 2, jk=(1, 2), g=[[0, -1], [1, 0]]),
+         lambda: MonomialMatrix.identity(2) @ MonomialMatrix.identity(3),
          lambda: Mu8(2).as_sign(),
          lambda: sqrt_det(make_generator("u_ij", 2, i=1, j=1, t=2),
                           SiegelPoint.z0(1))]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from thetacover import (IntegerSymplectic, SiegelPoint, is_symplectic,
                         j_matrix, make_generator, mobius_act,
                         random_word_element, subgroup_membership)
+from thetacover.symplectic import _exact_symplectic, _letter
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -41,6 +42,15 @@ def test_generator_validation():
         make_generator("v_ij", 2, i=1, j=1)
     with pytest.raises(ValueError):
         make_generator("nope", 1)
+    for kind, params in [("h", {"a": [[1, 0, 0], [0, 1, 0]]}),   # wrong shapes
+                         ("h", {"a": [[1]]}),
+                         ("h", {"a": [[1, 0], [0, 1], [0, 0]]}),
+                         ("u", {"b": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+                         ("u_minus", {"c": [[1, 0]]}),
+                         ("iota", {"i": 1, "g": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+                         ("iota_pair", {"jk": (1, 2), "g": [[0, -1], [1, 0]]})]:
+        with pytest.raises(ValueError):
+            make_generator(kind, 2, **params)
 
 
 def test_non_symplectic_rejected():
@@ -141,3 +151,57 @@ def test_word_sampler_deterministic():
     assert g1 == g2 and w1 == w2
     with pytest.raises(ValueError):
         random_word_element(1, "Borel", length=3, seed=0)
+
+
+def assert_trusted(g):
+    # a trusted product or inverse is what the checking constructor makes
+    again = IntegerSymplectic(g.rows)
+    assert again == g and hash(again) == hash(g) and again.m == g.m
+    assert _exact_symplectic(g.rows)
+
+
+def test_trusted_products_and_inverses_match_the_checked_constructor():
+    # every partial product of 360 words (m = 1..4, three samplers,
+    # lengths 1..30), rebuilt from freshly validated letters
+    for m in (1, 2, 3, 4):
+        for group in ("Sp", "Gamma(1,2)", "Gamma2"):
+            for seed in range(30):
+                g, word = random_word_element(m, group, length=1 + seed, seed=seed)
+                h = IntegerSymplectic.identity(m)
+                for kind, params in word:
+                    h = h @ _letter(kind, m, params)
+                    assert_trusted(h)
+                    assert_trusted(h.inverse())
+                assert h == g
+
+
+# recorded from the sampler before its letters were cached; the theta-m3
+# bench inputs are drawn through it
+PINNED_WORDS = [
+    ((1, "Sp", 7, 11), [[0, -1], [1, 0]],
+     [("u_ij", {"i": 1, "j": 1, "t": 1}), ("u_ij", {"i": 1, "j": 1, "t": -1}),
+      ("u_ij", {"i": 1, "j": 1, "t": 1}), ("u_ij", {"i": 1, "j": 1, "t": 1}),
+      ("u_ij", {"i": 1, "j": 1, "t": -1}), ("u_ij", {"i": 1, "j": 1, "t": -1}),
+      ("omega", {"S": frozenset({1})})]),
+    ((2, "Sp", 6, 0), [[0, -2, -1, 2], [-2, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, -1]],
+     [("u_ij", {"i": 1, "j": 2, "t": -1}), ("u_ij", {"i": 1, "j": 2, "t": -1}),
+      ("omega", {"S": frozenset({1, 2})}), ("u_ij", {"i": 2, "j": 2, "t": -1}),
+      ("h_elem", {"i": 1, "j": 2, "t": -1}), ("h_elem", {"i": 1, "j": 2, "t": 1})]),
+    ((2, "Gamma(1,2)", 5, 3), [[1, 0, -4, 1], [0, 1, 1, 2], [0, 0, 1, 0], [0, 0, 0, 1]],
+     [("u_ij", {"i": 2, "j": 2, "t": 2}), ("h_elem", {"i": 1, "j": 2, "t": -1}),
+      ("u_ij", {"i": 1, "j": 1, "t": -2}), ("u_ij", {"i": 1, "j": 2, "t": 1}),
+      ("h_elem", {"i": 1, "j": 2, "t": 1})]),
+    ((3, "Gamma2", 4, 5),
+     [[1, 0, 0, 0, 0, 0], [0, -3, -4, 0, 0, 2], [0, 4, -3, 0, 2, 0],
+      [0, 0, 0, 1, 0, 0], [0, 2, -2, 0, 1, 0], [0, -2, -2, 0, 0, 1]],
+     [("u_ij", {"i": 2, "j": 3, "t": 2}), ("u_minus_ij", {"i": 2, "j": 2, "t": -2}),
+      ("u_minus_ij", {"i": 3, "j": 3, "t": 2}), ("u_minus_ij", {"i": 2, "j": 3, "t": 2})]),
+]
+
+
+@pytest.mark.parametrize("args, rows, word", PINNED_WORDS)
+def test_word_sampler_pinned(args, rows, word):
+    m, group, length, seed = args
+    for _ in range(2):                      # the second call reads cached letters
+        g, w = random_word_element(m, group, length, seed=seed)
+        assert g == IntegerSymplectic(rows) and w == word
