@@ -260,50 +260,6 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
     )
 
 
-def _fraction_free_pivoting(c) -> tuple:
-    """Full-pivot elimination P c Q = diag(1_j, 0) of an int matrix, in ints.
-
-    Each pivot is the first nonzero entry of the remaining block, row by
-    row, swapped to the diagonal; the Bareiss update (piv * x - f * y) / prev
-    divides exactly.  With piv_k the pivots, d = piv_{j-1} (1 if j = 0) and
-    piv_{-1} = 1: P[k] = p[k] / piv_k, Q[:, k] = q[:, k] / piv_{k-1} for
-    k < j, and P[i] = p[i] / d, Q[:, i] = q[:, i] / d for i >= j.  Returns
-    (pivots, sign, order, p, q); order[k] is the row of c moved to row k and
-    sign that of all swaps, so det c = sign * d when j = m.
-    """
-    m = len(c)
-    work = [list(row) for row in c]
-    p, q = xla.identity(m), xla.identity(m)
-    order = list(range(m))
-    pivots, sign, prev = [], 1, 1
-    for k in range(m):
-        pivot = next(((i, t) for i in range(k, m) for t in range(k, m)
-                      if work[i][t]), None)
-        if pivot is None:
-            break
-        pr, pc = pivot
-        if pr != k:
-            work[k], work[pr], p[k], p[pr] = work[pr], work[k], p[pr], p[k]
-            order[k], order[pr] = order[pr], order[k]
-            sign = -sign
-        if pc != k:
-            for row in work + q:
-                row[k], row[pc] = row[pc], row[k]
-            sign = -sign
-        top = work[k]
-        piv = top[k]
-        for i in range(k + 1, m):
-            f = work[i][k]
-            work[i] = [(piv * x - f * y) // prev for x, y in zip(work[i], top)]
-            p[i] = [(piv * x - f * y) // prev for x, y in zip(p[i], p[k])]
-        for row in q:
-            for t in range(k + 1, m):
-                row[t] = (piv * row[t] - top[t] * row[k]) // prev
-        pivots.append(piv)
-        prev = piv
-    return pivots, sign, order, p, q
-
-
 @lru_cache(maxsize=256)
 def _rank_normal_form(g: IntegerSymplectic) -> tuple:
     """(j, x, P, Q): P c Q = diag(1_j, 0) and x = x(g), once per g.
@@ -312,14 +268,15 @@ def _rank_normal_form(g: IntegerSymplectic) -> tuple:
     lower right (m - j) block a22 is invertible, and x = det P det a22 /
     det Q (no a22 when j = m).  Mod squares it is the x = det a(p1) det a(p2)
     of the whole factorization g = p1 omega_S p2, and as a number
-    det(cz + d) = det T / x (see ``theta.j_half``).  In integers, with d the
-    last pivot of c and s = +-1 the sign of its swaps, det P / det Q = s / d
-    and det a22 = s det K / d for K the rows of c at the j pivot rows and of
-    a at the others, so x = det K / d^2.  P and Q are tuples of Fraction
+    det(cz + d) = det T / x (see ``theta.j_half``).  In integers, from the
+    elimination ``exactla._pivoting`` of c, with d its last pivot and
+    s = +-1 the sign of its swaps, det P / det Q = s / d and
+    det a22 = s det K / d for K the rows of c at the j pivot rows and of a
+    at the others, so x = det K / d^2.  P and Q are tuples of Fraction
     rows.
     """
     m, c = g.m, g.c
-    pivots, sign, order, p, q = _fraction_free_pivoting(c)
+    pivots, sign, order, p, q = xla._pivoting(c)
     j = len(pivots)
     d = pivots[-1] if j else 1
     if j == m:
@@ -328,7 +285,7 @@ def _rank_normal_form(g: IntegerSymplectic) -> tuple:
         pivot_rows = set(order[:j])
         mixed = [row if i in pivot_rows else a_row
                  for i, (row, a_row) in enumerate(zip(c, g.a))]
-        pivots_k, sign_k, *_ = _fraction_free_pivoting(mixed)
+        pivots_k, sign_k, *_ = xla._pivoting(mixed)
         det_k = sign_k * pivots_k[-1]
     row_den = pivots + [d] * (m - j)
     col_den = ([1] + pivots)[:j] + [d] * (m - j)
@@ -372,14 +329,9 @@ class CoverElement:
             raise ValueError("eps must be +1 or -1")
 
 
-def _cover_product(x: CoverElement, y: CoverElement,
-                   g: IntegerSymplectic) -> CoverElement:
-    """x y in the cover, for a caller that already formed g = x.g @ y.g."""
-    return CoverElement(g, x.eps * y.eps * _cbar(x.g, y.g, g))
-
-
 def cover_mul(x: CoverElement, y: CoverElement) -> CoverElement:
-    return _cover_product(x, y, x.g @ y.g)
+    g = x.g @ y.g
+    return CoverElement(g, x.eps * y.eps * _cbar(x.g, y.g, g))
 
 
 def cover_inv(x: CoverElement) -> CoverElement:

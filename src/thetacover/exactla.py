@@ -2,9 +2,13 @@
 
 Everything here operates on matrices given as lists (or tuples) of rows.
 Entries are ints or Fractions; no floats ever enter these routines, so
-results are exact.  The congruence signature eliminates fraction-free over
-Python ints.  Matrices are tiny (at most ~25 x 25), which keeps the
-classical O(n^3) algorithms comfortably fast.
+results are exact.  There is one elimination, the fraction-free full-pivot
+Bareiss elimination over Python ints (_pivoting): det, rank and inv read
+it, and so does the rank normal form of the cocycle module.  Rational
+input is first scaled to ints by the lcm of its denominators.  The Hermite
+normal form and the congruence signature work over Python ints as well.
+Matrices are tiny (at most ~25 x 25), which keeps the classical O(n^3)
+algorithms comfortably fast.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ Matrix = Sequence[Row]
 
 # --- basic constructors and arithmetic ---
 
-def identity(n: int, one=1) -> list[list]:
-    return [[one if i == j else 0 for j in range(n)] for i in range(n)]
+def identity(n: int) -> list[list]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def zeros(r: int, c: int) -> list[list]:
@@ -52,92 +56,109 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     )
 
 
-def to_fractions(m: Matrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in m]
-
-
 def is_symmetric(m: Matrix) -> bool:
     n = len(m)
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(i))
 
 
-# --- Gaussian elimination over Q ---
+# --- fraction-free full-pivot elimination ---
 
-def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    a = to_fractions(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+def _integral(m: Matrix) -> tuple[list[list[int]], int]:
+    """(L m, L) as fresh int rows, L > 0 the lcm of the entries' denominators.
+
+    Int input is only copied (L = 1); it never takes the Fraction pass.
+    """
+    if all(isinstance(x, int) for row in m for x in row):
+        return [list(row) for row in m], 1
+    a = [[Fraction(x) for x in row] for row in m]
+    scale = math.lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row]
+            for row in a], scale
+
+
+def _pivoting(c: Matrix) -> tuple:
+    """Full-pivot elimination P c Q = diag(1_j, 0) of an r x n int matrix, in ints.
+
+    Each pivot is the first nonzero entry of the remaining block, row by
+    row, swapped to the diagonal; the Bareiss update (piv * x - f * y) / prev
+    divides exactly (Bareiss, Math. Comp. 22, 1968), and pivot k is the
+    leading (k+1)-minor of the permuted c.  With piv_k the pivots,
+    d = piv_{j-1} (1 if j = 0) and piv_{-1} = 1: P[k] = p[k] / piv_k,
+    Q[:, k] = q[:, k] / piv_{k-1} for k < j, and P[i] = p[i] / d,
+    Q[:, i] = q[:, i] / d for i >= j.  Returns (pivots, sign, order, p, q);
+    j = len(pivots) is the rank, order[k] is the row of c moved to row k and
+    sign that of all swaps, so det c = sign * d when c is square of rank j.
+    """
+    r = len(c)
+    n = len(c[0]) if r else 0
+    work = [list(row) for row in c]
+    p, q = identity(r), identity(n)
+    order = list(range(r))
+    pivots, sign, prev = [], 1, 1
+    for k in range(min(r, n)):
+        pivot = next(((i, t) for i in range(k, r) for t in range(k, n)
+                      if work[i][t]), None)
         if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
             break
-    return a, pivots
+        pr, pc = pivot
+        if pr != k:
+            work[k], work[pr], p[k], p[pr] = work[pr], work[k], p[pr], p[k]
+            order[k], order[pr] = order[pr], order[k]
+            sign = -sign
+        if pc != k:
+            for row in work + q:
+                row[k], row[pc] = row[pc], row[k]
+            sign = -sign
+        top = work[k]
+        piv = top[k]
+        for i in range(k + 1, r):
+            f = work[i][k]
+            work[i] = [(piv * x - f * y) // prev for x, y in zip(work[i], top)]
+            p[i] = [(piv * x - f * y) // prev for x, y in zip(p[i], p[k])]
+        for row in q:
+            for t in range(k + 1, n):
+                row[t] = (piv * row[t] - top[t] * row[k]) // prev
+        pivots.append(piv)
+        prev = piv
+    return pivots, sign, order, p, q
+
+
+def _square(m: Matrix, what: str) -> int:
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError(f"{what} needs a square matrix")
+    return n
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_pivoting(_integral(m)[0])[0])
 
 
 def det(m: Matrix) -> Fraction:
-    a = to_fractions(m)
-    n = len(a)
-    assert all(len(row) == n for row in a), "determinant needs a square matrix"
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            d = -d
-        d *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return d
+    """det m = sign * (last pivot) / L^n for m = (L m) / L."""
+    n = _square(m, "determinant")
+    a, scale = _integral(m)
+    pivots, sign, *_ = _pivoting(a)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * (pivots[-1] if n else 1), scale ** n)
 
 
 def inv(m: Matrix) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [list(map(Fraction, row)) + [Fraction(i == j) for j in range(n)]
-           for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    assert pivots[:n] == list(range(n)), "matrix is singular"
-    return [row[n:] for row in red]
+    """m^{-1} as Fraction rows: P (L m) Q = 1 gives m^{-1} = L Q P.
 
-
-def solve_left(a: Matrix, b: Row) -> list[Fraction] | None:
-    """One rational solution x of x . a = b, or None if inconsistent.
-
-    a is r x n, b has length n, x has length r.  When the system is
-    underdetermined an arbitrary consistent solution is returned.
+    Term k of Q P is q[:, k] p[k] / (piv_{k-1} piv_k); the sum is taken in
+    ints over the lcm of those denominators.
     """
-    at = transpose(a)                      # n x r, solving at . x^T = b^T
-    aug = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(at, b)]
-    red, pivots = rref(aug)
-    r = len(a)
-    if r in pivots:
-        return None                        # pivot in the constant column
-    x = [Fraction(0)] * r
-    for i, c in enumerate(pivots):
-        x[c] = red[i][r]
-    return x
+    n = _square(m, "inverse")
+    a, scale = _integral(m)
+    pivots, _, _, p, q = _pivoting(a)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    dens = [x * y for x, y in zip([1] + pivots, pivots)]
+    common = math.lcm(*dens)
+    p = [[x * (common // den) for x in row] for row, den in zip(p, dens)]
+    return [[Fraction(x * scale, common) for x in row] for row in mat_mul(q, p)]
 
 
 # --- integer Hermite normal form with transform ---
@@ -188,44 +209,24 @@ def hnf_with_transform(m: Matrix) -> tuple[list[list[int]], list[list[int]]]:
     return h, u
 
 
-def int_row_kernel(m: Matrix) -> list[list[int]]:
-    """Basis of the saturated lattice {x in Z^r : x . m = 0}."""
-    h, u = hnf_with_transform(m)
-    return [u[i] for i in range(len(h)) if not any(h[i])]
+# Largest residue system box_sides enumerates; the Gauss-sum kernel's int64
+# bound rests on it.
+MAX_CLASSES = 10**6
 
 
-def saturation(m: Matrix) -> list[list[int]]:
-    """Basis of {x in Z^n : x in Q-rowspan(m)} (the saturated row lattice)."""
-    ker_cols = int_row_kernel(transpose(m))    # rows k with m . k^T = 0
-    if not ker_cols:
-        return identity(len(m[0]))
-    return int_row_kernel(transpose(ker_cols))
-
-
-def lattice_coordinates(basis: Matrix, sub: Matrix) -> list[list[int]]:
-    """Integer coordinate matrix C with sub = C . basis (asserted exact)."""
-    coords = []
-    for row in sub:
-        x = solve_left(basis, row)
-        assert x is not None, "vector outside the lattice span"
-        assert all(f.denominator == 1 for f in x), "non-integer coordinates"
-        coords.append([int(f) for f in x])
-    return coords
-
-
-def box_sides(h: Matrix, guard: int = 10**6) -> list[int]:
+def box_sides(h: Matrix) -> list[int]:
     """Side lengths of the residue box of Z^r modulo a full-rank row lattice.
 
     h is the lattice's HNF from ``hnf_with_transform``.  With h upper
     triangular the products of [0, h_ii) enumerate the quotient exactly
     once, so the product of the sides is the index |det|.  Raises if that
-    index exceeds guard.
+    index exceeds MAX_CLASSES.
     """
     sides = [h[i][i] for i in range(len(h))]
     assert all(d > 0 for d in sides), "row lattice does not have full rank"
     index = math.prod(sides)
-    if index > guard:
-        raise ValueError(f"residue system too large: {index} classes > {guard}")
+    if index > MAX_CLASSES:
+        raise ValueError(f"residue system too large: {index} classes > {MAX_CLASSES}")
     return sides
 
 
@@ -242,10 +243,9 @@ def congruence_signature(s: Matrix) -> tuple[int, int]:
     Dividing the block by the gcd of its entries (positive) keeps them
     small.  With a zero diagonal, row+column addition creates a pivot.
     """
-    assert is_symmetric(s), "signature needs a symmetric matrix"
-    a = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in s]
-    scale = math.lcm(*(x.denominator for row in a for x in row))
-    a = [[int(x * scale) for x in row] for row in a]
+    if not is_symmetric(s):
+        raise ValueError("signature needs a symmetric matrix")
+    a, _ = _integral(s)
     pos = neg = 0
     flipped = False                 # active block is a negative multiple
     while a:

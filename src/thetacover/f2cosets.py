@@ -81,8 +81,15 @@ def coset_profile(g: IntegerSymplectic) -> tuple:
     return q
 
 
+@lru_cache(maxsize=None)
+def _label_index(m: int) -> dict:
+    """Position of each isotropic label in enumerate_isotropic(m), which is
+    also the coset_table(m) order."""
+    return {q: k for k, q in enumerate(enumerate_isotropic(m))}
+
+
 def coset_index_of(g: IntegerSymplectic) -> int:
-    return enumerate_isotropic(g.m).index(coset_profile(g))
+    return _label_index(g.m)[coset_profile(g)]
 
 
 # --- the anisotropic 4x4 block and its unipotent replacement ---
@@ -169,7 +176,7 @@ def refine_rep(q) -> CosetRecord:
     mm = Mu8(exp)
     assert m_xstar(mat) == (mm if kappa == 1 else mm * Mu8(4)), \
         "factor product and direct constant must agree up to the lift sign"
-    idx = enumerate_isotropic(m).index(q)
+    idx = _label_index(m)[q]
     assert coset_index_of(m_prime) == idx == coset_index_of(mat), \
         "representatives landed in the wrong coset"
     return CosetRecord(q=q, M_prime=m_prime, M=mat, S0=tuple(singles),

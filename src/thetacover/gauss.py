@@ -28,6 +28,7 @@ lies in the subgroup, but is not identically one.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -113,7 +114,8 @@ class SnappedRoot:
 
 
 def snap_mu8(raw: complex) -> SnappedRoot:
-    best = min(range(8), key=lambda k: abs(raw - Mu8(k).value))
+    # the root nearest by angle is the root nearest by distance
+    best = round(4 * cmath.phase(raw) / math.pi) % 8
     residual = abs(raw - Mu8(best).value)
     if residual >= SNAP_TOL:
         raise ArithmeticError(
@@ -128,7 +130,11 @@ def beta_tilde(g: IntegerSymplectic) -> SnappedRoot:
     One formula for every rank j of c: with the HNF u c = h, the nonzero
     rows c1 = h[:j] and d1 = (u d)[:j] are reduced to a full-rank j x j pair
     (W, d') by a basis S of the saturated row lattice of c1, c1 = W S and
-    d' = d1 S^T (S = 1 when c is invertible, so W = h).  Then
+    d' = d1 S^T (S = 1 when c is invertible, so W = h).  When 0 < j < m, W
+    and S come from one more HNF, v c1^T = H: W = H[:j]^T and
+    S = (v^{-1}[:, :j])^T, v^{-1} the integer inverse of a unimodular
+    matrix.  The quotient sat(c1) / <c1> and the histogram of its integer
+    phases do not depend on the basis S.  Then
     beta_tilde(g) = |det W|^{-1/2} conj(G(d', W)), and 1 when c = 0.  The
     value is an exact eighth root of unity; the float computation is
     snapped and the residual reported.
@@ -146,9 +152,11 @@ def beta_tilde(g: IntegerSymplectic) -> SnappedRoot:
         # term; c1 d2^T = 0 by the symmetry of c d^T, so the sum is G(d', W).
         # W d'^T = c1 d1^T is a principal block of u c d^T u^T, so the pair
         # meets the Gauss-sum condition unchecked; the kernel takes W in
-        # Hermite form.
-        s = xla.saturation(w)
-        w, d1 = xla.lattice_coordinates(s, w), xla.mat_mul(d1, xla.transpose(s))
+        # Hermite form.  The rows of S extend to the basis v^{-T} of Z^m, so
+        # they span sat(c1).
+        hc, v = xla.hnf_with_transform(xla.transpose(w))
+        s_t = [[int(x) for x in row[:j]] for row in xla.inv(v)]   # S^T
+        w, d1 = xla.transpose(hc[:j]), xla.mat_mul(d1, s_t)
         w, uw = xla.hnf_with_transform(w)
         d1 = xla.mat_mul(uw, d1)
     gauss, den = _gauss_sum_hnf(w, d1)              # den = |det W|

@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cocycle import CoverElement, Mu8, _cover_product, cover_inv, cover_mul
-from .f2cosets import coset_profile, coset_table
+from .cocycle import CoverElement, Mu8, cover_inv, cover_mul
+from .f2cosets import coset_index_of, coset_profile, coset_table
 from .gauss import lambda_bar, lambda_multiplier
 from .symplectic import (IntegerSymplectic, SiegelPoint, j_matrix, mobius_act,
                          random_word_element, subgroup_membership)
@@ -107,19 +107,18 @@ def induced_rep_matrix(rbar: CoverElement) -> MonomialMatrix:
     Entry (i, j) = lambda_bar(Mbar_i rbar Mbar_j^{-1})^{-1} where
     j = index(label_i . r) and Mbar is the fixed lift (M, kappa) of each
     coset representative; the conjugated element lands in the theta group
-    (asserted).  Exact in Mu8.  Each row forms M_i r once, for its column
-    label and its first cover product, and one product more.
+    (asserted).  Exact in Mu8.  Each row makes two group products: the
+    cover product Mbar_i rbar, whose matrix M_i r also gives the column
+    label, and the product with Mbar_j^{-1}.
     """
     m = rbar.g.m
     table = coset_table(m)
-    index = {rec.q: k for k, rec in enumerate(table)}
     n = len(table)
     perm = [0] * n
     coeffs = [Mu8(0)] * n
     for i, rec in enumerate(table):
-        mr = rec.M @ rbar.g
-        j = index[coset_profile(mr)]
-        mi_r = _cover_product(CoverElement(rec.M, rec.kappa), rbar, mr)
+        mi_r = cover_mul(CoverElement(rec.M, rec.kappa), rbar)
+        j = coset_index_of(mi_r.g)
         sbar = cover_mul(mi_r, _inv_lift(m, j))
         assert subgroup_membership(sbar.g, "Gamma1_2"), "coset bookkeeping broke"
         perm[i] = j
@@ -195,13 +194,15 @@ def sample_point(m: int, rng, cond_cap: float = 1e4) -> SiegelPoint:
                        f"in {SAMPLE_BUDGET} draws")
 
 
-def _workable(z: SiegelPoint, rz: SiegelPoint, params: ThetaParams,
-              cap: int = 32) -> bool:
-    # both sides of the law must stay within a modest lattice radius,
-    # else a single skewed image point dominates the whole run's budget
+# Both sides of a law must stay within a modest lattice radius, else a
+# single skewed image point dominates the whole run's budget.
+WORKABLE_RADIUS = 32
+
+
+def _workable(z: SiegelPoint, rz: SiegelPoint, params: ThetaParams) -> bool:
     try:
-        return (truncation_radius(z.Y, params) <= cap
-                and truncation_radius(rz.Y, params) <= cap)
+        return (truncation_radius(z.Y, params) <= WORKABLE_RADIUS
+                and truncation_radius(rz.Y, params) <= WORKABLE_RADIUS)
     except CapacityError:
         return False
 

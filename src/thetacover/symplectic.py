@@ -46,7 +46,7 @@ class IntegerSymplectic:
     module docstring).
     """
 
-    __slots__ = ("m", "rows")
+    __slots__ = ("m", "rows", "_blocks")
 
     def __init__(self, rows):
         rows = tuple(tuple(int(x) for x in row) for row in rows)
@@ -58,28 +58,33 @@ class IntegerSymplectic:
     def __setattr__(self, *a):
         raise AttributeError("IntegerSymplectic is immutable")
 
-    # -- block access --
-    def block(self, which: str) -> list[list[int]]:
-        m = self.m
-        r0 = 0 if which in ("a", "b") else m
-        c0 = 0 if which in ("a", "c") else m
-        return [[self.rows[r0 + i][c0 + j] for j in range(m)] for i in range(m)]
+    # -- block access: the four m x m blocks, tuples of row tuples, built
+    # together on first access and kept --
+    def _quarters(self) -> tuple:
+        try:
+            return self._blocks
+        except AttributeError:
+            m, rows = self.m, self.rows
+            blocks = tuple(tuple(row[c0:c0 + m] for row in rows[r0:r0 + m])
+                           for r0 in (0, m) for c0 in (0, m))
+            object.__setattr__(self, "_blocks", blocks)
+            return blocks
 
     @property
     def a(self):
-        return self.block("a")
+        return self._quarters()[0]
 
     @property
     def b(self):
-        return self.block("b")
+        return self._quarters()[1]
 
     @property
     def c(self):
-        return self.block("c")
+        return self._quarters()[2]
 
     @property
     def d(self):
-        return self.block("d")
+        return self._quarters()[3]
 
     def __matmul__(self, other: "IntegerSymplectic") -> "IntegerSymplectic":
         if self.m != other.m:

@@ -58,7 +58,7 @@ __all__ = [
 
 
 class CapacityError(RuntimeError):
-    """The truncation radius exceeds the configured cap."""
+    """The truncation radius exceeds MAX_RADIUS."""
 
     def __init__(self, needed: int, cap: int):
         super().__init__(f"truncation radius {needed} exceeds cap {cap}")
@@ -66,18 +66,19 @@ class CapacityError(RuntimeError):
         self.cap = cap
 
 
+# Largest truncation radius a lattice sum may use.
+MAX_RADIUS = 64
+
+
 @dataclass(frozen=True)
 class ThetaParams:
-    """Accuracy knobs for the truncated lattice sums."""
+    """Accuracy knob for the truncated lattice sums."""
 
     tail_tol: float = 1e-12
-    max_radius: int = 64
 
     def __post_init__(self):
         if not self.tail_tol > 0:
             raise ValueError("tail_tol must be positive")
-        if self.max_radius < 1:
-            raise ValueError("max_radius must be at least 1")
 
 
 def truncation_radius(Y: np.ndarray, params: ThetaParams) -> int:
@@ -96,8 +97,8 @@ def truncation_radius(Y: np.ndarray, params: ThetaParams) -> int:
     if lam <= 0:
         raise ValueError("Y must be positive definite")
     r = math.ceil(math.sqrt(math.log(1.0 / params.tail_tol) / (math.pi * lam))) + 2
-    if r > params.max_radius:
-        raise CapacityError(r, params.max_radius)
+    if r > MAX_RADIUS:
+        raise CapacityError(r, MAX_RADIUS)
     return r
 
 

@@ -9,6 +9,7 @@ from thetacover import (CoverElement, IntegerSymplectic, Lagrangian, Mu8,
                         cbar_cocycle, coset_table, cover_inv, cover_mul, m_xstar,
                         make_generator, maslov_signature, pws_decompose,
                         random_word_element, rao_cocycle, x_star)
+import exact_reference as ref
 from thetacover import exactla as xla
 from thetacover.cocycle import _rank_normal_form
 
@@ -198,11 +199,11 @@ def reference_rank_normal(c):
 def reference_rank_normal_form(g):
     """(j, x, P, Q) from the Fraction elimination, x = det P det a22 / det Q."""
     p, q, j = reference_rank_normal(g.c)
-    x = xla.det(p) / xla.det(q)
+    x = ref.det(p) / ref.det(q)
     if j < g.m:
-        rows = xla.transpose(xla.inv(p))[j:]
+        rows = xla.transpose(ref.inv(p))[j:]
         cols = [row[j:] for row in q]
-        x *= xla.det(xla.mat_mul(xla.mat_mul(rows, g.a), cols))
+        x *= ref.det(xla.mat_mul(xla.mat_mul(rows, g.a), cols))
     return j, x, tuple(map(tuple, p)), tuple(map(tuple, q))
 
 

@@ -12,6 +12,7 @@ from thetacover import (IntegerSymplectic, Mu8, beta_tilde, coset_split,
                         make_generator, modified_cocycle,
                         random_word_element, rao_cocycle, snap_mu8,
                         subgroup_membership, symplectic_gauss_sum, x_star)
+import exact_reference as ref
 from thetacover import exactla as xla
 from thetacover.cocycle import CoverElement
 
@@ -40,7 +41,7 @@ def box_representatives(c) -> list[list[int]]:
 
 def reference_gauss_sum(d, c) -> complex:
     """The per-class Fraction loop that the integer kernel replaced."""
-    q = xla.mat_mul(xla.inv(c), d)
+    q = xla.mat_mul(ref.inv(c), d)
     total = 0j
     for x in box_representatives(c):
         ph = Fraction(0)
@@ -123,18 +124,18 @@ def reference_beta_quotient_sum(g) -> tuple[complex, int]:
     c_rows, d_rows = g.c, g.d
     xstar = [list(r) for r in x_star(m).rows]
     ystar = [list(c_rows[i]) + list(d_rows[i]) for i in range(m)]
-    numerator = xla.saturation(xstar + ystar)
-    h, _ = xla.hnf_with_transform(xstar + xla.saturation(ystar))
+    numerator = ref.saturation(xstar + ystar)
+    h, _ = xla.hnf_with_transform(xstar + ref.saturation(ystar))
     denominator = [row for row in h if any(row)]
-    coords = xla.lattice_coordinates(numerator, denominator)
-    index = abs(int(xla.det(coords)))
+    coords = ref.lattice_coordinates(numerator, denominator)
+    index = abs(int(ref.det(coords)))
     total = 0j
     for xi in box_representatives(coords):
         l = [sum(xi[k] * numerator[k][j] for k in range(len(xi)))
              for j in range(2 * m)]
         lx, lxs = l[:m], l[m:]
         parity = sum(a * b for a, b in zip(lx, lxs)) % 2
-        t = xla.solve_left(c_rows, lx)
+        t = ref.solve_left(c_rows, lx)
         assert t is not None, "class outside the x-image of the second row space"
         s = [Fraction(lxs[j]) - sum(t[k] * d_rows[k][j] for k in range(m))
              for j in range(m)]

@@ -47,6 +47,7 @@ from thetacover import (CoverElement, IntegerSymplectic, Lagrangian,
                         MonomialMatrix, Mu8, SiegelPoint, ThetaComponentValue,
                         make_generator, q0_eval, rao_cocycle, sqrt_det,
                         transvection_rep)
+from thetacover.exactla import congruence_signature, det, inv
 from thetacover.f2cosets import refine_rep
 assert False, "asserts are live: not running under -O"
 cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
@@ -76,7 +77,10 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: MonomialMatrix.identity(2) @ MonomialMatrix.identity(3),
          lambda: Mu8(2).as_sign(),
          lambda: sqrt_det(make_generator("u_ij", 2, i=1, j=1, t=2),
-                          SiegelPoint.z0(1))]
+                          SiegelPoint.z0(1)),
+         lambda: congruence_signature([[0, 1], [0, 0]]),
+         lambda: det([[1, 2]]),
+         lambda: inv([[1, 2], [2, 4]])]
 for case in cases:
     try:
         case()
