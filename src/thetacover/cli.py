@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .cocycle import Mu8, cbar_cocycle, m_xstar, rao_cocycle
+from .cocycle import cbar_cocycle, m_xstar, rao_cocycle
 from .exactla import det as exact_det
 from .f2cosets import coset_table
 from .gauss import beta_tilde, lambda_multiplier, modified_cocycle, \
@@ -70,24 +70,30 @@ def _int_matrix(data, path: str, rows: int, cols: int) -> list:
     return mat
 
 
-def _load_symplectic(path: str) -> IntegerSymplectic:
+def _number(val, kind: type, what: str):
+    """A JSON number as kind, int or float: no bool, string or truncation."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(val, bool) or not isinstance(val, allowed):
+        noun = "an integer" if kind is int else "a number"
+        raise InputError(f"{what} must be {noun}")
+    return kind(val)
+
+
+def _load_matrix(path: str, per_m: int) -> list:
+    """Entries of a {"m", "entries"} file, checked to be (per_m m) x (per_m m)."""
     data = _load_json(path)
     if "m" not in data or "entries" not in data:
         raise InputError(f"{path}: needs keys 'm' and 'entries'")
-    m = int(data["m"])
-    mat = _int_matrix(data["entries"], path, 2 * m, 2 * m)
+    n = per_m * _number(data["m"], int, f"{path}: m")
+    return _int_matrix(data["entries"], path, n, n)
+
+
+def _load_symplectic(path: str) -> IntegerSymplectic:
+    mat = _load_matrix(path, 2)
     try:
         return IntegerSymplectic(mat)
     except ValueError as e:
         raise InputError(f"{path}: not symplectic: {e}") from None
-
-
-def _load_block(path: str) -> list:
-    data = _load_json(path)
-    if "m" not in data or "entries" not in data:
-        raise InputError(f"{path}: needs keys 'm' and 'entries'")
-    m = int(data["m"])
-    return _int_matrix(data["entries"], path, m, m)
 
 
 def _load_point(path: str) -> SiegelPoint:
@@ -95,7 +101,7 @@ def _load_point(path: str) -> SiegelPoint:
     for key in ("m", "X", "Y"):
         if key not in data:
             raise InputError(f"{path}: needs keys 'm', 'X' and 'Y'")
-    m = int(data["m"])
+    m = _number(data["m"], int, f"{path}: m")
     try:
         X = np.array(data["X"], dtype=float)
         Y = np.array(data["Y"], dtype=float)
@@ -118,7 +124,7 @@ def _eff(args, cfg: dict, name: str, default):
     if val is not None:
         return val
     if name in cfg:
-        return type(default)(cfg[name])
+        return _number(cfg[name], type(default), f"config: {name}")
     return default
 
 
@@ -174,8 +180,8 @@ def _cmd_cocycle(args, cfg) -> int:
 
 
 def _cmd_gauss_sum(args, cfg) -> int:
-    d = _load_block(args.d)
-    c = _load_block(args.c)
+    d = _load_matrix(args.d, 1)
+    c = _load_matrix(args.c, 1)
     try:
         value = symplectic_gauss_sum(d, c)
     except ValueError as e:

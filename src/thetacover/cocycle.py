@@ -268,12 +268,13 @@ def _rank_normal_form(g: IntegerSymplectic) -> tuple:
     lower right (m - j) block a22 is invertible, and x = det P det a22 /
     det Q (no a22 when j = m).  Mod squares it is the x = det a(p1) det a(p2)
     of the whole factorization g = p1 omega_S p2, and as a number
-    det(cz + d) = det T / x (see ``theta.j_half``).  In integers, from the
-    elimination ``exactla._pivoting`` of c, with d its last pivot and
-    s = +-1 the sign of its swaps, det P / det Q = s / d and
-    det a22 = s det K / d for K the rows of c at the j pivot rows and of a
-    at the others, so x = det K / d^2.  P and Q are tuples of Fraction
-    rows.
+    det(cz + d) = det T / x, T = (W z + P[:j] d) W^T with W = (P c)[:j]
+    (see ``theta.sqrt_det``).  In integers, from the elimination
+    ``exactla._pivoting`` of c, with d its last pivot and s = +-1 the sign
+    of its swaps, det P / det Q = s / d and det a22 = s det K / d for K the
+    rows of c at the j pivot rows and of a at the others, so
+    x = det K / d^2.  P and Q are tuples of Fraction rows; only
+    ``pws_decompose``, the oracle, reads Q.
     """
     m, c = g.m, g.c
     pivots, sign, order, p, q = xla._pivoting(c)

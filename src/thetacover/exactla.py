@@ -87,7 +87,9 @@ def _pivoting(c: Matrix) -> tuple:
     Q[:, k] = q[:, k] / piv_{k-1} for k < j, and P[i] = p[i] / d,
     Q[:, i] = q[:, i] / d for i >= j.  Returns (pivots, sign, order, p, q);
     j = len(pivots) is the rank, order[k] is the row of c moved to row k and
-    sign that of all swaps, so det c = sign * d when c is square of rank j.
+    sign that of the column swaps.  A row swap happens only when row k of
+    the remaining block is zero, so a square c with a row swap is singular;
+    for a nonsingular square c no row moves and det c = sign * d.
     """
     r = len(c)
     n = len(c[0]) if r else 0
@@ -104,7 +106,6 @@ def _pivoting(c: Matrix) -> tuple:
         if pr != k:
             work[k], work[pr], p[k], p[pr] = work[pr], work[k], p[pr], p[k]
             order[k], order[pr] = order[pr], order[k]
-            sign = -sign
         if pc != k:
             for row in work + q:
                 row[k], row[pc] = row[pc], row[k]

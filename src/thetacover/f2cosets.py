@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from . import exactla as xla
 from .cocycle import CoverElement, Mu8, cover_mul, m_xstar
 from .symplectic import IntegerSymplectic, make_generator
 
@@ -94,19 +93,10 @@ def coset_index_of(g: IntegerSymplectic) -> int:
 
 # --- the anisotropic 4x4 block and its unipotent replacement ---
 
-def pair_block_matrices():
-    """The rank-2 transvection block and its factorization.
-
-    Returns (full, theta_part, upper, lower) with full = theta_part upper
-    lower, theta_part in the theta subgroup, upper = u(-1) and lower the
-    lower unipotent with c = all-ones.  The coset representative keeps only
-    upper @ lower.
-    """
-    full = transvection_rep((1, 1, 1, 1))
-    upper = make_generator("u", 2, b=[[-1, 0], [0, -1]])
-    lower = make_generator("u_minus", 2, c=[[1, 1], [1, 1]])
-    theta_part = (full @ (upper @ lower).inverse())
-    return full, theta_part, upper, lower
+# u(-1) times the lower unipotent with c = all-ones.  The rank-2
+# transvection of (1, 1, 1, 1) is an element of the theta subgroup times
+# this block, so the coset representative keeps only the block.
+_PAIR_BLOCK = ((0, -1, -1, 0), (-1, 0, 0, -1), (1, 1, 1, 0), (1, 1, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -160,10 +150,8 @@ def refine_rep(q) -> CosetRecord:
             factors.append(make_generator("iota", m, i=i, g=[[1, 0], [-1, 1]]))
             eps_q[i - 1] = 1
             exp += 1
-    _, _, upper, lower = pair_block_matrices()
-    block = upper @ lower
     for (j, k) in pairs:
-        factors.append(make_generator("iota_pair", m, jk=(j, k), g=block.rows))
+        factors.append(make_generator("iota_pair", m, jk=(j, k), g=_PAIR_BLOCK))
         m_q[j - 1] = m_q[k - 1] = -1
         eps_q[j - 1] = eps_q[k - 1] = -1
         exp -= 1

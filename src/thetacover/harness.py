@@ -14,12 +14,15 @@ Error convention: every comparison is reported as
 identically (the weight-3/2 components on even labels) are compared in
 absolute terms instead of dividing noise by noise.  Reports carry the
 magnitudes so a trivially satisfied law is visible as such.
+
+Both verifiers run one trial loop; each supplies only how one trial is
+drawn and compared.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -141,17 +144,9 @@ class VerificationReport:
     elapsed: float
 
     def as_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "m": self.m,
-            "trials": self.trials,
-            "max_abs_error": self.max_abs_error,
-            "max_rel_error": self.max_rel_error,
-            "worst_case": self.worst_case,
-            "tol": self.tol,
-            "passed": self.passed,
-            "elapsed_seconds": self.elapsed,
-        }
+        d = asdict(self)
+        d["elapsed_seconds"] = d.pop("elapsed")
+        return d
 
 
 def _rel_err(lhs, rhs) -> tuple:
@@ -171,6 +166,12 @@ SAMPLE_BUDGET = 1000
 WORKABLE_BUDGET = 10_000
 
 
+def _random_word(m: int, subgroup: str, rng) -> IntegerSymplectic:
+    r, _ = random_word_element(m, subgroup, length=int(rng.integers(1, 9)),
+                               seed=int(rng.integers(2**63)))
+    return r
+
+
 def sample_point(m: int, rng, cond_cap: float = 1e4) -> SiegelPoint:
     """Random z = p(g(z0)): integer word then a generic real parabolic.
 
@@ -179,9 +180,7 @@ def sample_point(m: int, rng, cond_cap: float = 1e4) -> SiegelPoint:
     """
     z0 = SiegelPoint.z0(m)
     for _ in range(SAMPLE_BUDGET):
-        g, _ = random_word_element(m, "Sp", length=int(rng.integers(1, 9)),
-                                   seed=int(rng.integers(2**63)))
-        z = mobius_act(g, z0)
+        z = mobius_act(_random_word(m, "Sp", rng), z0)
         a = np.eye(m) + 0.2 * rng.uniform(-1, 1, (m, m))
         if abs(np.linalg.det(a)) < 0.3:
             continue
@@ -219,25 +218,44 @@ def _workable_point(m: int, r: IntegerSymplectic, rng,
                        f"{WORKABLE_BUDGET} draws")
 
 
-def _random_gamma12(m: int, rng) -> IntegerSymplectic:
-    r, _ = random_word_element(m, "Gamma12", length=int(rng.integers(1, 9)),
-                               seed=int(rng.integers(2**63)))
-    return r
+def _verify(theorem: str, m: int, trials: int, tol: float,
+            params: ThetaParams | None, trial) -> VerificationReport:
+    """The trial loop both verifiers share.
 
-
-def _label_action(rec, g: IntegerSymplectic):
-    return coset_profile(rec.M @ g)
-
-
-def _stabilized_shifted(table, r: IntegerSymplectic):
-    return [rec for rec in table
-            if any(rec.eps_q) and _label_action(rec, r) == rec.q]
-
-
-def _check_trials(trials: int) -> None:
+    trial(t, params) draws trial t from its own seeded rng and returns
+    (r, z, half, three_half, magnitude, extra): the element, the point, the
+    (abs, rel) error pair of each weight, the largest weight-3/2 magnitude
+    at r z and any further worst-case fields.
+    """
     # a run that compares nothing must not report "passed"
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    params = params or ThetaParams()
+    coset_table(m)                  # validates m, built before the clock starts
+    t_start = time.time()
+    max_abs = 0.0
+    max_rel = -1.0
+    worst = {}
+    for t in range(trials):
+        r, z, (abs12, rel12), (abs32, rel32), mag32, extra = trial(t, params)
+        rel = max(rel12, rel32)
+        max_abs = max(max_abs, abs12, abs32)
+        if rel > max_rel:
+            max_rel = rel
+            worst = {
+                "trial": t,
+                "element": [list(row) for row in r.rows],
+                **extra,
+                "z_X": z.X.tolist(),
+                "z_Y": z.Y.tolist(),
+                "rel_error_half": rel12,
+                "rel_error_three_half": rel32,
+                "three_half_magnitude": mag32,
+            }
+    return VerificationReport(
+        theorem=theorem, m=m, trials=trials,
+        max_abs_error=max_abs, max_rel_error=max_rel, worst_case=worst,
+        tol=tol, passed=bool(max_rel < tol), elapsed=time.time() - t_start)
 
 
 def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
@@ -251,32 +269,23 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
     (these components vanish identically, so this comparison is absolute;
     the report's worst_case records the magnitudes).
     """
-    _check_trials(trials)
-    params = params or ThetaParams()
-    table = coset_table(m)
-    t_start = time.time()
-    max_abs = 0.0
-    max_rel = -1.0
-    worst = {}
-    for t in range(trials):
+    def trial(t, params):
         rng = np.random.default_rng((seed, t))
-        r = _random_gamma12(m, rng)
-        stab = _stabilized_shifted(table, r)
-        attempts = 0
-        while not stab and attempts < 50:
-            r = _random_gamma12(m, rng)
-            stab = _stabilized_shifted(table, r)
-            attempts += 1
+        # up to 50 redraws for an r that fixes some shifted label
+        for _ in range(51):
+            r = _random_word(m, "Gamma12", rng)
+            stab = [rec for rec in coset_table(m)
+                    if any(rec.eps_q) and coset_profile(rec.M @ r) == rec.q]
+            if stab:
+                break
         z, rz = _workable_point(m, r, rng, params)
         sd = sqrt_det(r, z)
 
         lhs = theta_series(rz, "half", params)
         rhs = lambda_multiplier(r).value * sd * theta_series(z, "half", params)
-        abs12, rel12 = _rel_err(lhs, rhs)
+        half = _rel_err(lhs, rhs)
 
-        rel32 = 0.0
-        abs32 = 0.0
-        mag32 = 0.0
+        three_half, mag32 = (0.0, 0.0), 0.0
         if stab:
             rec = stab[int(rng.integers(len(stab)))]
             mbar = CoverElement(rec.M, rec.kappa)
@@ -285,26 +294,11 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
             v_z = theta_component(rec, 1, z, "three_half", params).value
             v_rz = theta_component(rec, 1, rz, "three_half", params).value
             rhs_v = sd * (j_matrix(r, z) @ v_z) * lam.value
-            abs32, rel32 = _rel_err(v_rz, rhs_v)
+            three_half = _rel_err(v_rz, rhs_v)
             mag32 = float(np.max(np.abs(v_rz)))
+        return r, z, half, three_half, mag32, {}
 
-        rel = max(rel12, rel32)
-        max_abs = max(max_abs, abs12, abs32)
-        if rel > max_rel:
-            max_rel = rel
-            worst = {
-                "trial": t,
-                "element": [list(row) for row in r.rows],
-                "z_X": z.X.tolist(),
-                "z_Y": z.Y.tolist(),
-                "rel_error_half": rel12,
-                "rel_error_three_half": rel32,
-                "three_half_magnitude": mag32,
-            }
-    return VerificationReport(
-        theorem="scalar-law", m=m, trials=trials,
-        max_abs_error=max_abs, max_rel_error=max_rel, worst_case=worst,
-        tol=tol, passed=bool(max_rel < tol), elapsed=time.time() - t_start)
+    return _verify("scalar-law", m, trials, tol, params, trial)
 
 
 def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
@@ -316,17 +310,9 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
     (cz+d) acting on the coordinate index (identically vanishing
     components, compared absolutely).
     """
-    _check_trials(trials)
-    params = params or ThetaParams()
-    coset_table(m)                  # validates m, built before the clock starts
-    t_start = time.time()
-    max_abs = 0.0
-    max_rel = -1.0
-    worst = {}
-    for t in range(trials):
+    def trial(t, params):
         rng = np.random.default_rng((seed, 1_000_000 + t))
-        r, _ = random_word_element(m, "Sp", length=int(rng.integers(1, 9)),
-                                   seed=int(rng.integers(2**63)))
+        r = _random_word(m, "Sp", rng)
         eps = 1 if rng.integers(2) == 0 else -1
         rbar = CoverElement(r, eps)
         z, rz = _workable_point(m, r, rng, params)
@@ -336,30 +322,12 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
         th_z, v_z = theta_vector(z, params)
         th_rz, v_rz = theta_vector(rz, params)
         rhs = eps * sd * (th_z @ G)
-        abs12, rel12 = _rel_err(th_rz, rhs)
-
         J = j_matrix(r, z)
         rhs_v = eps * sd * np.einsum("ab,jb,ji->ia", J, v_z, G)
-        abs32, rel32 = _rel_err(v_rz, rhs_v)
+        return (r, z, _rel_err(th_rz, rhs), _rel_err(v_rz, rhs_v),
+                float(np.max(np.abs(v_rz))), {"lift": eps})
 
-        rel = max(rel12, rel32)
-        max_abs = max(max_abs, abs12, abs32)
-        if rel > max_rel:
-            max_rel = rel
-            worst = {
-                "trial": t,
-                "element": [list(row) for row in r.rows],
-                "lift": eps,
-                "z_X": z.X.tolist(),
-                "z_Y": z.Y.tolist(),
-                "rel_error_half": rel12,
-                "rel_error_three_half": rel32,
-                "three_half_magnitude": float(np.max(np.abs(v_rz))),
-            }
-    return VerificationReport(
-        theorem="vector-law", m=m, trials=trials,
-        max_abs_error=max_abs, max_rel_error=max_rel, worst_case=worst,
-        tol=tol, passed=bool(max_rel < tol), elapsed=time.time() - t_start)
+    return _verify("vector-law", m, trials, tol, params, trial)
 
 
 def sample_gamma48(m: int, rng, factors: int = 2) -> IntegerSymplectic:

@@ -334,11 +334,6 @@ class SiegelPoint:
     def z0(cls, m: int) -> "SiegelPoint":
         return cls(np.zeros((m, m)), np.eye(m))
 
-    @classmethod
-    def from_complex(cls, z) -> "SiegelPoint":
-        z = np.asarray(z, dtype=complex)
-        return cls(z.real, z.imag)
-
     def __repr__(self):
         return f"SiegelPoint(X={self.X.tolist()}, Y={self.Y.tolist()})"
 

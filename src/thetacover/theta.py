@@ -9,8 +9,8 @@ The genuine square root of det(cz+d) on integer symplectic matrices is
 pinned by the rank normal form P c Q = diag(1_j, 0) of the c block, the
 form that also gives the normalizing constant m_{X*}(g).  It splits
 det(cz+d) = det T / x(g) into the exact rational x(g) and the rank-j
-minor T = (Q^{-1}[:j] z + P[:j] d) Q^{-1}[:j]^T, the only z-dependent
-piece.  T has the closed-form root e^{i pi j/4} / det^{-1/2}(-i T):
+minor T = (W z + P[:j] d) W^T with W = Q^{-1}[:j] = (P c)[:j], the only
+z-dependent piece.  T has the closed-form root e^{i pi j/4} / det^{-1/2}(-i T):
 Re(-i T) = Im T is positive definite, so that branch is continuous from
 T = i.1.  Multiplied by m_{X*}(g)^{-1} |x(g)|^{-1/2}, its square is
 det(cz+d) and its composition defect is the sign cocycle of the cocycle
@@ -33,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import exactla as xla
 from .cocycle import CoverElement, Mu8, _rank_normal_form, m_xstar
 # bound here only so that perfbench's tracer test can read theta.pws_decompose
 from .cocycle import pws_decompose  # noqa: F401
@@ -137,13 +138,14 @@ def _half_factor(form: tuple, g: IntegerSymplectic, z: SiegelPoint) -> complex:
     of g, or |x|^{-1/2} when j = 0 (see ``sqrt_det``)."""
     if z.m != g.m:
         raise ValueError("dimension mismatch")
-    j, x, p, q = form
+    j, x, p, _ = form
     scale = float(abs(x)) ** -0.5
     if j == 0:
         return complex(scale)
-    q_inv = np.linalg.inv(np.array(q, dtype=float))[:j]
+    # P c = diag(1_j, 0) Q^{-1}, so W = Q^{-1}[:j] is exactly (P c)[:j]
+    w = np.array(xla.mat_mul(p[:j], g.c), dtype=float)
     pd = np.array(p[:j], dtype=float) @ np.array(g.d, dtype=float)
-    t = (q_inv @ z.z + pd) @ q_inv.T
+    t = (w @ z.z + pd) @ w.T
     return scale / det_invsqrt(-1j * t)
 
 
@@ -152,8 +154,8 @@ def sqrt_det(g: IntegerSymplectic, z: SiegelPoint) -> complex:
 
     With P c Q = diag(1_j, 0) the rank normal form of the c block,
     det(cz+d) = det T / x(g) for the exact rational x(g) of ``m_xstar``
-    and the rank-j minor T = (Q^{-1}[:j] z + P[:j] d) Q^{-1}[:j]^T, whose
-    root is continued from det(i.1)^{1/2} = e^{i pi j/4}.  In closed form,
+    and the rank-j minor T = (W z + P[:j] d) W^T, W = Q^{-1}[:j] = (P c)[:j],
+    whose root is continued from det(i.1)^{1/2} = e^{i pi j/4}.  In closed form,
     sqrt_det(g, z) = m_{X*}(g)^{-1} |x(g)|^{-1/2} / det^{-1/2}(-i T).
     Satisfies sqrt_det(g, z)^2 = det(cz+d), and its composition defect is
     the sign cocycle.

@@ -208,6 +208,20 @@ def test_malformed_files(capsys, tmp_path):
     code, rep = run_json(capsys, "beta", "--g", str(shape))
     assert code == 2 and "expected a 4x4" in rep["error"]
 
+    # m must be a JSON integer: no string, list or truncated float
+    for name, m in (("mstr.json", "x"), ("mfloat.json", 1.5)):
+        bad_m = tmp_path / name
+        bad_m.write_text(json.dumps({"m": m, "entries": [[1, 0], [0, 1]]}))
+        code, rep = run_json(capsys, "beta", "--g", str(bad_m))
+        assert code == 2 and "m must be an integer" in rep["error"]
+        code, rep = run_json(capsys, "gauss-sum", "--d", str(bad_m),
+                             "--c", str(bad_m))
+        assert code == 2 and "m must be an integer" in rep["error"]
+    listm = tmp_path / "listm.json"
+    listm.write_text(json.dumps({"m": [1], "X": [[0.0]], "Y": [[1.0]]}))
+    code, rep = run_json(capsys, "theta", "--z", str(listm))
+    assert code == 2 and "m must be an integer" in rep["error"]
+
 
 def test_verify_small_run(capsys):
     code, rep = run_json(capsys, "verify", "--thm", "scalar", "--m", "1",
@@ -256,3 +270,10 @@ def test_config_defaults_and_override(capsys, tmp_path):
     broken.write_text("nope")
     code, rep = run_json(capsys, "--config", str(broken), "selftest")
     assert code == 2 and "error" in rep
+
+    for bad in ({"m": "two"}, {"m": 1.5}, {"tol": "tight"}):
+        badcfg = tmp_path / "badvalue.json"
+        badcfg.write_text(json.dumps(bad))
+        code, rep = run_json(capsys, "--config", str(badcfg),
+                             "verify", "--trials", "1")
+        assert code == 2 and "config: " in rep["error"], bad

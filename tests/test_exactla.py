@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import exact_reference as ref
@@ -62,6 +62,18 @@ def test_rank_of_wide_matrices_matches_fraction_reference(mat):
     # the m x 2m row bases that Lagrangian validation ranks
     assert xla.rank(mat) == ref.rank(mat)
     assert xla.rank(xla.transpose(mat)) == ref.rank(mat)
+
+
+@given(st.integers(min_value=1, max_value=5)
+       .flatmap(lambda n: matrices(sparse_int, n, n)))
+@settings(max_examples=300, deadline=None)
+def test_nonsingular_elimination_swaps_no_row(mat):
+    # so the column-swap sign that _pivoting returns is the sign of det
+    want = ref.det(mat)
+    assume(want != 0)
+    pivots, sign, order, _, _ = xla._pivoting(mat)
+    assert order == list(range(len(mat)))
+    assert sign * pivots[-1] == want
 
 
 @given(st.one_of(square(2), square(3), square(4)))

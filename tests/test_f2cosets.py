@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetacover import (Mu8, coset_index_of, coset_profile, coset_table,
-                        enumerate_isotropic, m_xstar, q0_eval,
-                        random_word_element, subgroup_membership,
+                        enumerate_isotropic, m_xstar, make_generator,
+                        q0_eval, random_word_element, subgroup_membership,
                         transvection_rep)
 from thetacover.cocycle import CoverElement, cover_mul
 
@@ -95,6 +95,20 @@ def test_pair_label_uses_unipotent_block_rep():
     assert rec.S0 == ()
     # both representatives sit in the same coset but differ as matrices
     assert rec.M != rec.M_prime
+
+
+def test_pair_block_factors_the_transvection():
+    # full = theta_part upper lower with theta_part in the theta subgroup,
+    # and the refined representative is upper lower
+    full = transvection_rep((1, 1, 1, 1))
+    upper = make_generator("u", 2, b=[[-1, 0], [0, -1]])
+    lower = make_generator("u_minus", 2, c=[[1, 1], [1, 1]])
+    theta_part = full @ (upper @ lower).inverse()
+    assert subgroup_membership(theta_part, "Gamma1_2")
+    assert theta_part @ upper @ lower == full
+    rec = [r for r in coset_table(2) if r.q == (1, 1, 1, 1)][0]
+    assert rec.M == upper @ lower
+    assert rec.M_prime == full
 
 
 def test_cover_lift_of_identity_record():
