@@ -9,6 +9,14 @@ left/right bookkeeping was calibrated against the one-component case,
 which must reproduce the scalar law, and is frozen; the three sign/arg
 variants fail at order one.
 
+induced_rep_matrix is that definition, and the oracle of everything built
+on it.  The vector-law verifier does not call it per trial.  Every element
+it draws is a word of letters l_1 ... l_k of a fixed alphabet and gamma_bar
+is a homomorphism on the cover, so it multiplies the images of the letters'
+plus lifts (each built by induced_rep_matrix once per genus and letter, on
+first use), fixes the sign from the cover signs of the word's partial
+products and the lift, and inverts the monomial matrix.
+
 Error convention: every comparison is reported as
 |lhs - rhs| / max(1, |lhs|, |rhs|), so laws whose two sides vanish
 identically (the weight-3/2 components on even labels) are compared in
@@ -27,11 +35,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cocycle import CoverElement, Mu8, cover_inv, cover_mul
+from .cocycle import CoverElement, Mu8, _cbar, cover_inv, cover_mul
 from .f2cosets import coset_index_of, coset_profile, coset_table
 from .gauss import lambda_bar, lambda_multiplier
-from .symplectic import (IntegerSymplectic, SiegelPoint, j_matrix, mobius_act,
-                         random_word_element, subgroup_membership)
+from .symplectic import (IntegerSymplectic, SiegelPoint, _alphabet, _subgroup,
+                         j_matrix, mobius_act, random_word_element,
+                         subgroup_membership)
 from .theta import (CapacityError, ThetaParams, sqrt_det, theta_component,
                     theta_series, theta_vector, truncation_radius)
 
@@ -87,6 +96,10 @@ class MonomialMatrix:
             coeffs[self.perm[i]] = self.coeffs[i].inv()
         return MonomialMatrix(self.n, tuple(perm), tuple(coeffs))
 
+    def __neg__(self) -> "MonomialMatrix":
+        return MonomialMatrix(self.n, self.perm,
+                              tuple(c * Mu8(4) for c in self.coeffs))
+
     def to_array(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=complex)
         for i in range(self.n):
@@ -113,6 +126,10 @@ def induced_rep_matrix(rbar: CoverElement) -> MonomialMatrix:
     (asserted).  Exact in Mu8.  Each row makes two group products: the
     cover product Mbar_i rbar, whose matrix M_i r also gives the column
     label, and the product with Mbar_j^{-1}.
+
+    This is the definition and the oracle.  The vector-law verifier calls
+    it only for the letters of its words (_letter_image) and multiplies
+    their images along each word (_word_rep_inv).
     """
     m = rbar.g.m
     table = coset_table(m)
@@ -166,10 +183,10 @@ SAMPLE_BUDGET = 1000
 WORKABLE_BUDGET = 10_000
 
 
-def _random_word(m: int, subgroup: str, rng) -> IntegerSymplectic:
-    r, _ = random_word_element(m, subgroup, length=int(rng.integers(1, 9)),
+def _random_word(m: int, subgroup: str, rng) -> tuple:
+    """(element, word) of 1 to 8 letters, drawn as random_word_element does."""
+    return random_word_element(m, subgroup, length=int(rng.integers(1, 9)),
                                seed=int(rng.integers(2**63)))
-    return r
 
 
 def sample_point(m: int, rng, cond_cap: float = 1e4) -> SiegelPoint:
@@ -180,7 +197,7 @@ def sample_point(m: int, rng, cond_cap: float = 1e4) -> SiegelPoint:
     """
     z0 = SiegelPoint.z0(m)
     for _ in range(SAMPLE_BUDGET):
-        z = mobius_act(_random_word(m, "Sp", rng), z0)
+        z = mobius_act(_random_word(m, "Sp", rng)[0], z0)
         a = np.eye(m) + 0.2 * rng.uniform(-1, 1, (m, m))
         if abs(np.linalg.det(a)) < 0.3:
             continue
@@ -273,7 +290,7 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
         rng = np.random.default_rng((seed, t))
         # up to 50 redraws for an r that fixes some shifted label
         for _ in range(51):
-            r = _random_word(m, "Gamma12", rng)
+            r, _ = _random_word(m, "Gamma12", rng)
             stab = [rec for rec in coset_table(m)
                     if any(rec.eps_q) and coset_profile(rec.M @ r) == rec.q]
             if stab:
@@ -301,6 +318,53 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
     return _verify("scalar-law", m, trials, tol, params, trial)
 
 
+def _vector_draw(m: int, seed: int, t: int) -> tuple:
+    """(rng, r, word, eps) of vector-law trial t; the point comes next from rng."""
+    rng = np.random.default_rng((seed, 1_000_000 + t))
+    r, word = _random_word(m, "Sp", rng)
+    eps = 1 if rng.integers(2) == 0 else -1
+    return rng, r, word, eps
+
+
+def _letter_key(kind: str, params: dict) -> tuple:
+    return kind, tuple(sorted(params.items()))
+
+
+@lru_cache(maxsize=None)
+def _sp_letters(m: int) -> dict:
+    """Element of each letter of the Sp word sampler, keyed by _letter_key."""
+    return {_letter_key(kind, params): g
+            for kind, params, g in _alphabet(m, _subgroup("Sp"))}
+
+
+@lru_cache(maxsize=None)
+def _letter_image(letter: IntegerSymplectic) -> MonomialMatrix:
+    """gamma_bar of a letter's plus lift, by the definition, on first use."""
+    return induced_rep_matrix(CoverElement(letter, 1))
+
+
+def _word_rep_inv(m: int, word: list, eps: int) -> MonomialMatrix:
+    """gamma_bar(rbar^{-1}) for rbar = (l_1 ... l_k, eps), from letter images.
+
+    The plus lifts multiply to (l_1 ... l_k, s), s the product of the sign
+    cocycles of the k - 1 partial products, and (1, -1) is central, so
+    gamma_bar(rbar) = gamma_bar(l_1, 1) ... gamma_bar(l_k, 1) gamma_bar(1, eps s)
+    with gamma_bar(1, -1) = -Id; gamma_bar(rbar^{-1}) is its inverse.
+    induced_rep_matrix(cover_inv(rbar)) is the oracle.
+    """
+    letters = _sp_letters(m)
+    (kind, params), *rest = word
+    g = letters[_letter_key(kind, params)]
+    image = _letter_image(g)
+    sign = eps
+    for kind, params in rest:
+        letter = letters[_letter_key(kind, params)]
+        g_next = g @ letter
+        sign *= _cbar(g, letter, g_next)
+        g, image = g_next, image @ _letter_image(letter)
+    return (image if sign == 1 else -image).inv()
+
+
 def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
                       seed: int = 0, params: ThetaParams | None = None) -> VerificationReport:
     """Vector transformation law over the full integer symplectic group.
@@ -308,16 +372,14 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
     Weight 1/2: Theta(rbar z) = eps sqrt_det(r,z) Theta(z) gamma_bar(rbar^{-1})
     as row vectors of components.  Weight 3/2: the same with the extra
     (cz+d) acting on the coordinate index (identically vanishing
-    components, compared absolutely).
+    components, compared absolutely).  gamma_bar(rbar^{-1}) is built from
+    the letters of the drawn word (_word_rep_inv), not from its definition.
     """
     def trial(t, params):
-        rng = np.random.default_rng((seed, 1_000_000 + t))
-        r = _random_word(m, "Sp", rng)
-        eps = 1 if rng.integers(2) == 0 else -1
-        rbar = CoverElement(r, eps)
+        rng, r, word, eps = _vector_draw(m, seed, t)
         z, rz = _workable_point(m, r, rng, params)
         sd = sqrt_det(r, z)
-        G = induced_rep_matrix(cover_inv(rbar)).to_array()
+        G = _word_rep_inv(m, word, eps).to_array()
 
         th_z, v_z = theta_vector(z, params)
         th_rz, v_rz = theta_vector(rz, params)
