@@ -300,9 +300,14 @@ def subgroup_membership(g: IntegerSymplectic, which: str) -> bool:
 # --- Siegel upper half space ---
 
 class SiegelPoint:
-    """z = X + iY with X, Y real symmetric and Y positive definite."""
+    """z = X + iY with X, Y real symmetric and Y positive definite.
 
-    __slots__ = ("m", "X", "Y")
+    Immutable, so whatever is computed from the point alone can be kept
+    on it: _theta maps ThetaParams to the read-only (half, three_half) of
+    theta.theta_vector at the point, filled there on first use.
+    """
+
+    __slots__ = ("m", "X", "Y", "_theta")
 
     def __init__(self, X, Y):
         X = np.array(X, dtype=float)
@@ -325,6 +330,13 @@ class SiegelPoint:
 
     def __setattr__(self, *a):
         raise AttributeError("SiegelPoint is immutable")
+
+    def _theta_memo(self) -> dict:
+        try:
+            return self._theta
+        except AttributeError:
+            object.__setattr__(self, "_theta", {})
+            return self._theta
 
     @property
     def z(self) -> np.ndarray:
@@ -421,10 +433,10 @@ def random_word_element(m: int, subgroup: str, length: int, seed: int):
     """
     letters = _alphabet(m, _subgroup(subgroup))
     rng = random.Random(seed)
-    g = IntegerSymplectic.identity(m)
-    word = []
+    g, word = None, []
     for _ in range(length):
         kind, params, letter = rng.choice(letters)
         word.append((kind, dict(params)))
-        g = g @ letter
-    return g, word
+        # the product starts at the first letter, not at a validated identity
+        g = letter if g is None else g @ letter
+    return (IntegerSymplectic.identity(m) if g is None else g), word

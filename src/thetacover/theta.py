@@ -20,13 +20,19 @@ is the full degree-8 cocycle.
 Theta sums are box sums over n in [-R, R]^m, R from ``truncation_radius``
 (a heuristic radius, not a certified tail bound: see there).  Summation
 order is fixed (sup-norm shells, lexicographic inside a shell), so results
-are bit-identical run to run.  ``theta_component`` sums one component's
-box; ``theta_vector`` gives every component at both weights from one pass
-that evaluates each half shift once and recombines parity sums.
+are bit-identical run to run.  ``theta_series`` and ``theta_component`` sum
+one box each, term by term with a complex exp per point; they are the
+oracles.  ``theta_vector`` gives every component at both weights from one
+pass that evaluates each half shift once and sums it against the
+characters of n mod 2.  Its terms are one real exp of an exponent summed
+from small tables, times a phase multiplied from small tables of
+unimodular factors, and the pass is kept on the point, so a point pays for
+at most one pass per ThetaParams.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -269,95 +275,263 @@ def theta_component(rec: CosetRecord, lift_sign: int, z: SiegelPoint,
 
 
 @dataclass(frozen=True)
-class _ShiftClass:
-    """The components of coset_table(m) whose half shift is +-shift.
+class _ShiftClasses:
+    """The labels of coset_table(m) grouped by their half shift up to sign.
 
-    Component rows[k] is signs[k] @ (parity sums of E) at weight 1/2 and
-    flips[k] * signs[k] @ (parity sums of v E) at weight 3/2, where
-    signs[k, p] = (-1)^{m_q . n} on the parity class p of n, and flips[k]
-    is -1 when eps_q = -2 shift: that box is the negated box of shift, and
-    E(-v) = E(v).
+    Class c holds the labels with eps_q = +-2 shifts[c], and
+    offsets[c] = 2 shifts[c] + 1.  Label k is in class of_label[k].  Its
+    sign (-1)^{m_q . n} is the character of n mod 2 that _character_sums
+    puts at row half_index[k]; rows moment_index[k] hold the same sums with
+    n_j E in place of E.  Its component is the character sum of E at weight
+    1/2 and flips[k] times that of v E at weight 3/2, for the shift of its
+    class; flips[k] is -1 when eps_q = -2 shifts[c]: that box is the
+    negated box of shifts[c], and E(-v) = E(v).
     """
 
-    shift: np.ndarray
-    rows: np.ndarray
-    signs: np.ndarray
+    shifts: np.ndarray
+    offsets: np.ndarray
+    of_label: np.ndarray
+    half_index: np.ndarray
+    moment_index: np.ndarray
     flips: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _shift_classes(m: int) -> tuple:
-    """coset_table(m) grouped by the half shift eps_q up to sign."""
+def _shift_classes(m: int) -> _ShiftClasses:
     table = coset_table(m)
-    groups: dict = {}
-    for k, rec in enumerate(table):
-        key = max(rec.eps_q, tuple(-e for e in rec.eps_q))
-        groups.setdefault(key, []).append(k)
-    # row p: n mod 2 on parity class p, first coordinate the high bit
-    bits = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    classes = []
-    for key, rows in groups.items():
-        m_q = np.array([table[k].m_q for k in rows]) % 2
-        cls = _ShiftClass(
-            shift=np.array(key, dtype=float) / 2,
-            rows=np.array(rows),
-            signs=1.0 - 2.0 * ((m_q @ bits.T) % 2),
-            flips=np.array([1.0 if table[k].eps_q == key else -1.0
-                            for k in rows]))
-        for arr in (cls.shift, cls.rows, cls.signs, cls.flips):
-            arr.setflags(write=False)
-        classes.append(cls)
-    return tuple(classes)
+    keys = [max(rec.eps_q, tuple(-e for e in rec.eps_q)) for rec in table]
+    index = {key: c for c, key in enumerate(dict.fromkeys(keys))}
+    half_index = (np.array([rec.m_q for rec in table]) % 2) @ 4 ** np.arange(m)
+    classes = _ShiftClasses(
+        shifts=np.array(list(index), dtype=float) / 2,
+        offsets=np.array(list(index)) + 1,
+        of_label=np.array([index[key] for key in keys]),
+        half_index=half_index,
+        moment_index=half_index[:, None] + 2 * 4 ** np.arange(m),
+        flips=np.array([1.0 if rec.eps_q == key else -1.0
+                        for rec, key in zip(table, keys)]))
+    for arr in vars(classes).values():
+        arr.setflags(write=False)
+    return classes
+
+
+# Terms of modulus below e^{_LOG_TINY} (about 1e-304) count as 0 in
+# theta_vector: they are far below the rounding of any sum, and an exp that
+# underflows or goes subnormal costs 15 to 100 times one that does not.
+_LOG_TINY = -700.0
+
+# Points times shift classes per block of a pass: keeps each of the pass's
+# temporary arrays near 256 kB, so that a block's arrays stay in a core's
+# cache (timed at m = 3, R = 8..10: 2^14 beat 2^12, 2^13, 2^15 and 2^16).
+_BLOCK = 1 << 14
+
+
+def _split(x: np.ndarray) -> tuple:
+    """x = hi + lo with hi the top 39 bits of x (Veltkamp's split)."""
+    t = x * 16385.0                              # 2^14 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _cis(hi, lo, k) -> np.ndarray:
+    """e^{2 pi i (hi + lo) k} for a coefficient split as by _split, or a sum
+    of two such hi on one grid, scaled by a power of 2, and integers
+    |k| <= 2^12, broadcast against each other; to about 1e-16.
+
+    Rounding c k itself would put an error of order 1e-16 |c k| on the
+    angle, and a table entry is shared by every lattice point that reads
+    it, so those errors add up in the moment sums.  hi k is exact (at most
+    40 + 13 bits), and so is its reduction mod 1; only lo k, about
+    2^-39 |c k| in size, is rounded.
+    """
+    whole = hi * k
+    return np.exp(2j * math.pi * ((whole - np.rint(whole)) + lo * k))
+
+
+def _exponent_tables(Y: np.ndarray, radius: int) -> tuple:
+    """The terms of -pi v Y v^T on the grid u = -R - 1/2, -R, ..., R + 1/2.
+
+    Returns (axes, pairs): axes[k] = -pi Y_kk u^2 over u, and pairs[p] =
+    -pi (Y_kl + Y_lk) u u' over (u, u') for the p-th pair k < l in
+    itertools.combinations order.  Entries at u and -u, and at (u, u') and
+    (-u, -u'), are equal bit for bit.
+    """
+    m = len(Y)
+    twice = np.arange(-2 * radius - 1, 2 * radius + 2)           # 2u
+    form = -math.pi / 8 * (Y + Y.T)
+    k, l = np.array(list(itertools.combinations(range(m), 2)),
+                    dtype=int).reshape(-1, 2).T
+    return (form.diagonal()[:, None] * (twice * twice),
+            (2 * form[k, l, None, None] * twice[:, None]) * twice)
+
+
+def _exponent(axes: np.ndarray, pairs: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """-pi v Y v^T over the box for a block of shift classes.
+
+    index[c, k, j] = 2 (n_k + s_k) + 2R + 1, the position of v_k = n_k + s_k
+    (n_k = j - R) on the grid of _exponent_tables.  The result, of shape
+    (classes,) + (2R + 1,) * m, sums the table terms in one fixed order, so
+    its values at v and -v are equal bit for bit, as in the oracles.  It is
+    formed from v, not as n Y n^T + 2 n.Ys + s Y s^T, whose terms grow with
+    |n| and cancel.
+    """
+    width, m, side = index.shape
+    pair_of = {ik: p for p, ik in enumerate(itertools.combinations(range(m), 2))}
+    out = None
+    for k in range(m):
+        shape = [width] + [1] * m
+        shape[1 + k] = side
+        term = axes[k][index[:, k]].reshape(shape)
+        out = term if out is None else out + term
+        # the pairs with axis k once axis k is in, so that only the last
+        # axis's terms are added over the whole box
+        for i in range(k):
+            shape[1 + i] = side
+            term = pairs[pair_of[i, k]][index[:, i, :, None], index[:, k, None, :]]
+            out = out + term.reshape(shape)
+            shape[1 + i] = 1
+    return out
+
+
+def _phases(X: np.ndarray, radius: int, classes: _ShiftClasses) -> tuple:
+    """(tables, cross, consts): the factors of e^{i pi v X v^T}, v = n + s.
+
+    tables[c, k, j] is the axis-k factor at n_k = j - R for shift class c:
+    e^{i pi X_kk n_k^2} times e^{+-i pi (X_kl + X_lk) n_k / 2} for each l
+    with s_l = +-1/2.  cross is the tensor over the box, of shape
+    (1,) + (2R + 1,) * m, of the factors e^{i pi (X_kl + X_lk) n_k n_l} of
+    the pairs k < l (None at m = 1), and consts[c] = e^{i pi s X s^T}.
+    Both triangles of X are read, as the oracles' v z v^T does: X is
+    symmetric only to 1e-12.  hi + hi^T is exact, its two terms being on
+    one grid.
+    """
+    m = len(X)
+    hi, lo = _split(X)
+    pair_hi, pair_lo = hi + hi.T, lo + lo.T
+    steps = np.arange(-radius, radius + 1)
+    halves = _cis(pair_hi[..., None] / 4, pair_lo[..., None] / 4, steps)
+    powers = np.stack([halves.conj(), np.ones_like(halves), halves])
+    axes = np.arange(m)
+    tables = _cis(np.diag(hi)[:, None] / 2, np.diag(lo)[:, None] / 2,
+                  steps * steps) \
+        * powers[classes.offsets[:, None, :], axes[:, None], axes].prod(axis=2)
+    shifts = classes.shifts
+    consts = np.exp(1j * math.pi * np.sum((shifts @ X) * shifts, axis=1))
+    if m == 1:
+        return tables, None, consts
+    cross = np.ones((1,) * (m + 1))
+    for k, l in itertools.combinations(range(m), 2):
+        shape = [1] * (m + 1)
+        shape[1 + k] = shape[1 + l] = len(steps)
+        factor = _cis(pair_hi[k, l] / 2, pair_lo[k, l] / 2, np.outer(steps, steps))
+        cross = cross * factor.reshape(shape)
+    return tables, cross, consts
+
+
+def _character_sums(e: np.ndarray, radius: int) -> np.ndarray:
+    """Sums of w_0(n_0) ... w_{m-1}(n_{m-1}) E(n) over the box, for e of
+    shape (classes,) + (2R + 1,) * m with n_k = j_k - R.
+
+    Each w_k is one of 1, (-1)^{n_k}, n_k and (-1)^{n_k} n_k, rows 0 to 3;
+    column sum_k r_k 4^k of the result, of shape (classes, 4^m), takes row
+    r_k on axis k.  The axes are contracted last to first, each by one
+    matrix product, the first over the whole box and each next one over a
+    box 4 / (2R + 1) the size.
+    """
+    side = 2 * radius + 1
+    n = np.arange(-radius, radius + 1)
+    sign = 1 - 2 * (n & 1)
+    weights = np.array([np.ones_like(n), sign, n, sign * n], dtype=complex).T
+    t = e.reshape(-1, side, 1)
+    for _ in range(e.ndim - 1):
+        rows, _, done = t.shape
+        t = t.transpose(0, 2, 1).reshape(-1, side) @ weights
+        t = t.reshape(-1, side, 4 * done) if rows > len(e) else t.reshape(rows, -1)
+    return t
+
+
+def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
+    """One lattice pass: (half, three_half) of theta_vector, computed.
+
+    E(v) = e^{i pi v z v^T} is one real exp of the whole exponent (see
+    _exponent; the per-axis factors e^{-2 pi n_k (Ys)_k} alone overflow on
+    flat points) times a product of unimodular factors (see _phases), so no
+    complex exp is taken per point.  The shift classes go through the pass
+    side by side, in blocks of at most _BLOCK points times classes.
+    """
+    m = z.m
+    radius = truncation_radius(z.Y, params)
+    classes = _shift_classes(m)
+    shifts = classes.shifts
+    tables, cross, consts = _phases(z.X, radius, classes)
+    exponent_tables = _exponent_tables(z.Y, radius)
+    index = classes.offsets[:, :, None] + 2 * np.arange(2 * radius + 1)
+    sums = np.empty((len(shifts), 4 ** m), dtype=complex)
+    width = max(1, _BLOCK // (2 * radius + 1) ** m)
+    for first in range(0, len(shifts), width):
+        block = slice(first, first + width)
+        e = _exponent(*exponent_tables, index[block])
+        kept = e > _LOG_TINY
+        np.maximum(e, _LOG_TINY, out=e)
+        np.exp(e, out=e)
+        e *= kept
+        phase = tables[block, 0]
+        for k in range(1, m):
+            phase = phase[..., None] * tables[block, k].reshape(
+                (-1,) + (1,) * k + (2 * radius + 1,))
+        if cross is not None:
+            phase *= cross
+        e = e * phase
+        sums[block] = _character_sums(e, radius)
+    sums *= consts[:, None]
+    of_label = classes.of_label
+    half = sums[of_label, classes.half_index]
+    # the sum of (n + s) E is the sum of n E plus s times the sum of E
+    three_half = classes.flips[:, None] * (
+        sums[of_label[:, None], classes.moment_index]
+        + half[:, None] * shifts[of_label])
+    return half, three_half
 
 
 def theta_vector(z: SiegelPoint, params: ThetaParams | None = None) -> tuple:
     """Every component at both weights, from one pass over the lattice.
 
-    Returns (half, three_half), arrays of shape (N,) and (N, m) in
+    Returns (half, three_half), read-only arrays of shape (N,) and (N, m) in
     coset_table(m) order with the plus lift: half[k] and three_half[k]
     are theta_component(coset_table(m)[k], 1, z, weight, params).value up
     to rounding, on the same points (n + eps_q/2, n in [-R, R]^m).  The
-    labels fall into a few classes of shifts +-eps/2; per class,
-    E(v) = e^{i pi v z v^T} and v E(v) are evaluated once on the box and
-    summed per parity class of n, and each component is a +-1 combination
-    of those 2^m sums (see _ShiftClass).
+    labels fall into a few classes of shifts +-eps/2; per class s, E(v) =
+    e^{i pi v z v^T} and n E(v) (v = n + s) are summed over the box against
+    each character (-1)^{p . n} of n mod 2, and each component is the sum
+    for its sign (-1)^{m_q . n} (see _ShiftClasses); the sum of v E is the
+    sum of n E plus s times the sum of E.  |E| is one real exp of the whole
+    exponent -pi v Y v^T, summed from tables over the half-integers
+    |u| <= R + 1/2, so that it is equal at v and -v bit for bit, as in the
+    oracles, which keeps the vanishing weight-3/2 sums at rounding level;
+    arg E is a product of unimodular factors read off tables of 2R + 1
+    (per axis) and (2R + 1)^2 (per pair of axes) entries, so no complex exp
+    is taken per point.  Terms below e^{_LOG_TINY} count as 0.
+
+    The pair is kept on z per params: a second call at the same point, or
+    big_theta at the other weight, costs no pass.
     """
     params = params or ThetaParams()
-    m = z.m
-    ns = _box_points(m, truncation_radius(z.Y, params))
-    parity = (ns & 1) @ (1 << np.arange(m - 1, -1, -1))
-    order = np.argsort(parity, kind="stable")
-    # parity class p is the run runs[p]:runs[p + 1] of the sorted points
-    runs = np.searchsorted(parity[order], np.arange(2 ** m + 1))
-    n = ns[order]
-    cols = np.empty((len(n), m + 1))             # the row (1, v) per point
-    cols[:, 0] = 1.0
-    v = cols[:, 1:]
-    # i pi v z v^T = -pi v Y v^T + i pi v X v^T, in real arithmetic
-    exponent = np.empty(len(n), dtype=complex)
-    re_form, im_form = -math.pi * z.Y, math.pi * z.X
-    size = len(coset_table(m))
-    half = np.zeros(size, dtype=complex)
-    three_half = np.zeros((size, m), dtype=complex)
-    for cls in _shift_classes(m):
-        np.add(n, cls.shift, out=v)
-        exponent.real = np.einsum("ij,ij->i", v @ re_form, v)
-        exponent.imag = np.einsum("ij,ij->i", v @ im_form, v)
-        e = np.exp(exponent).view(float).reshape(-1, 2)     # (Re E, Im E)
-        # per parity class, (1, v)^T E: the sums of E and of v E
-        sums = np.array([cols[lo:hi].T @ e[lo:hi]
-                         for lo, hi in zip(runs[:-1], runs[1:])])
-        sums = sums[..., 0] + 1j * sums[..., 1]
-        half[cls.rows] = cls.signs @ sums[:, 0]
-        three_half[cls.rows] = cls.flips[:, None] * (cls.signs @ sums[:, 1:])
-    return half, three_half
+    memo = z._theta_memo()
+    if params not in memo:
+        half, three_half = _theta_pass(z, params)
+        half.setflags(write=False)
+        three_half.setflags(write=False)
+        memo[params] = half, three_half
+    return memo[params]
 
 
 def big_theta(z: SiegelPoint, weight: str,
               params: ThetaParams | None = None) -> tuple:
     """All coset components in the fixed label order (plus lifts).
 
-    Read off theta_vector; theta_component is the per-component oracle.
+    Read off theta_vector, which computes both weights in one pass and keeps
+    them on z, so big_theta at both weights at one point costs one pass;
+    theta_component is the per-component oracle.
     """
     if weight not in ("half", "three_half"):
         raise ValueError(f"unknown weight {weight!r}")

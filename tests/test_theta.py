@@ -274,10 +274,12 @@ def test_theta_vector_matches_components():
 
 
 def test_theta_vector_bit_identical_and_read_by_big_theta():
+    # two points built from one X and Y: two passes, not one kept pair
     for m in (1, 2, 3):
         z = sample_point(m, np.random.default_rng(m))
         half, three_half = theta_vector(z)
-        again = theta_vector(z)
+        again = theta_vector(SiegelPoint(z.X, z.Y))
+        assert again[0] is not half
         assert np.array_equal(half, again[0])
         assert np.array_equal(three_half, again[1])
         for weight, values in (("half", half), ("three_half", three_half)):
@@ -286,14 +288,77 @@ def test_theta_vector_bit_identical_and_read_by_big_theta():
             assert np.array_equal(np.array([c.value for c in comps]), values)
 
 
+def test_theta_vector_is_kept_read_only():
+    z = sample_point(2, np.random.default_rng(5))
+    half, three_half = theta_vector(z)
+    assert theta_vector(z)[0] is half
+    for arr in (half, three_half):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_theta_vector_is_kept_per_params():
+    # radius 6 at tail_tol 0.5 and 24 at 1e-12: visibly different sums
+    for m in (2, 3):
+        z = point_at_radius(m, 6, ThetaParams(tail_tol=0.5), m)
+        kept = {tol: theta_vector(z, ThetaParams(tail_tol=tol))
+                for tol in (1e-12, 0.5)}
+        for tol, (half, three_half) in kept.items():
+            fresh = theta_vector(SiegelPoint(z.X, z.Y), ThetaParams(tail_tol=tol))
+            assert np.array_equal(half, fresh[0])
+            assert np.array_equal(three_half, fresh[1])
+        assert np.max(np.abs(kept[1e-12][0] - kept[0.5][0])) > 1e-6
+
+
+def test_big_theta_at_both_weights_makes_one_pass(monkeypatch):
+    passes = []
+    real_pass = theta._theta_pass
+
+    def counted(z, params):
+        passes.append(params)
+        return real_pass(z, params)
+
+    monkeypatch.setattr(theta, "_theta_pass", counted)
+    z = sample_point(3, np.random.default_rng(3))
+    for weight in ("half", "three_half", "half"):
+        big_theta(z, weight)
+    theta_vector(z)
+    assert passes == [ThetaParams()]
+    big_theta(z, "half", ThetaParams(tail_tol=1e-6))
+    assert len(passes) == 2
+
+
+def test_theta_vector_on_flat_and_tall_points():
+    # Y = diag(20, 0.05): R = 16 and (Y s)_1 = 10, so a per-axis magnitude
+    # factor e^{2 pi n_1 (Y s)_1} would overflow; Y = diag(3000, 1): every
+    # term with a half shift in the first coordinate is below e^{-2000} and
+    # the oracle's sum is exactly 0
+    X = [[0.31, -0.17], [-0.17, 0.23]]
+    for Y in ([[20.0, 0.0], [0.0, 0.05]], [[3000.0, 0.0], [0.0, 1.0]]):
+        z = SiegelPoint(X, Y)
+        half, three_half = theta_vector(z)
+        scale = max(1.0, float(np.max(np.abs(half))))
+        for k, rec in enumerate(coset_table(2)):
+            for weight, got in (("half", half[k]),
+                                ("three_half", three_half[k])):
+                want = theta_component(rec, 1, z, weight).value
+                assert np.all(np.isfinite(got))
+                assert np.max(np.abs(got - want)) < 1e-13 * scale
+                if Y[0][0] > 1000 and rec.eps_q[0] % 2:
+                    assert np.all(want == 0) and np.all(got == 0)
+
+
 def test_shift_classes_fold_opposite_shifts():
     # 2, 5, 14, 41 distinct half shifts eps_q at m = 1..4; eps and -eps
     # share a box
     for m, count in ((1, 2), (2, 4), (3, 11), (4, 31)):
         classes = theta._shift_classes(m)
-        assert len(classes) == count
-        rows = np.sort(np.concatenate([cls.rows for cls in classes]))
-        assert np.array_equal(rows, np.arange(len(coset_table(m))))
+        assert len(classes.shifts) == count
+        assert set(classes.of_label) == set(range(count))
+        for rec, c, flip in zip(coset_table(m), classes.of_label,
+                                classes.flips):
+            assert np.array_equal(rec.eps_q, 2 * flip * classes.shifts[c])
 
 
 @given(seeds)
