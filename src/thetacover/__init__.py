@@ -24,9 +24,9 @@ from .gauss import (SnappedRoot, beta_tilde, coset_split, f_shift,
 from .harness import (MonomialMatrix, VerificationReport,
                       induced_rep_matrix, sample_gamma48, sample_point,
                       verify_scalar_law, verify_vector_law)
-from .symplectic import (IntegerSymplectic, SiegelPoint, is_symplectic,
-                         j_matrix, make_generator, mobius_act,
-                         random_word_element, subgroup_membership)
+from .symplectic import (IntegerSymplectic, SiegelPoint, j_matrix,
+                         make_generator, mobius_act, random_word_element,
+                         subgroup_membership)
 from .theta import (CapacityError, ThetaComponentValue, ThetaParams,
                     big_theta, det_invsqrt, gamma_pair,
                     j_half, j_half_bar, j_three_half, sqrt_det,
@@ -42,14 +42,13 @@ __all__ = [
     "VerificationReport", "beta_tilde", "big_theta", "cbar_cocycle",
     "coset_index_of", "coset_profile", "coset_split", "coset_table",
     "cover_inv", "cover_mul", "det_invsqrt", "enumerate_isotropic",
-    "f_shift", "gamma_pair", "induced_rep_matrix", "is_symplectic",
-    "j_half", "j_half_bar", "j_matrix", "j_three_half", "lambda_bar",
-    "lambda_multiplier", "m_xstar", "make_generator", "maslov_signature",
-    "mobius_act", "modified_cocycle", "pws_decompose", "q0_eval",
-    "random_word_element", "rao_cocycle", "reduce_mod2",
-    "sample_gamma48", "sample_point", "snap_mu8", "sqrt_det",
-    "subgroup_membership", "symplectic_gauss_sum", "theta_component",
-    "theta_series", "theta_vector", "transvection_rep",
+    "f_shift", "gamma_pair", "induced_rep_matrix", "j_half", "j_half_bar",
+    "j_matrix", "j_three_half", "lambda_bar", "lambda_multiplier",
+    "m_xstar", "make_generator", "maslov_signature", "mobius_act",
+    "modified_cocycle", "pws_decompose", "q0_eval", "random_word_element",
+    "rao_cocycle", "reduce_mod2", "sample_gamma48", "sample_point",
+    "snap_mu8", "sqrt_det", "subgroup_membership", "symplectic_gauss_sum",
+    "theta_component", "theta_series", "theta_vector", "transvection_rep",
     "truncation_radius", "verify_scalar_law", "verify_vector_law",
     "x_star",
 ]

@@ -14,7 +14,7 @@ representatives plus the index shift data the component series needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 from .cocycle import CoverElement, Mu8, cover_mul, m_xstar
@@ -156,9 +156,10 @@ def refine_rep(q) -> CosetRecord:
         eps_q[j - 1] = eps_q[k - 1] = -1
         exp -= 1
 
-    lift = CoverElement(IntegerSymplectic.identity(m), 1)
-    for f in factors:
-        lift = cover_mul(lift, CoverElement(f, 1))
+    # the product starts at the first factor; the zero label has none
+    lifts = [CoverElement(f, 1) for f in factors] \
+        or [CoverElement(IntegerSymplectic.identity(m), 1)]
+    lift = reduce(cover_mul, lifts)
     mat, kappa = lift.g, lift.eps
 
     mm = Mu8(exp)

@@ -45,8 +45,6 @@ SNAP_TOL = 1e-9
 def _int_rows(mat) -> list[list[int]]:
     if isinstance(mat, IntegerSymplectic):
         raise TypeError("pass a plain block matrix, not a symplectic matrix")
-    if not hasattr(mat, "__len__"):
-        return [[int(mat)]]
     return [[int(x) for x in row] for row in mat]
 
 

@@ -11,11 +11,12 @@ variants fail at order one.
 
 induced_rep_matrix is that definition, and the oracle of everything built
 on it.  The vector-law verifier does not call it per trial.  Every element
-it draws is a word of letters l_1 ... l_k of a fixed alphabet and gamma_bar
-is a homomorphism on the cover, so it multiplies the images of the letters'
-plus lifts (each built by induced_rep_matrix once per genus and letter, on
-first use), fixes the sign from the cover signs of the word's partial
-products and the lift, and inverts the monomial matrix.
+it draws is a word of letters l_1 ... l_k of a fixed alphabet, drawn as
+random_word_element draws it, and gamma_bar is a homomorphism on the
+cover, so it multiplies the images of the letters' plus lifts (each built
+by induced_rep_matrix once per genus and letter, on first use), takes the
+sign from the word walked on the cover by cover_mul from the lift of l_1,
+and inverts the monomial matrix.
 
 Error convention: every comparison is reported as
 |lhs - rhs| / max(1, |lhs|, |rhs|), so laws whose two sides vanish
@@ -35,14 +36,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cocycle import CoverElement, Mu8, _cbar, cover_inv, cover_mul
+from .cocycle import CoverElement, Mu8, cover_inv, cover_mul
 from .f2cosets import coset_index_of, coset_profile, coset_table
 from .gauss import lambda_bar, lambda_multiplier
-from .symplectic import (IntegerSymplectic, SiegelPoint, _alphabet, _subgroup,
-                         j_matrix, mobius_act, random_word_element,
-                         subgroup_membership)
-from .theta import (CapacityError, ThetaParams, sqrt_det, theta_component,
-                    theta_series, theta_vector, truncation_radius)
+from .symplectic import (IntegerSymplectic, SiegelPoint, _draw_word, j_matrix,
+                         mobius_act, random_word_element, subgroup_membership)
+from .theta import (CapacityError, ThetaParams, j_half_bar, sqrt_det,
+                    theta_component, theta_series, theta_vector,
+                    truncation_radius)
 
 __all__ = [
     "MonomialMatrix",
@@ -182,18 +183,23 @@ def _rel_err(lhs, rhs) -> tuple:
 SAMPLE_BUDGET = 1000
 WORKABLE_BUDGET = 10_000
 
+# Largest cond(Y) that sample_point accepts: flat Y makes the truncation
+# radius explode.
+COND_CAP = 1e4
+
 
 def _random_word(m: int, subgroup: str, rng) -> tuple:
-    """(element, word) of 1 to 8 letters, drawn as random_word_element does."""
-    return random_word_element(m, subgroup, length=int(rng.integers(1, 9)),
-                               seed=int(rng.integers(2**63)))
+    """(element, letters) of a word of 1 to 8 letters, drawn as
+    random_word_element draws it from the same length and seed."""
+    g, entries = _draw_word(m, subgroup, int(rng.integers(1, 9)),
+                            int(rng.integers(2**63)))
+    return g, [letter for *_, letter in entries]
 
 
-def sample_point(m: int, rng, cond_cap: float = 1e4) -> SiegelPoint:
+def sample_point(m: int, rng) -> SiegelPoint:
     """Random z = p(g(z0)): integer word then a generic real parabolic.
 
-    Resamples until cond(Y) <= cond_cap, at most SAMPLE_BUDGET times; flat
-    Y makes the truncation radius explode.
+    Resamples until cond(Y) <= COND_CAP, at most SAMPLE_BUDGET times.
     """
     z0 = SiegelPoint.z0(m)
     for _ in range(SAMPLE_BUDGET):
@@ -204,9 +210,9 @@ def sample_point(m: int, rng, cond_cap: float = 1e4) -> SiegelPoint:
         b = rng.uniform(-1, 1, (m, m))
         b = np.round((b + b.T) / 2, 6)
         z = SiegelPoint(a @ z.X @ a.T + b, a @ z.Y @ a.T)
-        if np.linalg.cond(z.Y) <= cond_cap:
+        if np.linalg.cond(z.Y) <= COND_CAP:
             return z
-    raise RuntimeError(f"sample_point: no point with cond(Y) <= {cond_cap} "
+    raise RuntimeError(f"sample_point: no point with cond(Y) <= {COND_CAP} "
                        f"in {SAMPLE_BUDGET} draws")
 
 
@@ -319,22 +325,12 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
 
 
 def _vector_draw(m: int, seed: int, t: int) -> tuple:
-    """(rng, r, word, eps) of vector-law trial t; the point comes next from rng."""
+    """(rng, r, letters, eps) of vector-law trial t; the point comes next
+    from rng."""
     rng = np.random.default_rng((seed, 1_000_000 + t))
-    r, word = _random_word(m, "Sp", rng)
+    r, letters = _random_word(m, "Sp", rng)
     eps = 1 if rng.integers(2) == 0 else -1
-    return rng, r, word, eps
-
-
-def _letter_key(kind: str, params: dict) -> tuple:
-    return kind, tuple(sorted(params.items()))
-
-
-@lru_cache(maxsize=None)
-def _sp_letters(m: int) -> dict:
-    """Element of each letter of the Sp word sampler, keyed by _letter_key."""
-    return {_letter_key(kind, params): g
-            for kind, params, g in _alphabet(m, _subgroup("Sp"))}
+    return rng, r, letters, eps
 
 
 @lru_cache(maxsize=None)
@@ -343,49 +339,47 @@ def _letter_image(letter: IntegerSymplectic) -> MonomialMatrix:
     return induced_rep_matrix(CoverElement(letter, 1))
 
 
-def _word_rep_inv(m: int, word: list, eps: int) -> MonomialMatrix:
+def _word_rep_inv(letters: list, eps: int) -> MonomialMatrix:
     """gamma_bar(rbar^{-1}) for rbar = (l_1 ... l_k, eps), from letter images.
 
-    The plus lifts multiply to (l_1 ... l_k, s), s the product of the sign
-    cocycles of the k - 1 partial products, and (1, -1) is central, so
+    The plus lifts multiply to (l_1 ... l_k, s), and (1, -1) is central, so
     gamma_bar(rbar) = gamma_bar(l_1, 1) ... gamma_bar(l_k, 1) gamma_bar(1, eps s)
-    with gamma_bar(1, -1) = -Id; gamma_bar(rbar^{-1}) is its inverse.
-    induced_rep_matrix(cover_inv(rbar)) is the oracle.
+    with gamma_bar(1, -1) = -Id.  The cover walk (l_1, eps) (l_2, 1) ...
+    (l_k, 1) ends at (l_1 ... l_k, eps s), which gives that sign;
+    gamma_bar(rbar^{-1}) is the inverse.  induced_rep_matrix(cover_inv(rbar))
+    is the oracle.
     """
-    letters = _sp_letters(m)
-    (kind, params), *rest = word
-    g = letters[_letter_key(kind, params)]
-    image = _letter_image(g)
-    sign = eps
-    for kind, params in rest:
-        letter = letters[_letter_key(kind, params)]
-        g_next = g @ letter
-        sign *= _cbar(g, letter, g_next)
-        g, image = g_next, image @ _letter_image(letter)
-    return (image if sign == 1 else -image).inv()
+    first, *rest = letters
+    walk = CoverElement(first, eps)
+    image = _letter_image(first)
+    for letter in rest:
+        walk = cover_mul(walk, CoverElement(letter, 1))
+        image = image @ _letter_image(letter)
+    return (image if walk.eps == 1 else -image).inv()
 
 
 def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
                       seed: int = 0, params: ThetaParams | None = None) -> VerificationReport:
     """Vector transformation law over the full integer symplectic group.
 
-    Weight 1/2: Theta(rbar z) = eps sqrt_det(r,z) Theta(z) gamma_bar(rbar^{-1})
-    as row vectors of components.  Weight 3/2: the same with the extra
-    (cz+d) acting on the coordinate index (identically vanishing
-    components, compared absolutely).  gamma_bar(rbar^{-1}) is built from
+    Weight 1/2: Theta(rbar z) = j_half_bar(rbar, z) Theta(z) gamma_bar(rbar^{-1})
+    as row vectors of components, where j_half_bar(rbar, z) =
+    eps sqrt_det(r, z).  Weight 3/2: the same with the extra (cz+d) acting
+    on the coordinate index (identically vanishing components, compared
+    absolutely).  gamma_bar(rbar^{-1}) is built from
     the letters of the drawn word (_word_rep_inv), not from its definition.
     """
     def trial(t, params):
-        rng, r, word, eps = _vector_draw(m, seed, t)
+        rng, r, letters, eps = _vector_draw(m, seed, t)
         z, rz = _workable_point(m, r, rng, params)
-        sd = sqrt_det(r, z)
-        G = _word_rep_inv(m, word, eps).to_array()
+        jb = j_half_bar(CoverElement(r, eps), z)
+        G = _word_rep_inv(letters, eps).to_array()
 
         th_z, v_z = theta_vector(z, params)
         th_rz, v_rz = theta_vector(rz, params)
-        rhs = eps * sd * (th_z @ G)
+        rhs = jb * (th_z @ G)
         J = j_matrix(r, z)
-        rhs_v = eps * sd * np.einsum("ab,jb,ji->ia", J, v_z, G)
+        rhs_v = jb * np.einsum("ab,jb,ji->ia", J, v_z, G)
         return (r, z, _rel_err(th_rz, rhs), _rel_err(v_rz, rhs_v),
                 float(np.max(np.abs(v_rz))), {"lift": eps})
 

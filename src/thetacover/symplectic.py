@@ -13,8 +13,9 @@ unchecked, through _trusted.
 
 from __future__ import annotations
 
+import operator
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -125,19 +126,6 @@ def _trusted(rows: tuple) -> IntegerSymplectic:
     return g
 
 
-def is_symplectic(g, tol: float = 1e-10) -> bool:
-    """g^T J g = J, exact for integer input, within tol for float input."""
-    arr = np.asarray(g.rows if isinstance(g, IntegerSymplectic) else g)
-    if arr.ndim != 2:
-        raise ValueError("need an even-dimensional square matrix")
-    if arr.dtype.kind in "iuO":
-        return _exact_symplectic(arr.tolist())
-    if arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
-        raise ValueError("need an even-dimensional square matrix")
-    j = np.array(_j_blocks(arr.shape[0] // 2), dtype=float)
-    return bool(np.max(np.abs(arr.T @ j @ arr - j)) < tol)
-
-
 # --- generators ---
 
 def _eps(m, i, j, t=1):
@@ -242,8 +230,9 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
 # --- congruence subgroups ---
 
 def _diag_even(m1, m2) -> bool:
-    prod = xla.mat_mul(m1, xla.transpose(m2))
-    return all(prod[i][i] % 2 == 0 for i in range(len(prod)))
+    """diag(m1 m2^T) even; entry i is the dot product of the rows i."""
+    return all(sum(x * y for x, y in zip(r1, r2)) % 2 == 0
+               for r1, r2 in zip(m1, m2))
 
 
 @lru_cache(maxsize=64)
@@ -422,6 +411,18 @@ def _letter(kind: str, m: int, params: dict) -> IntegerSymplectic:
     return make_generator(kind, m, **params)
 
 
+def _draw_word(m: int, subgroup: str, length: int, seed: int) -> tuple:
+    """(element, entries): length (kind, params, letter) entries of the
+    subgroup's alphabet drawn by random.Random(seed), and their product,
+    formed from the first letter on (the identity for an empty word)."""
+    alphabet = _alphabet(m, _subgroup(subgroup))
+    rng = random.Random(seed)
+    entries = [rng.choice(alphabet) for _ in range(length)]
+    if not entries:
+        return IntegerSymplectic.identity(m), entries
+    return reduce(operator.matmul, (letter for *_, letter in entries)), entries
+
+
 def random_word_element(m: int, subgroup: str, length: int, seed: int):
     """Seeded random product of generators of the requested subgroup.
 
@@ -431,12 +432,5 @@ def random_word_element(m: int, subgroup: str, length: int, seed: int):
     Samplers exist for Sp, Gamma(1,2) and Gamma(2), spelled as _subgroup
     reads them.
     """
-    letters = _alphabet(m, _subgroup(subgroup))
-    rng = random.Random(seed)
-    g, word = None, []
-    for _ in range(length):
-        kind, params, letter = rng.choice(letters)
-        word.append((kind, dict(params)))
-        # the product starts at the first letter, not at a validated identity
-        g = letter if g is None else g @ letter
-    return (IntegerSymplectic.identity(m) if g is None else g), word
+    g, entries = _draw_word(m, subgroup, length, seed)
+    return g, [(kind, dict(params)) for kind, params, _ in entries]

@@ -20,14 +20,14 @@ is the full degree-8 cocycle.
 Theta sums are box sums over n in [-R, R]^m, R from ``truncation_radius``
 (a heuristic radius, not a certified tail bound: see there).  Summation
 order is fixed (sup-norm shells, lexicographic inside a shell), so results
-are bit-identical run to run.  ``theta_series`` and ``theta_component`` sum
-one box each, term by term with a complex exp per point; they are the
-oracles.  ``theta_vector`` gives every component at both weights from one
-pass that evaluates each half shift once and sums it against the
-characters of n mod 2.  Its terms are one real exp of an exponent summed
-from small tables, times a phase multiplied from small tables of
-unimodular factors, and the pass is kept on the point, so a point pays for
-at most one pass per ThetaParams.
+are bit-identical run to run.  ``theta_component`` sums one box term by
+term, with a complex exp per point, and ``theta_series`` is the same
+direct sum at the zero label; they are the oracles.  ``theta_vector``
+gives every component at both weights from one pass that evaluates each
+half shift once and sums it against the characters of n mod 2.  Its
+terms are one real exp of an exponent summed from small tables, times a
+phase multiplied from small tables of unimodular factors, and the pass is
+kept on the point, so a point pays for at most one pass per ThetaParams.
 """
 
 from __future__ import annotations
@@ -139,22 +139,6 @@ def gamma_pair(z1: SiegelPoint, z2: SiegelPoint) -> complex:
         * float(np.linalg.det(z2.Y)) ** 0.25
 
 
-def _half_factor(form: tuple, g: IntegerSymplectic, z: SiegelPoint) -> complex:
-    """|x|^{-1/2} / det^{-1/2}(-i T) from the rank normal form (j, x, P, Q)
-    of g, or |x|^{-1/2} when j = 0 (see ``sqrt_det``)."""
-    if z.m != g.m:
-        raise ValueError("dimension mismatch")
-    j, x, p, _ = form
-    scale = float(abs(x)) ** -0.5
-    if j == 0:
-        return complex(scale)
-    # P c = diag(1_j, 0) Q^{-1}, so W = Q^{-1}[:j] is exactly (P c)[:j]
-    w = np.array(xla.mat_mul(p[:j], g.c), dtype=float)
-    pd = np.array(p[:j], dtype=float) @ np.array(g.d, dtype=float)
-    t = (w @ z.z + pd) @ w.T
-    return scale / det_invsqrt(-1j * t)
-
-
 def sqrt_det(g: IntegerSymplectic, z: SiegelPoint) -> complex:
     """Genuine square root of det(cz+d), branch fixed by exact bookkeeping.
 
@@ -175,7 +159,17 @@ def j_half(g: IntegerSymplectic, z: SiegelPoint) -> complex:
     In closed form |x(g)|^{-1/2} / det^{-1/2}(-i T) (see ``sqrt_det``);
     its composition defect is the degree-8 cocycle.
     """
-    return _half_factor(_rank_normal_form(g), g, z)
+    if z.m != g.m:
+        raise ValueError("dimension mismatch")
+    j, x, p, _ = _rank_normal_form(g)
+    scale = float(abs(x)) ** -0.5
+    if j == 0:
+        return complex(scale)
+    # P c = diag(1_j, 0) Q^{-1}, so W = Q^{-1}[:j] is exactly (P c)[:j]
+    w = np.array(xla.mat_mul(p[:j], g.c), dtype=float)
+    pd = np.array(p[:j], dtype=float) @ np.array(g.d, dtype=float)
+    t = (w @ z.z + pd) @ w.T
+    return scale / det_invsqrt(-1j * t)
 
 
 def j_half_bar(gbar: CoverElement, z: SiegelPoint) -> complex:
@@ -202,29 +196,31 @@ def _box_points(m: int, radius: int) -> np.ndarray:
     return arr
 
 
-def _weights(ns: np.ndarray, shift: np.ndarray, signs: np.ndarray,
-             z: SiegelPoint) -> np.ndarray:
-    v = ns.astype(float) + shift
-    quad = np.einsum("ni,ij,nj->n", v, z.z, v)
-    return signs * np.exp(1j * math.pi * quad)
+def _box_sum(z: SiegelPoint, m_q: tuple, eps_q: tuple, weight: str,
+             params: ThetaParams | None):
+    """Direct sum of (-1)^{m_q . n} e^{i pi v z v^T}, v = n + eps_q/2, over
+    the box, one complex exp per point; weight "three_half" inserts the
+    moment vector v^T."""
+    if weight not in ("half", "three_half"):
+        raise ValueError(f"unknown weight {weight!r}")
+    ns = _box_points(z.m, truncation_radius(z.Y, params or ThetaParams()))
+    v = ns.astype(float) + np.array(eps_q, dtype=float) / 2
+    w = np.exp(1j * math.pi * np.einsum("ni,ij,nj->n", v, z.z, v))
+    odd = [k for k, x in enumerate(m_q) if x % 2]
+    if odd:
+        # the parity of m_q . n is that of n summed over the odd axes of m_q
+        w = (1.0 - 2.0 * (ns[:, odd].sum(axis=1) & 1)) * w
+    return complex(np.sum(w)) if weight == "half" else v.T @ w
 
 
 def theta_series(z: SiegelPoint, weight: str, params: ThetaParams | None = None):
-    """Plain theta sum over Z^m.
+    """Plain theta sum over Z^m: the zero label's direct sum (m_q = eps_q = 0).
 
     weight "half": sum of e^{i pi n z n^T} (scalar).
     weight "three_half": sum of n^T e^{i pi n z n^T} (m-vector; identically
     zero by the n <-> -n symmetry, kept as an honest computation).
     """
-    params = params or ThetaParams()
-    r = truncation_radius(z.Y, params)
-    ns = _box_points(z.m, r)
-    w = _weights(ns, np.zeros(z.m), np.ones(len(ns)), z)
-    if weight == "half":
-        return complex(np.sum(w))
-    if weight == "three_half":
-        return ns.astype(float).T @ w
-    raise ValueError(f"unknown weight {weight!r}")
+    return _box_sum(z, (0,) * z.m, (0,) * z.m, weight, params)
 
 
 @dataclass(frozen=True)
@@ -256,21 +252,10 @@ def theta_component(rec: CosetRecord, lift_sign: int, z: SiegelPoint,
     """
     if lift_sign not in (1, -1):
         raise ValueError("lift_sign must be +1 or -1")
-    params = params or ThetaParams()
     if z.m != rec.M.m:
         raise ValueError("dimension mismatch")
-    r = truncation_radius(z.Y, params)
-    ns = _box_points(z.m, r)
-    signs = 1.0 - 2.0 * (np.abs(ns @ np.array(rec.m_q, dtype=np.int64)) % 2)
-    shift = np.array(rec.eps_q, dtype=float) / 2
-    w = _weights(ns, shift, signs, z)
     prefactor = Mu8(0) if lift_sign == 1 else Mu8(4)
-    if weight == "half":
-        value = prefactor.value * complex(np.sum(w))
-    elif weight == "three_half":
-        value = prefactor.value * ((ns.astype(float) + shift).T @ w)
-    else:
-        raise ValueError(f"unknown weight {weight!r}")
+    value = prefactor.value * _box_sum(z, rec.m_q, rec.eps_q, weight, params)
     return ThetaComponentValue(q=rec.q, value=value, prefactor=prefactor)
 
 

@@ -11,6 +11,7 @@ from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
                         verify_vector_law)
 from thetacover import harness
 from thetacover.harness import _rel_err
+from thetacover.symplectic import _letter
 
 
 def rand_monomial(n, rng):
@@ -84,16 +85,32 @@ def test_induced_rep_diagonal_on_stabilized_labels():
             assert G.coeffs[i] == lam.inv()
 
 
+def test_trial_word_is_the_sampler_word():
+    # the trials draw their words as random_word_element does: from the
+    # same length and seed, the same element, and the letters its word names
+    for m in (1, 2, 3):
+        for group in ("Sp", "Gamma(1,2)", "Gamma2"):
+            for state in range(6):
+                g, letters = harness._random_word(
+                    m, group, np.random.default_rng((state, m)))
+                rng = np.random.default_rng((state, m))
+                want, word = random_word_element(
+                    m, group, length=int(rng.integers(1, 9)),
+                    seed=int(rng.integers(2**63)))
+                assert g == want
+                assert letters == [_letter(kind, m, params) for kind, params in word]
+
+
 def test_word_path_matches_definition_on_acceptance_seeds():
     # every trial criterion 07 draws (seed 0, 100 trials), at m = 1..3: the
     # letter path gives gamma_bar(rbar^{-1}) exactly as the definition does
     lifts = set()
     for m in (1, 2, 3):
         for t in range(100):
-            _, r, word, eps = harness._vector_draw(m, 0, t)
+            _, r, letters, eps = harness._vector_draw(m, 0, t)
             lifts.add(eps)
             want = induced_rep_matrix(cover_inv(CoverElement(r, eps)))
-            assert harness._word_rep_inv(m, word, eps) == want
+            assert harness._word_rep_inv(letters, eps) == want
     assert lifts == {1, -1}
 
 
@@ -108,7 +125,7 @@ def test_vector_law_report_same_through_definition(monkeypatch):
         drawn.append(out[1])
         return out
 
-    def by_definition(m, word, eps):
+    def by_definition(letters, eps):
         return induced_rep_matrix(cover_inv(CoverElement(drawn[-1], eps)))
 
     monkeypatch.setattr(harness, "_vector_draw", recording_draw)
@@ -209,10 +226,11 @@ def test_sample_point_is_workable():
         assert np.linalg.cond(z.Y) <= 1e4
 
 
-def test_sample_point_budget():
+def test_sample_point_budget(monkeypatch):
     # cond(Y) >= 1 always, so no draw can pass
+    monkeypatch.setattr(harness, "COND_CAP", 0.5)
     with pytest.raises(RuntimeError, match="sample_point"):
-        sample_point(1, np.random.default_rng(0), cond_cap=0.5)
+        sample_point(1, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("verify", [verify_scalar_law, verify_vector_law])
