@@ -145,14 +145,29 @@ def rao_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> Mu8:
     both are Lagrangian because g1, g2 are symplectic.  So the pairings are
     read off the blocks: <X*, X* g2^{-1}> = c2, <X* g1, X*> = c1, and
     <X* g2^{-1}, X* g1> = -c2^T d1^T - a2^T c1^T = -(c1 a2 + d1 c2)^T.
+
+    When either argument lies in the Siegel parabolic (c = 0) the value is
+    Mu8(0), returned without a signature.  Then X* g1 = X* or
+    X* g2^{-1} = X*, so two of the three Lagrangians agree, and a unipotent
+    congruence (d1^T, resp. a2^T, times the repeated block added to the
+    other) turns the Gram matrix into the hyperbolic form ((0, C), (C^T, 0))
+    plus zeros, C the pairing of the two distinct Lagrangians, whose
+    signature is exactly 0.
     """
     if g1.m != g2.m:
         raise ValueError("genus mismatch")
+    if _parabolic(g2) or _parabolic(g1):
+        return Mu8(0)
     c1 = g1.c
     p23 = xla.mat_neg(xla.transpose(xla.mat_add(xla.mat_mul(c1, g2.a),
                                                 xla.mat_mul(g1.d, g2.c))))
     pos, neg = xla.congruence_signature(_maslov_gram(g2.c, p23, c1))
     return Mu8(pos - neg)
+
+
+def _parabolic(g: IntegerSymplectic) -> bool:
+    """g lies in the Siegel parabolic: its c block is zero."""
+    return not any(map(any, g.c))
 
 
 # --- factorization through the partial involutions ---
@@ -204,7 +219,8 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
     never return silently.
     """
     m = g.m
-    j, _, p_row, q_col = _rank_normal_form(g)
+    j, _, p_row, q_int = _rank_normal_form(g)
+    q_col = _fraction_q(q_int)
     a1 = xla.transpose(p_row)                       # P c Q = E_j, a1 = P^T
     a2 = xla.inv(q_col)                             # a2 = Q^{-1}
     gq = [[Fraction(x) for x in row] for row in g.rows]
@@ -262,7 +278,7 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
 
 @lru_cache(maxsize=256)
 def _rank_normal_form(g: IntegerSymplectic) -> tuple:
-    """(j, x, P, Q): P c Q = diag(1_j, 0) and x = x(g), once per g.
+    """(j, x, P, (q, den)): P c Q = diag(1_j, 0) and x = x(g), once per g.
 
     h(P^{-T}) g h(Q) has c block diag(1_j, 0) and a block P^{-T} a Q, whose
     lower right (m - j) block a22 is invertible, and x = det P det a22 /
@@ -273,8 +289,9 @@ def _rank_normal_form(g: IntegerSymplectic) -> tuple:
     ``exactla._pivoting`` of c, with d its last pivot and s = +-1 the sign
     of its swaps, det P / det Q = s / d and det a22 = s det K / d for K the
     rows of c at the j pivot rows and of a at the others, so
-    x = det K / d^2.  P and Q are tuples of Fraction rows; only
-    ``pws_decompose``, the oracle, reads Q.
+    x = det K / d^2.  P is a tuple of Fraction rows.  Q stays in integers,
+    rows q and column denominators den with Q[i][k] = q[i][k] / den[k]:
+    only ``pws_decompose``, the oracle, reads it, through ``_fraction_q``.
     """
     m, c = g.m, g.c
     pivots, sign, order, p, q = xla._pivoting(c)
@@ -289,10 +306,15 @@ def _rank_normal_form(g: IntegerSymplectic) -> tuple:
         pivots_k, sign_k, *_ = xla._pivoting(mixed)
         det_k = sign_k * pivots_k[-1]
     row_den = pivots + [d] * (m - j)
-    col_den = ([1] + pivots)[:j] + [d] * (m - j)
+    col_den = tuple(([1] + pivots)[:j] + [d] * (m - j))
     big_p = tuple(tuple(Fraction(x, den) for x in row) for row, den in zip(p, row_den))
-    big_q = tuple(tuple(Fraction(x, den) for x, den in zip(row, col_den)) for row in q)
-    return j, Fraction(det_k, d * d), big_p, big_q
+    return j, Fraction(det_k, d * d), big_p, (tuple(map(tuple, q)), col_den)
+
+
+def _fraction_q(q_int: tuple) -> tuple:
+    """Q of the rank normal form as Fraction rows, from its (q, den)."""
+    q, den = q_int
+    return tuple(tuple(Fraction(x, k) for x, k in zip(row, den)) for row in q)
 
 
 def m_xstar(g: IntegerSymplectic) -> Mu8:
@@ -301,7 +323,7 @@ def m_xstar(g: IntegerSymplectic) -> Mu8:
     The whole factorization g = p1 omega_S p2 derives it too and is the
     oracle for this one.
     """
-    j, x, _, _ = _rank_normal_form(g)
+    j, x, *_ = _rank_normal_form(g)
     return _normalizing_constant(j, x)
 
 
@@ -338,3 +360,24 @@ def cover_mul(x: CoverElement, y: CoverElement) -> CoverElement:
 def cover_inv(x: CoverElement) -> CoverElement:
     gi = x.g.inverse()
     return CoverElement(gi, x.eps * cbar_cocycle(x.g, gi))
+
+
+def word_lift(letters) -> CoverElement:
+    """The product (l_1, 1) (l_2, 1) ... (l_k, 1) on the cover, in closed form.
+
+    With P_i = l_1 ... l_i the prefixes, each cbar_cocycle(P_{i-1}, l_i) is
+    m(P_i)^{-1} m(P_{i-1}) m(l_i) c~(P_{i-1}, l_i), and Mu8 is abelian, so
+    the m factors telescope: the product is (P_k, s) with
+        s = m(P_k)^{-1} prod_i m(l_i) prod_{i >= 2} c~(P_{i-1}, l_i).
+    m(l_i) reads the letter's cached rank normal form, and c~(P_{i-1}, l_i)
+    costs a signature only when neither P_{i-1} nor l_i lies in the Siegel
+    parabolic (see rao_cocycle).  The prefixes are formed once, and the
+    last is the product itself.  Walking the word with cover_mul is the
+    oracle.
+    """
+    first, *rest = letters
+    prefix, val = first, m_xstar(first)
+    for letter in rest:
+        val = val * m_xstar(letter) * rao_cocycle(prefix, letter)
+        prefix = prefix @ letter
+    return CoverElement(prefix, (m_xstar(prefix).inv() * val).as_sign())

@@ -14,9 +14,13 @@ on it.  The vector-law verifier does not call it per trial.  Every element
 it draws is a word of letters l_1 ... l_k of a fixed alphabet, drawn as
 random_word_element draws it, and gamma_bar is a homomorphism on the
 cover, so it multiplies the images of the letters' plus lifts (each built
-by induced_rep_matrix once per genus and letter, on first use), takes the
-sign from the word walked on the cover by cover_mul from the lift of l_1,
-and inverts the monomial matrix.
+by induced_rep_matrix once per genus and letter, on first use) and
+inverts the monomial matrix.  The plus lifts multiply to (l_1 ... l_k, s),
+and cocycle.word_lift gives s in closed form: the m factors of the sign
+cocycle telescope along the word, and Rao's cocycle needs a signature only
+at letters outside the Siegel parabolic, which in the Sp alphabet is omega
+alone.  The same fold of prefixes gives the element; walking the word
+with cover_mul is the oracle.
 
 Error convention: every comparison is reported as
 |lhs - rhs| / max(1, |lhs|, |rhs|), so laws whose two sides vanish
@@ -30,13 +34,15 @@ drawn and compared.
 
 from __future__ import annotations
 
+import math
+import operator
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .cocycle import CoverElement, Mu8, cover_inv, cover_mul
+from .cocycle import CoverElement, Mu8, cover_inv, cover_mul, word_lift
 from .f2cosets import coset_index_of, coset_profile, coset_table
 from .gauss import lambda_bar, lambda_multiplier
 from .symplectic import (IntegerSymplectic, SiegelPoint, _draw_word, j_matrix,
@@ -62,7 +68,9 @@ class MonomialMatrix:
 
     Row i carries coeffs[i] in column perm[i]; perm is a permutation, so
     columns are covered exactly once as well.  Products and inverses stay
-    exact (permutation composition plus Mu8 arithmetic).
+    exact (permutation composition plus Mu8 arithmetic).  The constructor
+    validates; @, inv() and negation of validated matrices are monomial by
+    closure and skip the check, through _trusted_monomial.
     """
 
     n: int
@@ -87,7 +95,7 @@ class MonomialMatrix:
         perm = tuple(other.perm[self.perm[i]] for i in range(self.n))
         coeffs = tuple(self.coeffs[i] * other.coeffs[self.perm[i]]
                        for i in range(self.n))
-        return MonomialMatrix(self.n, perm, coeffs)
+        return _trusted_monomial(self.n, perm, coeffs)
 
     def inv(self) -> "MonomialMatrix":
         perm = [0] * self.n
@@ -95,11 +103,11 @@ class MonomialMatrix:
         for i in range(self.n):
             perm[self.perm[i]] = i
             coeffs[self.perm[i]] = self.coeffs[i].inv()
-        return MonomialMatrix(self.n, tuple(perm), tuple(coeffs))
+        return _trusted_monomial(self.n, tuple(perm), tuple(coeffs))
 
     def __neg__(self) -> "MonomialMatrix":
-        return MonomialMatrix(self.n, self.perm,
-                              tuple(c * Mu8(4) for c in self.coeffs))
+        return _trusted_monomial(self.n, self.perm,
+                                 tuple(c * Mu8(4) for c in self.coeffs))
 
     def to_array(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=complex)
@@ -110,6 +118,16 @@ class MonomialMatrix:
     def __eq__(self, other):
         return (isinstance(other, MonomialMatrix) and self.n == other.n
                 and self.perm == other.perm and self.coeffs == other.coeffs)
+
+
+def _trusted_monomial(n: int, perm: tuple, coeffs: tuple) -> MonomialMatrix:
+    """Unchecked MonomialMatrix from the product, inverse or negation of
+    validated ones; never for outside input."""
+    out = object.__new__(MonomialMatrix)
+    object.__setattr__(out, "n", n)
+    object.__setattr__(out, "perm", perm)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -188,12 +206,18 @@ WORKABLE_BUDGET = 10_000
 COND_CAP = 1e4
 
 
-def _random_word(m: int, subgroup: str, rng) -> tuple:
-    """(element, letters) of a word of 1 to 8 letters, drawn as
-    random_word_element draws it from the same length and seed."""
-    g, entries = _draw_word(m, subgroup, int(rng.integers(1, 9)),
-                            int(rng.integers(2**63)))
-    return g, [letter for *_, letter in entries]
+def _random_letters(m: int, subgroup: str, rng) -> list:
+    """The letters of a word of 1 to 8 letters, drawn as random_word_element
+    draws them from the same length and seed."""
+    entries = _draw_word(m, subgroup, int(rng.integers(1, 9)),
+                         int(rng.integers(2**63)))
+    return [letter for *_, letter in entries]
+
+
+def _random_word(m: int, subgroup: str, rng) -> IntegerSymplectic:
+    """The element of the word _random_letters draws, formed from its first
+    letter on as random_word_element forms it."""
+    return reduce(operator.matmul, _random_letters(m, subgroup, rng))
 
 
 def sample_point(m: int, rng) -> SiegelPoint:
@@ -203,7 +227,7 @@ def sample_point(m: int, rng) -> SiegelPoint:
     """
     z0 = SiegelPoint.z0(m)
     for _ in range(SAMPLE_BUDGET):
-        z = mobius_act(_random_word(m, "Sp", rng)[0], z0)
+        z = mobius_act(_random_word(m, "Sp", rng), z0)
         a = np.eye(m) + 0.2 * rng.uniform(-1, 1, (m, m))
         if abs(np.linalg.det(a)) < 0.3:
             continue
@@ -250,9 +274,12 @@ def _verify(theorem: str, m: int, trials: int, tol: float,
     (abs, rel) error pair of each weight, the largest weight-3/2 magnitude
     at r z and any further worst-case fields.
     """
-    # a run that compares nothing must not report "passed"
+    # a run that compares nothing must not report "passed", and one whose
+    # bound no error can exceed (or none can meet) checks nothing
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     params = params or ThetaParams()
     coset_table(m)                  # validates m, built before the clock starts
     t_start = time.time()
@@ -296,7 +323,7 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
         rng = np.random.default_rng((seed, t))
         # up to 50 redraws for an r that fixes some shifted label
         for _ in range(51):
-            r, _ = _random_word(m, "Gamma12", rng)
+            r = _random_word(m, "Gamma12", rng)
             stab = [rec for rec in coset_table(m)
                     if any(rec.eps_q) and coset_profile(rec.M @ r) == rec.q]
             if stab:
@@ -325,12 +352,15 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
 
 
 def _vector_draw(m: int, seed: int, t: int) -> tuple:
-    """(rng, r, letters, eps) of vector-law trial t; the point comes next
+    """(rng, letters, rbar, sign) of vector-law trial t: the word's letters,
+    the element rbar = (l_1 ... l_k, eps) with a random lift eps, and the
+    sign with rbar = (l_1, 1) ... (l_k, 1) (1, sign); the point comes next
     from rng."""
     rng = np.random.default_rng((seed, 1_000_000 + t))
-    r, letters = _random_word(m, "Sp", rng)
+    letters = _random_letters(m, "Sp", rng)
     eps = 1 if rng.integers(2) == 0 else -1
-    return rng, r, letters, eps
+    plus = word_lift(letters)
+    return rng, letters, CoverElement(plus.g, eps), eps * plus.eps
 
 
 @lru_cache(maxsize=None)
@@ -339,23 +369,18 @@ def _letter_image(letter: IntegerSymplectic) -> MonomialMatrix:
     return induced_rep_matrix(CoverElement(letter, 1))
 
 
-def _word_rep_inv(letters: list, eps: int) -> MonomialMatrix:
-    """gamma_bar(rbar^{-1}) for rbar = (l_1 ... l_k, eps), from letter images.
+def _word_rep_inv(letters: list, sign: int) -> MonomialMatrix:
+    """gamma_bar(rbar^{-1}) for rbar = (l_1, 1) ... (l_k, 1) (1, sign).
 
-    The plus lifts multiply to (l_1 ... l_k, s), and (1, -1) is central, so
-    gamma_bar(rbar) = gamma_bar(l_1, 1) ... gamma_bar(l_k, 1) gamma_bar(1, eps s)
-    with gamma_bar(1, -1) = -Id.  The cover walk (l_1, eps) (l_2, 1) ...
-    (l_k, 1) ends at (l_1 ... l_k, eps s), which gives that sign;
-    gamma_bar(rbar^{-1}) is the inverse.  induced_rep_matrix(cover_inv(rbar))
-    is the oracle.
+    (1, -1) is central and gamma_bar(1, -1) = -Id, so gamma_bar(rbar) is
+    gamma_bar(l_1, 1) ... gamma_bar(l_k, 1), negated when sign = -1;
+    gamma_bar(rbar^{-1}) is its inverse.  The trial's element (r, eps) is
+    this rbar with sign = eps s, s the sign of the plus lifts' product
+    (r, s) = word_lift(letters).  induced_rep_matrix(cover_inv(rbar)) is
+    the oracle.
     """
-    first, *rest = letters
-    walk = CoverElement(first, eps)
-    image = _letter_image(first)
-    for letter in rest:
-        walk = cover_mul(walk, CoverElement(letter, 1))
-        image = image @ _letter_image(letter)
-    return (image if walk.eps == 1 else -image).inv()
+    image = reduce(operator.matmul, map(_letter_image, letters))
+    return (image if sign == 1 else -image).inv()
 
 
 def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
@@ -370,10 +395,11 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
     the letters of the drawn word (_word_rep_inv), not from its definition.
     """
     def trial(t, params):
-        rng, r, letters, eps = _vector_draw(m, seed, t)
+        rng, letters, rbar, sign = _vector_draw(m, seed, t)
+        r = rbar.g
         z, rz = _workable_point(m, r, rng, params)
-        jb = j_half_bar(CoverElement(r, eps), z)
-        G = _word_rep_inv(letters, eps).to_array()
+        jb = j_half_bar(rbar, z)
+        G = _word_rep_inv(letters, sign).to_array()
 
         th_z, v_z = theta_vector(z, params)
         th_rz, v_rz = theta_vector(rz, params)
@@ -381,7 +407,7 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
         J = j_matrix(r, z)
         rhs_v = jb * np.einsum("ab,jb,ji->ia", J, v_z, G)
         return (r, z, _rel_err(th_rz, rhs), _rel_err(v_rz, rhs_v),
-                float(np.max(np.abs(v_rz))), {"lift": eps})
+                float(np.max(np.abs(v_rz))), {"lift": rbar.eps})
 
     return _verify("vector-law", m, trials, tol, params, trial)
 

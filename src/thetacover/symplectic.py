@@ -411,16 +411,12 @@ def _letter(kind: str, m: int, params: dict) -> IntegerSymplectic:
     return make_generator(kind, m, **params)
 
 
-def _draw_word(m: int, subgroup: str, length: int, seed: int) -> tuple:
-    """(element, entries): length (kind, params, letter) entries of the
-    subgroup's alphabet drawn by random.Random(seed), and their product,
-    formed from the first letter on (the identity for an empty word)."""
+def _draw_word(m: int, subgroup: str, length: int, seed: int) -> list:
+    """The length (kind, params, letter) entries of the subgroup's alphabet
+    drawn by random.Random(seed)."""
     alphabet = _alphabet(m, _subgroup(subgroup))
     rng = random.Random(seed)
-    entries = [rng.choice(alphabet) for _ in range(length)]
-    if not entries:
-        return IntegerSymplectic.identity(m), entries
-    return reduce(operator.matmul, (letter for *_, letter in entries)), entries
+    return [rng.choice(alphabet) for _ in range(length)]
 
 
 def random_word_element(m: int, subgroup: str, length: int, seed: int):
@@ -432,5 +428,8 @@ def random_word_element(m: int, subgroup: str, length: int, seed: int):
     Samplers exist for Sp, Gamma(1,2) and Gamma(2), spelled as _subgroup
     reads them.
     """
-    g, entries = _draw_word(m, subgroup, length, seed)
+    entries = _draw_word(m, subgroup, length, seed)
+    # formed from the first letter on; the identity for an empty word
+    g = (reduce(operator.matmul, (letter for *_, letter in entries)) if entries
+         else IntegerSymplectic.identity(m))
     return g, [(kind, dict(params)) for kind, params, _ in entries]

@@ -79,13 +79,17 @@ MAX_RADIUS = 64
 
 @dataclass(frozen=True)
 class ThetaParams:
-    """Accuracy knob for the truncated lattice sums."""
+    """Accuracy knob for the truncated lattice sums.
+
+    0 < tail_tol < 1: truncation_radius takes log(1 / tail_tol), which is
+    not positive from 1 on.
+    """
 
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
+        if not 0 < self.tail_tol < 1:
+            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
 
 
 def truncation_radius(Y: np.ndarray, params: ThetaParams) -> int:

@@ -239,12 +239,28 @@ def test_out_of_range_runs_exit_2(capsys, tmp_path):
                  ["verify", "--thm", "vector", "--m", "1", "--trials", "-3"],
                  ["verify", "--m", "0", "--trials", "1"],
                  ["verify", "--m", "1", "--trials", "1", "--tail-tol", "0"],
+                 ["verify", "--m", "1", "--trials", "1", "--tail-tol", "2"],
+                 ["verify", "--m", "1", "--trials", "1", "--tail-tol", "inf"],
+                 ["theta", "--z", fz, "--tol", "1"],
                  ["coset-table", "--m", "0"],
                  ["theta", "--z", fz, "--tol", "0"]):
         code, rep = run_json(capsys, *argv)
         assert code == 2 and rep["error"], argv
     code, rep = run_json(capsys, "verify", "--m", "1", "--trials", "0")
     assert "trials" in rep["error"]
+    code, rep = run_json(capsys, "verify", "--m", "1", "--trials", "1",
+                         "--tail-tol", "2")
+    assert "tail_tol must lie in (0, 1)" in rep["error"]
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_verify_tol_that_checks_nothing_exits_2(capsys, tol):
+    # --tol inf used to pass any error, and 0, -1 and nan to fail as a
+    # verification (exit 1)
+    for thm in ("scalar", "vector"):
+        code, rep = run_json(capsys, "verify", "--thm", thm, "--m", "1",
+                             "--trials", "1", "--tol", tol)
+        assert code == 2 and "tol must be positive and finite" in rep["error"]
 
 
 def test_verify_unknown_theorem(capsys):

@@ -1,5 +1,8 @@
 """Eighth-root cocycle, exact factorization, sign cover."""
 
+import functools
+import operator
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -11,7 +14,8 @@ from thetacover import (CoverElement, IntegerSymplectic, Lagrangian, Mu8,
                         random_word_element, rao_cocycle, x_star)
 import exact_reference as ref
 from thetacover import exactla as xla
-from thetacover.cocycle import _rank_normal_form
+from thetacover.cocycle import _fraction_q, _rank_normal_form, word_lift
+from thetacover.symplectic import _draw_word
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -57,16 +61,28 @@ def test_maslov_alternating_in_cyclic_order():
     assert maslov_signature(xs, l3, l2) == -s
 
 
+def parabolic_element(m, seed):
+    """A seeded word in the Siegel parabolic: u and h letters only."""
+    letters = [letter for kind, _, letter in _draw_word(m, "Sp", 12, seed)
+               if kind != "omega"]
+    return functools.reduce(operator.matmul, letters, IntegerSymplectic.identity(m))
+
+
 def test_rao_cocycle_matches_lagrangian_oracle():
-    # the blocks (c1 | d1) and (-c2^T | a2^T) against validated images of X*
+    # the blocks (c1 | d1) and (-c2^T | a2^T) against validated images of X*,
+    # and pairs with one Siegel-parabolic argument (c = 0), in both orders,
+    # where rao_cocycle computes no signature
     for m in (1, 2, 3):
         xs = x_star(m)
         for seed in range(150):
             length = 1 + seed % 12
             g1 = random_word_element(m, "Sp", length, seed=2 * seed)[0]
             g2 = random_word_element(m, "Sp", length, seed=2 * seed + 1)[0]
-            want = maslov_signature(xs, xs.act(g2.inverse()), xs.act(g1))
-            assert rao_cocycle(g1, g2) == Mu8(want)
+            p = parabolic_element(m, seed)
+            assert not any(map(any, p.c))
+            for a, b in ((g1, g2), (p, g1), (g1, p), (p, p)):
+                want = maslov_signature(xs, xs.act(b.inverse()), xs.act(a))
+                assert rao_cocycle(a, b) == Mu8(want)
 
 
 @given(seeds)
@@ -217,10 +233,11 @@ def test_rank_normal_form_matches_fraction_elimination():
     ranks = {}
     for g in words:
         want = reference_rank_normal_form(g)
-        got = _rank_normal_form(g)
+        j, x, p, q_int = _rank_normal_form(g)
+        got = (j, x, p, _fraction_q(q_int))
         assert got == want, g
         assert all(type(v) is Fraction for mat in got[2:] for row in mat for v in row)
-        ranks.setdefault(g.m, set()).add(got[0])
+        ranks.setdefault(g.m, set()).add(j)
     assert ranks == {m: set(range(m + 1)) for m in (1, 2, 3, 4)}
 
 
@@ -239,3 +256,25 @@ def test_cover_is_associative_group(seed):
     assert a.g == b.g and a.eps == b.eps
     e = cover_mul(xs[0], cover_inv(xs[0]))
     assert e.g == IntegerSymplectic.identity(m) and e.eps == 1
+
+
+def test_word_lift_matches_cover_walk():
+    # the closed-form sign of a word's plus lifts against walking the word
+    # on the cover with cover_mul, from either lift of the first letter:
+    # 1440 seeded words, m = 1..4, the three alphabets, 1..30 letters
+    with_two_signatures = 0
+    for m in (1, 2, 3, 4):
+        for group in ("Sp", "Gamma(1,2)", "Gamma2"):
+            for seed in range(60):
+                letters = [letter for *_, letter in
+                           _draw_word(m, group, 1 + seed % 30, seed)]
+                lift = word_lift(letters)
+                for eps in (1, -1):
+                    walk = CoverElement(letters[0], eps)
+                    for letter in letters[1:]:
+                        walk = cover_mul(walk, CoverElement(letter, 1))
+                    assert walk.g == lift.g and walk.eps == eps * lift.eps
+                # the letters whose Rao factor takes a signature
+                signed = [g for g in letters[1:] if any(map(any, g.c))]
+                with_two_signatures += len(signed) >= 2
+    assert with_two_signatures >= 400

@@ -91,7 +91,9 @@ def test_trial_word_is_the_sampler_word():
     for m in (1, 2, 3):
         for group in ("Sp", "Gamma(1,2)", "Gamma2"):
             for state in range(6):
-                g, letters = harness._random_word(
+                g = harness._random_word(
+                    m, group, np.random.default_rng((state, m)))
+                letters = harness._random_letters(
                     m, group, np.random.default_rng((state, m)))
                 rng = np.random.default_rng((state, m))
                 want, word = random_word_element(
@@ -103,14 +105,15 @@ def test_trial_word_is_the_sampler_word():
 
 def test_word_path_matches_definition_on_acceptance_seeds():
     # every trial criterion 07 draws (seed 0, 100 trials), at m = 1..3: the
-    # letter path gives gamma_bar(rbar^{-1}) exactly as the definition does
+    # letter path, with the word's sign in closed form, gives
+    # gamma_bar(rbar^{-1}) exactly as the definition does
     lifts = set()
     for m in (1, 2, 3):
         for t in range(100):
-            _, r, letters, eps = harness._vector_draw(m, 0, t)
-            lifts.add(eps)
-            want = induced_rep_matrix(cover_inv(CoverElement(r, eps)))
-            assert harness._word_rep_inv(letters, eps) == want
+            _, letters, rbar, sign = harness._vector_draw(m, 0, t)
+            lifts.add(rbar.eps)
+            want = induced_rep_matrix(cover_inv(rbar))
+            assert harness._word_rep_inv(letters, sign) == want
     assert lifts == {1, -1}
 
 
@@ -122,11 +125,11 @@ def test_vector_law_report_same_through_definition(monkeypatch):
 
     def recording_draw(m, seed, t):
         out = draw(m, seed, t)
-        drawn.append(out[1])
+        drawn.append(out[2])
         return out
 
-    def by_definition(letters, eps):
-        return induced_rep_matrix(cover_inv(CoverElement(drawn[-1], eps)))
+    def by_definition(letters, sign):
+        return induced_rep_matrix(cover_inv(drawn[-1]))
 
     monkeypatch.setattr(harness, "_vector_draw", recording_draw)
     monkeypatch.setattr(harness, "_word_rep_inv", by_definition)
@@ -195,6 +198,15 @@ def test_scalar_law_small_run():
     assert rep.theorem == "scalar-law" and rep.trials == 6
     d = rep.as_dict()
     assert set(d) >= {"theorem", "m", "trials", "max_rel_error", "passed"}
+
+
+@pytest.mark.parametrize("verify", [verify_scalar_law, verify_vector_law])
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-8])
+def test_verifiers_refuse_a_tol_that_checks_nothing(verify, tol):
+    # an infinite bound passes every error and nan, 0 or a negative one
+    # fails every run: neither is a check
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        verify(1, trials=2, tol=tol)
 
 
 def test_vector_law_small_run():

@@ -156,8 +156,9 @@ def test_truncation_capacity_guard():
         truncation_radius(np.array([[1e-6]]), ThetaParams())
     with pytest.raises(ValueError):
         truncation_radius(np.array([[-1.0]]), ThetaParams())
-    with pytest.raises(ValueError):
-        ThetaParams(tail_tol=0.0)
+    for tol in (0.0, -1e-12, 1.0, 2.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tail_tol must lie in"):
+            ThetaParams(tail_tol=tol)
 
 
 def test_det_invsqrt_validation():
