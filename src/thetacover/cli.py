@@ -2,11 +2,13 @@
 
 Every subcommand prints one JSON report on stdout (coset-table can opt
 into aligned text).  Exit codes: 0 success, 1 a verification ran and
-failed, 2 malformed input.  Matrix files are JSON objects
-{"m": int, "entries": [[...]]} with integer entries, 2m x 2m for group
-elements and m x m for plain blocks; points of the Siegel half space are
-{"m": int, "X": [[...]], "Y": [[...]]}.  A config file given with
---config holds default flag values under their long names.
+failed, 2 malformed input.  Every ValueError and CapacityError that the
+library raises on a subcommand's input means exit 2, with its message as
+the report's "error": cli_run alone makes that mapping.  Matrix files are
+JSON objects {"m": int, "entries": [[...]]} with integer entries, 2m x 2m
+for group elements and m x m for plain blocks; points of the Siegel half
+space are {"m": int, "X": [[...]], "Y": [[...]]}.  A config file given
+with --config holds default flag values under their long names.
 """
 
 from __future__ import annotations
@@ -132,10 +134,6 @@ def _eff(args, cfg: dict, name: str, default):
 
 def _cmd_coset_table(args, cfg) -> int:
     m = _eff(args, cfg, "m", 1)
-    try:
-        table = coset_table(m)
-    except ValueError as e:
-        raise InputError(str(e)) from None
     rows = [{
         "q": list(rec.q),
         "M_prime": _rows(rec.M_prime),
@@ -144,7 +142,7 @@ def _cmd_coset_table(args, cfg) -> int:
         "eps_q": list(rec.eps_q),
         "m_xstar_exponent": rec.m_xstar_q.exponent,
         "kappa": rec.kappa,
-    } for rec in table]
+    } for rec in coset_table(m)]
     if args.text:
         lines = []
         for r in rows:
@@ -182,10 +180,7 @@ def _cmd_cocycle(args, cfg) -> int:
 def _cmd_gauss_sum(args, cfg) -> int:
     d = _load_matrix(args.d, 1)
     c = _load_matrix(args.c, 1)
-    try:
-        value = symplectic_gauss_sum(d, c)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    value = symplectic_gauss_sum(d, c)
     detc = abs(int(exact_det(c)))
     normalized = value / detc ** 0.5
     try:
@@ -206,10 +201,7 @@ def _cmd_gauss_sum(args, cfg) -> int:
 
 def _cmd_beta(args, cfg) -> int:
     g = _load_symplectic(args.g)
-    try:
-        root = beta_tilde(g)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    root = beta_tilde(g)
     _emit({
         "schema": SCHEMA,
         "value": _cplx(root.value.value),
@@ -222,10 +214,7 @@ def _cmd_beta(args, cfg) -> int:
 
 def _cmd_lambda(args, cfg) -> int:
     g = _load_symplectic(args.g)
-    try:
-        root = beta_tilde(g)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    root = beta_tilde(g)
     lam = m_xstar(g) * root.value.inv()
     _emit({
         "schema": SCHEMA,
@@ -248,28 +237,23 @@ def _cmd_theta(args, cfg) -> int:
     tol = _eff(args, cfg, "tol", 1e-12)
     weight = {"1/2": "half", "half": "half",
               "3/2": "three_half", "three_half": "three_half"}[args.weight]
-    try:
-        params = ThetaParams(tail_tol=tol)
-        radius = truncation_radius(z.Y, params)
-    except (CapacityError, ValueError) as e:
-        raise InputError(str(e)) from None
+    params = ThetaParams(tail_tol=tol)
     report = {"schema": SCHEMA, "m": z.m, "weight": args.weight,
-              "tail_bound": tol, "radius": radius}
+              "tail_bound": tol, "radius": truncation_radius(z.Y, params)}
     if args.component is None:
         value = theta_series(z, weight, params)
         report["component"] = None
-        report["value"] = _cplx(value) if weight == "half" \
-            else [_cplx(v) for v in value]
     else:
         q = _parse_label(args.component, z.m)
         recs = [r for r in coset_table(z.m) if r.q == q]
         if not recs:
             raise InputError(f"label {q} is not isotropic; no such component")
         comp = theta_component(recs[0], 1, z, weight, params)
+        value = comp.value
         report["component"] = list(q)
         report["prefactor_exponent"] = comp.prefactor.exponent
-        report["value"] = _cplx(comp.value) if weight == "half" \
-            else [_cplx(v) for v in comp.value]
+    report["value"] = _cplx(value) if weight == "half" \
+        else [_cplx(v) for v in value]
     _emit(report)
     return 0
 
@@ -288,11 +272,8 @@ def _cmd_verify(args, cfg) -> int:
     reports = []
     for kind in names[args.thm]:
         fn = verify_scalar_law if kind == "scalar" else verify_vector_law
-        try:
-            reports.append(fn(m, trials=trials, tol=tol, seed=seed,
-                              params=ThetaParams(tail_tol=tail)))
-        except ValueError as e:
-            raise InputError(str(e)) from None
+        reports.append(fn(m, trials=trials, tol=tol, seed=seed,
+                          params=ThetaParams(tail_tol=tail)))
     _emit({"schema": SCHEMA,
            "reports": [r.as_dict() for r in reports],
            "passed": all(r.passed for r in reports)})
@@ -416,19 +397,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = {}
-    if args.config:
-        try:
+    args = _build_parser().parse_args(argv)
+    try:
+        cfg = {}
+        if args.config:
             cfg = {k.replace("-", "_"): v
                    for k, v in _load_json(args.config).items()}
-        except InputError as e:
-            _emit({"schema": SCHEMA, "error": str(e)})
-            return 2
-    try:
         return args.fn(args, cfg)
-    except InputError as e:
+    except (InputError, ValueError, CapacityError) as e:
         _emit({"schema": SCHEMA, "error": str(e)})
         return 2
 

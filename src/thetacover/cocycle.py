@@ -327,16 +327,12 @@ def m_xstar(g: IntegerSymplectic) -> Mu8:
     return _normalizing_constant(j, x)
 
 
-def _cbar(g1: IntegerSymplectic, g2: IntegerSymplectic,
-          g12: IntegerSymplectic) -> int:
-    """cbar_cocycle(g1, g2) with the product g12 = g1 g2 already formed."""
-    val = m_xstar(g12).inv() * m_xstar(g1) * m_xstar(g2) * rao_cocycle(g1, g2)
-    return val.as_sign()
-
-
 def cbar_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> int:
-    """Sign-valued reduction m(g1 g2)^{-1} m(g1) m(g2) c~(g1, g2); checks +-1."""
-    return _cbar(g1, g2, g1 @ g2)
+    """Sign-valued reduction m(g1 g2)^{-1} m(g1) m(g2) c~(g1, g2); checks +-1.
+
+    This is the two-letter case of word_lift, which computes it.
+    """
+    return word_lift((g1, g2)).eps
 
 
 # --- the two-fold cover ---
@@ -353,8 +349,9 @@ class CoverElement:
 
 
 def cover_mul(x: CoverElement, y: CoverElement) -> CoverElement:
-    g = x.g @ y.g
-    return CoverElement(g, x.eps * y.eps * _cbar(x.g, y.g, g))
+    """(g1, e1) (g2, e2): word_lift of (g1, g2), the sign cocycle, times e1 e2."""
+    plus = word_lift((x.g, y.g))
+    return CoverElement(plus.g, x.eps * y.eps * plus.eps)
 
 
 def cover_inv(x: CoverElement) -> CoverElement:
@@ -372,8 +369,9 @@ def word_lift(letters) -> CoverElement:
     m(l_i) reads the letter's cached rank normal form, and c~(P_{i-1}, l_i)
     costs a signature only when neither P_{i-1} nor l_i lies in the Siegel
     parabolic (see rao_cocycle).  The prefixes are formed once, and the
-    last is the product itself.  Walking the word with cover_mul is the
-    oracle.
+    last is the product itself.  With two letters s is the sign cocycle
+    cbar_cocycle(l_1, l_2), so cbar_cocycle and cover_mul read it here;
+    the cover_mul walk, a chain of such pairs, is the telescoping's oracle.
     """
     first, *rest = letters
     prefix, val = first, m_xstar(first)

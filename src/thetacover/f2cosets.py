@@ -14,10 +14,10 @@ representatives plus the index shift data the component series needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 
-from .cocycle import CoverElement, Mu8, cover_mul, m_xstar
+from .cocycle import Mu8, m_xstar, word_lift
 from .symplectic import IntegerSymplectic, make_generator
 
 MAX_RANK = 8
@@ -157,9 +157,7 @@ def refine_rep(q) -> CosetRecord:
         exp -= 1
 
     # the product starts at the first factor; the zero label has none
-    lifts = [CoverElement(f, 1) for f in factors] \
-        or [CoverElement(IntegerSymplectic.identity(m), 1)]
-    lift = reduce(cover_mul, lifts)
+    lift = word_lift(factors or [IntegerSymplectic.identity(m)])
     mat, kappa = lift.g, lift.eps
 
     mm = Mu8(exp)

@@ -417,8 +417,10 @@ def sample_gamma48(m: int, rng, factors: int = 2) -> IntegerSymplectic:
 
     Commutators of level-2 elements land in the level-(4,8) group; the
     membership predicate is asserted as a cross-check of both the sampler
-    and the predicate.
+    and the predicate.  factors must be at least 1.
     """
+    if factors < 1:
+        raise ValueError(f"need at least one commutator factor, got {factors}")
     out = None
     for _ in range(factors):
         x, _ = random_word_element(m, "Gamma2", length=int(rng.integers(1, 5)),

@@ -142,13 +142,20 @@ def _int_square(mat, n: int, name: str) -> list[list[int]]:
     return rows
 
 
+def _check_indices(m: int, *indices) -> None:
+    """ValueError unless every 1-based index lies in 1..m."""
+    if not all(1 <= i <= m for i in indices):
+        raise ValueError(f"indices {indices} must lie in 1..{m}")
+
+
 def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
     """Standard generators and embeddings, all exactly integral.
 
     Kinds: u (b symmetric), u_minus (c symmetric), h (a in GL_m(Z)),
     omega, omega_S (S subset of 1..m), u_ij / u_minus_ij (t, i=j allowed),
     v_ij (i != j), iota (2x2 block at index i), iota_pair (4x4 block at
-    indices (j, k)).  Indices are 1-based as in the classical notation.
+    indices (j, k)).  Indices are 1-based as in the classical notation, and
+    any index outside 1..m raises ValueError.
     """
     one = xla.identity(m)
     zero = xla.zeros(m, m)
@@ -178,8 +185,7 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
         return make_generator("omega_S", m, S=set(range(1, m + 1)))
     if kind == "omega_S":
         s = set(params["S"])
-        if not s <= set(range(1, m + 1)):
-            raise ValueError("S out of range")
+        _check_indices(m, *s)
         rows = xla.zeros(2 * m, 2 * m)
         for i in range(1, m + 1):
             if i in s:                       # e_i -> -e_i*, e_i* -> e_i
@@ -191,6 +197,7 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
         return IntegerSymplectic(rows)
     if kind in ("u_ij", "u_minus_ij"):
         i, j, t = params["i"], params["j"], int(params.get("t", 1))
+        _check_indices(m, i, j)
         b = _eps(m, i - 1, j - 1, t)
         if i != j:
             b = xla.mat_add(b, _eps(m, j - 1, i - 1, t))
@@ -199,6 +206,7 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
         return assemble(one, zero, xla.mat_neg(b), one)
     if kind == "v_ij":
         i, j, t = params["i"], params["j"], int(params.get("t", 1))
+        _check_indices(m, i, j)
         if i == j:
             raise ValueError("v_ij needs i != j")
         a = xla.mat_add(one, _eps(m, i - 1, j - 1, t))
@@ -206,6 +214,7 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
         return assemble(a, zero, zero, d)
     if kind == "iota":
         i = params["i"]
+        _check_indices(m, i)
         g2 = _int_square(params["g"], 2, "g")
         rows = xla.identity(2 * m)
         idx = [i - 1, m + i - 1]
@@ -215,6 +224,7 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
         return IntegerSymplectic(rows)
     if kind == "iota_pair":
         j, k = params["jk"]
+        _check_indices(m, j, k)
         if j == k:
             raise ValueError("iota_pair needs distinct indices")
         g4 = _int_square(params["g"], 4, "g")
@@ -413,7 +423,9 @@ def _letter(kind: str, m: int, params: dict) -> IntegerSymplectic:
 
 def _draw_word(m: int, subgroup: str, length: int, seed: int) -> list:
     """The length (kind, params, letter) entries of the subgroup's alphabet
-    drawn by random.Random(seed)."""
+    drawn by random.Random(seed); length must be at least 0."""
+    if length < 0:
+        raise ValueError(f"word length must be >= 0, got {length}")
     alphabet = _alphabet(m, _subgroup(subgroup))
     rng = random.Random(seed)
     return [rng.choice(alphabet) for _ in range(length)]

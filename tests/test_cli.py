@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from thetacover import make_generator
+from thetacover import CapacityError, make_generator
+from thetacover import cli
 from thetacover.cli import cli_run
 
 
@@ -293,3 +294,35 @@ def test_config_defaults_and_override(capsys, tmp_path):
         code, rep = run_json(capsys, "--config", str(badcfg),
                              "verify", "--trials", "1")
         assert code == 2 and "config: " in rep["error"], bad
+
+
+def test_library_errors_exit_2_from_every_subcommand(capsys, tmp_path, monkeypatch):
+    # cli_run alone maps a library ValueError or CapacityError to exit 2, so
+    # a subcommand that wraps nothing keeps the contract
+    fg = matrix_file(tmp_path, "om.json", make_generator("omega", 1))
+    fb = block_file(tmp_path, "b.json", [[1]])
+    fz = point_file(tmp_path, "z.json", 1, [[0.0]], [[1.0]])
+    runs = [("coset_table", ["coset-table", "--m", "1"]),
+            ("rao_cocycle", ["cocycle", "--g1", fg, "--g2", fg]),
+            ("symplectic_gauss_sum", ["gauss-sum", "--d", fb, "--c", fb]),
+            ("beta_tilde", ["beta", "--g", fg]),
+            ("beta_tilde", ["lambda", "--g", fg]),
+            ("theta_series", ["theta", "--z", fz]),
+            ("verify_scalar_law", ["verify", "--thm", "scalar", "--m", "1"]),
+            ("_selftest_checks", ["selftest"])]
+
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    for name, argv in runs:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, boom)
+            code, rep = run_json(capsys, *argv)
+        assert code == 2 and rep == {"schema": cli.SCHEMA, "error": "boom"}, argv
+
+    def over_cap(*args, **kwargs):
+        raise CapacityError(99, 64)
+
+    monkeypatch.setattr(cli, "truncation_radius", over_cap)
+    code, rep = run_json(capsys, "theta", "--z", fz)
+    assert code == 2 and rep["error"] == "truncation radius 99 exceeds cap 64"

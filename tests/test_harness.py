@@ -260,3 +260,6 @@ def test_deep_level_sampler():
         assert subgroup_membership(g, "Gamma4_8")
         assert subgroup_membership(g, "Gamma1_2")
         assert coset_profile(g) == (0,) * 4
+    for factors in (0, -1):
+        with pytest.raises(ValueError, match="commutator factor"):
+            sample_gamma48(2, rng, factors=factors)

@@ -45,7 +45,8 @@ def test_validation_survives_optimize():
 import numpy as np
 from thetacover import (CoverElement, IntegerSymplectic, Lagrangian,
                         MonomialMatrix, Mu8, SiegelPoint, ThetaComponentValue,
-                        make_generator, q0_eval, rao_cocycle, sqrt_det,
+                        make_generator, q0_eval, random_word_element,
+                        rao_cocycle, sample_gamma48, sqrt_det,
                         transvection_rep)
 from thetacover.exactla import congruence_signature, det, inv
 from thetacover.f2cosets import refine_rep
@@ -74,6 +75,8 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: make_generator("u", 2, b=[[1]]),
          lambda: make_generator("iota", 2, i=1, g=[[1]]),
          lambda: make_generator("iota_pair", 2, jk=(1, 2), g=[[0, -1], [1, 0]]),
+         lambda: random_word_element(2, "Sp", length=-3, seed=1),
+         lambda: sample_gamma48(2, np.random.default_rng(0), factors=0),
          lambda: MonomialMatrix.identity(2) @ MonomialMatrix.identity(3),
          lambda: Mu8(2).as_sign(),
          lambda: sqrt_det(make_generator("u_ij", 2, i=1, j=1, t=2),
@@ -81,6 +84,13 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: congruence_signature([[0, 1], [0, 0]]),
          lambda: det([[1, 2]]),
          lambda: inv([[1, 2], [2, 4]])]
+unit4 = [[int(r == c) for c in range(4)] for r in range(4)]
+for bad in (0, 3):
+    cases += [lambda bad=bad, kind=kind: make_generator(kind, 2, i=bad, j=1)
+              for kind in ("u_ij", "u_minus_ij", "v_ij")]
+    cases += [lambda bad=bad: make_generator("iota", 2, i=bad, g=[[1, 1], [0, 1]]),
+              lambda bad=bad: make_generator("iota_pair", 2, jk=(1, bad), g=unit4),
+              lambda bad=bad: make_generator("omega_S", 2, S={bad})]
 for case in cases:
     try:
         case()

@@ -33,6 +33,21 @@ def test_generators_are_symplectic():
             assert _exact_symplectic(g.rows)
 
 
+def out_of_range_generators(m):
+    """(kind, params) with one index at 0 or m + 1, for each indexed kind."""
+    unit4 = [[int(r == c) for c in range(4)] for r in range(4)]
+    for bad in (0, m + 1):
+        for kind in ("u_ij", "u_minus_ij"):
+            yield kind, {"i": bad, "j": 1}
+            yield kind, {"i": 1, "j": bad}
+        yield "v_ij", {"i": bad, "j": 1}
+        yield "v_ij", {"i": 1, "j": bad}
+        yield "iota", {"i": bad, "g": [[1, 1], [0, 1]]}
+        yield "iota_pair", {"jk": (bad, 1), "g": unit4}
+        yield "iota_pair", {"jk": (1, bad), "g": unit4}
+        yield "omega_S", {"S": {1, bad}}
+
+
 def test_generator_validation():
     with pytest.raises(ValueError):
         make_generator("u", 2, b=[[0, 1], [2, 0]])       # not symmetric
@@ -51,6 +66,11 @@ def test_generator_validation():
                          ("iota_pair", {"jk": (1, 2), "g": [[0, -1], [1, 0]]})]:
         with pytest.raises(ValueError):
             make_generator(kind, 2, **params)
+    # indices are 1-based: 0 would wrap to the last coordinate
+    for m in (1, 2, 3):
+        for kind, params in out_of_range_generators(m):
+            with pytest.raises(ValueError, match=f"must lie in 1..{m}"):
+                make_generator(kind, m, **params)
 
 
 def test_non_symplectic_rejected():
@@ -151,6 +171,11 @@ def test_word_sampler_deterministic():
     assert g1 == g2 and w1 == w2
     with pytest.raises(ValueError):
         random_word_element(1, "Borel", length=3, seed=0)
+    assert random_word_element(2, "Sp", length=0, seed=1)[0] \
+        == IntegerSymplectic.identity(2)
+    for length in (-1, -3):
+        with pytest.raises(ValueError, match="word length"):
+            random_word_element(2, "Sp", length=length, seed=1)
 
 
 def assert_trusted(g):
