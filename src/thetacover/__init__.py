@@ -28,9 +28,8 @@ from .symplectic import (IntegerSymplectic, SiegelPoint, j_matrix,
                          make_generator, mobius_act, random_word_element,
                          subgroup_membership)
 from .theta import (CapacityError, ThetaComponentValue, ThetaParams,
-                    big_theta, det_invsqrt, gamma_pair,
-                    j_half, j_half_bar, j_three_half, sqrt_det,
-                    theta_component, theta_series, theta_vector,
+                    big_theta, det_invsqrt, gamma_pair, j_half, j_half_bar,
+                    sqrt_det, theta_component, theta_series, theta_vector,
                     truncation_radius)
 
 __version__ = "0.1.0"
@@ -43,7 +42,7 @@ __all__ = [
     "coset_index_of", "coset_profile", "coset_split", "coset_table",
     "cover_inv", "cover_mul", "det_invsqrt", "enumerate_isotropic",
     "f_shift", "gamma_pair", "induced_rep_matrix", "j_half", "j_half_bar",
-    "j_matrix", "j_three_half", "lambda_bar", "lambda_multiplier",
+    "j_matrix", "lambda_bar", "lambda_multiplier",
     "m_xstar", "make_generator", "maslov_signature", "mobius_act",
     "modified_cocycle", "pws_decompose", "q0_eval", "random_word_element",
     "rao_cocycle", "reduce_mod2", "sample_gamma48", "sample_point",

@@ -64,8 +64,8 @@ def _load_json(path: str) -> dict:
 
 def _int_matrix(data, path: str, rows: int, cols: int) -> list:
     try:
-        mat = [[int(x) for x in row] for row in data]
-    except (TypeError, ValueError):
+        mat = [[_number(x, int, path) for x in row] for row in data]
+    except (TypeError, InputError):
         raise InputError(f"{path}: entries must be integers") from None
     if len(mat) != rows or any(len(r) != cols for r in mat):
         raise InputError(f"{path}: expected a {rows}x{cols} matrix")
@@ -105,9 +105,9 @@ def _load_point(path: str) -> SiegelPoint:
             raise InputError(f"{path}: needs keys 'm', 'X' and 'Y'")
     m = _number(data["m"], int, f"{path}: m")
     try:
-        X = np.array(data["X"], dtype=float)
-        Y = np.array(data["Y"], dtype=float)
-    except (TypeError, ValueError):
+        X, Y = (np.array([[_number(x, float, path) for x in row]
+                          for row in data[key]]) for key in ("X", "Y"))
+    except (TypeError, ValueError, InputError):
         raise InputError(f"{path}: X and Y must be numeric matrices") from None
     if X.shape != (m, m) or Y.shape != (m, m):
         raise InputError(f"{path}: X and Y must be {m}x{m}")

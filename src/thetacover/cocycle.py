@@ -73,7 +73,7 @@ class Lagrangian:
     __slots__ = ("m", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(xla.as_int, row)) for row in rows)
         m = len(rows)
         if not m or any(len(r) != 2 * m for r in rows):
             raise ValueError("need an m x 2m matrix")

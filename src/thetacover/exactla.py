@@ -32,6 +32,14 @@ def zeros(r: int, c: int) -> list[list]:
     return [[0] * c for _ in range(r)]
 
 
+def as_int(x) -> int:
+    """int(x) for an entry of outside input; ValueError unless int(x) == x."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"entries must be integers, got {x!r}")
+    return n
+
+
 def transpose(m: Matrix) -> list[list]:
     return [list(col) for col in zip(*m)]
 

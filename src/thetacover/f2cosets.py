@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+from . import exactla as xla
 from .cocycle import Mu8, m_xstar, word_lift
 from .symplectic import IntegerSymplectic, make_generator
 
@@ -47,7 +48,7 @@ def enumerate_isotropic(m: int) -> tuple:
 
 def _isotropic(q) -> tuple:
     """q reduced mod 2; raises ValueError unless it is isotropic for Q0."""
-    q = tuple(int(x) % 2 for x in q)
+    q = tuple(xla.as_int(x) % 2 for x in q)
     if q0_eval(q):
         raise ValueError("q must be isotropic")
     return q

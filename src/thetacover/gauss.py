@@ -45,7 +45,7 @@ SNAP_TOL = 1e-9
 def _int_rows(mat) -> list[list[int]]:
     if isinstance(mat, IntegerSymplectic):
         raise TypeError("pass a plain block matrix, not a symplectic matrix")
-    return [[int(x) for x in row] for row in mat]
+    return [list(map(xla.as_int, row)) for row in mat]
 
 
 def symplectic_gauss_sum(d, c) -> complex:

@@ -50,7 +50,7 @@ class IntegerSymplectic:
     __slots__ = ("m", "rows", "_blocks")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(xla.as_int, row)) for row in rows)
         if not _exact_symplectic(rows):
             raise ValueError("matrix is not symplectic")
         object.__setattr__(self, "m", len(rows) // 2)
@@ -135,8 +135,8 @@ def _eps(m, i, j, t=1):
 
 
 def _int_square(mat, n: int, name: str) -> list[list[int]]:
-    """mat as n x n int rows; ValueError for any other shape."""
-    rows = [[int(x) for x in row] for row in mat]
+    """mat as n x n rows of xla.as_int; ValueError for any other shape."""
+    rows = [list(map(xla.as_int, row)) for row in mat]
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"{name} must be {n} x {n}")
     return rows
@@ -196,7 +196,7 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
                 rows[m + i - 1][m + i - 1] = 1
         return IntegerSymplectic(rows)
     if kind in ("u_ij", "u_minus_ij"):
-        i, j, t = params["i"], params["j"], int(params.get("t", 1))
+        i, j, t = params["i"], params["j"], xla.as_int(params.get("t", 1))
         _check_indices(m, i, j)
         b = _eps(m, i - 1, j - 1, t)
         if i != j:
@@ -205,7 +205,7 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
             return assemble(one, b, zero, one)
         return assemble(one, zero, xla.mat_neg(b), one)
     if kind == "v_ij":
-        i, j, t = params["i"], params["j"], int(params.get("t", 1))
+        i, j, t = params["i"], params["j"], xla.as_int(params.get("t", 1))
         _check_indices(m, i, j)
         if i == j:
             raise ValueError("v_ij needs i != j")

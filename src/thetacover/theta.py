@@ -18,16 +18,17 @@ module; without m_{X*}(g)^{-1} it is the half-weight factor whose defect
 is the full degree-8 cocycle.
 
 Theta sums are box sums over n in [-R, R]^m, R from ``truncation_radius``
-(a heuristic radius, not a certified tail bound: see there).  Summation
-order is fixed (sup-norm shells, lexicographic inside a shell), so results
-are bit-identical run to run.  ``theta_component`` sums one box term by
-term, with a complex exp per point, and ``theta_series`` is the same
-direct sum at the zero label; they are the oracles.  ``theta_vector``
-gives every component at both weights from one pass that evaluates each
-half shift once and sums it against the characters of n mod 2.  Its
-terms are one real exp of an exponent summed from small tables, times a
-phase multiplied from small tables of unimodular factors, and the pass is
-kept on the point, so a point pays for at most one pass per ThetaParams.
+(a heuristic radius, not a certified tail bound: see there).  Every sum
+reads the box in one fixed order, as a tensor of shape (2R + 1,)^m in lex
+order, so results are bit-identical run to run.  ``theta_component`` sums
+one box term by term, with a complex exp per point, and forms no point
+list; ``theta_series`` is the same direct sum at the zero label.  They are
+the oracles.  ``theta_vector`` gives every component at both weights from
+one pass that evaluates each half shift once and sums it against the
+characters of n mod 2.  Its terms are one real exp of an exponent summed
+from small tables, times a phase multiplied from small tables of
+unimodular factors, and the pass is kept on the point, so a point pays
+for at most one pass per ThetaParams.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .cocycle import CoverElement, Mu8, _rank_normal_form, m_xstar
 # bound here only so that perfbench's tracer test can read theta.pws_decompose
 from .cocycle import pws_decompose  # noqa: F401
 from .f2cosets import CosetRecord, coset_table
-from .symplectic import IntegerSymplectic, SiegelPoint, j_matrix
+from .symplectic import IntegerSymplectic, SiegelPoint
 
 __all__ = [
     "CapacityError",
@@ -56,7 +57,6 @@ __all__ = [
     "j_half",
     "sqrt_det",
     "j_half_bar",
-    "j_three_half",
     "theta_series",
     "theta_component",
     "theta_vector",
@@ -181,40 +181,31 @@ def j_half_bar(gbar: CoverElement, z: SiegelPoint) -> complex:
     return gbar.eps * sqrt_det(gbar.g, z)
 
 
-def j_three_half(g, z: SiegelPoint) -> np.ndarray:
-    """Matrix factor J_{1/2}(g, z) * (cz + d) for the weight-3/2 law."""
-    return j_half(g, z) * j_matrix(g, z)
-
-
 # --- lattice sums ---
-
-@lru_cache(maxsize=None)
-def _box_points(m: int, radius: int) -> np.ndarray:
-    """Integer points of [-R, R]^m ordered by sup-norm shell, then lex."""
-    side = 2 * radius + 1
-    pts = np.indices((side,) * m, dtype=np.int64).reshape(m, -1).T - radius
-    # np.indices lists the box in lex order; a stable sort by shell keeps it
-    # inside each shell
-    arr = pts[np.argsort(np.abs(pts).max(axis=1), kind="stable")]
-    arr.setflags(write=False)
-    return arr
-
 
 def _box_sum(z: SiegelPoint, m_q: tuple, eps_q: tuple, weight: str,
              params: ThetaParams | None):
     """Direct sum of (-1)^{m_q . n} e^{i pi v z v^T}, v = n + eps_q/2, over
     the box, one complex exp per point; weight "three_half" inserts the
-    moment vector v^T."""
+    moment vector v^T.  The box is a tensor of shape (2R + 1,)^m in lex
+    order, as in the pass, with v_k along axis k: the terms are broadcast
+    from per-axis vectors, so no point list is formed and nothing is kept.
+    """
     if weight not in ("half", "three_half"):
         raise ValueError(f"unknown weight {weight!r}")
-    ns = _box_points(z.m, truncation_radius(z.Y, params or ThetaParams()))
-    v = ns.astype(float) + np.array(eps_q, dtype=float) / 2
-    w = np.exp(1j * math.pi * np.einsum("ni,ij,nj->n", v, z.z, v))
-    odd = [k for k, x in enumerate(m_q) if x % 2]
-    if odd:
-        # the parity of m_q . n is that of n summed over the odd axes of m_q
-        w = (1.0 - 2.0 * (ns[:, odd].sum(axis=1) & 1)) * w
-    return complex(np.sum(w)) if weight == "half" else v.T @ w
+    m = z.m
+    radius = truncation_radius(z.Y, params or ThetaParams())
+    n = np.arange(-radius, radius + 1)
+    along = [(-1,) + (1,) * (m - 1 - k) for k in range(m)]   # axis k's shape
+    v = [(n + e / 2).reshape(along[k]) for k, e in enumerate(eps_q)]
+    w = np.exp(1j * math.pi * sum(z.z[k, l] * v[k] * v[l]
+                                  for k in range(m) for l in range(m)))
+    for k, x in enumerate(m_q):
+        if x % 2:
+            w *= (1 - 2 * (n & 1)).reshape(along[k])
+    if weight == "half":
+        return complex(w.sum())
+    return np.array([np.sum(v[k] * w) for k in range(m)])
 
 
 def theta_series(z: SiegelPoint, weight: str, params: ThetaParams | None = None):
@@ -389,7 +380,7 @@ def _phases(X: np.ndarray, radius: int, classes: _ShiftClasses) -> tuple:
     e^{i pi X_kk n_k^2} times e^{+-i pi (X_kl + X_lk) n_k / 2} for each l
     with s_l = +-1/2.  cross is the tensor over the box, of shape
     (1,) + (2R + 1,) * m, of the factors e^{i pi (X_kl + X_lk) n_k n_l} of
-    the pairs k < l (None at m = 1), and consts[c] = e^{i pi s X s^T}.
+    the pairs k < l (all ones at m = 1), and consts[c] = e^{i pi s X s^T}.
     Both triangles of X are read, as the oracles' v z v^T does: X is
     symmetric only to 1e-12.  hi + hi^T is exact, its two terms being on
     one grid.
@@ -406,8 +397,6 @@ def _phases(X: np.ndarray, radius: int, classes: _ShiftClasses) -> tuple:
         * powers[classes.offsets[:, None, :], axes[:, None], axes].prod(axis=2)
     shifts = classes.shifts
     consts = np.exp(1j * math.pi * np.sum((shifts @ X) * shifts, axis=1))
-    if m == 1:
-        return tables, None, consts
     cross = np.ones((1,) * (m + 1))
     for k, l in itertools.combinations(range(m), 2):
         shape = [1] * (m + 1)
@@ -468,8 +457,7 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
         for k in range(1, m):
             phase = phase[..., None] * tables[block, k].reshape(
                 (-1,) + (1,) * k + (2 * radius + 1,))
-        if cross is not None:
-            phase *= cross
+        phase *= cross
         e = e * phase
         sums[block] = _character_sums(e, radius)
     sums *= consts[:, None]

@@ -223,6 +223,20 @@ def test_malformed_files(capsys, tmp_path):
     code, rep = run_json(capsys, "theta", "--z", str(listm))
     assert code == 2 and "m must be an integer" in rep["error"]
 
+    # every entry must be a JSON number of its kind: nothing is truncated,
+    # parsed from a string or read from a bool
+    for k, entries in enumerate(([[1.9, 0], [0, 1]], [["1", "0"], ["0", "1"]],
+                                 [[True, 0], [0, 1]])):
+        lax = tmp_path / f"lax{k}.json"
+        lax.write_text(json.dumps({"m": 1, "entries": entries}))
+        code, rep = run_json(capsys, "beta", "--g", str(lax))
+        assert code == 2 and "entries must be integers" in rep["error"]
+    for k, (x, y) in enumerate(((0.0, "0.5"), (True, 1.0), ("0", 1.0))):
+        lax = tmp_path / f"laxpoint{k}.json"
+        lax.write_text(json.dumps({"m": 1, "X": [[x]], "Y": [[y]]}))
+        code, rep = run_json(capsys, "theta", "--z", str(lax))
+        assert code == 2 and "X and Y must be numeric" in rep["error"]
+
 
 def test_verify_small_run(capsys):
     code, rep = run_json(capsys, "verify", "--thm", "scalar", "--m", "1",

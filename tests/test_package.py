@@ -47,7 +47,7 @@ from thetacover import (CoverElement, IntegerSymplectic, Lagrangian,
                         MonomialMatrix, Mu8, SiegelPoint, ThetaComponentValue,
                         make_generator, q0_eval, random_word_element,
                         rao_cocycle, sample_gamma48, sqrt_det,
-                        transvection_rep)
+                        symplectic_gauss_sum, transvection_rep)
 from thetacover.exactla import congruence_signature, det, inv
 from thetacover.f2cosets import refine_rep
 assert False, "asserts are live: not running under -O"
@@ -83,7 +83,16 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
                           SiegelPoint.z0(1)),
          lambda: congruence_signature([[0, 1], [0, 0]]),
          lambda: det([[1, 2]]),
-         lambda: inv([[1, 2], [2, 4]])]
+         lambda: inv([[1, 2], [2, 4]]),
+         # entries that int() would truncate or parse
+         lambda: IntegerSymplectic([[1.9, 0], [0, 1]]),
+         lambda: IntegerSymplectic([["1", "0"], ["0", "1"]]),
+         lambda: make_generator("u", 1, b=[[0.5]]),
+         lambda: make_generator("u_ij", 2, i=1, j=2, t=1.5),
+         lambda: make_generator("v_ij", 2, i=1, j=2, t=0.5),
+         lambda: Lagrangian([[1, 0.5]]),
+         lambda: symplectic_gauss_sum([[1.5]], [[-4]]),
+         lambda: transvection_rep((1.5, 0))]
 unit4 = [[int(r == c) for c in range(4)] for r in range(4)]
 for bad in (0, 3):
     cases += [lambda bad=bad, kind=kind: make_generator(kind, 2, i=bad, j=1)
@@ -103,3 +112,24 @@ print("ok")
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert proc.stdout.strip() == "ok"
+
+
+def test_direct_sums_hold_no_point_list():
+    # m = 3, R = 42: 614,125 points.  A complex tensor over the box is
+    # 9.8 MB; a list of int64 points and its sorted copy, 14.7 MB each.
+    code = """
+import resource
+import numpy as np
+from thetacover import SiegelPoint, ThetaParams, theta_series, truncation_radius
+z = SiegelPoint(np.zeros((3, 3)), 0.0055 * np.eye(3))
+assert truncation_radius(z.Y, ThetaParams()) == 42
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+theta_series(z, "half")
+theta_series(z, "three_half")
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) / 1024)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 48, f"peak RSS rose by {proc.stdout.strip()} MB"
