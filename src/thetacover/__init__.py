@@ -14,7 +14,7 @@ everything as a command line tool.
 
 from .cocycle import (CoverElement, Lagrangian, Mu8, PwsFactorization,
                       cbar_cocycle, cover_inv, cover_mul, m_xstar,
-                      maslov_signature, pws_decompose, rao_cocycle, x_star)
+                      pws_decompose, rao_cocycle, x_star)
 from .f2cosets import (CosetRecord, coset_index_of, coset_profile,
                        coset_table, enumerate_isotropic, q0_eval,
                        reduce_mod2, transvection_rep)
@@ -43,7 +43,7 @@ __all__ = [
     "cover_inv", "cover_mul", "det_invsqrt", "enumerate_isotropic",
     "f_shift", "gamma_pair", "induced_rep_matrix", "j_half", "j_half_bar",
     "j_matrix", "lambda_bar", "lambda_multiplier",
-    "m_xstar", "make_generator", "maslov_signature", "mobius_act",
+    "m_xstar", "make_generator", "mobius_act",
     "modified_cocycle", "pws_decompose", "q0_eval", "random_word_element",
     "rao_cocycle", "reduce_mod2", "sample_gamma48", "sample_point",
     "snap_mu8", "sqrt_det", "subgroup_membership", "symplectic_gauss_sum",

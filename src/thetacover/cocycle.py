@@ -119,24 +119,6 @@ def _maslov_gram(p12, p23, p31) -> list[list[int]]:
     return big
 
 
-def maslov_signature(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> int:
-    """Signature of (x1,x2,x3) -> <x1,x2> + <x2,x3> + <x3,x1> on l1+l2+l3.
-
-    Computed as the signature of twice the Gram matrix in the row bases,
-    which is exact and leaves the value unchanged.
-    """
-    if not l1.m == l2.m == l3.m:
-        raise ValueError("genus mismatch")
-    gram = xla.mat_neg(_j_blocks(l1.m))    # the form <w1, w2> = x1 x2*^T - x1* x2^T
-
-    def pair(u, v):
-        return xla.mat_mul(xla.mat_mul(u.rows, gram), xla.transpose(v.rows))
-
-    pos, neg = xla.congruence_signature(
-        _maslov_gram(pair(l1, l2), pair(l2, l3), pair(l3, l1)))
-    return pos - neg
-
-
 def rao_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> Mu8:
     """The eighth-root two-cocycle attached to the base Lagrangian X*.
 

@@ -34,8 +34,11 @@ def zeros(r: int, c: int) -> list[list]:
 
 def as_int(x) -> int:
     """int(x) for an entry of outside input; ValueError unless int(x) == x."""
-    n = int(x)
-    if n != x:
+    try:
+        n = int(x)
+    except (OverflowError, ValueError):      # +-inf, nan, a non-numeric str
+        n = None
+    if n is None or n != x:
         raise ValueError(f"entries must be integers, got {x!r}")
     return n
 

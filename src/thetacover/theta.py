@@ -26,9 +26,9 @@ list; ``theta_series`` is the same direct sum at the zero label.  They are
 the oracles.  ``theta_vector`` gives every component at both weights from
 one pass that evaluates each half shift once and sums it against the
 characters of n mod 2.  Its terms are one real exp of an exponent summed
-from small tables, times a phase multiplied from small tables of
-unimodular factors, and the pass is kept on the point, so a point pays
-for at most one pass per ThetaParams.
+from small tables, times the phases of the pairs of axes; the per-axis
+phases ride the character weights.  The pass is kept on the point, so a
+point pays for at most one pass per ThetaParams.
 """
 
 from __future__ import annotations
@@ -302,7 +302,8 @@ _LOG_TINY = -700.0
 
 # Points times shift classes per block of a pass: keeps each of the pass's
 # temporary arrays near 256 kB, so that a block's arrays stay in a core's
-# cache (timed at m = 3, R = 8..10: 2^14 beat 2^12, 2^13, 2^15 and 2^16).
+# cache (timed on theta-m3, m = 3, R = 8..10: 2^14 beat 2^13, 2^15 and
+# 2^16 by 2-15 % in items/s).
 _BLOCK = 1 << 14
 
 
@@ -378,9 +379,10 @@ def _phases(X: np.ndarray, radius: int, classes: _ShiftClasses) -> tuple:
 
     tables[c, k, j] is the axis-k factor at n_k = j - R for shift class c:
     e^{i pi X_kk n_k^2} times e^{+-i pi (X_kl + X_lk) n_k / 2} for each l
-    with s_l = +-1/2.  cross is the tensor over the box, of shape
-    (1,) + (2R + 1,) * m, of the factors e^{i pi (X_kl + X_lk) n_k n_l} of
-    the pairs k < l (all ones at m = 1), and consts[c] = e^{i pi s X s^T}.
+    with s_l = +-1/2, which _character_sums puts into axis k's weights.
+    cross, the only factor multiplied over the box, of shape
+    (1,) + (2R + 1,) * m, holds e^{i pi (X_kl + X_lk) n_k n_l} for the
+    pairs k < l (all ones at m = 1), and consts[c] = e^{i pi s X s^T}.
     Both triangles of X are read, as the oracles' v z v^T does: X is
     symmetric only to 1e-12.  hi + hi^T is exact, its two terms being on
     one grid.
@@ -406,26 +408,26 @@ def _phases(X: np.ndarray, radius: int, classes: _ShiftClasses) -> tuple:
     return tables, cross, consts
 
 
-def _character_sums(e: np.ndarray, radius: int) -> np.ndarray:
-    """Sums of w_0(n_0) ... w_{m-1}(n_{m-1}) E(n) over the box, for e of
-    shape (classes,) + (2R + 1,) * m with n_k = j_k - R.
+def _character_sums(e: np.ndarray, radius: int, tables: np.ndarray) -> np.ndarray:
+    """Sums of w_0(n_0) t_0(n_0) ... w_{m-1}(n_{m-1}) t_{m-1}(n_{m-1}) E(n)
+    over the box, for e of shape (classes,) + (2R + 1,) * m, n_k = j_k - R,
+    and t_k(n_k) = tables[c, k, j_k], the axis factors of _phases.
 
     Each w_k is one of 1, (-1)^{n_k}, n_k and (-1)^{n_k} n_k, rows 0 to 3;
     column sum_k r_k 4^k of the result, of shape (classes, 4^m), takes row
-    r_k on axis k.  The axes are contracted last to first, each by one
-    matrix product, the first over the whole box and each next one over a
-    box 4 / (2R + 1) the size.
+    r_k on axis k.  The axes are contracted last to first against t_k w_k,
+    each by one matrix product batched over the classes, the first over the
+    whole box and each next one over a box 4 / (2R + 1) the size.
     """
     side = 2 * radius + 1
     n = np.arange(-radius, radius + 1)
     sign = 1 - 2 * (n & 1)
-    weights = np.array([np.ones_like(n), sign, n, sign * n], dtype=complex).T
-    t = e.reshape(-1, side, 1)
-    for _ in range(e.ndim - 1):
-        rows, _, done = t.shape
-        t = t.transpose(0, 2, 1).reshape(-1, side) @ weights
-        t = t.reshape(-1, side, 4 * done) if rows > len(e) else t.reshape(rows, -1)
-    return t
+    weights = np.array([np.ones_like(n), sign, n, sign * n]).T
+    t = e.reshape(len(e), 1, -1)
+    for k in reversed(range(e.ndim - 1)):
+        t = t.reshape(len(e), side ** k, side, -1).transpose(0, 1, 3, 2)
+        t = t.reshape(len(e), -1, side) @ (tables[:, k, :, None] * weights)
+    return t.reshape(len(e), -1)
 
 
 def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
@@ -434,8 +436,10 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     E(v) = e^{i pi v z v^T} is one real exp of the whole exponent (see
     _exponent; the per-axis factors e^{-2 pi n_k (Ys)_k} alone overflow on
     flat points) times a product of unimodular factors (see _phases), so no
-    complex exp is taken per point.  The shift classes go through the pass
-    side by side, in blocks of at most _BLOCK points times classes.
+    complex exp is taken per point; only the pair factors are multiplied
+    over the box, and _character_sums takes the per-axis ones.  The shift
+    classes go through the pass side by side, in blocks of at most _BLOCK
+    points times classes.
     """
     m = z.m
     radius = truncation_radius(z.Y, params)
@@ -453,13 +457,7 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
         np.maximum(e, _LOG_TINY, out=e)
         np.exp(e, out=e)
         e *= kept
-        phase = tables[block, 0]
-        for k in range(1, m):
-            phase = phase[..., None] * tables[block, k].reshape(
-                (-1,) + (1,) * k + (2 * radius + 1,))
-        phase *= cross
-        e = e * phase
-        sums[block] = _character_sums(e, radius)
+        sums[block] = _character_sums(e * cross, radius, tables[block])
     sums *= consts[:, None]
     of_label = classes.of_label
     half = sums[of_label, classes.half_index]
@@ -487,7 +485,9 @@ def theta_vector(z: SiegelPoint, params: ThetaParams | None = None) -> tuple:
     oracles, which keeps the vanishing weight-3/2 sums at rounding level;
     arg E is a product of unimodular factors read off tables of 2R + 1
     (per axis) and (2R + 1)^2 (per pair of axes) entries, so no complex exp
-    is taken per point.  Terms below e^{_LOG_TINY} count as 0.
+    is taken per point; only the pair factors are multiplied over the box,
+    and the per-axis ones ride the character weights.  Terms below
+    e^{_LOG_TINY} count as 0.
 
     The pair is kept on z per params: a second call at the same point, or
     big_theta at the other weight, costs no pass.

@@ -3,12 +3,16 @@
 The library eliminates fraction-free over ints in one kernel
 (``exactla._pivoting``).  The Fraction eliminations and lattice helpers
 it replaced live here, so the tests can check the kernel, the rank normal
-form and the beta_tilde quotient against code that never calls it.
+form and the beta_tilde quotient against code that never calls it.  The
+Maslov signature of three Lagrangians, from their row bases, is the
+oracle of rao_cocycle's block formula.
 """
 
 from fractions import Fraction
 
 from thetacover import exactla as xla
+from thetacover.cocycle import _maslov_gram
+from thetacover.symplectic import _j_blocks
 
 
 def to_fractions(m):
@@ -115,3 +119,21 @@ def lattice_coordinates(basis, sub):
         assert all(f.denominator == 1 for f in x), "non-integer coordinates"
         coords.append([int(f) for f in x])
     return coords
+
+
+def maslov_signature(l1, l2, l3):
+    """Signature of (x1,x2,x3) -> <x1,x2> + <x2,x3> + <x3,x1> on l1+l2+l3.
+
+    Computed as the signature of twice the Gram matrix in the row bases,
+    which is exact and leaves the value unchanged.
+    """
+    if not l1.m == l2.m == l3.m:
+        raise ValueError("genus mismatch")
+    gram = xla.mat_neg(_j_blocks(l1.m))    # the form <w1, w2> = x1 x2*^T - x1* x2^T
+
+    def pair(u, v):
+        return xla.mat_mul(xla.mat_mul(u.rows, gram), xla.transpose(v.rows))
+
+    pos, neg = xla.congruence_signature(
+        _maslov_gram(pair(l1, l2), pair(l2, l3), pair(l3, l1)))
+    return pos - neg

@@ -249,3 +249,12 @@ def test_signature_of_maslov_grams_matches_reference():
             gram = _maslov_gram(pairing(xs, l2), pairing(l2, l3),
                                 pairing(l3, xs))
             assert xla.congruence_signature(gram) == reference_signature(gram)
+
+
+@pytest.mark.parametrize("x", [float("inf"), -float("inf"), float("nan"),
+                               1.5, "1", "one"])
+def test_as_int_refuses_non_integers_alike(x):
+    # int() raises OverflowError at +-inf and messages of its own at nan
+    # and "one"; each must reach the caller as the documented ValueError
+    with pytest.raises(ValueError, match="entries must be integers"):
+        xla.as_int(x)

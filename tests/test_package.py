@@ -92,7 +92,11 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: make_generator("v_ij", 2, i=1, j=2, t=0.5),
          lambda: Lagrangian([[1, 0.5]]),
          lambda: symplectic_gauss_sum([[1.5]], [[-4]]),
-         lambda: transvection_rep((1.5, 0))]
+         lambda: transvection_rep((1.5, 0)),
+         # entries on which int() raises OverflowError
+         lambda: IntegerSymplectic([[float("inf"), 0], [0, 1]]),
+         lambda: make_generator("u", 1, b=[[float("inf")]]),
+         lambda: symplectic_gauss_sum([[float("inf")]], [[1]])]
 unit4 = [[int(r == c) for c in range(4)] for r in range(4)]
 for bad in (0, 3):
     cases += [lambda bad=bad, kind=kind: make_generator(kind, 2, i=bad, j=1)

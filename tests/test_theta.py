@@ -401,6 +401,32 @@ def test_shift_classes_fold_opposite_shifts():
             assert np.array_equal(rec.eps_q, 2 * flip * classes.shifts[c])
 
 
+def test_character_sums_match_the_box():
+    # against the box sum of e . prod_k t_k(n_k) . prod_k w_{r_k}(n_k),
+    # broadcast here term by term, at column sum_k r_k 4^k
+    rng = np.random.default_rng(17)
+    for m in (1, 2, 3):
+        for radius in (1, 2, 3, 4):
+            for width in (1, 2, 3):
+                side = 2 * radius + 1
+                shape = (width,) + (side,) * m
+                e = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                tables = np.exp(2j * math.pi * rng.random((width, m, side)))
+                n = np.arange(-radius, radius + 1)
+                rows = (np.ones(side), (-1.0) ** n, n, (-1.0) ** n * n)
+                want = np.empty((width, 4 ** m), dtype=complex)
+                for column in range(4 ** m):
+                    term = e
+                    for k in range(m):
+                        along = (side if j == k else 1 for j in range(m))
+                        axis = tables[:, k] * rows[column // 4 ** k % 4]
+                        term = term * axis.reshape(width, *along)
+                    want[:, column] = term.reshape(width, -1).sum(axis=1)
+                got = theta._character_sums(e, radius, tables)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_sqrt_det_squares_to_determinant(seed):
