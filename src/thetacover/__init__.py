@@ -3,18 +3,17 @@
 The package builds, from scratch over the integers, the objects needed
 to state and numerically verify the half-integral transformation laws of
 theta series: the integer symplectic group and its standard generators,
-an eighth-root-of-unity pairing cocycle with exact Lagrangian
-bookkeeping, quadratic Gauss sums trivializing that cocycle on the
-even-diagonal subgroup, the mod-2 coset geometry labelling theta
-components, a genuine square root of det(cz + d) with a pinned branch,
-and truncated lattice sums.  The harness module
-runs randomized end-to-end checks of the laws; the cli module exposes
-everything as a command line tool.
+an exact eighth-root-of-unity cocycle from the Maslov index, quadratic
+Gauss sums trivializing that cocycle on the even-diagonal subgroup, the
+mod-2 coset geometry labelling theta components, a genuine square root
+of det(cz + d) with a pinned branch, and truncated lattice sums.  The
+harness module runs randomized end-to-end checks of the laws; the cli
+module exposes everything as a command line tool.
 """
 
-from .cocycle import (CoverElement, Lagrangian, Mu8, PwsFactorization,
-                      cbar_cocycle, cover_inv, cover_mul, m_xstar,
-                      pws_decompose, rao_cocycle, x_star)
+from .cocycle import (CoverElement, Mu8, PwsFactorization, cbar_cocycle,
+                      cover_inv, cover_mul, m_xstar, pws_decompose,
+                      rao_cocycle)
 from .f2cosets import (CosetRecord, coset_index_of, coset_profile,
                        coset_table, enumerate_isotropic, q0_eval,
                        reduce_mod2, transvection_rep)
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "CosetRecord", "CoverElement", "IntegerSymplectic",
-    "Lagrangian", "MonomialMatrix", "Mu8", "PwsFactorization",
+    "MonomialMatrix", "Mu8", "PwsFactorization",
     "SiegelPoint", "SnappedRoot", "ThetaComponentValue", "ThetaParams",
     "VerificationReport", "beta_tilde", "big_theta", "cbar_cocycle",
     "coset_index_of", "coset_profile", "coset_split", "coset_table",
@@ -49,5 +48,4 @@ __all__ = [
     "snap_mu8", "sqrt_det", "subgroup_membership", "symplectic_gauss_sum",
     "theta_component", "theta_series", "theta_vector", "transvection_rep",
     "truncation_radius", "verify_scalar_law", "verify_vector_law",
-    "x_star",
 ]

@@ -248,10 +248,8 @@ def _cmd_theta(args, cfg) -> int:
         recs = [r for r in coset_table(z.m) if r.q == q]
         if not recs:
             raise InputError(f"label {q} is not isotropic; no such component")
-        comp = theta_component(recs[0], 1, z, weight, params)
-        value = comp.value
+        value = theta_component(recs[0], z, weight, params).value
         report["component"] = list(q)
-        report["prefactor_exponent"] = comp.prefactor.exponent
     report["value"] = _cplx(value) if weight == "half" \
         else [_cplx(v) for v in value]
     _emit(report)
@@ -295,7 +293,7 @@ def _selftest_checks() -> list:
     checks = [
         ("theta_half_at_i", theta_series(z0, "half"), 1.0864348112133082),
         ("alternating_component_at_i",
-         theta_component(rec01, 1, z0, "half").value, 0.9135791381561169),
+         theta_component(rec01, z0, "half").value, 0.9135791381561169),
         ("gamma_pair_4i_i",
          gamma_pair(SiegelPoint([[0]], [[4]]), z0), 2 / 5 ** 0.5),
         ("det_invsqrt_1_minus_i", det_invsqrt([[1 - 1j]]),

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import exactla as xla
-from .symplectic import IntegerSymplectic, _j_blocks, make_generator
+from .symplectic import IntegerSymplectic, make_generator
 
 
 class Mu8:
@@ -45,9 +45,6 @@ class Mu8:
     def inv(self) -> "Mu8":
         return Mu8(-self.exponent)
 
-    def __pow__(self, n: int) -> "Mu8":
-        return Mu8(self.exponent * n)
-
     @property
     def value(self) -> complex:
         return cmath.exp(1j * cmath.pi * self.exponent / 4)
@@ -65,41 +62,6 @@ class Mu8:
 
     def __repr__(self):
         return f"Mu8({self.exponent})"
-
-
-class Lagrangian:
-    """Row span of an m x 2m integer matrix of rank m on which the form vanishes."""
-
-    __slots__ = ("m", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(map(xla.as_int, row)) for row in rows)
-        m = len(rows)
-        if not m or any(len(r) != 2 * m for r in rows):
-            raise ValueError("need an m x 2m matrix")
-        if xla.rank(rows) != m:
-            raise ValueError("rows must be independent")
-        pairing = xla.mat_mul(xla.mat_mul(rows, _j_blocks(m)), xla.transpose(rows))
-        if any(x for row in pairing for x in row):
-            raise ValueError("form must vanish")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Lagrangian is immutable")
-
-    def act(self, g: IntegerSymplectic) -> "Lagrangian":
-        return Lagrangian(xla.mat_mul([list(r) for r in self.rows], g.rows))
-
-    def __repr__(self):
-        return f"Lagrangian({[list(r) for r in self.rows]})"
-
-
-@lru_cache(maxsize=None)
-def x_star(m: int) -> Lagrangian:
-    """The base Lagrangian X* = (0 | 1_m); cached, as Lagrangian is immutable."""
-    return Lagrangian([[0] * m + [1 if j == i else 0 for j in range(m)]
-                       for i in range(m)])
 
 
 def _maslov_gram(p12, p23, p31) -> list[list[int]]:

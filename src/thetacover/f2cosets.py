@@ -39,6 +39,10 @@ def q0_eval(v) -> int:
 @lru_cache(maxsize=None)
 def enumerate_isotropic(m: int) -> tuple:
     """All v in F2^{2m} with Q0(v) = 0, in lexicographic order."""
+    try:
+        m = xla.as_int(m)
+    except ValueError:
+        raise ValueError(f"m must be an integer, got {m!r}") from None
     if not 1 <= m <= MAX_RANK:
         raise ValueError(f"supported ranks are 1..{MAX_RANK}")
     vs = tuple(v for v in product((0, 1), repeat=2 * m) if q0_eval(v) == 0)
@@ -104,20 +108,19 @@ _PAIR_BLOCK = ((0, -1, -1, 0), (-1, 0, 0, -1), (1, 1, 1, 0), (1, 1, 0, 1))
 class CosetRecord:
     """One coset: its profile q, both representatives, and shift data.
 
-    S0 lists coordinates carrying a single nonzero component, S1 the
-    ascending consecutive pairs of anisotropic coordinates.  m_q and eps_q
-    are the sign-shift and half-shift vectors of the component series, and
-    m_xstar_q is the product of the factor normalizing constants.  kappa is
-    the sign accumulated by multiplying the plus-lifts of the factors in the
-    sign cover; the normalizing constant of the product matrix M itself is
+    m_q and eps_q are the sign-shift and half-shift vectors of the
+    component series: a coordinate carrying a single nonzero component of
+    q sets one of them to 1, and each ascending consecutive pair of
+    anisotropic coordinates sets both to -1.  m_xstar_q is the product of
+    the factor normalizing constants.  kappa is the sign accumulated by
+    multiplying the plus-lifts of the factors in the sign cover; the
+    normalizing constant of the product matrix M itself is
     kappa * m_xstar_q, which can differ from m_xstar_q even though the
     factors live in disjoint coordinate blocks.
     """
     q: tuple
     M_prime: IntegerSymplectic
     M: IntegerSymplectic
-    S0: tuple
-    S1: tuple
     m_q: tuple
     eps_q: tuple
     m_xstar_q: Mu8
@@ -167,9 +170,8 @@ def refine_rep(q) -> CosetRecord:
     idx = _label_index(m)[q]
     assert coset_index_of(m_prime) == idx == coset_index_of(mat), \
         "representatives landed in the wrong coset"
-    return CosetRecord(q=q, M_prime=m_prime, M=mat, S0=tuple(singles),
-                       S1=tuple(pairs), m_q=tuple(m_q), eps_q=tuple(eps_q),
-                       m_xstar_q=mm, kappa=kappa)
+    return CosetRecord(q=q, M_prime=m_prime, M=mat, m_q=tuple(m_q),
+                       eps_q=tuple(eps_q), m_xstar_q=mm, kappa=kappa)
 
 
 @lru_cache(maxsize=None)

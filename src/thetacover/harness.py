@@ -42,6 +42,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from . import exactla as xla
 from .cocycle import CoverElement, Mu8, cover_inv, cover_mul, word_lift
 from .f2cosets import coset_index_of, coset_profile, coset_table
 from .gauss import lambda_bar, lambda_multiplier
@@ -85,10 +86,6 @@ class MonomialMatrix:
         if not all(isinstance(c, Mu8) for c in self.coeffs):
             raise ValueError("coefficients must be Mu8")
 
-    @classmethod
-    def identity(cls, n: int) -> "MonomialMatrix":
-        return cls(n, tuple(range(n)), tuple(Mu8(0) for _ in range(n)))
-
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         if self.n != other.n:
             raise ValueError("size mismatch")
@@ -114,10 +111,6 @@ class MonomialMatrix:
         for i in range(self.n):
             out[i, self.perm[i]] = self.coeffs[i].value
         return out
-
-    def __eq__(self, other):
-        return (isinstance(other, MonomialMatrix) and self.n == other.n
-                and self.perm == other.perm and self.coeffs == other.coeffs)
 
 
 def _trusted_monomial(n: int, perm: tuple, coeffs: tuple) -> MonomialMatrix:
@@ -276,6 +269,10 @@ def _verify(theorem: str, m: int, trials: int, tol: float,
     """
     # a run that compares nothing must not report "passed", and one whose
     # bound no error can exceed (or none can meet) checks nothing
+    try:
+        trials = xla.as_int(trials)
+    except ValueError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 < tol < math.inf:
@@ -321,13 +318,18 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
     """
     def trial(t, params):
         rng = np.random.default_rng((seed, t))
-        # up to 50 redraws for an r that fixes some shifted label
+        table = coset_table(m)
+        # up to 51 draws for an r that fixes some shifted label (stab holds
+        # their indices); without one the trial would compare nothing
         for _ in range(51):
             r = _random_word(m, "Gamma12", rng)
-            stab = [rec for rec in coset_table(m)
+            stab = [k for k, rec in enumerate(table)
                     if any(rec.eps_q) and coset_profile(rec.M @ r) == rec.q]
             if stab:
                 break
+        else:
+            raise RuntimeError("verify_scalar_law: no element fixing a "
+                               "shifted label in 51 draws")
         z, rz = _workable_point(m, r, rng, params)
         sd = sqrt_det(r, z)
 
@@ -335,18 +337,15 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
         rhs = lambda_multiplier(r).value * sd * theta_series(z, "half", params)
         half = _rel_err(lhs, rhs)
 
-        three_half, mag32 = (0.0, 0.0), 0.0
-        if stab:
-            rec = stab[int(rng.integers(len(stab)))]
-            mbar = CoverElement(rec.M, rec.kappa)
-            rbar = CoverElement(r, 1)
-            lam = lambda_bar(cover_mul(cover_mul(mbar, rbar), cover_inv(mbar)))
-            v_z = theta_component(rec, 1, z, "three_half", params).value
-            v_rz = theta_component(rec, 1, rz, "three_half", params).value
-            rhs_v = sd * (j_matrix(r, z) @ v_z) * lam.value
-            three_half = _rel_err(v_rz, rhs_v)
-            mag32 = float(np.max(np.abs(v_rz)))
-        return r, z, half, three_half, mag32, {}
+        k = stab[int(rng.integers(len(stab)))]
+        rec = table[k]
+        mbar_r = cover_mul(CoverElement(rec.M, rec.kappa), CoverElement(r, 1))
+        lam = lambda_bar(cover_mul(mbar_r, _inv_lift(m, k)))
+        v_z = theta_component(rec, z, "three_half", params).value
+        v_rz = theta_component(rec, rz, "three_half", params).value
+        rhs_v = sd * (j_matrix(r, z) @ v_z) * lam.value
+        return (r, z, half, _rel_err(v_rz, rhs_v), float(np.max(np.abs(v_rz))),
+                {})
 
     return _verify("scalar-law", m, trials, tol, params, trial)
 

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exactla as xla
-from .cocycle import CoverElement, Mu8, _rank_normal_form, m_xstar
+from .cocycle import CoverElement, _rank_normal_form, m_xstar
 # bound here only so that perfbench's tracer test can read theta.pws_decompose
 from .cocycle import pws_decompose  # noqa: F401
 from .f2cosets import CosetRecord, coset_table
@@ -220,38 +220,25 @@ def theta_series(z: SiegelPoint, weight: str, params: ThetaParams | None = None)
 
 @dataclass(frozen=True)
 class ThetaComponentValue:
-    """One entry of the theta vector.
-
-    value carries the unimodular prefactor already; prefactor records it
-    separately.  With the standard plus lift of every representative
-    factor, the prefactor is the lift sign itself: the product of the
-    factor constants cancels against the normalizing constant attached
-    to the label.
-    """
+    """One entry of the theta vector: the label q and its value at the
+    plus lift of the label's representative."""
 
     q: tuple
     value: object
-    prefactor: Mu8
-
-    def __post_init__(self):
-        if not isinstance(self.prefactor, Mu8):
-            raise ValueError("prefactor must be an eighth root of unity (Mu8)")
 
 
-def theta_component(rec: CosetRecord, lift_sign: int, z: SiegelPoint,
-                    weight: str, params: ThetaParams | None = None) -> ThetaComponentValue:
+def theta_component(rec: CosetRecord, z: SiegelPoint, weight: str,
+                    params: ThetaParams | None = None) -> ThetaComponentValue:
     """Sign-twisted, half-shifted theta sum attached to one coset label.
 
-    Computes prefactor * sum (-1)^{m_q . n} e^{i pi (n + eps_q/2) z (n + eps_q/2)^T}
-    (weight "three_half" inserts the moment vector (n + eps_q/2)^T).
+    Computes sum (-1)^{m_q . n} e^{i pi (n + eps_q/2) z (n + eps_q/2)^T}, the
+    component at the plus lift (weight "three_half" inserts the moment
+    vector (n + eps_q/2)^T).
     """
-    if lift_sign not in (1, -1):
-        raise ValueError("lift_sign must be +1 or -1")
     if z.m != rec.M.m:
         raise ValueError("dimension mismatch")
-    prefactor = Mu8(0) if lift_sign == 1 else Mu8(4)
-    value = prefactor.value * _box_sum(z, rec.m_q, rec.eps_q, weight, params)
-    return ThetaComponentValue(q=rec.q, value=value, prefactor=prefactor)
+    return ThetaComponentValue(
+        q=rec.q, value=_box_sum(z, rec.m_q, rec.eps_q, weight, params))
 
 
 @dataclass(frozen=True)
@@ -473,7 +460,7 @@ def theta_vector(z: SiegelPoint, params: ThetaParams | None = None) -> tuple:
 
     Returns (half, three_half), read-only arrays of shape (N,) and (N, m) in
     coset_table(m) order with the plus lift: half[k] and three_half[k]
-    are theta_component(coset_table(m)[k], 1, z, weight, params).value up
+    are theta_component(coset_table(m)[k], z, weight, params).value up
     to rounding, on the same points (n + eps_q/2, n in [-R, R]^m).  The
     labels fall into a few classes of shifts +-eps/2; per class s, E(v) =
     e^{i pi v z v^T} and n E(v) (v = n + s) are summed over the box against
@@ -508,11 +495,12 @@ def big_theta(z: SiegelPoint, weight: str,
 
     Read off theta_vector, which computes both weights in one pass and keeps
     them on z, so big_theta at both weights at one point costs one pass;
-    theta_component is the per-component oracle.
+    entry k is theta_component(coset_table(m)[k], z, weight, params) up to
+    rounding, the per-component oracle.
     """
     if weight not in ("half", "three_half"):
         raise ValueError(f"unknown weight {weight!r}")
     half, three_half = theta_vector(z, params)
     values = half if weight == "half" else three_half
-    return tuple(ThetaComponentValue(q=rec.q, value=value, prefactor=Mu8(0))
+    return tuple(ThetaComponentValue(q=rec.q, value=value)
                  for rec, value in zip(coset_table(z.m), values))

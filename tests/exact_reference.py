@@ -121,19 +121,38 @@ def lattice_coordinates(basis, sub):
     return coords
 
 
+def x_star(m):
+    """Row basis of the base Lagrangian X* = (0 | 1_m)."""
+    return [[0] * m + [int(j == i) for j in range(m)] for i in range(m)]
+
+
+def x_star_image(g):
+    """Row basis X* g of the image of X* under g."""
+    return xla.mat_mul(x_star(g.m), g.rows)
+
+
+def pairing(u, v):
+    """<u, v> = x x'*^T - x* x'^T on the row bases u = (x | x*), v = (x' | x'*)."""
+    gram = xla.mat_neg(_j_blocks(len(u[0]) // 2))
+    return xla.mat_mul(xla.mat_mul(u, gram), xla.transpose(v))
+
+
 def maslov_signature(l1, l2, l3):
     """Signature of (x1,x2,x3) -> <x1,x2> + <x2,x3> + <x3,x1> on l1+l2+l3.
 
-    Computed as the signature of twice the Gram matrix in the row bases,
-    which is exact and leaves the value unchanged.
+    l1, l2 and l3 are row bases, m x 2m; ValueError unless each spans a
+    Lagrangian: rank m by the Fraction rank above, and the form vanishes
+    on it.  Computed as the signature of twice the Gram matrix in the row
+    bases, which is exact and leaves the value unchanged.
     """
-    if not l1.m == l2.m == l3.m:
-        raise ValueError("genus mismatch")
-    gram = xla.mat_neg(_j_blocks(l1.m))    # the form <w1, w2> = x1 x2*^T - x1* x2^T
-
-    def pair(u, v):
-        return xla.mat_mul(xla.mat_mul(u.rows, gram), xla.transpose(v.rows))
-
+    m = len(l1)
+    for rows in (l1, l2, l3):
+        if len(rows) != m or any(len(row) != 2 * m for row in rows):
+            raise ValueError("need three m x 2m row bases")
+        if rank(rows) != m:
+            raise ValueError("rows must be independent")
+        if any(map(any, pairing(rows, rows))):
+            raise ValueError("form must vanish")
     pos, neg = xla.congruence_signature(
-        _maslov_gram(pair(l1, l2), pair(l2, l3), pair(l3, l1)))
+        _maslov_gram(pairing(l1, l2), pairing(l2, l3), pairing(l3, l1)))
     return pos - neg

@@ -160,7 +160,7 @@ def test_theta_plain_and_component(capsys, tmp_path):
     code, rep = run_json(capsys, "theta", "--z", fz, "--component", "01")
     assert code == 0
     assert rep["value"]["re"] == pytest.approx(0.9135791381561169, abs=1e-11)
-    assert rep["prefactor_exponent"] == 0
+    assert rep["component"] == [0, 1] and "prefactor_exponent" not in rep
 
     code, rep = run_json(capsys, "theta", "--z", fz, "--weight", "3/2")
     assert code == 0

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import exact_reference as ref
 from thetacover import exactla as xla
-from thetacover import random_word_element, x_star
+from thetacover import random_word_element
 from thetacover.cocycle import _maslov_gram
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -59,7 +59,7 @@ def test_elimination_matches_fraction_reference(mat):
        .flatmap(lambda t: matrices(t[1], t[0], 2 * t[0])))
 @settings(max_examples=200, deadline=None)
 def test_rank_of_wide_matrices_matches_fraction_reference(mat):
-    # the m x 2m row bases that Lagrangian validation ranks
+    # the m x 2m row bases, as the Maslov reference ranks its planes
     assert xla.rank(mat) == ref.rank(mat)
     assert xla.rank(xla.transpose(mat)) == ref.rank(mat)
 
@@ -230,9 +230,9 @@ def test_signature_zero_diagonal_blocks(s):
 
 def pairing(l1, l2):
     """<l1, l2> = x1 y*^T - x1* y^T on the row bases of two Lagrangians."""
-    m = l1.m
-    x, xs = [r[:m] for r in l1.rows], [r[m:] for r in l1.rows]
-    y, ys = [r[:m] for r in l2.rows], [r[m:] for r in l2.rows]
+    m = len(l1)
+    x, xs = [r[:m] for r in l1], [r[m:] for r in l1]
+    y, ys = [r[:m] for r in l2], [r[m:] for r in l2]
     return xla.mat_add(xla.mat_mul(x, xla.transpose(ys)),
                        xla.mat_neg(xla.mat_mul(xs, xla.transpose(y))))
 
@@ -240,12 +240,12 @@ def pairing(l1, l2):
 def test_signature_of_maslov_grams_matches_reference():
     # the 3m x 3m Gram matrices that rao_cocycle hands to the signature
     for m in (1, 2, 3):
-        xs = x_star(m)
+        xs = ref.x_star(m)
         for seed in range(400):
             length = 1 + seed % 12
             g1 = random_word_element(m, "Sp", length, seed=2 * seed)[0]
             g2 = random_word_element(m, "Sp", length, seed=2 * seed + 1)[0]
-            l2, l3 = xs.act(g2.inverse()), xs.act(g1)
+            l2, l3 = ref.x_star_image(g2.inverse()), ref.x_star_image(g1)
             gram = _maslov_gram(pairing(xs, l2), pairing(l2, l3),
                                 pairing(l3, xs))
             assert xla.congruence_signature(gram) == reference_signature(gram)

@@ -91,8 +91,8 @@ def test_lift_sign_reproduces_direct_constant():
 
 def test_pair_label_uses_unipotent_block_rep():
     rec = [r for r in coset_table(2) if r.q == (1, 1, 1, 1)][0]
-    assert rec.S1 == ((1, 2),)
-    assert rec.S0 == ()
+    # coordinates 1 and 2 form one anisotropic pair; no coordinate is single
+    assert rec.m_q == (-1, -1) and rec.eps_q == (-1, -1)
     # both representatives sit in the same coset but differ as matrices
     assert rec.M != rec.M_prime
 

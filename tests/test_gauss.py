@@ -11,7 +11,7 @@ from thetacover import (IntegerSymplectic, Mu8, beta_tilde, coset_split,
                         f_shift, lambda_bar, lambda_multiplier,
                         make_generator, modified_cocycle,
                         random_word_element, rao_cocycle, snap_mu8,
-                        subgroup_membership, symplectic_gauss_sum, x_star)
+                        subgroup_membership, symplectic_gauss_sum)
 import exact_reference as ref
 from thetacover import exactla as xla
 from thetacover.cocycle import CoverElement
@@ -122,7 +122,7 @@ def reference_beta_quotient_sum(g) -> tuple[complex, int]:
     """
     m = g.m
     c_rows, d_rows = g.c, g.d
-    xstar = [list(r) for r in x_star(m).rows]
+    xstar = ref.x_star(m)
     ystar = [list(c_rows[i]) + list(d_rows[i]) for i in range(m)]
     numerator = ref.saturation(xstar + ystar)
     h, _ = xla.hnf_with_transform(xstar + ref.saturation(ystar))

@@ -20,9 +20,13 @@ def rand_monomial(n, rng):
     return MonomialMatrix(n, perm, coeffs)
 
 
+def eye(n):
+    return MonomialMatrix(n, tuple(range(n)), (Mu8(0),) * n)
+
+
 def test_monomial_group_laws():
     rng = np.random.default_rng(0)
-    e = MonomialMatrix.identity(5)
+    e = eye(5)
     for _ in range(20):
         a = rand_monomial(5, rng)
         b = rand_monomial(5, rng)
@@ -42,14 +46,14 @@ def test_monomial_validation():
     with pytest.raises(ValueError):
         MonomialMatrix(1, (0,), (0,))
     with pytest.raises(ValueError):
-        MonomialMatrix.identity(2) @ MonomialMatrix.identity(3)
+        eye(2) @ eye(3)
 
 
 def test_induced_rep_identity_and_center():
     for m in (1, 2):
         n = len(coset_table(m))
         one = IntegerSymplectic.identity(m)
-        assert induced_rep_matrix(CoverElement(one, 1)) == MonomialMatrix.identity(n)
+        assert induced_rep_matrix(CoverElement(one, 1)) == eye(n)
         center = induced_rep_matrix(CoverElement(one, -1))
         assert center.perm == tuple(range(n))
         assert all(c == Mu8(4) for c in center.coeffs)
@@ -251,6 +255,25 @@ def test_workable_point_budget(monkeypatch, verify):
     monkeypatch.setattr(harness, "WORKABLE_BUDGET", 50)
     with pytest.raises(RuntimeError, match="_workable_point"):
         verify(1, trials=1, seed=0)
+
+
+def test_scalar_law_stabilizer_budget(monkeypatch):
+    # with no shifted label ever fixed a trial would compare nothing at
+    # weight 3/2; the search must raise, not pass vacuously
+    monkeypatch.setattr(harness, "coset_profile", lambda g: None)
+    with pytest.raises(RuntimeError, match="no element fixing a shifted label"):
+        verify_scalar_law(1, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("verify", [verify_scalar_law, verify_vector_law])
+def test_verifiers_take_trials_by_the_integer_rule(verify):
+    for bad in (2.5, "2", float("nan")):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            verify(1, trials=bad)
+    # True and 2.0 equal the integers 1 and 2; the report holds the int
+    for ok, want in ((True, 1), (2.0, 2)):
+        rep = verify(1, trials=ok, seed=0).as_dict()
+        assert rep["trials"] == want and type(rep["trials"]) is int
 
 
 def test_deep_level_sampler():

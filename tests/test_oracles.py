@@ -28,14 +28,14 @@ def test_plain_theta_at_i():
 def test_alternating_theta_at_i():
     # sum (-1)^n e^{-pi n^2}; the (0,1)-label component at z = i
     rec = [r for r in coset_table(1) if r.q == (0, 1)][0]
-    val = theta_component(rec, 1, Z0, "half").value
+    val = theta_component(rec, Z0, "half").value
     assert abs(val - 0.9135791381561169) < TOL
 
 
 def test_shifted_equals_alternating_at_i():
     # sum e^{-pi (n+1/2)^2} coincides with the alternating sum at z = i
     rec = [r for r in coset_table(1) if r.q == (1, 0)][0]
-    val = theta_component(rec, 1, Z0, "half").value
+    val = theta_component(rec, Z0, "half").value
     assert abs(val - 0.9135791381561169) < TOL
 
 

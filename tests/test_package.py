@@ -43,11 +43,12 @@ def test_validation_survives_optimize():
     # python -O strips assert statements; input checks must still raise
     code = """
 import numpy as np
-from thetacover import (CoverElement, IntegerSymplectic, Lagrangian,
-                        MonomialMatrix, Mu8, SiegelPoint, ThetaComponentValue,
+from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
+                        SiegelPoint, coset_table, enumerate_isotropic,
                         make_generator, q0_eval, random_word_element,
                         rao_cocycle, sample_gamma48, sqrt_det,
-                        symplectic_gauss_sum, transvection_rep)
+                        symplectic_gauss_sum, transvection_rep,
+                        verify_scalar_law, verify_vector_law)
 from thetacover.exactla import congruence_signature, det, inv
 from thetacover.f2cosets import refine_rep
 assert False, "asserts are live: not running under -O"
@@ -56,11 +57,8 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: SiegelPoint([[0.0, 1.0], [0.0, 0.0]], np.eye(2)),
          lambda: SiegelPoint(np.zeros((2, 2)), [[1.0, 0.5], [0.0, 1.0]]),
          lambda: SiegelPoint(np.zeros((1, 1)), np.eye(2)),
-         lambda: Lagrangian([[1, 0, 0, 0], [2, 0, 0, 0]]),
-         lambda: Lagrangian([[1, 0, 0, 0], [0, 0, 1, 0]]),
          lambda: CoverElement(IntegerSymplectic.identity(1), 0),
          lambda: MonomialMatrix(2, (0, 0), (Mu8(0), Mu8(0))),
-         lambda: ThetaComponentValue((0, 0), 1.0, 2.0),
          lambda: q0_eval((1, 0, 1)),
          lambda: transvection_rep((1, 1)),
          lambda: transvection_rep((1, 0, 1)),
@@ -77,7 +75,8 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: make_generator("iota_pair", 2, jk=(1, 2), g=[[0, -1], [1, 0]]),
          lambda: random_word_element(2, "Sp", length=-3, seed=1),
          lambda: sample_gamma48(2, np.random.default_rng(0), factors=0),
-         lambda: MonomialMatrix.identity(2) @ MonomialMatrix.identity(3),
+         lambda: (MonomialMatrix(2, (0, 1), (Mu8(0),) * 2)
+                  @ MonomialMatrix(3, (0, 1, 2), (Mu8(0),) * 3)),
          lambda: Mu8(2).as_sign(),
          lambda: sqrt_det(make_generator("u_ij", 2, i=1, j=1, t=2),
                           SiegelPoint.z0(1)),
@@ -90,9 +89,13 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: make_generator("u", 1, b=[[0.5]]),
          lambda: make_generator("u_ij", 2, i=1, j=2, t=1.5),
          lambda: make_generator("v_ij", 2, i=1, j=2, t=0.5),
-         lambda: Lagrangian([[1, 0.5]]),
          lambda: symplectic_gauss_sum([[1.5]], [[-4]]),
          lambda: transvection_rep((1.5, 0)),
+         # counts that range() or product() would refuse with a TypeError
+         lambda: coset_table(2.5),
+         lambda: enumerate_isotropic("2"),
+         lambda: verify_scalar_law(1, trials=2.5),
+         lambda: verify_vector_law(1, trials=2.5),
          # entries on which int() raises OverflowError
          lambda: IntegerSymplectic([[float("inf"), 0], [0, 1]]),
          lambda: make_generator("u", 1, b=[[float("inf")]]),
@@ -137,3 +140,31 @@ print((after - before) / 1024)
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 48, f"peak RSS rose by {proc.stdout.strip()} MB"
+
+
+def test_benchmark_tracer_binds_the_library(monkeypatch):
+    # perfbench's tracer patches names it reads off the library and binds
+    # hook arguments by name: a deletion that breaks it must fail here too
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    import thetacover as tc
+    from thetacover import cocycle, theta
+    original = cocycle.pws_decompose
+    assert theta.pws_decompose is original
+    tr = tracing.Tracer()
+    patch = tracing.Patch(tr)
+    tr.current_item = 0
+    with patch.installed():
+        assert theta.pws_decompose is tc.pws_decompose is not original
+        tc.theta_component(tc.coset_table(1)[1], tc.SiegelPoint.z0(1), "half",
+                           params=tc.ThetaParams())
+        tc.symplectic_gauss_sum([[1]], c=[[4]])
+        tc.beta_tilde(g=tc.make_generator("omega", 1))
+    calls = {name: tr.totals(tracing.ITEMS)[name][0]
+             for name in ("theta.theta_component", "gauss.symplectic_gauss_sum",
+                          "gauss.beta_tilde")}
+    assert calls == {"theta.theta_component": 1,
+                     "gauss.symplectic_gauss_sum": 1, "gauss.beta_tilde": 1}
+    assert tr.counts["theta.theta_component.lattice_points"] > 0
+    assert tr.counts["gauss.symplectic_gauss_sum.classes"] == 4
+    assert tr.counts["gauss.beta_tilde.degenerate_calls"] == 0

@@ -183,17 +183,8 @@ def test_component_zero_label_is_plain_sum():
         z = SiegelPoint.z0(m)
         rec = coset_table(m)[0]
         assert rec.q == (0,) * (2 * m)
-        comp = theta_component(rec, 1, z, "half")
+        comp = theta_component(rec, z, "half")
         assert abs(comp.value - theta_series(z, "half")) < 1e-12
-
-
-def test_component_lift_sign():
-    z = SiegelPoint.z0(2)
-    rec = coset_table(2)[3]
-    plus = theta_component(rec, 1, z, "half").value
-    minus = theta_component(rec, -1, z, "half").value
-    assert abs(plus) > 0.1
-    assert abs(plus + minus) < 1e-12
 
 
 def test_moment_sums_vanish_identically():
@@ -294,7 +285,7 @@ def test_theta_vector_matches_components():
         table = coset_table(m)
         assert half.shape == (len(table),)
         assert three_half.shape == (len(table), m)
-        oracle = tuple(np.array([theta_component(rec, 1, z, weight, params).value
+        oracle = tuple(np.array([theta_component(rec, z, weight, params).value
                                  for rec in table])
                        for weight in ("half", "three_half"))
         for got, want in zip((half, three_half), oracle):
@@ -382,7 +373,7 @@ def test_theta_vector_on_flat_and_tall_points():
         for k, rec in enumerate(coset_table(2)):
             for weight, got in (("half", half[k]),
                                 ("three_half", three_half[k])):
-                want = theta_component(rec, 1, z, weight).value
+                want = theta_component(rec, z, weight).value
                 assert np.all(np.isfinite(got))
                 assert np.max(np.abs(got - want)) < 1e-13 * scale
                 if Y[0][0] > 1000 and rec.eps_q[0] % 2:
