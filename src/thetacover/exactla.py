@@ -43,6 +43,14 @@ def as_int(x) -> int:
     return n
 
 
+def as_int_arg(x, name: str) -> int:
+    """as_int(x) for the argument called name; its ValueError names it."""
+    try:
+        return as_int(x)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
 def transpose(m: Matrix) -> list[list]:
     return [list(col) for col in zip(*m)]
 

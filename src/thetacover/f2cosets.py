@@ -39,10 +39,7 @@ def q0_eval(v) -> int:
 @lru_cache(maxsize=None)
 def enumerate_isotropic(m: int) -> tuple:
     """All v in F2^{2m} with Q0(v) = 0, in lexicographic order."""
-    try:
-        m = xla.as_int(m)
-    except ValueError:
-        raise ValueError(f"m must be an integer, got {m!r}") from None
+    m = xla.as_int_arg(m, "m")
     if not 1 <= m <= MAX_RANK:
         raise ValueError(f"supported ranks are 1..{MAX_RANK}")
     vs = tuple(v for v in product((0, 1), repeat=2 * m) if q0_eval(v) == 0)

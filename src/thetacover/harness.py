@@ -262,29 +262,26 @@ def _verify(theorem: str, m: int, trials: int, tol: float,
             params: ThetaParams | None, trial) -> VerificationReport:
     """The trial loop both verifiers share.
 
-    trial(t, params) draws trial t from its own seeded rng and returns
-    (r, z, half, three_half, magnitude, extra): the element, the point, the
-    (abs, rel) error pair of each weight, the largest weight-3/2 magnitude
-    at r z and any further worst-case fields.
+    trial(t, m, params) draws trial t from its own seeded rng, at the int m
+    validated here, and returns (r, z, half, three_half, magnitude, extra):
+    the element, the point, the (abs, rel) error pair of each weight, the
+    largest weight-3/2 magnitude at r z and any further worst-case fields.
     """
     # a run that compares nothing must not report "passed", and one whose
     # bound no error can exceed (or none can meet) checks nothing
-    try:
-        trials = xla.as_int(trials)
-    except ValueError:
-        raise ValueError(f"trials must be an integer, got {trials!r}") from None
+    m, trials = xla.as_int_arg(m, "m"), xla.as_int_arg(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     params = params or ThetaParams()
-    coset_table(m)                  # validates m, built before the clock starts
+    coset_table(m)                  # checks m's range, built before the clock starts
     t_start = time.time()
     max_abs = 0.0
     max_rel = -1.0
     worst = {}
     for t in range(trials):
-        r, z, (abs12, rel12), (abs32, rel32), mag32, extra = trial(t, params)
+        r, z, (abs12, rel12), (abs32, rel32), mag32, extra = trial(t, m, params)
         rel = max(rel12, rel32)
         max_abs = max(max_abs, abs12, abs32)
         if rel > max_rel:
@@ -316,7 +313,7 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
     (these components vanish identically, so this comparison is absolute;
     the report's worst_case records the magnitudes).
     """
-    def trial(t, params):
+    def trial(t, m, params):
         rng = np.random.default_rng((seed, t))
         table = coset_table(m)
         # up to 51 draws for an r that fixes some shifted label (stab holds
@@ -393,7 +390,7 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
     absolutely).  gamma_bar(rbar^{-1}) is built from
     the letters of the drawn word (_word_rep_inv), not from its definition.
     """
-    def trial(t, params):
+    def trial(t, m, params):
         rng, letters, rbar, sign = _vector_draw(m, seed, t)
         r = rbar.g
         z, rz = _workable_point(m, r, rng, params)

@@ -349,24 +349,28 @@ class SiegelPoint:
         return f"SiegelPoint(X={self.X.tolist()}, Y={self.Y.tolist()})"
 
 
-def _as_float(g) -> np.ndarray:
-    return g.to_float() if isinstance(g, IntegerSymplectic) else np.asarray(g, dtype=float)
+def _as_float(g, m: int) -> np.ndarray:
+    """g as a float array; ValueError unless it is 2m x 2m."""
+    arr = g.to_float() if isinstance(g, IntegerSymplectic) else np.asarray(g, dtype=float)
+    if arr.shape != (2 * m, 2 * m):
+        raise ValueError("dimension mismatch")
+    return arr
 
 
 def j_matrix(g, z: SiegelPoint) -> np.ndarray:
     """The automorphy cofactor J(g, z) = cz + d."""
-    arr = _as_float(g)
     m = z.m
+    arr = _as_float(g, m)
     c, d = arr[m:, :m], arr[m:, m:]
     return c @ z.z + d
 
 
 def mobius_act(g, z: SiegelPoint) -> SiegelPoint:
     """g(z) = (az + b)(cz + d)^{-1}; stays in the Siegel half space."""
-    arr = _as_float(g)
     m = z.m
+    arr = _as_float(g, m)
     a, b = arr[:m, :m], arr[:m, m:]
-    jm = j_matrix(g, z)
+    jm = j_matrix(arr, z)
     if abs(np.linalg.det(jm)) < 1e-12:
         raise ValueError("cz + d numerically singular")
     w = (a @ z.z + b) @ np.linalg.inv(jm)

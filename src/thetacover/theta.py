@@ -25,10 +25,10 @@ one box term by term, with a complex exp per point, and forms no point
 list; ``theta_series`` is the same direct sum at the zero label.  They are
 the oracles.  ``theta_vector`` gives every component at both weights from
 one pass that evaluates each half shift once and sums it against the
-characters of n mod 2.  Its terms are one real exp of an exponent summed
-from small tables, times the phases of the pairs of axes; the per-axis
-phases ride the character weights.  The pass is kept on the point, so a
-point pays for at most one pass per ThetaParams.
+characters of n mod 2.  Its terms are one real exp of an exponent
+broadcast from the coordinates 2v, times the phases of the pairs of axes;
+the per-axis phases ride the character weights.  The pass is kept on the
+point, so a point pays for at most one pass per ThetaParams.
 """
 
 from __future__ import annotations
@@ -316,48 +316,28 @@ def _cis(hi, lo, k) -> np.ndarray:
     return np.exp(2j * math.pi * ((whole - np.rint(whole)) + lo * k))
 
 
-def _exponent_tables(Y: np.ndarray, radius: int) -> tuple:
-    """The terms of -pi v Y v^T on the grid u = -R - 1/2, -R, ..., R + 1/2.
-
-    Returns (axes, pairs): axes[k] = -pi Y_kk u^2 over u, and pairs[p] =
-    -pi (Y_kl + Y_lk) u u' over (u, u') for the p-th pair k < l in
-    itertools.combinations order.  Entries at u and -u, and at (u, u') and
-    (-u, -u'), are equal bit for bit.
-    """
-    m = len(Y)
-    twice = np.arange(-2 * radius - 1, 2 * radius + 2)           # 2u
-    form = -math.pi / 8 * (Y + Y.T)
-    k, l = np.array(list(itertools.combinations(range(m), 2)),
-                    dtype=int).reshape(-1, 2).T
-    return (form.diagonal()[:, None] * (twice * twice),
-            (2 * form[k, l, None, None] * twice[:, None]) * twice)
-
-
-def _exponent(axes: np.ndarray, pairs: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _exponent(Y: np.ndarray, twice: np.ndarray) -> np.ndarray:
     """-pi v Y v^T over the box for a block of shift classes.
 
-    index[c, k, j] = 2 (n_k + s_k) + 2R + 1, the position of v_k = n_k + s_k
-    (n_k = j - R) on the grid of _exponent_tables.  The result, of shape
-    (classes,) + (2R + 1,) * m, sums the table terms in one fixed order, so
-    its values at v and -v are equal bit for bit, as in the oracles.  It is
-    formed from v, not as n Y n^T + 2 n.Ys + s Y s^T, whose terms grow with
-    |n| and cancel.
+    twice[c, k, j] = 2 v_k = 2 (n_k + s_k), n_k = j - R, holds exact
+    integers.  The result, of shape (classes,) + (2R + 1,) * m, adds
+    form_kk (2 v_k)^2 and (2 form_ik 2 v_i) 2 v_k for i < k, with
+    form = -pi (Y + Y^T) / 8, in one fixed order.  At -v each product
+    rounds the same exact factors up to sign, so the values at v and -v
+    are equal bit for bit, as in the oracles.  It is formed from v, not as
+    n Y n^T + 2 n.Ys + s Y s^T, whose terms grow with |n| and cancel, and
+    which rounds other terms at -v = (-n - 2s) + s, a point of the same class.
     """
-    width, m, side = index.shape
-    pair_of = {ik: p for p, ik in enumerate(itertools.combinations(range(m), 2))}
-    out = None
-    for k in range(m):
-        shape = [width] + [1] * m
-        shape[1 + k] = side
-        term = axes[k][index[:, k]].reshape(shape)
-        out = term if out is None else out + term
-        # the pairs with axis k once axis k is in, so that only the last
-        # axis's terms are added over the whole box
+    width, m, side = twice.shape
+    form = -math.pi / 8 * (Y + Y.T)
+    v = [twice[:, k].reshape((width,) + (1,) * k + (side,) + (1,) * (m - 1 - k))
+         for k in range(m)]                     # 2 v_k along axis k
+    out = form[0, 0] * (v[0] * v[0])
+    for k in range(1, m):
+        out = out + form[k, k] * (v[k] * v[k])
+        # out now spans axes 0..k, so the pairs with axis k add in place
         for i in range(k):
-            shape[1 + i] = side
-            term = pairs[pair_of[i, k]][index[:, i, :, None], index[:, k, None, :]]
-            out = out + term.reshape(shape)
-            shape[1 + i] = 1
+            out += (2 * form[i, k] * v[i]) * v[k]
     return out
 
 
@@ -420,11 +400,12 @@ def _character_sums(e: np.ndarray, radius: int, tables: np.ndarray) -> np.ndarra
 def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     """One lattice pass: (half, three_half) of theta_vector, computed.
 
-    E(v) = e^{i pi v z v^T} is one real exp of the whole exponent (see
-    _exponent; the per-axis factors e^{-2 pi n_k (Ys)_k} alone overflow on
-    flat points) times a product of unimodular factors (see _phases), so no
-    complex exp is taken per point; only the pair factors are multiplied
-    over the box, and _character_sums takes the per-axis ones.  The shift
+    E(v) = e^{i pi v z v^T} is one real exp of the whole exponent, formed
+    from twice[c, k, j] = 2 (n_k + s_k) (see _exponent; the per-axis
+    factors e^{-2 pi n_k (Ys)_k} alone overflow on flat points) times a
+    product of unimodular factors (see _phases), so no complex exp is
+    taken per point; only the pair factors are multiplied over the box,
+    and _character_sums takes the per-axis ones.  The shift
     classes go through the pass side by side, in blocks of at most _BLOCK
     points times classes.
     """
@@ -433,13 +414,12 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     classes = _shift_classes(m)
     shifts = classes.shifts
     tables, cross, consts = _phases(z.X, radius, classes)
-    exponent_tables = _exponent_tables(z.Y, radius)
-    index = classes.offsets[:, :, None] + 2 * np.arange(2 * radius + 1)
+    twice = 2 * (shifts[:, :, None] + np.arange(-radius, radius + 1))
     sums = np.empty((len(shifts), 4 ** m), dtype=complex)
     width = max(1, _BLOCK // (2 * radius + 1) ** m)
     for first in range(0, len(shifts), width):
         block = slice(first, first + width)
-        e = _exponent(*exponent_tables, index[block])
+        e = _exponent(z.Y, twice[block])
         kept = e > _LOG_TINY
         np.maximum(e, _LOG_TINY, out=e)
         np.exp(e, out=e)
@@ -467,9 +447,9 @@ def theta_vector(z: SiegelPoint, params: ThetaParams | None = None) -> tuple:
     each character (-1)^{p . n} of n mod 2, and each component is the sum
     for its sign (-1)^{m_q . n} (see _ShiftClasses); the sum of v E is the
     sum of n E plus s times the sum of E.  |E| is one real exp of the whole
-    exponent -pi v Y v^T, summed from tables over the half-integers
-    |u| <= R + 1/2, so that it is equal at v and -v bit for bit, as in the
-    oracles, which keeps the vanishing weight-3/2 sums at rounding level;
+    exponent -pi v Y v^T, broadcast from the exact coordinates 2v so that
+    it is equal at v and -v bit for bit, as in the oracles, which keeps the
+    vanishing weight-3/2 sums at rounding level;
     arg E is a product of unimodular factors read off tables of 2R + 1
     (per axis) and (2R + 1)^2 (per pair of axes) entries, so no complex exp
     is taken per point; only the pair factors are multiplied over the box,

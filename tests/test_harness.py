@@ -274,6 +274,13 @@ def test_verifiers_take_trials_by_the_integer_rule(verify):
     for ok, want in ((True, 1), (2.0, 2)):
         rep = verify(1, trials=ok, seed=0).as_dict()
         assert rep["trials"] == want and type(rep["trials"]) is int
+    # and so is m, which every trial uses: 2.0 runs as 2
+    with pytest.raises(ValueError, match="m must be an integer"):
+        verify(1.5, trials=1)
+    reps = [verify(m, trials=2, seed=0).as_dict() for m in (2, 2.0)]
+    for rep in reps:
+        del rep["elapsed_seconds"]
+    assert reps[0] == reps[1] and type(reps[1]["m"]) is int
 
 
 def test_deep_level_sampler():

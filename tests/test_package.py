@@ -45,9 +45,9 @@ def test_validation_survives_optimize():
 import numpy as np
 from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
                         SiegelPoint, coset_table, enumerate_isotropic,
-                        make_generator, q0_eval, random_word_element,
-                        rao_cocycle, sample_gamma48, sqrt_det,
-                        symplectic_gauss_sum, transvection_rep,
+                        j_matrix, make_generator, mobius_act, q0_eval,
+                        random_word_element, rao_cocycle, sample_gamma48,
+                        sqrt_det, symplectic_gauss_sum, transvection_rep,
                         verify_scalar_law, verify_vector_law)
 from thetacover.exactla import congruence_signature, det, inv
 from thetacover.f2cosets import refine_rep
@@ -80,6 +80,9 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: Mu8(2).as_sign(),
          lambda: sqrt_det(make_generator("u_ij", 2, i=1, j=1, t=2),
                           SiegelPoint.z0(1)),
+         lambda: j_matrix(make_generator("omega", 2), SiegelPoint.z0(1)),
+         lambda: mobius_act(make_generator("omega", 1), SiegelPoint.z0(2)),
+         lambda: j_matrix(np.eye(3), SiegelPoint.z0(1)),
          lambda: congruence_signature([[0, 1], [0, 0]]),
          lambda: det([[1, 2]]),
          lambda: inv([[1, 2], [2, 4]]),

@@ -120,12 +120,14 @@ def test_sqrt_det_matches_factorization_reference():
 
 
 def test_sqrt_det_rejects_dimension_mismatch():
-    z1 = SiegelPoint.z0(1)
-    for g in (make_generator("u_ij", 2, i=1, j=1, t=2),
-              make_generator("omega", 2)):
-        for fn in (sqrt_det, j_half):
+    # and so do the cofactor and the action: genus-2 elements at a genus-1
+    # point, and a genus-1 element at a genus-2 point
+    for g, m in ((make_generator("u_ij", 2, i=1, j=1, t=2), 1),
+                 (make_generator("omega", 2), 1),
+                 (make_generator("omega", 1), 2)):
+        for fn in (sqrt_det, j_half, j_matrix, mobius_act):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                fn(g, z1)
+                fn(g, SiegelPoint.z0(m))
 
 
 def test_sqrt_det_pinned_at_generic_points():
@@ -416,6 +418,27 @@ def test_character_sums_match_the_box():
                 got = theta._character_sums(e, radius, tables)
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+def test_exponent_is_the_form_and_even():
+    # against -pi v Y v^T by einsum over the box, for every shift class and
+    # a Y with both triangles apart; at -v it must agree bit for bit, the
+    # evenness that keeps the weight-3/2 sums at rounding level
+    rng = np.random.default_rng(23)
+    for m in (1, 2, 3, 4):
+        shifts = theta._shift_classes(m).shifts
+        for radius in (2, 5):
+            a = np.eye(m) + 0.3 * rng.uniform(-1, 1, (m, m))
+            Y = a @ a.T + 0.1 * rng.uniform(-1, 1, (m, m))
+            n = np.arange(-radius, radius + 1)
+            twice = 2 * (shifts[:, :, None] + n)
+            got = theta._exponent(Y, twice)
+            v = np.stack(np.meshgrid(*([n] * m), indexing="ij"), axis=-1)
+            v = v + shifts.reshape((len(shifts),) + (1,) * m + (m,))
+            want = -math.pi * np.einsum("...k,kl,...l->...", v, Y, v)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+            assert np.array_equal(theta._exponent(Y, -twice), got)
 
 
 @given(seeds)
