@@ -16,7 +16,7 @@ from .cocycle import (CoverElement, Mu8, PwsFactorization, cbar_cocycle,
                       rao_cocycle)
 from .f2cosets import (CosetRecord, coset_index_of, coset_profile,
                        coset_table, enumerate_isotropic, q0_eval,
-                       reduce_mod2, transvection_rep)
+                       transvection_rep)
 from .gauss import (SnappedRoot, beta_tilde, coset_split, f_shift,
                     lambda_bar, lambda_multiplier, modified_cocycle,
                     snap_mu8, symplectic_gauss_sum)
@@ -44,7 +44,7 @@ __all__ = [
     "j_matrix", "lambda_bar", "lambda_multiplier",
     "m_xstar", "make_generator", "mobius_act",
     "modified_cocycle", "pws_decompose", "q0_eval", "random_word_element",
-    "rao_cocycle", "reduce_mod2", "sample_gamma48", "sample_point",
+    "rao_cocycle", "sample_gamma48", "sample_point",
     "snap_mu8", "sqrt_det", "subgroup_membership", "symplectic_gauss_sum",
     "theta_component", "theta_series", "theta_vector", "transvection_rep",
     "truncation_radius", "verify_scalar_law", "verify_vector_law",

@@ -1,14 +1,16 @@
 """Coset geometry of the theta subgroup over F2.
 
 Reduction mod 2 sends the integer symplectic group onto Sp(2m, F2), and the
-theta subgroup onto the orthogonal group of Q0(v) = sum x_i x*_i.  Cosets
-therefore correspond to the isotropic vectors q of Q0: the coset of g is
-detected by Q0(v g^{-1}) = Q0(v) + <v, q>, which is constant on each coset
-(theta subgroup on the left) and is represented by the integer transvection
-v -> v + <v, q> q.  For the theta components a second, better adapted
-representative is used in which every anisotropic pair of coordinates is
-replaced by a unipotent block; the record below carries both
-representatives plus the index shift data the component series needs.
+theta subgroup onto the orthogonal group of Q0(v) = sum x_i x*_i
+(symplectic._q0, its one definition).  Cosets therefore correspond to the
+isotropic vectors q of Q0: the coset of g is detected by
+Q0(v g^{-1}) = Q0(v) + <v, q>, whose q is the tuple of Q0 values of the
+columns of g.  The label q is constant on each coset (theta subgroup on the
+left) and is represented by the integer transvection v -> v + <v, q> q.
+For the theta components a second, better adapted representative is used
+in which every anisotropic pair of coordinates is replaced by a unipotent
+block; the record below carries both representatives plus the index shift
+data the component series needs.
 """
 
 from __future__ import annotations
@@ -19,30 +21,33 @@ from itertools import product
 
 from . import exactla as xla
 from .cocycle import Mu8, m_xstar, word_lift
-from .symplectic import IntegerSymplectic, make_generator
+from .symplectic import IntegerSymplectic, _q0, make_generator
 
 MAX_RANK = 8
 
 
-def reduce_mod2(g: IntegerSymplectic) -> tuple:
-    return tuple(tuple(x % 2 for x in row) for row in g.rows)
-
-
 def q0_eval(v) -> int:
-    v = tuple(int(x) % 2 for x in v)
+    """Q0(v) of outside input v; ValueError unless its entries are integers
+    (the xla.as_int rule) and its length is even."""
+    v = tuple(map(xla.as_int, v))
     if len(v) % 2:
         raise ValueError("Q0 needs a vector of even length 2m")
-    m = len(v) // 2
-    return sum(v[i] * v[m + i] for i in range(m)) % 2
+    return _q0(v)
+
+
+def enumerate_isotropic(m: int) -> tuple:
+    """All v in F2^{2m} with Q0(v) = 0, in lexicographic order.
+
+    m follows the xla.as_int rule before the cache, so 2.0 and 2 share one
+    tuple."""
+    return _isotropic_vectors(xla.as_int_arg(m, "m"))
 
 
 @lru_cache(maxsize=None)
-def enumerate_isotropic(m: int) -> tuple:
-    """All v in F2^{2m} with Q0(v) = 0, in lexicographic order."""
-    m = xla.as_int_arg(m, "m")
+def _isotropic_vectors(m: int) -> tuple:
     if not 1 <= m <= MAX_RANK:
         raise ValueError(f"supported ranks are 1..{MAX_RANK}")
-    vs = tuple(v for v in product((0, 1), repeat=2 * m) if q0_eval(v) == 0)
+    vs = tuple(v for v in product((0, 1), repeat=2 * m) if not _q0(v))
     assert len(vs) == 2 ** (2 * m - 1) + 2 ** (m - 1)
     return vs
 
@@ -67,18 +72,14 @@ def transvection_rep(q) -> IntegerSymplectic:
 def coset_profile(g: IntegerSymplectic) -> tuple:
     """The isotropic q with Q0(v g^{-1}) = Q0(v) + <v, q> mod 2.
 
-    Componentwise, q_i = diag(a^T c)_i and q*_i = diag(b^T d)_i mod 2.
-    This label is unchanged by left multiplication with the theta
-    subgroup, so it indexes the cosets that carry the theta components;
-    right multiplication by r moves it by the mod-2 row action q -> q r.
+    q is the tuple of Q0 values of the 2m columns of g: q_i = diag(a^T c)_i
+    and q*_i = diag(b^T d)_i mod 2.  This label is unchanged by left
+    multiplication with the theta subgroup, so it indexes the cosets that
+    carry the theta components; right multiplication by r moves it by the
+    mod-2 row action q -> q r.
     """
-    m = g.m
-    gm = reduce_mod2(g)
-    q = tuple(sum(gm[j][i] * gm[m + j][i] for j in range(m)) % 2
-              for i in range(m)) \
-        + tuple(sum(gm[j][m + i] * gm[m + j][m + i] for j in range(m)) % 2
-                for i in range(m))
-    assert q0_eval(q) == 0, "profile of a symplectic matrix must be isotropic"
+    q = tuple(map(_q0, zip(*g.rows)))
+    assert not _q0(q), "profile of a symplectic matrix must be isotropic"
     return q
 
 
@@ -171,7 +172,14 @@ def refine_rep(q) -> CosetRecord:
                        eps_q=tuple(eps_q), m_xstar_q=mm, kappa=kappa)
 
 
-@lru_cache(maxsize=None)
 def coset_table(m: int) -> tuple:
-    """One CosetRecord per coset, ordered by the isotropic enumeration."""
+    """One CosetRecord per coset, ordered by the isotropic enumeration.
+
+    m follows the xla.as_int rule before the cache, so 2.0 and 2 share one
+    table."""
+    return _coset_table(xla.as_int_arg(m, "m"))
+
+
+@lru_cache(maxsize=None)
+def _coset_table(m: int) -> tuple:
     return tuple(refine_rep(q) for q in enumerate_isotropic(m))

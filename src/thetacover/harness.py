@@ -44,7 +44,7 @@ import numpy as np
 
 from . import exactla as xla
 from .cocycle import CoverElement, Mu8, cover_inv, cover_mul, word_lift
-from .f2cosets import coset_index_of, coset_profile, coset_table
+from .f2cosets import CosetRecord, coset_index_of, coset_profile, coset_table
 from .gauss import lambda_bar, lambda_multiplier
 from .symplectic import (IntegerSymplectic, SiegelPoint, _draw_word, j_matrix,
                          mobius_act, random_word_element, subgroup_membership)
@@ -69,9 +69,9 @@ class MonomialMatrix:
 
     Row i carries coeffs[i] in column perm[i]; perm is a permutation, so
     columns are covered exactly once as well.  Products and inverses stay
-    exact (permutation composition plus Mu8 arithmetic).  The constructor
-    validates; @, inv() and negation of validated matrices are monomial by
-    closure and skip the check, through _trusted_monomial.
+    exact (permutation composition plus Mu8 arithmetic).  Every instance,
+    including the results of @, inv() and negation, passes the
+    constructor's check.
     """
 
     n: int
@@ -92,7 +92,7 @@ class MonomialMatrix:
         perm = tuple(other.perm[self.perm[i]] for i in range(self.n))
         coeffs = tuple(self.coeffs[i] * other.coeffs[self.perm[i]]
                        for i in range(self.n))
-        return _trusted_monomial(self.n, perm, coeffs)
+        return MonomialMatrix(self.n, perm, coeffs)
 
     def inv(self) -> "MonomialMatrix":
         perm = [0] * self.n
@@ -100,11 +100,11 @@ class MonomialMatrix:
         for i in range(self.n):
             perm[self.perm[i]] = i
             coeffs[self.perm[i]] = self.coeffs[i].inv()
-        return _trusted_monomial(self.n, tuple(perm), tuple(coeffs))
+        return MonomialMatrix(self.n, tuple(perm), tuple(coeffs))
 
     def __neg__(self) -> "MonomialMatrix":
-        return _trusted_monomial(self.n, self.perm,
-                                 tuple(c * Mu8(4) for c in self.coeffs))
+        return MonomialMatrix(self.n, self.perm,
+                              tuple(c * Mu8(4) for c in self.coeffs))
 
     def to_array(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=complex)
@@ -113,49 +113,41 @@ class MonomialMatrix:
         return out
 
 
-def _trusted_monomial(n: int, perm: tuple, coeffs: tuple) -> MonomialMatrix:
-    """Unchecked MonomialMatrix from the product, inverse or negation of
-    validated ones; never for outside input."""
-    out = object.__new__(MonomialMatrix)
-    object.__setattr__(out, "n", n)
-    object.__setattr__(out, "perm", perm)
-    object.__setattr__(out, "coeffs", coeffs)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _inv_lift(m: int, k: int) -> CoverElement:
     rec = coset_table(m)[k]
     return cover_inv(CoverElement(rec.M, rec.kappa))
 
 
+def _conjugate(rec: CosetRecord, rbar: CoverElement) -> tuple:
+    """(j, lambda_bar(Mbar_i rbar Mbar_j^{-1})) for the label i of rec.
+
+    Mbar is the fixed lift (M, kappa) of each coset representative and
+    j = index(label_i . r) is read off the cover product Mbar_i rbar, so
+    the conjugated element lands in the theta group (asserted).
+    """
+    mi_r = cover_mul(CoverElement(rec.M, rec.kappa), rbar)
+    j = coset_index_of(mi_r.g)
+    sbar = cover_mul(mi_r, _inv_lift(rbar.g.m, j))
+    assert subgroup_membership(sbar.g, "Gamma1_2"), "coset bookkeeping broke"
+    return j, lambda_bar(sbar)
+
+
 def induced_rep_matrix(rbar: CoverElement) -> MonomialMatrix:
     """Monomial matrix of the induced representation at a cover element.
 
-    Entry (i, j) = lambda_bar(Mbar_i rbar Mbar_j^{-1})^{-1} where
-    j = index(label_i . r) and Mbar is the fixed lift (M, kappa) of each
-    coset representative; the conjugated element lands in the theta group
-    (asserted).  Exact in Mu8.  Each row makes two group products: the
-    cover product Mbar_i rbar, whose matrix M_i r also gives the column
-    label, and the product with Mbar_j^{-1}.
+    Row i has lambda_bar(Mbar_i rbar Mbar_j^{-1})^{-1} in the column
+    j = index(label_i . r), both read from _conjugate.  Exact in
+    Mu8.  Each row makes two cover products: Mbar_i rbar, whose matrix
+    M_i r also gives the column label, and the product with Mbar_j^{-1}.
 
     This is the definition and the oracle.  The vector-law verifier calls
     it only for the letters of its words (_letter_image) and multiplies
     their images along each word (_word_rep_inv).
     """
-    m = rbar.g.m
-    table = coset_table(m)
-    n = len(table)
-    perm = [0] * n
-    coeffs = [Mu8(0)] * n
-    for i, rec in enumerate(table):
-        mi_r = cover_mul(CoverElement(rec.M, rec.kappa), rbar)
-        j = coset_index_of(mi_r.g)
-        sbar = cover_mul(mi_r, _inv_lift(m, j))
-        assert subgroup_membership(sbar.g, "Gamma1_2"), "coset bookkeeping broke"
-        perm[i] = j
-        coeffs[i] = lambda_bar(sbar).inv()
-    return MonomialMatrix(n, tuple(perm), tuple(coeffs))
+    rows = [_conjugate(rec, rbar) for rec in coset_table(rbar.g.m)]
+    return MonomialMatrix(len(rows), tuple(j for j, _ in rows),
+                          tuple(lam.inv() for _, lam in rows))
 
 
 @dataclass(frozen=True)
@@ -218,6 +210,7 @@ def sample_point(m: int, rng) -> SiegelPoint:
 
     Resamples until cond(Y) <= COND_CAP, at most SAMPLE_BUDGET times.
     """
+    m = xla.as_int_arg(m, "m")
     z0 = SiegelPoint.z0(m)
     for _ in range(SAMPLE_BUDGET):
         z = mobius_act(_random_word(m, "Sp", rng), z0)
@@ -336,8 +329,7 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
 
         k = stab[int(rng.integers(len(stab)))]
         rec = table[k]
-        mbar_r = cover_mul(CoverElement(rec.M, rec.kappa), CoverElement(r, 1))
-        lam = lambda_bar(cover_mul(mbar_r, _inv_lift(m, k)))
+        _, lam = _conjugate(rec, CoverElement(r, 1))
         v_z = theta_component(rec, z, "three_half", params).value
         v_rz = theta_component(rec, rz, "three_half", params).value
         rhs_v = sd * (j_matrix(r, z) @ v_z) * lam.value
@@ -413,8 +405,9 @@ def sample_gamma48(m: int, rng, factors: int = 2) -> IntegerSymplectic:
 
     Commutators of level-2 elements land in the level-(4,8) group; the
     membership predicate is asserted as a cross-check of both the sampler
-    and the predicate.  factors must be at least 1.
+    and the predicate.  factors must be an integer, at least 1.
     """
+    factors = xla.as_int_arg(factors, "factors")
     if factors < 1:
         raise ValueError(f"need at least one commutator factor, got {factors}")
     out = None

@@ -114,7 +114,7 @@ class IntegerSymplectic:
 
     @classmethod
     def identity(cls, m: int) -> "IntegerSymplectic":
-        return cls(xla.identity(2 * m))
+        return cls(xla.identity(2 * xla.as_int_arg(m, "m")))
 
 
 def _trusted(rows: tuple) -> IntegerSymplectic:
@@ -142,10 +142,13 @@ def _int_square(mat, n: int, name: str) -> list[list[int]]:
     return rows
 
 
-def _check_indices(m: int, *indices) -> None:
-    """ValueError unless every 1-based index lies in 1..m."""
+def _check_indices(m: int, *indices) -> tuple:
+    """The 1-based indices as ints, by the xla.as_int rule; ValueError
+    unless each lies in 1..m."""
+    indices = tuple(xla.as_int_arg(i, "index") for i in indices)
     if not all(1 <= i <= m for i in indices):
         raise ValueError(f"indices {indices} must lie in 1..{m}")
+    return indices
 
 
 def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
@@ -155,8 +158,10 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
     omega, omega_S (S subset of 1..m), u_ij / u_minus_ij (t, i=j allowed),
     v_ij (i != j), iota (2x2 block at index i), iota_pair (4x4 block at
     indices (j, k)).  Indices are 1-based as in the classical notation, and
-    any index outside 1..m raises ValueError.
+    any index outside 1..m raises ValueError.  m and the indices follow the
+    xla.as_int rule.
     """
+    m = xla.as_int_arg(m, "m")
     one = xla.identity(m)
     zero = xla.zeros(m, m)
 
@@ -184,8 +189,7 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
     if kind == "omega":
         return make_generator("omega_S", m, S=set(range(1, m + 1)))
     if kind == "omega_S":
-        s = set(params["S"])
-        _check_indices(m, *s)
+        s = set(_check_indices(m, *params["S"]))
         rows = xla.zeros(2 * m, 2 * m)
         for i in range(1, m + 1):
             if i in s:                       # e_i -> -e_i*, e_i* -> e_i
@@ -196,8 +200,8 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
                 rows[m + i - 1][m + i - 1] = 1
         return IntegerSymplectic(rows)
     if kind in ("u_ij", "u_minus_ij"):
-        i, j, t = params["i"], params["j"], xla.as_int(params.get("t", 1))
-        _check_indices(m, i, j)
+        i, j = _check_indices(m, params["i"], params["j"])
+        t = xla.as_int(params.get("t", 1))
         b = _eps(m, i - 1, j - 1, t)
         if i != j:
             b = xla.mat_add(b, _eps(m, j - 1, i - 1, t))
@@ -205,16 +209,15 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
             return assemble(one, b, zero, one)
         return assemble(one, zero, xla.mat_neg(b), one)
     if kind == "v_ij":
-        i, j, t = params["i"], params["j"], xla.as_int(params.get("t", 1))
-        _check_indices(m, i, j)
+        i, j = _check_indices(m, params["i"], params["j"])
+        t = xla.as_int(params.get("t", 1))
         if i == j:
             raise ValueError("v_ij needs i != j")
         a = xla.mat_add(one, _eps(m, i - 1, j - 1, t))
         d = xla.mat_add(one, _eps(m, j - 1, i - 1, -t))
         return assemble(a, zero, zero, d)
     if kind == "iota":
-        i = params["i"]
-        _check_indices(m, i)
+        (i,) = _check_indices(m, params["i"])
         g2 = _int_square(params["g"], 2, "g")
         rows = xla.identity(2 * m)
         idx = [i - 1, m + i - 1]
@@ -223,8 +226,7 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
                 rows[idx[r]][idx[s_]] = g2[r][s_]
         return IntegerSymplectic(rows)
     if kind == "iota_pair":
-        j, k = params["jk"]
-        _check_indices(m, j, k)
+        j, k = _check_indices(m, *params["jk"])
         if j == k:
             raise ValueError("iota_pair needs distinct indices")
         g4 = _int_square(params["g"], 4, "g")
@@ -239,10 +241,10 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
 
 # --- congruence subgroups ---
 
-def _diag_even(m1, m2) -> bool:
-    """diag(m1 m2^T) even; entry i is the dot product of the rows i."""
-    return all(sum(x * y for x, y in zip(r1, r2)) % 2 == 0
-               for r1, r2 in zip(m1, m2))
+def _q0(v) -> int:
+    """Q0(x | x*) = sum of x_i x*_i mod 2, for int v = (x | x*) of length 2m."""
+    m = len(v) // 2
+    return sum(map(operator.mul, v[:m], v[m:])) % 2
 
 
 @lru_cache(maxsize=64)
@@ -273,10 +275,11 @@ def _subgroup(which: str) -> tuple[str, int]:
 def subgroup_membership(g: IntegerSymplectic, which: str) -> bool:
     """Membership predicates for Sp, Gamma(1,2), Gamma(d), Gamma(d,2d).
 
-    Gamma(1,2) is diag(a b^T) and diag(c d^T) even: exactly the elements whose
-    mod-2 reduction preserves the quadratic form sum(x_i x*_i) under the row
-    action.  (The diag(a c^T)/diag(b d^T) variant is not closed under
-    products; u_12(1) h(1 + e_12) is a counterexample at m = 2.)
+    Gamma(1,2) is the orthogonal group of Q0(x | x*) = sum x_i x*_i mod 2
+    under the row action: g preserves Q0 exactly when Q0 vanishes on every
+    row of g, i.e. diag(a b^T) and diag(c d^T) are even.  (The
+    diag(a c^T)/diag(b d^T) variant is not closed under products;
+    u_12(1) h(1 + e_12) is a counterexample at m = 2.)
     Gamma(d) is g = 1 mod d; Gamma(d,2d) additionally has the (i, m+i) and
     (m+i, i) entries of (g - 1)/d even.  Names are parsed by _subgroup.
     """
@@ -284,7 +287,7 @@ def subgroup_membership(g: IntegerSymplectic, which: str) -> bool:
     if family == "Sp":
         return True
     if family == "Gamma(1,2)":
-        return _diag_even(g.a, g.b) and _diag_even(g.c, g.d)
+        return not any(map(_q0, g.rows))
     n = 2 * g.m
     diff = [[g.rows[i][j] - (i == j) for j in range(n)] for i in range(n)]
     if any(x % d for row in diff for x in row):
@@ -343,6 +346,7 @@ class SiegelPoint:
 
     @classmethod
     def z0(cls, m: int) -> "SiegelPoint":
+        m = xla.as_int_arg(m, "m")
         return cls(np.zeros((m, m)), np.eye(m))
 
     def __repr__(self):
@@ -427,7 +431,9 @@ def _letter(kind: str, m: int, params: dict) -> IntegerSymplectic:
 
 def _draw_word(m: int, subgroup: str, length: int, seed: int) -> list:
     """The length (kind, params, letter) entries of the subgroup's alphabet
-    drawn by random.Random(seed); length must be at least 0."""
+    drawn by random.Random(seed); m and length follow the xla.as_int rule,
+    and length must be at least 0."""
+    m, length = xla.as_int_arg(m, "m"), xla.as_int_arg(length, "length")
     if length < 0:
         raise ValueError(f"word length must be >= 0, got {length}")
     alphabet = _alphabet(m, _subgroup(subgroup))

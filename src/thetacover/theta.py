@@ -193,12 +193,12 @@ def _box_sum(z: SiegelPoint, m_q: tuple, eps_q: tuple, weight: str,
     """
     if weight not in ("half", "three_half"):
         raise ValueError(f"unknown weight {weight!r}")
-    m = z.m
+    m, zz = z.m, z.z                       # z.z forms X + iY on each read
     radius = truncation_radius(z.Y, params or ThetaParams())
     n = np.arange(-radius, radius + 1)
     along = [(-1,) + (1,) * (m - 1 - k) for k in range(m)]   # axis k's shape
     v = [(n + e / 2).reshape(along[k]) for k, e in enumerate(eps_q)]
-    w = np.exp(1j * math.pi * sum(z.z[k, l] * v[k] * v[l]
+    w = np.exp(1j * math.pi * sum(zz[k, l] * v[k] * v[l]
                                   for k in range(m) for l in range(m)))
     for k, x in enumerate(m_q):
         if x % 2:

@@ -5,7 +5,9 @@ The library eliminates fraction-free over ints in one kernel
 it replaced live here, so the tests can check the kernel, the rank normal
 form and the beta_tilde quotient against code that never calls it.  The
 Maslov signature of three Lagrangians, from their row bases, is the
-oracle of rao_cocycle's block formula.
+oracle of rao_cocycle's block formula.  The block rules for theta-group
+membership and the coset label are the references of the library's one
+Q0 (symplectic._q0), which reads them off the rows and the columns.
 """
 
 from fractions import Fraction
@@ -156,3 +158,22 @@ def maslov_signature(l1, l2, l3):
     pos, neg = xla.congruence_signature(
         _maslov_gram(pairing(l1, l2), pairing(l2, l3), pairing(l3, l1)))
     return pos - neg
+
+
+def _diag_mod2(m1, m2):
+    """diag(m1 m2) mod 2."""
+    prod = xla.mat_mul(m1, m2)
+    return tuple(prod[i][i] % 2 for i in range(len(prod)))
+
+
+def theta_group_by_blocks(g):
+    """Gamma(1,2) membership by the block rule: diag(a b^T) and diag(c d^T)
+    even."""
+    return not any(_diag_mod2(g.a, xla.transpose(g.b))
+                   + _diag_mod2(g.c, xla.transpose(g.d)))
+
+
+def label_by_blocks(g):
+    """The coset label by blocks: (diag(a^T c) | diag(b^T d)) mod 2."""
+    return (_diag_mod2(xla.transpose(g.a), g.c)
+            + _diag_mod2(xla.transpose(g.b), g.d))

@@ -1,8 +1,11 @@
 """Mod-2 coset geometry: labels, representatives, table invariants."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_reference as ref
 from thetacover import (Mu8, coset_index_of, coset_profile, coset_table,
                         enumerate_isotropic, m_xstar, make_generator,
                         q0_eval, random_word_element, subgroup_membership,
@@ -21,6 +24,41 @@ def test_isotropic_counts():
         vs = enumerate_isotropic(m)
         assert len(vs) == n == (2 ** m + 1) * 2 ** (m - 1)
         assert all(q0_eval(v) == 0 for v in vs)
+
+
+def test_q0_eval_takes_integer_entries():
+    # int() would truncate 1.9 and parse "1"; the as_int rule refuses both
+    for bad in ((1.9, 1), ("1", 1), (1, 1, 1, 0.5)):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            q0_eval(bad)
+    with pytest.raises(ValueError, match="even length"):
+        q0_eval((1, 0, 1))
+    assert q0_eval((1.0, True)) == 1
+    assert q0_eval((3, -1, 2, 5)) == 1 and q0_eval((3, -1, 2, 4)) == 0
+
+
+def test_cached_builders_key_on_the_integer():
+    # m follows the as_int rule before the cache: no second table
+    for same in (2.0, np.int64(2)):
+        assert coset_table(same) is coset_table(2)
+        assert enumerate_isotropic(same) is enumerate_isotropic(2)
+    assert coset_table(True) is coset_table(1)
+    for build in (coset_table, enumerate_isotropic):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            build(2.5)
+
+
+def test_q0_rules_match_the_block_references():
+    # membership is Q0 on the rows and the label is Q0 on the columns; the
+    # block formulas they replaced agree on every representative and on
+    # seeded words of all three samplers
+    for m in (1, 2, 3, 4):
+        gs = [g for rec in coset_table(m) for g in (rec.M, rec.M_prime)]
+        gs += [word(m, sub, seed, length=1 + seed % 12)
+               for sub in ("Sp", "Gamma1_2", "Gamma2") for seed in range(25)]
+        for g in gs:
+            assert subgroup_membership(g, "Gamma(1,2)") == ref.theta_group_by_blocks(g)
+            assert coset_profile(g) == ref.label_by_blocks(g)
 
 
 def test_transvection_reps_land_in_their_own_coset():

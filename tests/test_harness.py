@@ -283,6 +283,16 @@ def test_verifiers_take_trials_by_the_integer_rule(verify):
     assert reps[0] == reps[1] and type(reps[1]["m"]) is int
 
 
+def test_samplers_take_counts_by_the_integer_rule():
+    draws = {"m": lambda x: repr(sample_point(x, np.random.default_rng(5))),
+             "factors": lambda x: sample_gamma48(2, np.random.default_rng(5),
+                                                 factors=x)}
+    for name, draw in draws.items():
+        assert draw(2.0) == draw(2)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            draw(2.5)
+
+
 def test_deep_level_sampler():
     rng = np.random.default_rng(2)
     for _ in range(5):

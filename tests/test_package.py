@@ -47,7 +47,7 @@ from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
                         SiegelPoint, coset_table, enumerate_isotropic,
                         j_matrix, make_generator, mobius_act, q0_eval,
                         random_word_element, rao_cocycle, sample_gamma48,
-                        sqrt_det, symplectic_gauss_sum, transvection_rep,
+                        sample_point, sqrt_det, symplectic_gauss_sum, transvection_rep,
                         verify_scalar_law, verify_vector_law)
 from thetacover.exactla import congruence_signature, det, inv
 from thetacover.f2cosets import refine_rep
@@ -94,11 +94,22 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: make_generator("v_ij", 2, i=1, j=2, t=0.5),
          lambda: symplectic_gauss_sum([[1.5]], [[-4]]),
          lambda: transvection_rep((1.5, 0)),
+         lambda: q0_eval((1.9, 1)),
+         lambda: q0_eval(("1", 1)),
+         lambda: q0_eval((1, 1, 1, 0.5)),
          # counts that range() or product() would refuse with a TypeError
          lambda: coset_table(2.5),
          lambda: enumerate_isotropic("2"),
          lambda: verify_scalar_law(1, trials=2.5),
          lambda: verify_vector_law(1, trials=2.5),
+         lambda: make_generator("omega", 2.5),
+         lambda: make_generator("u_ij", 2, i=1.5, j=1),
+         lambda: random_word_element(2.5, "Sp", length=3, seed=1),
+         lambda: random_word_element(2, "Sp", length=2.5, seed=1),
+         lambda: sample_point(2.5, np.random.default_rng(0)),
+         lambda: SiegelPoint.z0(2.5),
+         lambda: IntegerSymplectic.identity(1.5),
+         lambda: sample_gamma48(2, np.random.default_rng(0), factors=2.5),
          # entries on which int() raises OverflowError
          lambda: IntegerSymplectic([[float("inf"), 0], [0, 1]]),
          lambda: make_generator("u", 1, b=[[float("inf")]]),
@@ -116,6 +127,8 @@ for case in cases:
     except ValueError:
         continue
     raise SystemExit("accepted invalid input")
+if coset_table(2.0) is not coset_table(2):
+    raise SystemExit("coset_table keyed 2.0 apart from 2")
 print("ok")
 """
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=src_env(),

@@ -73,6 +73,23 @@ def test_generator_validation():
                 make_generator(kind, m, **params)
 
 
+@pytest.mark.parametrize("name, build", [
+    ("m", lambda x: make_generator("omega", x)),
+    ("index", lambda x: make_generator("u_ij", 2, i=x, j=1)),
+    ("index", lambda x: make_generator("iota", 2, i=x, g=[[1, 1], [0, 1]])),
+    ("m", lambda x: random_word_element(x, "Sp", length=3, seed=1)),
+    ("length", lambda x: random_word_element(2, "Sp", length=x, seed=1)),
+    ("m", lambda x: repr(SiegelPoint.z0(x))),
+    ("m", IntegerSymplectic.identity),
+])
+def test_integer_arguments_follow_the_as_int_rule(name, build):
+    # an integral float or numpy int builds what the int builds; 2.5 is a
+    # ValueError that names the argument, not range()'s TypeError
+    assert build(2.0) == build(np.int64(2)) == build(2)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        build(2.5)
+
+
 def test_non_symplectic_rejected():
     with pytest.raises(ValueError):
         IntegerSymplectic(((1, 1), (1, 1)))

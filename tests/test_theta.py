@@ -180,6 +180,16 @@ def test_periodicity_in_even_integer_shifts():
     assert abs(theta_series(w, "half") - theta_series(z, "half")) < 1e-11
 
 
+def test_direct_sum_forms_z_once(monkeypatch):
+    # z.z allocates X + iY on each read; the sum reads it once, not m^2 times
+    reads = []
+    z_of = SiegelPoint.z.fget
+    monkeypatch.setattr(SiegelPoint, "z",
+                        property(lambda p: reads.append(1) or z_of(p)))
+    theta_series(SiegelPoint(np.zeros((3, 3)), np.eye(3)), "three_half")
+    assert len(reads) == 1
+
+
 def test_component_zero_label_is_plain_sum():
     for m in (1, 2):
         z = SiegelPoint.z0(m)
