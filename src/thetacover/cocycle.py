@@ -163,10 +163,9 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
     never return silently.
     """
     m = g.m
-    j, _, p_row, q_int = _rank_normal_form(g)
-    q_col = _fraction_q(q_int)
-    a1 = xla.transpose(p_row)                       # P c Q = E_j, a1 = P^T
-    a2 = xla.inv(q_col)                             # a2 = Q^{-1}
+    j, _, (p, row_den), q_int = _rank_normal_form(g)
+    a1 = _fractions((xla.transpose(p), row_den))    # P c Q = E_j, a1 = P^T
+    a2 = xla.inv(_fractions(q_int))                 # a2 = Q^{-1}
     gq = [[Fraction(x) for x in row] for row in g.rows]
     gpp = xla.mat_mul(xla.mat_mul(_h_mat(xla.inv(a1)), gq), _h_mat(xla.inv(a2)))
 
@@ -222,7 +221,8 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
 
 @lru_cache(maxsize=256)
 def _rank_normal_form(g: IntegerSymplectic) -> tuple:
-    """(j, x, P, (q, den)): P c Q = diag(1_j, 0) and x = x(g), once per g.
+    """(j, x, (p, row_den), (q, col_den)): P c Q = diag(1_j, 0) and x = x(g),
+    once per g.
 
     h(P^{-T}) g h(Q) has c block diag(1_j, 0) and a block P^{-T} a Q, whose
     lower right (m - j) block a22 is invertible, and x = det P det a22 /
@@ -233,9 +233,10 @@ def _rank_normal_form(g: IntegerSymplectic) -> tuple:
     ``exactla._pivoting`` of c, with d its last pivot and s = +-1 the sign
     of its swaps, det P / det Q = s / d and det a22 = s det K / d for K the
     rows of c at the j pivot rows and of a at the others, so
-    x = det K / d^2.  P is a tuple of Fraction rows.  Q stays in integers,
-    rows q and column denominators den with Q[i][k] = q[i][k] / den[k]:
-    only ``pws_decompose``, the oracle, reads it, through ``_fraction_q``.
+    x = det K / d^2.  P and Q stay in integers: P[k][i] = p[k][i] / row_den[k]
+    and Q[i][k] = q[i][k] / col_den[k].  ``theta.j_half`` reads P[:j] by
+    dividing in float; only ``pws_decompose``, the oracle, reads Q, and it
+    forms both as Fractions through ``_fractions``.
     """
     m, c = g.m, g.c
     pivots, sign, order, p, q = xla._pivoting(c)
@@ -249,16 +250,18 @@ def _rank_normal_form(g: IntegerSymplectic) -> tuple:
                  for i, (row, a_row) in enumerate(zip(c, g.a))]
         pivots_k, sign_k, *_ = xla._pivoting(mixed)
         det_k = sign_k * pivots_k[-1]
-    row_den = pivots + [d] * (m - j)
+    row_den = tuple(pivots + [d] * (m - j))
     col_den = tuple(([1] + pivots)[:j] + [d] * (m - j))
-    big_p = tuple(tuple(Fraction(x, den) for x in row) for row, den in zip(p, row_den))
-    return j, Fraction(det_k, d * d), big_p, (tuple(map(tuple, q)), col_den)
+    return (j, Fraction(det_k, d * d), (tuple(map(tuple, p)), row_den),
+            (tuple(map(tuple, q)), col_den))
 
 
-def _fraction_q(q_int: tuple) -> tuple:
-    """Q of the rank normal form as Fraction rows, from its (q, den)."""
-    q, den = q_int
-    return tuple(tuple(Fraction(x, k) for x, k in zip(row, den)) for row in q)
+def _fractions(ints: tuple) -> tuple:
+    """Fraction rows from (rows, den), entry [i][k] = rows[i][k] / den[k]:
+    Q of the rank normal form from its (q, col_den), and P^T from
+    (p^T, row_den)."""
+    rows, den = ints
+    return tuple(tuple(Fraction(x, k) for x, k in zip(row, den)) for row in rows)
 
 
 def m_xstar(g: IntegerSymplectic) -> Mu8:

@@ -46,11 +46,11 @@ from . import exactla as xla
 from .cocycle import CoverElement, Mu8, cover_inv, cover_mul, word_lift
 from .f2cosets import CosetRecord, coset_index_of, coset_profile, coset_table
 from .gauss import lambda_bar, lambda_multiplier
-from .symplectic import (IntegerSymplectic, SiegelPoint, _draw_word, j_matrix,
-                         mobius_act, random_word_element, subgroup_membership)
-from .theta import (CapacityError, ThetaParams, j_half_bar, sqrt_det,
-                    theta_component, theta_series, theta_vector,
-                    truncation_radius)
+from .symplectic import (IntegerSymplectic, SiegelPoint, _draw_word, _mobius,
+                         j_matrix, mobius_act, random_word_element,
+                         subgroup_membership)
+from .theta import (CapacityError, ThetaParams, _radius, j_half_bar, sqrt_det,
+                    theta_component, theta_series, theta_vector)
 
 __all__ = [
     "MonomialMatrix",
@@ -208,18 +208,20 @@ def _random_word(m: int, subgroup: str, rng) -> IntegerSymplectic:
 def sample_point(m: int, rng) -> SiegelPoint:
     """Random z = p(g(z0)): integer word then a generic real parabolic.
 
-    Resamples until cond(Y) <= COND_CAP, at most SAMPLE_BUDGET times.
+    Resamples until cond(Y) <= COND_CAP, at most SAMPLE_BUDGET times.  g(z0)
+    stays an array (z0 itself is built once per genus), so a draw builds
+    and validates one SiegelPoint, the candidate z.
     """
     m = xla.as_int_arg(m, "m")
     z0 = SiegelPoint.z0(m)
     for _ in range(SAMPLE_BUDGET):
-        z = mobius_act(_random_word(m, "Sp", rng), z0)
+        w = _mobius(_random_word(m, "Sp", rng), z0)
         a = np.eye(m) + 0.2 * rng.uniform(-1, 1, (m, m))
         if abs(np.linalg.det(a)) < 0.3:
             continue
         b = rng.uniform(-1, 1, (m, m))
         b = np.round((b + b.T) / 2, 6)
-        z = SiegelPoint(a @ z.X @ a.T + b, a @ z.Y @ a.T)
+        z = SiegelPoint(a @ w.real @ a.T + b, a @ w.imag @ a.T)
         if np.linalg.cond(z.Y) <= COND_CAP:
             return z
     raise RuntimeError(f"sample_point: no point with cond(Y) <= {COND_CAP} "
@@ -233,8 +235,8 @@ WORKABLE_RADIUS = 32
 
 def _workable(z: SiegelPoint, rz: SiegelPoint, params: ThetaParams) -> bool:
     try:
-        return (truncation_radius(z.Y, params) <= WORKABLE_RADIUS
-                and truncation_radius(rz.Y, params) <= WORKABLE_RADIUS)
+        return (_radius(z, params) <= WORKABLE_RADIUS
+                and _radius(rz, params) <= WORKABLE_RADIUS)
     except CapacityError:
         return False
 

@@ -247,16 +247,24 @@ def _q0(v) -> int:
     return sum(map(operator.mul, v[:m], v[m:])) % 2
 
 
-@lru_cache(maxsize=64)
 def _subgroup(which: str) -> tuple[str, int]:
     """Parse a subgroup name into (family, d): one spelling, one group.
 
     Brackets, commas and spaces are dropped, so "Gamma(1,2)", "Gamma1_2"
     and "Gamma12" all name the theta group Gamma(1,2).  "Sp", "SpZ" name
     the whole group, "Gamma<d>" the level-d group Gamma(d) and
-    "Gamma<d>_<2d>" (d even) the group Gamma(d, 2d).  Cached, so the
-    per-element callers pay one dictionary lookup.
+    "Gamma<d>_<2d>" (d even) the group Gamma(d, 2d).  A name that is not a
+    str is refused before the cache would hash it.
     """
+    if not isinstance(which, str):
+        raise ValueError(f"unknown subgroup {which!r}")
+    return _parse_subgroup(which)
+
+
+@lru_cache(maxsize=64)
+def _parse_subgroup(which: str) -> tuple[str, int]:
+    """_subgroup's parse, cached, so the per-element callers pay one
+    dictionary lookup."""
     name = which.replace("(", "").replace(")", "").replace(",", "_").replace(" ", "")
     if name in ("Sp", "SpZ"):
         return "Sp", 1
@@ -304,12 +312,14 @@ def subgroup_membership(g: IntegerSymplectic, which: str) -> bool:
 class SiegelPoint:
     """z = X + iY with X, Y real symmetric and Y positive definite.
 
-    Immutable, so whatever is computed from the point alone can be kept
-    on it: _theta maps ThetaParams to the read-only (half, three_half) of
-    theta.theta_vector at the point, filled there on first use.
+    Immutable, so whatever is computed from the point alone is formed once
+    and kept on it: z, the read-only X + iY, is formed here, and two maps
+    from ThetaParams start empty and are filled by the theta module on
+    first use, _radii with the truncation radius of Y and _theta with the
+    read-only (half, three_half) of theta.theta_vector at the point.
     """
 
-    __slots__ = ("m", "X", "Y", "_theta")
+    __slots__ = ("m", "X", "Y", "z", "_radii", "_theta")
 
     def __init__(self, X, Y):
         X = np.array(X, dtype=float)
@@ -324,33 +334,33 @@ class SiegelPoint:
             np.linalg.cholesky(Y)
         except np.linalg.LinAlgError:
             raise ValueError("Y must be positive definite") from None
-        X.setflags(write=False)
-        Y.setflags(write=False)
+        z = X + 1j * Y
+        for arr in (X, Y, z):
+            arr.setflags(write=False)
         object.__setattr__(self, "m", X.shape[0])
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "_radii", {})
+        object.__setattr__(self, "_theta", {})
 
     def __setattr__(self, *a):
         raise AttributeError("SiegelPoint is immutable")
 
-    def _theta_memo(self) -> dict:
-        try:
-            return self._theta
-        except AttributeError:
-            object.__setattr__(self, "_theta", {})
-            return self._theta
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.X + 1j * self.Y
-
     @classmethod
     def z0(cls, m: int) -> "SiegelPoint":
-        m = xla.as_int_arg(m, "m")
-        return cls(np.zeros((m, m)), np.eye(m))
+        """The base point i.1_m, built and validated once per genus; m
+        follows the xla.as_int rule before the cache, so z0(2.0) is z0(2)."""
+        return _z0(xla.as_int_arg(m, "m"))
 
     def __repr__(self):
         return f"SiegelPoint(X={self.X.tolist()}, Y={self.Y.tolist()})"
+
+
+# A few genera per run; the bound keeps a sweep over m from growing it.
+@lru_cache(maxsize=16)
+def _z0(m: int) -> SiegelPoint:
+    return SiegelPoint(np.zeros((m, m)), np.eye(m))
 
 
 def _as_float(g, m: int) -> np.ndarray:
@@ -369,8 +379,9 @@ def j_matrix(g, z: SiegelPoint) -> np.ndarray:
     return c @ z.z + d
 
 
-def mobius_act(g, z: SiegelPoint) -> SiegelPoint:
-    """g(z) = (az + b)(cz + d)^{-1}; stays in the Siegel half space."""
+def _mobius(g, z: SiegelPoint) -> np.ndarray:
+    """g(z) = (az + b)(cz + d)^{-1} as a complex array, symmetrized;
+    ValueError when cz + d is numerically singular."""
     m = z.m
     arr = _as_float(g, m)
     a, b = arr[:m, :m], arr[:m, m:]
@@ -378,7 +389,12 @@ def mobius_act(g, z: SiegelPoint) -> SiegelPoint:
     if abs(np.linalg.det(jm)) < 1e-12:
         raise ValueError("cz + d numerically singular")
     w = (a @ z.z + b) @ np.linalg.inv(jm)
-    w = (w + w.T) / 2                      # symmetrize away roundoff
+    return (w + w.T) / 2                   # symmetrize away roundoff
+
+
+def mobius_act(g, z: SiegelPoint) -> SiegelPoint:
+    """g(z) = (az + b)(cz + d)^{-1}; stays in the Siegel half space."""
+    w = _mobius(g, z)
     return SiegelPoint(w.real, w.imag)
 
 
@@ -431,13 +447,13 @@ def _letter(kind: str, m: int, params: dict) -> IntegerSymplectic:
 
 def _draw_word(m: int, subgroup: str, length: int, seed: int) -> list:
     """The length (kind, params, letter) entries of the subgroup's alphabet
-    drawn by random.Random(seed); m and length follow the xla.as_int rule,
-    and length must be at least 0."""
+    drawn by random.Random(seed); m, length and seed follow the xla.as_int
+    rule, and length must be at least 0."""
     m, length = xla.as_int_arg(m, "m"), xla.as_int_arg(length, "length")
     if length < 0:
         raise ValueError(f"word length must be >= 0, got {length}")
     alphabet = _alphabet(m, _subgroup(subgroup))
-    rng = random.Random(seed)
+    rng = random.Random(xla.as_int_arg(seed, "seed"))
     return [rng.choice(alphabet) for _ in range(length)]
 
 

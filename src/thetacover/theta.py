@@ -20,15 +20,21 @@ is the full degree-8 cocycle.
 Theta sums are box sums over n in [-R, R]^m, R from ``truncation_radius``
 (a heuristic radius, not a certified tail bound: see there).  Every sum
 reads the box in one fixed order, as a tensor of shape (2R + 1,)^m in lex
-order, so results are bit-identical run to run.  ``theta_component`` sums
-one box term by term, with a complex exp per point, and forms no point
-list; ``theta_series`` is the same direct sum at the zero label.  They are
-the oracles.  ``theta_vector`` gives every component at both weights from
+order, so results are bit-identical run to run.  R is kept on the point per
+ThetaParams (``_radius``), so a point pays for one eigenvalue solve however
+many sums and checks read it.  ``theta_component`` sums one box term by
+term, with a complex exp per point, and forms no point list;
+``theta_series`` is the same direct sum at the zero label.  They are the
+oracles.  ``theta_vector`` gives every component at both weights from
 one pass that evaluates each half shift once and sums it against the
 characters of n mod 2.  Its terms are one real exp of an exponent
 broadcast from the coordinates 2v, times the phases of the pairs of axes;
-the per-axis phases ride the character weights.  The pass is kept on the
-point, so a point pays for at most one pass per ThetaParams.
+the per-axis phases ride the character weights.  What a pass reads that
+depends on m and R alone, from the exact coordinates 2v to the integer grid
+of its phase factors, is built once per (m, R) and kept read-only
+(``_grid``); the factors that depend on X are then one vectorized
+exponential.  The pass is kept on the point, so a point pays for at most
+one pass per ThetaParams.
 """
 
 from __future__ import annotations
@@ -113,6 +119,19 @@ def truncation_radius(Y: np.ndarray, params: ThetaParams) -> int:
     return r
 
 
+def _radius(z: SiegelPoint, params: ThetaParams) -> int:
+    """truncation_radius(z.Y, params), kept on z per params.
+
+    Every lattice sum and the verifiers' workable test read the radius here,
+    so a point pays for one eigenvalue solve per params.  A CapacityError
+    (or ValueError) is not kept: it is raised again on every call.
+    """
+    radii = z._radii
+    if params not in radii:
+        radii[params] = truncation_radius(z.Y, params)
+    return radii[params]
+
+
 # --- determinant branch ---
 
 def det_invsqrt(S) -> complex:
@@ -165,13 +184,17 @@ def j_half(g: IntegerSymplectic, z: SiegelPoint) -> complex:
     """
     if z.m != g.m:
         raise ValueError("dimension mismatch")
-    j, x, p, _ = _rank_normal_form(g)
+    j, x, (p, den), _ = _rank_normal_form(g)
     scale = float(abs(x)) ** -0.5
     if j == 0:
         return complex(scale)
-    # P c = diag(1_j, 0) Q^{-1}, so W = Q^{-1}[:j] is exactly (P c)[:j]
-    w = np.array(xla.mat_mul(p[:j], g.c), dtype=float)
-    pd = np.array(p[:j], dtype=float) @ np.array(g.d, dtype=float)
+    # P c = diag(1_j, 0) Q^{-1}, so W = Q^{-1}[:j] is exactly (P c)[:j].
+    # P[k] = p[k] / den[k]; an int / int division rounds correctly, as
+    # float(Fraction) does, so both are read off the int rows.
+    w = np.array([[v / k for v in row]
+                  for row, k in zip(xla.mat_mul(p[:j], g.c), den)])
+    pd = np.array([[v / k for v in row] for row, k in zip(p[:j], den)]) \
+        @ np.array(g.d, dtype=float)
     t = (w @ z.z + pd) @ w.T
     return scale / det_invsqrt(-1j * t)
 
@@ -193,8 +216,8 @@ def _box_sum(z: SiegelPoint, m_q: tuple, eps_q: tuple, weight: str,
     """
     if weight not in ("half", "three_half"):
         raise ValueError(f"unknown weight {weight!r}")
-    m, zz = z.m, z.z                       # z.z forms X + iY on each read
-    radius = truncation_radius(z.Y, params or ThetaParams())
+    m, zz = z.m, z.z
+    radius = _radius(z, params or ThetaParams())
     n = np.arange(-radius, radius + 1)
     along = [(-1,) + (1,) * (m - 1 - k) for k in range(m)]   # axis k's shape
     v = [(n + e / 2).reshape(along[k]) for k, e in enumerate(eps_q)]
@@ -341,6 +364,59 @@ def _exponent(Y: np.ndarray, twice: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """What a pass at genus m and radius R reads that depends on (m, R) alone.
+
+    twice[c, k, j] = 2 (n_k + s_k), n_k = j - R, for shift class c (see
+    _exponent); weights[j] holds the character weights 1, (-1)^n, n and
+    (-1)^n n at n = j - R (see _character_sums); powers indexes each class's
+    half-pair factors (see _phases).  multipliers is the integer grid of
+    the one _cis call of _phases, in its order: n for the m^2 halves, n^2
+    for the m diagonal entries and n_k n_l for the pairs k < l.  Entry i
+    is multiplied by entry coefficients[i] of the flat 3m x m table
+    ((X + X^T) / 4; X / 2; (X + X^T) / 2) that _phases forms from each part
+    of X's split.  width is the number of shift classes per block of the
+    pass.  Every array is read-only.
+    """
+
+    twice: np.ndarray
+    weights: np.ndarray
+    powers: tuple
+    multipliers: np.ndarray
+    coefficients: np.ndarray
+    width: int
+
+
+# Unbounded in form, but a pass only asks for R <= MAX_RADIUS, so there
+# are at most MAX_RADIUS grids per genus.
+@lru_cache(maxsize=None)
+def _grid(m: int, radius: int) -> _Grid:
+    classes = _shift_classes(m)
+    side = 2 * radius + 1
+    steps = np.arange(-radius, radius + 1)
+    sign = 1 - 2 * (steps & 1)
+    axes = np.arange(m)
+    upper = [k * m + l for k, l in itertools.combinations(range(m), 2)]
+    grid = _Grid(
+        twice=2 * (classes.shifts[:, :, None] + steps),
+        weights=np.array([np.ones_like(steps), sign, steps, sign * steps]).T,
+        powers=(classes.offsets[:, None, :], axes[:, None], axes),
+        multipliers=np.concatenate([np.tile(steps, m * m),
+                                    np.tile(steps * steps, m),
+                                    np.tile(np.outer(steps, steps).ravel(),
+                                            len(upper))]),
+        coefficients=np.concatenate([np.repeat(np.arange(m * m), side),
+                                     np.repeat(m * m + axes * (m + 1), side),
+                                     np.repeat(2 * m * m + np.array(upper, dtype=int),
+                                               side * side)]),
+        width=max(1, _BLOCK // side ** m))
+    for arr in (grid.twice, grid.weights, grid.multipliers, grid.coefficients,
+                *grid.powers):
+        arr.setflags(write=False)
+    return grid
+
+
 def _phases(X: np.ndarray, radius: int, classes: _ShiftClasses) -> tuple:
     """(tables, cross, consts): the factors of e^{i pi v X v^T}, v = n + s.
 
@@ -352,25 +428,30 @@ def _phases(X: np.ndarray, radius: int, classes: _ShiftClasses) -> tuple:
     pairs k < l (all ones at m = 1), and consts[c] = e^{i pi s X s^T}.
     Both triangles of X are read, as the oracles' v z v^T does: X is
     symmetric only to 1e-12.  hi + hi^T is exact, its two terms being on
-    one grid.
+    one grid.  Every factor comes from one _cis call over the grid's
+    multipliers; _cis works entry by entry, so that is the same as one
+    call per kind of factor.
     """
-    m = len(X)
-    hi, lo = _split(X)
-    pair_hi, pair_lo = hi + hi.T, lo + lo.T
-    steps = np.arange(-radius, radius + 1)
-    halves = _cis(pair_hi[..., None] / 4, pair_lo[..., None] / 4, steps)
-    powers = np.stack([halves.conj(), np.ones_like(halves), halves])
-    axes = np.arange(m)
-    tables = _cis(np.diag(hi)[:, None] / 2, np.diag(lo)[:, None] / 2,
-                  steps * steps) \
-        * powers[classes.offsets[:, None, :], axes[:, None], axes].prod(axis=2)
+    m, side = len(X), 2 * radius + 1
+    grid = _grid(m, radius)
+    parts = np.array(_split(X))                 # hi, lo
+    pairs = parts + parts.transpose(0, 2, 1)    # hi + hi^T, lo + lo^T
+    table = np.concatenate([pairs / 4, parts / 2, pairs / 2], axis=1)
+    factors = _cis(*table.reshape(2, -1)[:, grid.coefficients],
+                   grid.multipliers)
+    diagonal = m * m * side                 # where the diagonal factors start
+    cross_at = diagonal + m * side          # and where the pair factors start
+    halves = factors[:diagonal].reshape(m, m, side)
+    powers = np.array([halves.conj(), np.ones_like(halves), halves])
+    tables = factors[diagonal:cross_at].reshape(m, side) \
+        * powers[grid.powers].prod(axis=2)
     shifts = classes.shifts
     consts = np.exp(1j * math.pi * np.sum((shifts @ X) * shifts, axis=1))
     cross = np.ones((1,) * (m + 1))
-    for k, l in itertools.combinations(range(m), 2):
+    for factor, (k, l) in zip(factors[cross_at:].reshape(-1, side, side),
+                              itertools.combinations(range(m), 2)):
         shape = [1] * (m + 1)
-        shape[1 + k] = shape[1 + l] = len(steps)
-        factor = _cis(pair_hi[k, l] / 2, pair_lo[k, l] / 2, np.outer(steps, steps))
+        shape[1 + k] = shape[1 + l] = side
         cross = cross * factor.reshape(shape)
     return tables, cross, consts
 
@@ -387,9 +468,7 @@ def _character_sums(e: np.ndarray, radius: int, tables: np.ndarray) -> np.ndarra
     whole box and each next one over a box 4 / (2R + 1) the size.
     """
     side = 2 * radius + 1
-    n = np.arange(-radius, radius + 1)
-    sign = 1 - 2 * (n & 1)
-    weights = np.array([np.ones_like(n), sign, n, sign * n]).T
+    weights = _grid(e.ndim - 1, radius).weights
     t = e.reshape(len(e), 1, -1)
     for k in reversed(range(e.ndim - 1)):
         t = t.reshape(len(e), side ** k, side, -1).transpose(0, 1, 3, 2)
@@ -407,19 +486,19 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     taken per point; only the pair factors are multiplied over the box,
     and _character_sums takes the per-axis ones.  The shift
     classes go through the pass side by side, in blocks of at most _BLOCK
-    points times classes.
+    points times classes.  R is the point's kept radius (_radius), and
+    everything that depends on (m, R) alone comes from _grid(m, R).
     """
     m = z.m
-    radius = truncation_radius(z.Y, params)
+    radius = _radius(z, params)
     classes = _shift_classes(m)
     shifts = classes.shifts
+    grid = _grid(m, radius)
     tables, cross, consts = _phases(z.X, radius, classes)
-    twice = 2 * (shifts[:, :, None] + np.arange(-radius, radius + 1))
     sums = np.empty((len(shifts), 4 ** m), dtype=complex)
-    width = max(1, _BLOCK // (2 * radius + 1) ** m)
-    for first in range(0, len(shifts), width):
-        block = slice(first, first + width)
-        e = _exponent(z.Y, twice[block])
+    for first in range(0, len(shifts), grid.width):
+        block = slice(first, first + grid.width)
+        e = _exponent(z.Y, grid.twice[block])
         kept = e > _LOG_TINY
         np.maximum(e, _LOG_TINY, out=e)
         np.exp(e, out=e)
@@ -457,10 +536,12 @@ def theta_vector(z: SiegelPoint, params: ThetaParams | None = None) -> tuple:
     e^{_LOG_TINY} count as 0.
 
     The pair is kept on z per params: a second call at the same point, or
-    big_theta at the other weight, costs no pass.
+    big_theta at the other weight, costs no pass.  So is the truncation
+    radius, which the verifiers' workable test has usually read first; the
+    pass's radius-only arrays are kept per (m, R).
     """
     params = params or ThetaParams()
-    memo = z._theta_memo()
+    memo = z._theta
     if params not in memo:
         half, three_half = _theta_pass(z, params)
         half.setflags(write=False)

@@ -14,7 +14,7 @@ from thetacover import (CoverElement, IntegerSymplectic, Mu8,
                         random_word_element, rao_cocycle)
 import exact_reference as ref
 from thetacover import exactla as xla
-from thetacover.cocycle import _fraction_q, _rank_normal_form, word_lift
+from thetacover.cocycle import _fractions, _rank_normal_form, word_lift
 from thetacover.symplectic import _draw_word
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -234,8 +234,11 @@ def test_rank_normal_form_matches_fraction_elimination():
     ranks = {}
     for g in words:
         want = reference_rank_normal_form(g)
-        j, x, p, q_int = _rank_normal_form(g)
-        got = (j, x, p, _fraction_q(q_int))
+        j, x, (p, row_den), q_int = _rank_normal_form(g)
+        assert all(type(v) is int for v in row_den + sum(p, ()))
+        # P[k] = p[k] / row_den[k]
+        p = tuple(tuple(Fraction(v, k) for v in row) for row, k in zip(p, row_den))
+        got = (j, x, p, _fractions(q_int))
         assert got == want, g
         assert all(type(v) is Fraction for mat in got[2:] for row in mat for v in row)
         ranks.setdefault(g.m, set()).add(j)

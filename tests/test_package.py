@@ -47,7 +47,8 @@ from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
                         SiegelPoint, coset_table, enumerate_isotropic,
                         j_matrix, make_generator, mobius_act, q0_eval,
                         random_word_element, rao_cocycle, sample_gamma48,
-                        sample_point, sqrt_det, symplectic_gauss_sum, transvection_rep,
+                        sample_point, sqrt_det, subgroup_membership,
+                        symplectic_gauss_sum, transvection_rep,
                         verify_scalar_law, verify_vector_law)
 from thetacover.exactla import congruence_signature, det, inv
 from thetacover.f2cosets import refine_rep
@@ -106,6 +107,11 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: make_generator("u_ij", 2, i=1.5, j=1),
          lambda: random_word_element(2.5, "Sp", length=3, seed=1),
          lambda: random_word_element(2, "Sp", length=2.5, seed=1),
+         lambda: random_word_element(2, "Sp", length=3, seed=1.5),
+         lambda: random_word_element(2, "Sp", length=3, seed=float("nan")),
+         # a subgroup name that is not a str
+         lambda: subgroup_membership(make_generator("omega", 1), 12),
+         lambda: subgroup_membership(make_generator("omega", 1), ["Sp"]),
          lambda: sample_point(2.5, np.random.default_rng(0)),
          lambda: SiegelPoint.z0(2.5),
          lambda: IntegerSymplectic.identity(1.5),
@@ -129,6 +135,8 @@ for case in cases:
     raise SystemExit("accepted invalid input")
 if coset_table(2.0) is not coset_table(2):
     raise SystemExit("coset_table keyed 2.0 apart from 2")
+if SiegelPoint.z0(2.0) is not SiegelPoint.z0(2):
+    raise SystemExit("SiegelPoint.z0 keyed 2.0 apart from 2")
 print("ok")
 """
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=src_env(),

@@ -81,6 +81,7 @@ def test_generator_validation():
     ("length", lambda x: random_word_element(2, "Sp", length=x, seed=1)),
     ("m", lambda x: repr(SiegelPoint.z0(x))),
     ("m", IntegerSymplectic.identity),
+    ("seed", lambda x: random_word_element(2, "Sp", length=3, seed=x)),
 ])
 def test_integer_arguments_follow_the_as_int_rule(name, build):
     # an integral float or numpy int builds what the int builds; 2.5 is a
@@ -88,6 +89,42 @@ def test_integer_arguments_follow_the_as_int_rule(name, build):
     assert build(2.0) == build(np.int64(2)) == build(2)
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         build(2.5)
+
+
+def test_word_seed_follows_the_as_int_rule():
+    # random.Random hashes any seed: 1.5 would draw a word, and 1.0 that of 1
+    for bad in (1.5, "1", float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            random_word_element(2, "Sp", length=3, seed=bad)
+    assert random_word_element(2, "Sp", length=3, seed=True) \
+        == random_word_element(2, "Sp", length=3, seed=1)
+
+
+def test_subgroup_name_must_be_a_string():
+    g = make_generator("omega", 2)
+    for bad in (12, ["Sp"], None, ("Gamma", 2)):
+        with pytest.raises(ValueError, match="unknown subgroup"):
+            subgroup_membership(g, bad)
+        with pytest.raises(ValueError, match="unknown subgroup"):
+            random_word_element(2, bad, length=3, seed=1)
+
+
+def test_point_forms_z_once_read_only():
+    z = SiegelPoint([[0.3, -0.1], [-0.1, 0.2]], [[1.2, 0.4], [0.4, 0.7]])
+    assert z.z is z.z
+    assert np.array_equal(z.z, z.X + 1j * z.Y)
+    for arr in (z.X, z.Y, z.z):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+
+
+def test_base_point_is_built_once_per_genus():
+    for m in (1, 2, 3):
+        z0 = SiegelPoint.z0(m)
+        assert SiegelPoint.z0(float(m)) is z0 is SiegelPoint.z0(np.int64(m))
+        assert np.array_equal(z0.z, 1j * np.eye(m))
+    assert SiegelPoint.z0(1) is not SiegelPoint.z0(2)
 
 
 def test_non_symplectic_rejected():

@@ -1,7 +1,9 @@
 """Lattice sums, branch bookkeeping, automorphy factors."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from thetacover import (CapacityError, CoverElement, IntegerSymplectic,
                         random_word_element, sqrt_det, theta_component,
                         theta_series, theta_vector, truncation_radius)
 from thetacover import exactla as xla
-from thetacover import theta
-from thetacover.cocycle import cbar_cocycle, rao_cocycle
+from thetacover import harness, theta
+from thetacover.cocycle import _rank_normal_form, cbar_cocycle, rao_cocycle
 from thetacover.harness import sample_point
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -181,12 +183,14 @@ def test_periodicity_in_even_integer_shifts():
 
 
 def test_direct_sum_forms_z_once(monkeypatch):
-    # z.z allocates X + iY on each read; the sum reads it once, not m^2 times
+    # the point forms X + iY once, when it is built; the sum reads it once,
+    # not m^2 times (the point is built before the slot is wrapped)
     reads = []
-    z_of = SiegelPoint.z.fget
+    z = SiegelPoint(np.zeros((3, 3)), np.eye(3))
+    slot = SiegelPoint.z
     monkeypatch.setattr(SiegelPoint, "z",
-                        property(lambda p: reads.append(1) or z_of(p)))
-    theta_series(SiegelPoint(np.zeros((3, 3)), np.eye(3)), "three_half")
+                        property(lambda p: reads.append(1) or slot.__get__(p)))
+    theta_series(z, "three_half")
     assert len(reads) == 1
 
 
@@ -449,6 +453,123 @@ def test_exponent_is_the_form_and_even():
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
             assert np.array_equal(theta._exponent(Y, -twice), got)
+
+
+def reference_phases(X, radius, classes):
+    """(tables, cross, consts) of _phases with one _cis call per kind of
+    factor: the halves on n, the diagonal on n^2 and each pair on n_k n_l."""
+    m = len(X)
+    hi, lo = theta._split(X)
+    pair_hi, pair_lo = hi + hi.T, lo + lo.T
+    steps = np.arange(-radius, radius + 1)
+    halves = theta._cis(pair_hi[..., None] / 4, pair_lo[..., None] / 4, steps)
+    powers = np.stack([halves.conj(), np.ones_like(halves), halves])
+    axes = np.arange(m)
+    tables = theta._cis(np.diag(hi)[:, None] / 2, np.diag(lo)[:, None] / 2,
+                        steps * steps) \
+        * powers[classes.offsets[:, None, :], axes[:, None], axes].prod(axis=2)
+    shifts = classes.shifts
+    consts = np.exp(1j * math.pi * np.sum((shifts @ X) * shifts, axis=1))
+    cross = np.ones((1,) * (m + 1))
+    for k, l in itertools.combinations(range(m), 2):
+        shape = [1] * (m + 1)
+        shape[1 + k] = shape[1 + l] = len(steps)
+        factor = theta._cis(pair_hi[k, l] / 2, pair_lo[k, l] / 2,
+                            np.outer(steps, steps))
+        cross = cross * factor.reshape(shape)
+    return tables, cross, consts
+
+
+def test_fused_phases_match_one_call_per_factor():
+    # bit for bit: _cis works entry by entry; X's triangles differ by 1e-13
+    rng = np.random.default_rng(29)
+    for m in (1, 2, 3, 4):
+        classes = theta._shift_classes(m)
+        for radius in (1, 3, 6, 11):
+            X = rng.uniform(-3, 3, (m, m))
+            X = (X + X.T) / 2 + 1e-13 * np.triu(rng.uniform(-1, 1, (m, m)), 1)
+            got = theta._phases(X, radius, classes)
+            want = reference_phases(X, radius, classes)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b), (m, radius)
+
+
+def test_pass_grids_are_read_only_and_kept():
+    for m in (1, 2, 3):
+        for radius in (1, 4, 9):
+            grid = theta._grid(m, radius)
+            assert theta._grid(m, radius) is grid
+            arrays = [value for value in vars(grid).values()
+                      if isinstance(value, np.ndarray)] + list(grid.powers)
+            assert len(arrays) == 7
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 0
+
+
+def test_radius_is_kept_per_params(monkeypatch):
+    # radius 6 at tail_tol 0.5 and 24 at 1e-12, read in both orders
+    z = point_at_radius(2, 6, ThetaParams(tail_tol=0.5), 4)
+    both = [ThetaParams(tail_tol=0.5), ThetaParams(tail_tol=1e-12)]
+    for order in (both, both[::-1]):
+        point = SiegelPoint(z.X, z.Y)
+        for params in order + order:
+            assert theta._radius(point, params) \
+                == truncation_radius(point.Y, params)
+    assert truncation_radius(z.Y, both[0]) != truncation_radius(z.Y, both[1])
+    # one eigenvalue solve per point and params, whoever reads the radius
+    solves = []
+    real = theta.truncation_radius
+    monkeypatch.setattr(theta, "truncation_radius",
+                        lambda Y, params: solves.append(1) or real(Y, params))
+    point = SiegelPoint(z.X, z.Y)
+    theta_vector(point)
+    theta_series(point, "half")
+    assert harness._workable(point, point, ThetaParams())
+    assert len(solves) == 1
+
+
+def test_capacity_error_is_raised_on_every_call():
+    flat = SiegelPoint(np.zeros((2, 2)), 1e-5 * np.eye(2))
+    for _ in range(2):
+        with pytest.raises(CapacityError):
+            theta_vector(flat)
+        with pytest.raises(CapacityError):
+            theta_series(flat, "half")
+        assert not harness._workable(flat, flat, ThetaParams())
+
+
+def reference_j_half(g, z) -> complex:
+    """j_half with P formed as Fraction rows P[k] = p[k] / den[k]."""
+    j, x, (p, den), _ = _rank_normal_form(g)
+    big_p = [[Fraction(v, k) for v in row] for row, k in zip(p, den)]
+    scale = float(abs(x)) ** -0.5
+    if j == 0:
+        return complex(scale)
+    w = np.array(xla.mat_mul(big_p[:j], g.c), dtype=float)
+    pd = np.array(big_p[:j], dtype=float) @ np.array(g.d, dtype=float)
+    t = (w @ z.z + pd) @ w.T
+    return scale / det_invsqrt(-1j * t)
+
+
+def test_j_half_reads_p_in_ints_bit_for_bit():
+    # seeded words of all three samplers (every rank of c) and the coset
+    # representatives, at m = 1..4
+    ranks = set()
+    for m in (1, 2, 3, 4):
+        z = sample_point(m, np.random.default_rng(40 + m))
+        words = [random_word_element(m, group, length=1 + seed % 25,
+                                     seed=seed)[0]
+                 for group in ("Sp", "Gamma(1,2)", "Gamma2")
+                 for seed in range(30)]
+        words += list(mixed_rank_words(m, 20))
+        words += [rec.M for rec in coset_table(m)] if m < 4 else []
+        for g in words:
+            assert j_half(g, z) == reference_j_half(g, z), g
+            ranks.add((m, _rank_normal_form(g)[0]))
+    assert ranks == {(m, j) for m in (1, 2, 3, 4) for j in range(m + 1)}
 
 
 @given(seeds)
