@@ -30,17 +30,23 @@ one pass that evaluates each half shift once and sums it against the
 characters of n mod 2.  Its terms are one real exp of an exponent
 broadcast from the coordinates 2v, times the phases of the pairs of axes;
 the per-axis phases ride the character weights.  What a pass reads that
-depends on m and R alone, from the exact coordinates 2v to the integer grid
+depends on m and R alone, from the exact coordinates 2v to the grid
 of its phase factors, is built once per (m, R) and kept read-only
 (``_grid``); the factors that depend on X are then one vectorized
-exponential.  The pass is kept on the point, so a point pays for at most
-one pass per ThetaParams.
+exponential.  Terms of the pass at or below a floor derived from
+ThetaParams.tail_tol count as 0; together they are at most 2^-53 tail_tol
+per component (``_floor``).  So the pass reads only the sub-box
+prod_k [-r_k, r_k] of the box that holds every term above the floor, with
+per-axis radii r_k <= R read off (Y + Y^T)^-1 (``_axis_radii``): its
+counted terms are those of the whole box above the floor.  The pass is kept
+on the point, so a point pays for at most one pass per ThetaParams.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,19 +93,19 @@ MAX_RADIUS = 64
 class ThetaParams:
     """Accuracy knob for the truncated lattice sums.
 
-    0 < tail_tol < 1: truncation_radius takes log(1 / tail_tol), which is
-    not positive from 1 on.
+    0 < tail_tol < 1, a real number: truncation_radius takes -log(tail_tol),
+    which is not positive from 1 on.
     """
 
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if not 0 < self.tail_tol < 1:
+        if not (isinstance(self.tail_tol, numbers.Real) and 0 < self.tail_tol < 1):
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
 
 
 def truncation_radius(Y: np.ndarray, params: ThetaParams) -> int:
-    """Box radius R = ceil(sqrt(log(1/tol) / (pi * lambda_min(Y)))) + 2.
+    """Box radius R = ceil(sqrt(-log(tol) / (pi * lambda_min(Y)))) + 2.
 
     A heuristic, not a certified bound: the first term brings the Gaussian
     e^{-pi lambda_min R^2} of one point on the boundary down to tail_tol,
@@ -113,7 +119,8 @@ def truncation_radius(Y: np.ndarray, params: ThetaParams) -> int:
     lam = float(np.linalg.eigvalsh((Y + Y.T) / 2)[0])
     if lam <= 0:
         raise ValueError("Y must be positive definite")
-    r = math.ceil(math.sqrt(math.log(1.0 / params.tail_tol) / (math.pi * lam))) + 2
+    # -log(tol), not log(1 / tol): 1 / tol overflows below about 5.6e-309
+    r = math.ceil(math.sqrt(-math.log(params.tail_tol) / (math.pi * lam))) + 2
     if r > MAX_RADIUS:
         raise CapacityError(r, MAX_RADIUS)
     return r
@@ -305,16 +312,71 @@ def _shift_classes(m: int) -> _ShiftClasses:
     return classes
 
 
-# Terms of modulus below e^{_LOG_TINY} (about 1e-304) count as 0 in
-# theta_vector: they are far below the rounding of any sum, and an exp that
-# underflows or goes subnormal costs 15 to 100 times one that does not.
+# The pass's floor (_floor) never goes below e^{_LOG_TINY}, about 1e-304:
+# an exp that underflows or goes subnormal costs 15 to 100 times one that
+# does not.
 _LOG_TINY = -700.0
+
+# Relative widening of the per-axis radii (_axis_radii), for the rounding of
+# the exponent and of (S^-1)_kk: each is off by about m^2 cond(S) 2^-53
+# relative, well below 2^-20 while cond(S) < 1e8.
+_MARGIN = 2.0 ** -20
 
 # Points times shift classes per block of a pass: keeps each of the pass's
 # temporary arrays near 256 kB, so that a block's arrays stay in a core's
 # cache (timed on theta-m3, m = 3, R = 8..10: 2^14 beat 2^13, 2^15 and
 # 2^16 by 2-15 % in items/s).
 _BLOCK = 1 << 14
+
+
+def _floor(tail_tol: float, terms: int) -> float:
+    """The log of the pass's floor: a term E with log|E| <= floor counts as 0.
+
+    floor = max(_LOG_TINY, log(tail_tol) - 53 log 2 - log(terms)), terms
+    being the points times shift classes of the pass.  A component reads
+    the box of one class, so the terms it drops sum to at most 2^-53
+    tail_tol in modulus, and those of a moment sum, where |v_k| <= R + 1/2,
+    to R + 1/2 times that: below one ulp of the tail the radius accepts.
+    Below tail_tol of about 1e-283 the max picks _LOG_TINY, and the bound
+    is terms e^{_LOG_TINY} instead.
+    """
+    return max(_LOG_TINY,
+               math.log(tail_tol) - 53 * math.log(2) - math.log(terms))
+
+
+def _axis_radii(Y: np.ndarray, radius: int, floor: float) -> list:
+    """Radii r_k <= R of the box prod_k [-r_k, r_k] that holds every term
+    of the pass above floor, for every shift class.
+
+    With S = (Y + Y^T) / 2, the form the exponent reads, the minimum of
+    v S v^T over the other coordinates is v_k^2 / (S^-1)_kk, so
+    -pi v S v^T > floor gives |v_k| < sqrt(-floor (S^-1)_kk / pi), and
+    v_k = n_k + s_k with |s_k| <= 1/2 gives |n_k| <= r_k = min(R,
+    floor(sqrt(-floor (S^-1)_kk / pi) + 1/2)), the root widened by
+    _MARGIN.  (S^-1)_kk comes from Gauss-Jordan on Python floats, without
+    pivots since S is positive definite: at m = 2 a few scalar operations,
+    which cost less than np.linalg.inv alone.
+    """
+    s = Y.tolist()
+    m = len(s)
+    for i in range(m):
+        for k in range(i):
+            s[i][k] = s[k][i] = (s[i][k] + s[k][i]) / 2
+    for p in range(m):                          # s becomes S^-1
+        row = s[p]
+        pivot = 1 / row[p]
+        for i in range(m):
+            if i != p:
+                other = s[i]
+                f = other[p] * pivot
+                for j in range(m):
+                    other[j] -= f * row[j]
+                other[p] = -f
+        for j in range(m):
+            row[j] *= pivot
+        row[p] = pivot
+    scale = -floor / math.pi * (1 + _MARGIN) ** 2
+    return [min(radius, int(math.sqrt(scale * s[k][k]) + 0.5)) for k in range(m)]
 
 
 def _split(x: np.ndarray) -> tuple:
@@ -326,8 +388,8 @@ def _split(x: np.ndarray) -> tuple:
 
 def _cis(hi, lo, k) -> np.ndarray:
     """e^{2 pi i (hi + lo) k} for a coefficient split as by _split, or a sum
-    of two such hi on one grid, scaled by a power of 2, and integers
-    |k| <= 2^12, broadcast against each other; to about 1e-16.
+    of two such hi on one grid, and integers |k| <= 2^12 scaled by a power
+    of 2, broadcast against each other; to about 1e-16.
 
     Rounding c k itself would put an error of order 1e-16 |c k| on the
     angle, and a table entry is shared by every lattice point that reads
@@ -339,22 +401,23 @@ def _cis(hi, lo, k) -> np.ndarray:
     return np.exp(2j * math.pi * ((whole - np.rint(whole)) + lo * k))
 
 
-def _exponent(Y: np.ndarray, twice: np.ndarray) -> np.ndarray:
-    """-pi v Y v^T over the box for a block of shift classes.
+def _exponent(Y: np.ndarray, twice: list) -> np.ndarray:
+    """-pi v Y v^T over a box for a block of shift classes.
 
-    twice[c, k, j] = 2 v_k = 2 (n_k + s_k), n_k = j - R, holds exact
-    integers.  The result, of shape (classes,) + (2R + 1,) * m, adds
-    form_kk (2 v_k)^2 and (2 form_ik 2 v_i) 2 v_k for i < k, with
-    form = -pi (Y + Y^T) / 8, in one fixed order.  At -v each product
+    twice[k][c, j] = 2 v_k = 2 (n_k + s_k) at the j-th n_k of axis k holds
+    exact integers; each axis has its own length.  The result, of shape
+    (classes, len_0, ..., len_{m-1}), adds form_kk (2 v_k)^2 and
+    (2 form_ik 2 v_i) 2 v_k for i < k, with form = -pi (Y + Y^T) / 8, in
+    one fixed order.  At -v each product
     rounds the same exact factors up to sign, so the values at v and -v
     are equal bit for bit, as in the oracles.  It is formed from v, not as
     n Y n^T + 2 n.Ys + s Y s^T, whose terms grow with |n| and cancel, and
     which rounds other terms at -v = (-n - 2s) + s, a point of the same class.
     """
-    width, m, side = twice.shape
+    m = len(twice)
     form = -math.pi / 8 * (Y + Y.T)
-    v = [twice[:, k].reshape((width,) + (1,) * k + (side,) + (1,) * (m - 1 - k))
-         for k in range(m)]                     # 2 v_k along axis k
+    v = [t.reshape(t.shape[:1] + (1,) * k + t.shape[1:] + (1,) * (m - 1 - k))
+         for k, t in enumerate(twice)]          # 2 v_k along axis k
     out = form[0, 0] * (v[0] * v[0])
     for k in range(1, m):
         out = out + form[k, k] * (v[k] * v[k])
@@ -371,13 +434,12 @@ class _Grid:
     twice[c, k, j] = 2 (n_k + s_k), n_k = j - R, for shift class c (see
     _exponent); weights[j] holds the character weights 1, (-1)^n, n and
     (-1)^n n at n = j - R (see _character_sums); powers indexes each class's
-    half-pair factors (see _phases).  multipliers is the integer grid of
-    the one _cis call of _phases, in its order: n for the m^2 halves, n^2
-    for the m diagonal entries and n_k n_l for the pairs k < l.  Entry i
-    is multiplied by entry coefficients[i] of the flat 3m x m table
-    ((X + X^T) / 4; X / 2; (X + X^T) / 2) that _phases forms from each part
-    of X's split.  width is the number of shift classes per block of the
-    pass.  Every array is read-only.
+    half-pair factors (see _phases).  multipliers is the grid of the one
+    _cis call of _phases, in its order: n / 4 for the m^2 halves, n^2 / 2
+    for the m diagonal entries and n_k n_l / 2 for the pairs k < l.  Entry
+    i is multiplied by entry coefficients[i] of the flat 2m x m table
+    (X + X^T; X) that _phases forms from each part of X's split.  Every
+    array is read-only.
     """
 
     twice: np.ndarray
@@ -385,7 +447,6 @@ class _Grid:
     powers: tuple
     multipliers: np.ndarray
     coefficients: np.ndarray
-    width: int
 
 
 # Unbounded in form, but a pass only asks for R <= MAX_RADIUS, so there
@@ -402,78 +463,82 @@ def _grid(m: int, radius: int) -> _Grid:
         twice=2 * (classes.shifts[:, :, None] + steps),
         weights=np.array([np.ones_like(steps), sign, steps, sign * steps]).T,
         powers=(classes.offsets[:, None, :], axes[:, None], axes),
-        multipliers=np.concatenate([np.tile(steps, m * m),
-                                    np.tile(steps * steps, m),
-                                    np.tile(np.outer(steps, steps).ravel(),
+        multipliers=np.concatenate([np.tile(steps / 4, m * m),
+                                    np.tile(steps * steps / 2, m),
+                                    np.tile(np.outer(steps, steps).ravel() / 2,
                                             len(upper))]),
         coefficients=np.concatenate([np.repeat(np.arange(m * m), side),
                                      np.repeat(m * m + axes * (m + 1), side),
-                                     np.repeat(2 * m * m + np.array(upper, dtype=int),
-                                               side * side)]),
-        width=max(1, _BLOCK // side ** m))
+                                     np.repeat(np.array(upper, dtype=int),
+                                               side * side)]))
     for arr in (grid.twice, grid.weights, grid.multipliers, grid.coefficients,
                 *grid.powers):
         arr.setflags(write=False)
     return grid
 
 
-def _phases(X: np.ndarray, radius: int, classes: _ShiftClasses) -> tuple:
+def _phases(X: np.ndarray, radius: int, classes: _ShiftClasses,
+            crop: list) -> tuple:
     """(tables, cross, consts): the factors of e^{i pi v X v^T}, v = n + s.
 
     tables[c, k, j] is the axis-k factor at n_k = j - R for shift class c:
     e^{i pi X_kk n_k^2} times e^{+-i pi (X_kl + X_lk) n_k / 2} for each l
-    with s_l = +-1/2, which _character_sums puts into axis k's weights.
-    cross, the only factor multiplied over the box, of shape
-    (1,) + (2R + 1,) * m, holds e^{i pi (X_kl + X_lk) n_k n_l} for the
-    pairs k < l (all ones at m = 1), and consts[c] = e^{i pi s X s^T}.
+    with s_l = +-1/2, which the pass puts into axis k's weights.  cross,
+    the only factor multiplied over the box, holds e^{i pi (X_kl + X_lk)
+    n_k n_l} for the pairs k < l on the sub-box that crop[k], a slice of
+    j, keeps on axis k: its shape is (1, len_0, ..., len_{m-1}), with 1 on
+    the axes that no pair reaches (all ones at m = 1).  consts[c] =
+    e^{i pi s X s^T}.
     Both triangles of X are read, as the oracles' v z v^T does: X is
     symmetric only to 1e-12.  hi + hi^T is exact, its two terms being on
     one grid.  Every factor comes from one _cis call over the grid's
-    multipliers; _cis works entry by entry, so that is the same as one
-    call per kind of factor.
+    multipliers; _cis works entry by entry, and scaling k or c by a power
+    of 2 is exact, so that is the same as one call per kind of factor.
     """
     m, side = len(X), 2 * radius + 1
     grid = _grid(m, radius)
     parts = np.array(_split(X))                 # hi, lo
     pairs = parts + parts.transpose(0, 2, 1)    # hi + hi^T, lo + lo^T
-    table = np.concatenate([pairs / 4, parts / 2, pairs / 2], axis=1)
-    factors = _cis(*table.reshape(2, -1)[:, grid.coefficients],
+    table = np.concatenate([pairs, parts], axis=1)
+    factors = _cis(*table.reshape(2, -1).take(grid.coefficients, axis=1),
                    grid.multipliers)
     diagonal = m * m * side                 # where the diagonal factors start
     cross_at = diagonal + m * side          # and where the pair factors start
     halves = factors[:diagonal].reshape(m, m, side)
-    powers = np.array([halves.conj(), np.ones_like(halves), halves])
+    powers = np.array([halves.conj(), halves, halves])
+    powers[1] = 1
     tables = factors[diagonal:cross_at].reshape(m, side) \
         * powers[grid.powers].prod(axis=2)
     shifts = classes.shifts
-    consts = np.exp(1j * math.pi * np.sum((shifts @ X) * shifts, axis=1))
+    consts = np.exp(1j * math.pi * ((shifts @ X) * shifts).sum(axis=1))
     cross = np.ones((1,) * (m + 1))
     for factor, (k, l) in zip(factors[cross_at:].reshape(-1, side, side),
                               itertools.combinations(range(m), 2)):
+        part = factor[crop[k], crop[l]]
         shape = [1] * (m + 1)
-        shape[1 + k] = shape[1 + l] = side
-        cross = cross * factor.reshape(shape)
+        shape[1 + k], shape[1 + l] = part.shape
+        cross = cross * part.reshape(shape)
     return tables, cross, consts
 
 
-def _character_sums(e: np.ndarray, radius: int, tables: np.ndarray) -> np.ndarray:
-    """Sums of w_0(n_0) t_0(n_0) ... w_{m-1}(n_{m-1}) t_{m-1}(n_{m-1}) E(n)
-    over the box, for e of shape (classes,) + (2R + 1,) * m, n_k = j_k - R,
-    and t_k(n_k) = tables[c, k, j_k], the axis factors of _phases.
+def _character_sums(e: np.ndarray, axes: list) -> np.ndarray:
+    """Sums of a_0(n_0, r_0) ... a_{m-1}(n_{m-1}, r_{m-1}) E(n) over a box,
+    for e of shape (classes, len_0, ..., len_{m-1}) and axes[k] of shape
+    (classes, len_k, 4): a_k(n_k, r) is the axis-k factor of _phases times
+    character weight r, one of 1, (-1)^{n_k}, n_k and (-1)^{n_k} n_k.
 
-    Each w_k is one of 1, (-1)^{n_k}, n_k and (-1)^{n_k} n_k, rows 0 to 3;
-    column sum_k r_k 4^k of the result, of shape (classes, 4^m), takes row
-    r_k on axis k.  The axes are contracted last to first against t_k w_k,
-    each by one matrix product batched over the classes, the first over the
-    whole box and each next one over a box 4 / (2R + 1) the size.
+    Column sum_k r_k 4^k of the result, of shape (classes, 4^m), takes row
+    r_k on axis k.  The axes are contracted last to first, each by one
+    matrix product batched over the classes, the first over the whole box
+    and each next one over a box 4 / len_k the size.
     """
-    side = 2 * radius + 1
-    weights = _grid(e.ndim - 1, radius).weights
-    t = e.reshape(len(e), 1, -1)
-    for k in reversed(range(e.ndim - 1)):
-        t = t.reshape(len(e), side ** k, side, -1).transpose(0, 1, 3, 2)
-        t = t.reshape(len(e), -1, side) @ (tables[:, k, :, None] * weights)
-    return t.reshape(len(e), -1)
+    width, m = len(e), e.ndim - 1
+    t = e
+    for k in reversed(range(m)):
+        side = e.shape[1 + k]
+        t = t.reshape(width, -1, side, 4 ** (m - 1 - k)).transpose(0, 1, 3, 2)
+        t = t.reshape(width, -1, side) @ axes[k]
+    return t.reshape(width, -1)
 
 
 def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
@@ -484,9 +549,13 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     factors e^{-2 pi n_k (Ys)_k} alone overflow on flat points) times a
     product of unimodular factors (see _phases), so no complex exp is
     taken per point; only the pair factors are multiplied over the box,
-    and _character_sums takes the per-axis ones.  The shift
-    classes go through the pass side by side, in blocks of at most _BLOCK
-    points times classes.  R is the point's kept radius (_radius), and
+    and _character_sums takes the per-axis ones with the character
+    weights.  Terms at or below the floor (_floor) count as 0, and the pass
+    reads only the sub-box prod_k [-r_k, r_k] of [-R, R]^m that holds every
+    term above it (_axis_radii): the counted terms are those of the whole
+    box above the floor, whatever the crop.  The shift classes go through
+    the pass side by side, in blocks of at most _BLOCK points of the
+    sub-box times classes.  R is the point's kept radius (_radius), and
     everything that depends on (m, R) alone comes from _grid(m, R).
     """
     m = z.m
@@ -494,16 +563,21 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     classes = _shift_classes(m)
     shifts = classes.shifts
     grid = _grid(m, radius)
-    tables, cross, consts = _phases(z.X, radius, classes)
+    floor = _floor(params.tail_tol, len(shifts) * (2 * radius + 1) ** m)
+    radii = _axis_radii(z.Y, radius, floor)
+    crop = [slice(radius - r, radius + r + 1) for r in radii]
+    tables, cross, consts = _phases(z.X, radius, classes, crop)
+    axes = [tables[:, k, c, None] * grid.weights[c] for k, c in enumerate(crop)]
+    width = max(1, _BLOCK // math.prod(2 * r + 1 for r in radii))
     sums = np.empty((len(shifts), 4 ** m), dtype=complex)
-    for first in range(0, len(shifts), grid.width):
-        block = slice(first, first + grid.width)
-        e = _exponent(z.Y, grid.twice[block])
-        kept = e > _LOG_TINY
-        np.maximum(e, _LOG_TINY, out=e)
+    for first in range(0, len(shifts), width):
+        block = slice(first, first + width)
+        e = _exponent(z.Y, [grid.twice[block, k, c] for k, c in enumerate(crop)])
+        kept = e > floor
+        np.maximum(e, floor, out=e)
         np.exp(e, out=e)
         e *= kept
-        sums[block] = _character_sums(e * cross, radius, tables[block])
+        sums[block] = _character_sums(e * cross, [a[block] for a in axes])
     sums *= consts[:, None]
     of_label = classes.of_label
     half = sums[of_label, classes.half_index]
@@ -532,8 +606,11 @@ def theta_vector(z: SiegelPoint, params: ThetaParams | None = None) -> tuple:
     arg E is a product of unimodular factors read off tables of 2R + 1
     (per axis) and (2R + 1)^2 (per pair of axes) entries, so no complex exp
     is taken per point; only the pair factors are multiplied over the box,
-    and the per-axis ones ride the character weights.  Terms below
-    e^{_LOG_TINY} count as 0.
+    and the per-axis ones ride the character weights.  Terms at or below
+    a floor derived from params.tail_tol count as 0 (see _floor): they
+    sum to at most 2^-53 tail_tol per component, and to R + 1/2 times that
+    per moment sum.  The pass reads only the sub-box of [-R, R]^m that
+    holds every term above the floor (see _axis_radii).
 
     The pair is kept on z per params: a second call at the same point, or
     big_theta at the other weight, costs no pass.  So is the truncation

@@ -166,6 +166,11 @@ def test_theta_plain_and_component(capsys, tmp_path):
     assert code == 0
     assert abs(rep["value"][0]["re"]) < 1e-10
 
+    # a tail_tol below the smallest normal float: 1 / tol would overflow
+    code, rep = run_json(capsys, "theta", "--z", fz, "--tol", "1e-320")
+    assert code == 0 and rep["radius"] == 18
+    assert rep["value"]["re"] == pytest.approx(1.0864348112133082, abs=1e-11)
+
 
 def test_theta_input_errors(capsys, tmp_path):
     fz = point_file(tmp_path, "z.json", 1, [[0.0]], [[1.0]])

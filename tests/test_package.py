@@ -44,8 +44,9 @@ def test_validation_survives_optimize():
     code = """
 import numpy as np
 from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
-                        SiegelPoint, coset_table, enumerate_isotropic,
-                        j_matrix, make_generator, mobius_act, q0_eval,
+                        SiegelPoint, ThetaParams, coset_table,
+                        enumerate_isotropic, j_matrix, make_generator,
+                        mobius_act, q0_eval,
                         random_word_element, rao_cocycle, sample_gamma48,
                         sample_point, sqrt_det, subgroup_membership,
                         symplectic_gauss_sum, transvection_rep,
@@ -113,6 +114,9 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: subgroup_membership(make_generator("omega", 1), 12),
          lambda: subgroup_membership(make_generator("omega", 1), ["Sp"]),
          lambda: sample_point(2.5, np.random.default_rng(0)),
+         # a tail_tol that is not a number
+         lambda: ThetaParams(tail_tol="0.5"),
+         lambda: ThetaParams(tail_tol=None),
          lambda: SiegelPoint.z0(2.5),
          lambda: IntegerSymplectic.identity(1.5),
          lambda: sample_gamma48(2, np.random.default_rng(0), factors=2.5),

@@ -163,6 +163,27 @@ def test_truncation_capacity_guard():
             ThetaParams(tail_tol=tol)
 
 
+def test_tail_tol_that_is_not_a_number_is_refused():
+    # a ValueError like every other entry check, not the comparison's TypeError
+    for tol in ("0.5", None, [0.5], 0.5j, b"0.5"):
+        with pytest.raises(ValueError, match=r"tail_tol must lie in \(0, 1\), got"):
+            ThetaParams(tail_tol=tol)
+    assert ThetaParams(tail_tol=np.float64(0.5)).tail_tol == 0.5
+
+
+def test_truncation_radius_at_subnormal_tail_tol():
+    # -log(tol), not log(1 / tol), which overflows below about 5.6e-309;
+    # the lattice sums then run with their floor at _LOG_TINY
+    Y = np.array([[1.0]])
+    for tol in (1e-320, 5e-324):
+        params = ThetaParams(tail_tol=tol)
+        assert truncation_radius(Y, params) == 18
+        z = SiegelPoint([[0.0]], Y)
+        want = theta_series(z, "half")
+        assert abs(theta_series(z, "half", params) - want) < 1e-15
+        assert abs(theta_vector(z, params)[0][0] - want) < 1e-15
+
+
 def test_det_invsqrt_validation():
     with pytest.raises(ValueError):
         det_invsqrt([[1.0, 0.0]])
@@ -408,28 +429,40 @@ def test_shift_classes_fold_opposite_shifts():
             assert np.array_equal(rec.eps_q, 2 * flip * classes.shifts[c])
 
 
+# per-axis radii of the boxes the pass helpers are tested on: cubes, and
+# the ragged boxes a crop gives
+BOXES = {m: [(radius,) * m for radius in (1, 2, 3, 4)]
+         + [(1, 4, 2)[:m], (3, 0, 2)[:m]] for m in (1, 2, 3)}
+
+
 def test_character_sums_match_the_box():
     # against the box sum of e . prod_k t_k(n_k) . prod_k w_{r_k}(n_k),
-    # broadcast here term by term, at column sum_k r_k 4^k
+    # broadcast here term by term, at column sum_k r_k 4^k, on cubes and
+    # ragged boxes
     rng = np.random.default_rng(17)
     for m in (1, 2, 3):
-        for radius in (1, 2, 3, 4):
+        for radii in BOXES[m]:
             for width in (1, 2, 3):
-                side = 2 * radius + 1
-                shape = (width,) + (side,) * m
+                sides = [2 * r + 1 for r in radii]
+                shape = (width, *sides)
                 e = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                tables = np.exp(2j * math.pi * rng.random((width, m, side)))
-                n = np.arange(-radius, radius + 1)
-                rows = (np.ones(side), (-1.0) ** n, n, (-1.0) ** n * n)
+                tables = [np.exp(2j * math.pi * rng.random((width, side)))
+                          for side in sides]
+                rows = []
+                for r in radii:
+                    n = np.arange(-r, r + 1)
+                    rows.append((np.ones(2 * r + 1), (-1.0) ** n, n, (-1.0) ** n * n))
                 want = np.empty((width, 4 ** m), dtype=complex)
                 for column in range(4 ** m):
                     term = e
                     for k in range(m):
-                        along = (side if j == k else 1 for j in range(m))
-                        axis = tables[:, k] * rows[column // 4 ** k % 4]
+                        along = (sides[k] if j == k else 1 for j in range(m))
+                        axis = tables[k] * rows[k][column // 4 ** k % 4]
                         term = term * axis.reshape(width, *along)
                     want[:, column] = term.reshape(width, -1).sum(axis=1)
-                got = theta._character_sums(e, radius, tables)
+                axes = [table[:, :, None] * np.array(row).T
+                        for table, row in zip(tables, rows)]
+                got = theta._character_sums(e, axes)
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
@@ -438,26 +471,28 @@ def test_exponent_is_the_form_and_even():
     # against -pi v Y v^T by einsum over the box, for every shift class and
     # a Y with both triangles apart; at -v it must agree bit for bit, the
     # evenness that keeps the weight-3/2 sums at rounding level
+    # (on cubes and on ragged boxes)
     rng = np.random.default_rng(23)
     for m in (1, 2, 3, 4):
         shifts = theta._shift_classes(m).shifts
-        for radius in (2, 5):
+        for radii in [(2,) * m, (5,) * m, (1, 4, 2, 3)[:m]]:
             a = np.eye(m) + 0.3 * rng.uniform(-1, 1, (m, m))
             Y = a @ a.T + 0.1 * rng.uniform(-1, 1, (m, m))
-            n = np.arange(-radius, radius + 1)
-            twice = 2 * (shifts[:, :, None] + n)
+            ns = [np.arange(-r, r + 1) for r in radii]
+            twice = [2 * (shifts[:, k, None] + n) for k, n in enumerate(ns)]
             got = theta._exponent(Y, twice)
-            v = np.stack(np.meshgrid(*([n] * m), indexing="ij"), axis=-1)
+            v = np.stack(np.meshgrid(*ns, indexing="ij"), axis=-1)
             v = v + shifts.reshape((len(shifts),) + (1,) * m + (m,))
             want = -math.pi * np.einsum("...k,kl,...l->...", v, Y, v)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-            assert np.array_equal(theta._exponent(Y, -twice), got)
+            assert np.array_equal(theta._exponent(Y, [-t for t in twice]), got)
 
 
-def reference_phases(X, radius, classes):
+def reference_phases(X, radius, classes, crop):
     """(tables, cross, consts) of _phases with one _cis call per kind of
-    factor: the halves on n, the diagonal on n^2 and each pair on n_k n_l."""
+    factor: the halves on n, the diagonal on n^2 and each pair on n_k n_l,
+    the last on the steps that crop keeps."""
     m = len(X)
     hi, lo = theta._split(X)
     pair_hi, pair_lo = hi + hi.T, lo + lo.T
@@ -473,26 +508,139 @@ def reference_phases(X, radius, classes):
     cross = np.ones((1,) * (m + 1))
     for k, l in itertools.combinations(range(m), 2):
         shape = [1] * (m + 1)
-        shape[1 + k] = shape[1 + l] = len(steps)
+        shape[1 + k], shape[1 + l] = len(steps[crop[k]]), len(steps[crop[l]])
         factor = theta._cis(pair_hi[k, l] / 2, pair_lo[k, l] / 2,
-                            np.outer(steps, steps))
+                            np.outer(steps[crop[k]], steps[crop[l]]))
         cross = cross * factor.reshape(shape)
     return tables, cross, consts
 
 
 def test_fused_phases_match_one_call_per_factor():
-    # bit for bit: _cis works entry by entry; X's triangles differ by 1e-13
+    # bit for bit: _cis works entry by entry; X's triangles differ by 1e-13;
+    # the pair factors on the whole box and on a ragged crop of it
     rng = np.random.default_rng(29)
     for m in (1, 2, 3, 4):
         classes = theta._shift_classes(m)
         for radius in (1, 3, 6, 11):
             X = rng.uniform(-3, 3, (m, m))
             X = (X + X.T) / 2 + 1e-13 * np.triu(rng.uniform(-1, 1, (m, m)), 1)
-            got = theta._phases(X, radius, classes)
-            want = reference_phases(X, radius, classes)
-            for a, b in zip(got, want):
-                assert a.shape == b.shape
-                assert np.array_equal(a, b), (m, radius)
+            ragged = [slice(radius - r, radius + r + 1)
+                      for r in (radius, radius // 2, 0, radius - 1)[:m]]
+            for crop in ([slice(None)] * m, ragged):
+                got = theta._phases(X, radius, classes, crop)
+                want = reference_phases(X, radius, classes, crop)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape
+                    assert np.array_equal(a, b), (m, radius)
+
+
+def seeded_forms(m, rng):
+    """(kind, Y): a diagonal Y, and a rotated, a flat (one eigenvalue near
+    0.15) and a tall (one near 40) Y, each turned by a random rotation."""
+    q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    for kind, low, high in (("diagonal", 0.5, 3.0), ("rotated", 0.5, 3.0),
+                            ("flat", 0.13, 0.18), ("tall", 30.0, 50.0)):
+        lam = rng.uniform(0.5, 3.0, m)
+        lam[0] = rng.uniform(low, high)
+        Y = np.diag(lam) if kind == "diagonal" else q @ np.diag(lam) @ q.T
+        yield kind, (Y + Y.T) / 2
+
+
+def whole_box_exponents(Y, radius):
+    """Per shift class s, the exponent -pi v Y v^T over the whole box
+    [-R, R]^m, from _exponent (one class at a time, to keep it small)."""
+    n = np.arange(-radius, radius + 1)
+    for s in theta._shift_classes(len(Y)).shifts:
+        yield s, theta._exponent(Y, [2 * (x + n)[None] for x in s])[0]
+
+
+def test_axis_radii_hold_every_term_above_the_floor():
+    # every point of the whole box, of every shift class, whose exponent
+    # exceeds the pass's floor lies in the crop; and the crop is sharp: on
+    # many axes a term above the floor sits on its edge |n_k| = r_k
+    rng = np.random.default_rng(37)
+    axes = on_edge = 0
+    for m in (1, 2, 3, 4):
+        classes = len(theta._shift_classes(m).shifts)
+        for _ in range(4 if m < 4 else 1):
+            for kind, Y in seeded_forms(m, rng):
+                for tol in (1e-12, 0.5):
+                    radius = truncation_radius(Y, ThetaParams(tail_tol=tol))
+                    floor = theta._floor(tol, classes * (2 * radius + 1) ** m)
+                    radii = theta._axis_radii(Y, radius, floor)
+                    reach = np.zeros(m, dtype=int)
+                    for _, e in whole_box_exponents(Y, radius):
+                        above = np.nonzero(e > floor)
+                        reach = np.maximum(reach, [np.abs(j - radius).max(initial=0)
+                                                   for j in above])
+                    assert np.all(reach <= radii), (m, kind, tol, reach, radii)
+                    assert all(0 <= r <= radius for r in radii)
+                    axes += m
+                    on_edge += int(np.sum(reach == radii))
+    assert on_edge > axes // 2, (on_edge, axes)
+
+
+def test_floor_drops_at_most_an_ulp_of_the_tail():
+    # over the whole box, the terms at or below the floor sum to at most
+    # 2^-53 tail_tol per shift class, and their moments |v_k| E to R + 1/2
+    # times that; below tail_tol of about 1e-283 the floor is _LOG_TINY
+    worst = 0.0
+    for m in (1, 2, 3):
+        classes = len(theta._shift_classes(m).shifts)
+        rng = np.random.default_rng(43 + m)
+        for tol in (0.5, 1e-3, 1e-12):
+            params = ThetaParams(tail_tol=tol)
+            for _ in range(3):
+                Y = sample_point(m, rng).Y
+                radius = truncation_radius(Y, params)
+                floor = theta._floor(tol, classes * (2 * radius + 1) ** m)
+                assert floor > theta._LOG_TINY
+                bound = 2.0 ** -53 * tol
+                for s, e in whole_box_exponents(Y, radius):
+                    dropped = np.where(e <= floor, np.exp(e), 0.0)
+                    worst = max(worst, float(dropped.sum()) / bound)
+                    for k in range(m):
+                        v = np.abs(np.arange(-radius, radius + 1) + s[k])
+                        along = [1] * m
+                        along[k] = -1
+                        moment = float((v.reshape(along) * dropped).sum())
+                        assert moment <= (radius + 0.5) * bound
+    assert 0 < worst <= 1, worst
+    for tol in (1e-290, 1e-320, 5e-324):
+        assert theta._floor(tol, 10) == theta._LOG_TINY
+
+
+def crop_fraction(z, params):
+    """The share of the box [-R, R]^m that the pass's crop keeps at z."""
+    radius = truncation_radius(z.Y, params)
+    terms = len(theta._shift_classes(z.m).shifts) * (2 * radius + 1) ** z.m
+    radii = theta._axis_radii(z.Y, radius, theta._floor(params.tail_tol, terms))
+    return math.prod(2 * r + 1 for r in radii) / (2 * radius + 1) ** z.m
+
+
+def test_theta_vector_on_strong_crops():
+    # points whose crop keeps at most a third of the box: the pass sums the
+    # sub-box, the oracle the whole box, term by term
+    rng = np.random.default_rng(41)
+    params = ThetaParams()
+    worst, cases = 0.0, set()
+    for lam in ((5.0, 0.3), (4.0, 4.0, 0.3), (3.0, 3.0, 3.0, 0.8)):
+        m = len(lam)
+        for angle in (0.0, 0.15):
+            turn = np.eye(m)
+            turn[0, 0] = turn[-1, -1] = math.cos(angle)
+            turn[0, -1], turn[-1, 0] = math.sin(angle), -math.sin(angle)
+            X = rng.uniform(-0.5, 0.5, (m, m))
+            z = SiegelPoint((X + X.T) / 2, turn @ np.diag(lam) @ turn.T)
+            assert crop_fraction(z, params) <= 1 / 3
+            cases.add(m)
+            half, three_half = theta_vector(z, params)
+            for weight, got in (("half", half), ("three_half", three_half)):
+                want = np.array([theta_component(rec, z, weight, params).value
+                                 for rec in coset_table(m)])
+                worst = max(worst, float(relative_errors(got, want).max()))
+    assert cases == {2, 3, 4}
+    assert worst < 1e-13
 
 
 def test_pass_grids_are_read_only_and_kept():
