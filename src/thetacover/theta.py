@@ -40,6 +40,15 @@ prod_k [-r_k, r_k] of the box that holds every term above the floor, with
 per-axis radii r_k <= R read off (Y + Y^T)^-1 (``_axis_radii``): its
 counted terms are those of the whole box above the floor.  The pass is kept
 on the point, so a point pays for at most one pass per ThetaParams.
+
+Each thread keeps one complex work array of _BLOCK entries (256 kB), made
+on its first pass, into which the pass writes a block's product of
+magnitudes and pair phases (``_times_cross``).  A fresh product per block
+would be freed, trimmed off the top of the heap by malloc and faulted back
+in by the next block: a median of 56 minor page faults per genus-3 pass
+on theta-m3 (126 per item), against 0.01 with the kept array.  A block
+larger than _BLOCK gets a fresh array; nothing a pass returns shares
+memory with the work array.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,10 +87,15 @@ __all__ = [
 
 
 class CapacityError(RuntimeError):
-    """The truncation radius exceeds MAX_RADIUS."""
+    """The truncation radius exceeds MAX_RADIUS.
 
-    def __init__(self, needed: int, cap: int):
-        super().__init__(f"truncation radius {needed} exceeds cap {cap}")
+    needed is the radius the rule asks for, an int, or inf when it
+    overflows a float; the message gives it in 3 digits from 10^6 on.
+    """
+
+    def __init__(self, needed, cap: int):
+        shown = needed if needed < 10 ** 6 else f"{needed:.3g}"
+        super().__init__(f"truncation radius {shown} exceeds cap {cap}")
         self.needed = needed
         self.cap = cap
 
@@ -120,10 +135,13 @@ def truncation_radius(Y: np.ndarray, params: ThetaParams) -> int:
     if lam <= 0:
         raise ValueError("Y must be positive definite")
     # -log(tol), not log(1 / tol): 1 / tol overflows below about 5.6e-309
-    r = math.ceil(math.sqrt(-math.log(params.tail_tol) / (math.pi * lam))) + 2
-    if r > MAX_RADIUS:
-        raise CapacityError(r, MAX_RADIUS)
-    return r
+    root = math.sqrt(-math.log(params.tail_tol) / (math.pi * lam))
+    # compared before ceil, which raises OverflowError on the inf that a
+    # lambda_min below about 5e-308 gives; R > MAX_RADIUS iff this holds
+    if root > MAX_RADIUS - 2:
+        needed = math.ceil(root) + 2 if math.isfinite(root) else math.inf
+        raise CapacityError(needed, MAX_RADIUS)
+    return math.ceil(root) + 2
 
 
 def _radius(z: SiegelPoint, params: ThetaParams) -> int:
@@ -164,6 +182,8 @@ def det_invsqrt(S) -> complex:
 
 def gamma_pair(z1: SiegelPoint, z2: SiegelPoint) -> complex:
     """det^{-1/2}((z1 - conj(z2))/2i) * det(Im z1)^{1/4} * det(Im z2)^{1/4}."""
+    if z1.m != z2.m:
+        raise ValueError("dimension mismatch")
     s = (z1.z - np.conj(z2.z)) / 2j
     return det_invsqrt(s) * float(np.linalg.det(z1.Y)) ** 0.25 \
         * float(np.linalg.det(z2.Y)) ** 0.25
@@ -322,11 +342,20 @@ _LOG_TINY = -700.0
 # relative, well below 2^-20 while cond(S) < 1e8.
 _MARGIN = 2.0 ** -20
 
-# Points times shift classes per block of a pass: keeps each of the pass's
-# temporary arrays near 256 kB, so that a block's arrays stay in a core's
-# cache (timed on theta-m3, m = 3, R = 8..10: 2^14 beat 2^13, 2^15 and
-# 2^16 by 2-15 % in items/s).
+# Points times shift classes per block of a pass, and the length of the
+# thread's complex work array (_times_cross): 256 kB, with each float
+# temporary of a block half that.  Re-timed with the kept work array on
+# theta-m3 (m = 3, R = 8..10; 8 seeds of 200 items, one process per size
+# and seed): 2^14 ran 304 items/s in the median, ahead of 2^13 (267) and
+# 2^15 (274) on 7 of 8 seeds each; at 2^15 the float temporaries of a
+# block reach 256 kB and are again trimmed and faulted back in, about 109
+# minor faults per item against a median under 1 at 2^13 and 2^14.  The m = 2
+# passes of vector-law-m2 (at most 11956 points times classes) fit one
+# block at 2^14.
 _BLOCK = 1 << 14
+
+# Per thread, the complex work array that a pass's block product goes into.
+_work = threading.local()
 
 
 def _floor(tail_tol: float, terms: int) -> float:
@@ -541,6 +570,23 @@ def _character_sums(e: np.ndarray, axes: list) -> np.ndarray:
     return t.reshape(width, -1)
 
 
+def _times_cross(e: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """e * cross, written into this thread's work array when e fits it.
+
+    The work array, _BLOCK complex entries made on the thread's first pass,
+    is overwritten by the next block, so only the block's character sums
+    may read the product; a larger e gets a fresh array.
+    """
+    if e.size > _BLOCK:
+        out = np.empty(e.shape, dtype=complex)
+    else:
+        buffer = getattr(_work, "block", None)
+        if buffer is None:
+            buffer = _work.block = np.empty(_BLOCK, dtype=complex)
+        out = buffer[:e.size].reshape(e.shape)
+    return np.multiply(e, cross, out=out)
+
+
 def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     """One lattice pass: (half, three_half) of theta_vector, computed.
 
@@ -556,7 +602,10 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     box above the floor, whatever the crop.  The shift classes go through
     the pass side by side, in blocks of at most _BLOCK points of the
     sub-box times classes.  R is the point's kept radius (_radius), and
-    everything that depends on (m, R) alone comes from _grid(m, R).
+    everything that depends on (m, R) alone comes from _grid(m, R).  Each
+    block's product of E and the pair factors goes into the thread's work
+    array (_times_cross), which the block's character sums read and the
+    next block overwrites; the returned sums are fresh arrays.
     """
     m = z.m
     radius = _radius(z, params)
@@ -577,7 +626,8 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
         np.maximum(e, floor, out=e)
         np.exp(e, out=e)
         e *= kept
-        sums[block] = _character_sums(e * cross, [a[block] for a in axes])
+        sums[block] = _character_sums(_times_cross(e, cross),
+                                      [a[block] for a in axes])
     sums *= consts[:, None]
     of_label = classes.of_label
     half = sums[of_label, classes.half_index]

@@ -184,6 +184,13 @@ def test_theta_input_errors(capsys, tmp_path):
     flat = point_file(tmp_path, "flat.json", 1, [[0.0]], [[1e-6]])
     code, rep = run_json(capsys, "theta", "--z", flat)
     assert code == 2 and "error" in rep
+    # a lambda_min so small that the radius overflows a float, and one
+    # that asks for a 151-digit radius: refusals too, with short messages
+    for y, shown in ((1e-310, "inf"), (1e-300, "2.97e+150")):
+        tiny = point_file(tmp_path, "tiny.json", 1, [[0]], [[y]])
+        code, rep = run_json(capsys, "theta", "--z", tiny)
+        assert code == 2
+        assert rep["error"] == f"truncation radius {shown} exceeds cap 64"
     # Y not positive definite
     bad = point_file(tmp_path, "bad.json", 1, [[0.0]], [[-1.0]])
     code, rep = run_json(capsys, "theta", "--z", bad)

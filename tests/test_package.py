@@ -45,8 +45,8 @@ def test_validation_survives_optimize():
 import numpy as np
 from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
                         SiegelPoint, ThetaParams, coset_table,
-                        enumerate_isotropic, j_matrix, make_generator,
-                        mobius_act, q0_eval,
+                        enumerate_isotropic, gamma_pair, j_matrix,
+                        make_generator, mobius_act, q0_eval,
                         random_word_element, rao_cocycle, sample_gamma48,
                         sample_point, sqrt_det, subgroup_membership,
                         symplectic_gauss_sum, transvection_rep,
@@ -85,6 +85,7 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: j_matrix(make_generator("omega", 2), SiegelPoint.z0(1)),
          lambda: mobius_act(make_generator("omega", 1), SiegelPoint.z0(2)),
          lambda: j_matrix(np.eye(3), SiegelPoint.z0(1)),
+         lambda: gamma_pair(SiegelPoint.z0(1), SiegelPoint.z0(2)),
          lambda: congruence_signature([[0, 1], [0, 0]]),
          lambda: det([[1, 2]]),
          lambda: inv([[1, 2], [2, 4]]),

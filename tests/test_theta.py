@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from thetacover import (CapacityError, CoverElement, IntegerSymplectic,
                         SiegelPoint, ThetaParams, big_theta, coset_table,
-                        det_invsqrt, j_half, j_half_bar, j_matrix,
+                        det_invsqrt, gamma_pair, j_half, j_half_bar, j_matrix,
                         make_generator, mobius_act, pws_decompose,
                         random_word_element, sqrt_det, theta_component,
                         theta_series, theta_vector, truncation_radius)
@@ -132,6 +133,14 @@ def test_sqrt_det_rejects_dimension_mismatch():
                 fn(g, SiegelPoint.z0(m))
 
 
+def test_gamma_pair_rejects_dimension_mismatch():
+    # at genus 1 against 2 numpy would broadcast the 1 x 1 block silently
+    for m1, m2 in ((1, 2), (2, 1), (2, 3), (3, 2)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gamma_pair(SiegelPoint.z0(m1), SiegelPoint.z0(m2))
+    assert abs(gamma_pair(SiegelPoint.z0(2), SiegelPoint.z0(2)) - 1) < 1e-14
+
+
 def test_sqrt_det_pinned_at_generic_points():
     ranks = []
     for rows, X, Y, want in PINNED_SQRT_DET:
@@ -182,6 +191,33 @@ def test_truncation_radius_at_subnormal_tail_tol():
         want = theta_series(z, "half")
         assert abs(theta_series(z, "half", params) - want) < 1e-15
         assert abs(theta_vector(z, params)[0][0] - want) < 1e-15
+
+
+def test_truncation_radius_past_float_range():
+    # a lambda_min below about 5e-308 makes the root inf, on which ceil
+    # raises OverflowError; the refusal is a CapacityError with a short message
+    for y, needed in ((1e-308, math.inf), (3e-308, math.inf),
+                      (1e-310, math.inf), (5e-324, math.inf),
+                      (1e-300, 2.965674828188878e150)):
+        with pytest.raises(CapacityError) as err:
+            truncation_radius(np.array([[y]]), ThetaParams())
+        assert err.value.cap == 64
+        assert err.value.needed == pytest.approx(needed)
+        assert len(str(err.value)) < 50, str(err.value)
+    # on both sides of the cap the rule is R = ceil(root) + 2
+    tol = ThetaParams().tail_tol
+    for radius in (60, 63, 64, 65, 66, 100):
+        for step in (-0.5, -1e-9, 0.0):
+            root = radius - 2 + step
+            lam = -math.log(tol) / (math.pi * root * root)
+            want = math.ceil(math.sqrt(-math.log(tol) / (math.pi * lam))) + 2
+            if want <= 64:
+                assert truncation_radius(np.array([[lam]]), ThetaParams()) == want
+            else:
+                with pytest.raises(CapacityError) as err:
+                    truncation_radius(np.array([[lam]]), ThetaParams())
+                assert err.value.needed == want
+                assert str(err.value) == f"truncation radius {want} exceeds cap 64"
 
 
 def test_det_invsqrt_validation():
@@ -655,6 +691,108 @@ def test_pass_grids_are_read_only_and_kept():
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr.flat[0] = 0
+
+
+def block_buffer():
+    """The calling thread's work array, made by a pass if it has none."""
+    theta._theta_pass(sample_point(2, np.random.default_rng(0)), ThetaParams())
+    return theta._work.block
+
+
+def test_pass_output_does_not_alias_the_block_buffer():
+    buffer = block_buffer()
+    assert buffer.shape == (theta._BLOCK,) and buffer.dtype == complex
+    for m in (1, 2, 3, 4):
+        z = point_at_radius(m, 5, ThetaParams(), m)
+        for arrays in (theta._theta_pass(z, ThetaParams()), theta_vector(z)):
+            assert theta._work.block is buffer
+            for arr in arrays:
+                assert not np.shares_memory(arr, buffer)
+
+
+def buffer_cases():
+    """(z, params) at m = 1..4 and several radii, the genera interleaved."""
+    coarse = ThetaParams(tail_tol=0.5)
+    cases = [(point_at_radius(m, radius, params, 7 * m + radius), params)
+             for radius, params in ((3, coarse), (6, coarse), (4, ThetaParams()),
+                                    (9, ThetaParams()))
+             for m in (1, 2, 3, 4) if m < 4 or radius <= 6]
+    return cases + cases[::-1]
+
+
+def pass_in_a_fresh_thread(z, params):
+    """theta._theta_pass(z, params), run in a new thread."""
+    out = []
+    thread = threading.Thread(
+        target=lambda: out.append(theta._theta_pass(SiegelPoint(z.X, z.Y), params)))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+def test_interleaved_passes_match_a_fresh_thread():
+    # each pass overwrites the work array that the one before it left behind
+    cases = buffer_cases()
+    block_buffer()
+    here = [theta._theta_pass(SiegelPoint(z.X, z.Y), params)
+            for z, params in cases]
+    for (z, params), got in zip(cases, here):
+        want = pass_in_a_fresh_thread(z, params)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+def test_block_larger_than_the_buffer_matches_components():
+    # the cropped box alone outgrows _BLOCK: one class per block, each in a
+    # fresh array
+    cases = [SiegelPoint([[0.1, 0.02, -0.03], [0.02, -0.2, 0.05],
+                          [-0.03, 0.05, 0.3]], 0.06 * np.eye(3)),
+             SiegelPoint(0.1 * np.eye(4), 0.5 * np.eye(4))]
+    block_buffer()
+    for z in cases:
+        params = ThetaParams()
+        radius = truncation_radius(z.Y, params)
+        terms = len(theta._shift_classes(z.m).shifts) * (2 * radius + 1) ** z.m
+        radii = theta._axis_radii(z.Y, radius, theta._floor(params.tail_tol, terms))
+        assert math.prod(2 * r + 1 for r in radii) > theta._BLOCK
+        half, three_half = theta._theta_pass(z, params)
+        table = coset_table(z.m)
+        picked = range(0, len(table), 1 if z.m < 4 else 9)
+        for weight, got in (("half", half), ("three_half", three_half)):
+            want = np.array([theta_component(table[k], z, weight, params).value
+                             for k in picked])
+            assert relative_errors(got[list(picked)], want).max() < 1e-13
+
+
+def test_threads_have_their_own_buffers():
+    cases = buffer_cases()
+    serial = [theta._theta_pass(SiegelPoint(z.X, z.Y), params)
+              for z, params in cases]
+    mine = block_buffer()
+    start = threading.Barrier(3)
+    results = {}
+
+    def run(k):
+        start.wait()
+        # each thread reads the cases from another place in the list
+        order = cases[k:] + cases[:k]
+        got = [theta._theta_pass(SiegelPoint(z.X, z.Y), params)
+               for z, params in order]
+        results[k] = got[len(cases) - k:] + got[:len(cases) - k], \
+            theta._work.block
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    blocks = [mine] + [results[k][1] for k in range(3)]
+    for a, b in itertools.combinations(blocks, 2):
+        assert not np.shares_memory(a, b)
+    for k in range(3):
+        for got, want in zip(results[k][0], serial):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
 def test_radius_is_kept_per_params(monkeypatch):
