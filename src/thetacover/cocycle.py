@@ -163,17 +163,13 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
     never return silently.
     """
     m = g.m
-    j, _, (p, row_den), q_int = _rank_normal_form(g)
-    a1 = _fractions((xla.transpose(p), row_den))    # P c Q = E_j, a1 = P^T
-    a2 = xla.inv(_fractions(q_int))                 # a2 = Q^{-1}
-    gq = [[Fraction(x) for x in row] for row in g.rows]
-    gpp = xla.mat_mul(xla.mat_mul(_h_mat(xla.inv(a1)), gq), _h_mat(xla.inv(a2)))
+    j, a1, a2 = _frames(g)                          # P c Q = E_j
+    gpp = xla.mat_mul(xla.mat_mul(_h_mat(xla.inv(a1)), g.rows), _h_mat(xla.inv(a2)))
 
     def blk(mat, r0, c0, nr, nc):
         return [[mat[r0 + i][c0 + j_] for j_ in range(nc)] for i in range(nr)]
 
     k = m - j
-    a11 = blk(gpp, 0, 0, j, j)
     a21 = blk(gpp, j, 0, k, j)
     a22 = blk(gpp, j, j, k, k)
     assert all(x == 0 for row in blk(gpp, 0, j, j, k) for x in row), "a12 != 0"
@@ -202,9 +198,8 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
     omega = make_generator("omega_S", m, S=set(range(1, j + 1)))
     p1 = xla.mat_mul(_h_mat(a1), _u_mat(sigma))
     p2 = xla.mat_mul(_u_mat(xla.mat_add(rho, tau)), _h_mat(xla.mat_mul(xla.inv(delta), a2)))
-    omq = [[Fraction(x) for x in row] for row in omega.rows]
-    recon = xla.mat_mul(xla.mat_mul(p1, omq), p2)
-    assert xla.mat_eq(recon, gq), "factorization does not reconstruct g"
+    recon = xla.mat_mul(xla.mat_mul(p1, omega.rows), p2)
+    assert xla.mat_eq(recon, g.rows), "factorization does not reconstruct g"
 
     det_a1 = xla.det(a1)
     det_a2 = xla.det(a2)
@@ -219,27 +214,37 @@ def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
     )
 
 
+def _frames(g: IntegerSymplectic) -> tuple:
+    """(j, a1, a2) = (j, P^T, Q^{-1}) in Fraction rows, for P c Q = diag(1_j, 0).
+
+    Q^{-1}[:j] = (P c)[:j], and the elimination leaves Q^{-1}[k] the unit
+    row at cols[k] for k >= j (see ``exactla._pivoting``).
+    """
+    j, _, p, den, cols = _rank_normal_form(g)
+    big_p = [[Fraction(v, k) for v in row] for row, k in zip(p, den)]
+    units = [[Fraction(t == k) for t in range(g.m)] for k in cols[j:]]
+    return j, xla.transpose(big_p), xla.mat_mul(big_p[:j], g.c) + units
+
+
 @lru_cache(maxsize=256)
 def _rank_normal_form(g: IntegerSymplectic) -> tuple:
-    """(j, x, (p, row_den), (q, col_den)): P c Q = diag(1_j, 0) and x = x(g),
-    once per g.
+    """(j, x, p, den, cols): P c Q = diag(1_j, 0) and x = x(g), once per g.
 
     h(P^{-T}) g h(Q) has c block diag(1_j, 0) and a block P^{-T} a Q, whose
     lower right (m - j) block a22 is invertible, and x = det P det a22 /
     det Q (no a22 when j = m).  Mod squares it is the x = det a(p1) det a(p2)
     of the whole factorization g = p1 omega_S p2, and as a number
     det(cz + d) = det T / x, T = (W z + P[:j] d) W^T with W = (P c)[:j]
-    (see ``theta.sqrt_det``).  In integers, from the elimination
-    ``exactla._pivoting`` of c, with d its last pivot and s = +-1 the sign
-    of its swaps, det P / det Q = s / d and det a22 = s det K / d for K the
-    rows of c at the j pivot rows and of a at the others, so
-    x = det K / d^2.  P and Q stay in integers: P[k][i] = p[k][i] / row_den[k]
-    and Q[i][k] = q[i][k] / col_den[k].  ``theta.j_half`` reads P[:j] by
-    dividing in float; only ``pws_decompose``, the oracle, reads Q, and it
-    forms both as Fractions through ``_fractions``.
+    (see ``theta.sqrt_det``).  In integers, from one elimination
+    ``exactla._pivoting`` of the rows (c | 1), with d its last pivot and
+    s = +-1 the sign of its swaps, det P / det Q = s / d and
+    det a22 = s det K / d for K the rows of c at the j pivot rows and of a
+    at the others, so x = det K / d^2.  P stays in ints, P[k] = p[k] / den[k]
+    (``theta.j_half`` reads P[:j] in float), and Q is never formed: the
+    oracle reads Q^{-1} off p, den and the column order cols (``_frames``).
     """
     m, c = g.m, g.c
-    pivots, sign, order, p, q = xla._pivoting(c)
+    pivots, sign, order, cols, rows = xla._pivoting(xla._augmented(c), m)
     j = len(pivots)
     d = pivots[-1] if j else 1
     if j == m:
@@ -250,18 +255,8 @@ def _rank_normal_form(g: IntegerSymplectic) -> tuple:
                  for i, (row, a_row) in enumerate(zip(c, g.a))]
         pivots_k, sign_k, *_ = xla._pivoting(mixed)
         det_k = sign_k * pivots_k[-1]
-    row_den = tuple(pivots + [d] * (m - j))
-    col_den = tuple(([1] + pivots)[:j] + [d] * (m - j))
-    return (j, Fraction(det_k, d * d), (tuple(map(tuple, p)), row_den),
-            (tuple(map(tuple, q)), col_den))
-
-
-def _fractions(ints: tuple) -> tuple:
-    """Fraction rows from (rows, den), entry [i][k] = rows[i][k] / den[k]:
-    Q of the rank normal form from its (q, col_den), and P^T from
-    (p^T, row_den)."""
-    rows, den = ints
-    return tuple(tuple(Fraction(x, k) for x, k in zip(row, den)) for row in rows)
+    return (j, Fraction(det_k, d * d), tuple(tuple(row[m:]) for row in rows),
+            tuple(pivots + [d] * (m - j)), tuple(cols))
 
 
 def m_xstar(g: IntegerSymplectic) -> Mu8:

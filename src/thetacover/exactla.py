@@ -4,11 +4,12 @@ Everything here operates on matrices given as lists (or tuples) of rows.
 Entries are ints or Fractions; no floats ever enter these routines, so
 results are exact.  There is one elimination, the fraction-free full-pivot
 Bareiss elimination over Python ints (_pivoting): det, rank and inv read
-it, and so does the rank normal form of the cocycle module.  Rational
-input is first scaled to ints by the lcm of its denominators.  The Hermite
-normal form and the congruence signature work over Python ints as well.
-Matrices are tiny (at most ~25 x 25), which keeps the classical O(n^3)
-algorithms comfortably fast.
+it, and so does the rank normal form of the cocycle module.  It does each
+row operation once, and a transform rides along as the columns of (m | 1),
+as in the Hermite normal form; inv and the Gauss-sum kernel share one
+triangular solve.  Rational input is first scaled to ints by the lcm of
+its denominators.  Matrices are tiny (at most ~25 x 25), which keeps the
+classical O(n^3) algorithms comfortably fast.
 """
 
 from __future__ import annotations
@@ -95,26 +96,32 @@ def _integral(m: Matrix) -> tuple[list[list[int]], int]:
             for row in a], scale
 
 
-def _pivoting(c: Matrix) -> tuple:
-    """Full-pivot elimination P c Q = diag(1_j, 0) of an r x n int matrix, in ints.
+def _augmented(a: Matrix) -> list[list[int]]:
+    """(a | 1) as fresh rows: a transform rides its elimination as columns."""
+    return [[*row, *e] for row, e in zip(a, identity(len(a)))]
 
-    Each pivot is the first nonzero entry of the remaining block, row by
-    row, swapped to the diagonal; the Bareiss update (piv * x - f * y) / prev
-    divides exactly (Bareiss, Math. Comp. 22, 1968), and pivot k is the
-    leading (k+1)-minor of the permuted c.  With piv_k the pivots,
-    d = piv_{j-1} (1 if j = 0) and piv_{-1} = 1: P[k] = p[k] / piv_k,
-    Q[:, k] = q[:, k] / piv_{k-1} for k < j, and P[i] = p[i] / d,
-    Q[:, i] = q[:, i] / d for i >= j.  Returns (pivots, sign, order, p, q);
-    j = len(pivots) is the rank, order[k] is the row of c moved to row k and
-    sign that of the column swaps.  A row swap happens only when row k of
-    the remaining block is zero, so a square c with a row swap is singular;
-    for a nonsingular square c no row moves and det c = sign * d.
+
+def _pivoting(c: Matrix, n: int | None = None) -> tuple:
+    """Fraction-free full-pivot elimination of an r x N int matrix, in ints.
+
+    Pivots are the first nonzero entry of the remaining block, row by row,
+    in the first n columns (all by default), swapped to the diagonal; pivot
+    k is the leading (k+1)-minor of the permuted c.  Each Bareiss row
+    operation (piv * x - f * y) / prev divides exactly (Bareiss, Math.
+    Comp. 22, 1968) and runs once over whole rows, so columns past n ride
+    along.  Returns (pivots, sign, order, cols, rows): j = len(pivots) is
+    the rank, order[k] and cols[k] the row and column of c moved to k, sign
+    that of the column swaps.  For (c | 1) and d = piv_{j-1} (1 if j = 0),
+    P c Q = diag(1_j, 0) has P[k] = p[k] / piv_k (k < j) and p[k] / d
+    (k >= j), p the right block of rows, and Q^{-1} is (P c)[:j] over the
+    unit rows at cols[j:].  A row swap happens only when row k of the
+    remaining block is zero, so for a nonsingular square c no row moves and
+    det c = sign * d.
     """
     r = len(c)
-    n = len(c[0]) if r else 0
+    n = (len(c[0]) if r else 0) if n is None else n
     work = [list(row) for row in c]
-    p, q = identity(r), identity(n)
-    order = list(range(r))
+    order, cols = list(range(r)), list(range(n))
     pivots, sign, prev = [], 1, 1
     for k in range(min(r, n)):
         pivot = next(((i, t) for i in range(k, r) for t in range(k, n)
@@ -123,24 +130,33 @@ def _pivoting(c: Matrix) -> tuple:
             break
         pr, pc = pivot
         if pr != k:
-            work[k], work[pr], p[k], p[pr] = work[pr], work[k], p[pr], p[k]
+            work[k], work[pr] = work[pr], work[k]
             order[k], order[pr] = order[pr], order[k]
         if pc != k:
-            for row in work + q:
+            for row in work:
                 row[k], row[pc] = row[pc], row[k]
+            cols[k], cols[pc] = cols[pc], cols[k]
             sign = -sign
         top = work[k]
         piv = top[k]
         for i in range(k + 1, r):
             f = work[i][k]
             work[i] = [(piv * x - f * y) // prev for x, y in zip(work[i], top)]
-            p[i] = [(piv * x - f * y) // prev for x, y in zip(p[i], p[k])]
-        for row in q:
-            for t in range(k + 1, n):
-                row[t] = (piv * row[t] - top[t] * row[k]) // prev
         pivots.append(piv)
         prev = piv
-    return pivots, sign, order, p, q
+    return pivots, sign, order, cols, work
+
+
+def _upper_solve(u: Matrix, b: Matrix, d: int) -> list[list[int]]:
+    """The int rows x with u x = d b, u square upper triangular, by back
+    substitution; every division is exact when d u^{-1} b is integral."""
+    x = [None] * len(u)
+    for i in reversed(range(len(u))):
+        row = [d * v - sum(u[i][t] * x[t][s] for t in range(i + 1, len(u)))
+               for s, v in enumerate(b[i])]
+        assert all(v % u[i][i] == 0 for v in row), "d u^-1 b is not integral"
+        x[i] = [v // u[i][i] for v in row]
+    return x
 
 
 def _square(m: Matrix, what: str) -> int:
@@ -165,20 +181,20 @@ def det(m: Matrix) -> Fraction:
 
 
 def inv(m: Matrix) -> list[list[Fraction]]:
-    """m^{-1} as Fraction rows: P (L m) Q = 1 gives m^{-1} = L Q P.
+    """m^{-1} as Fraction rows, from the elimination (U | p) of (L m | 1).
 
-    Term k of Q P is q[:, k] p[k] / (piv_{k-1} piv_k); the sum is taken in
-    ints over the lcm of those denominators.
+    Column k of U is column cols[k] of p (L m), so row cols[k] of
+    (L m)^{-1} is row k of U^{-1} p; d (L m)^{-1} = +-adj(L m) is integral
+    for d the last pivot, so m^{-1} = L X / d with X = d U^{-1} p in ints.
     """
     n = _square(m, "inverse")
     a, scale = _integral(m)
-    pivots, _, _, p, q = _pivoting(a)
+    pivots, _, _, cols, rows = _pivoting(_augmented(a), n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    dens = [x * y for x, y in zip([1] + pivots, pivots)]
-    common = math.lcm(*dens)
-    p = [[x * (common // den) for x in row] for row, den in zip(p, dens)]
-    return [[Fraction(x * scale, common) for x in row] for row in mat_mul(q, p)]
+    d = pivots[-1] if n else 1
+    x = _upper_solve([row[:n] for row in rows], [row[n:] for row in rows], d)
+    return [[Fraction(v * scale, d) for v in row] for _, row in sorted(zip(cols, x))]
 
 
 # --- integer Hermite normal form with transform ---
@@ -187,46 +203,38 @@ def hnf_with_transform(m: Matrix) -> tuple[list[list[int]], list[list[int]]]:
     """Row-style HNF: returns (H, U) with U unimodular and U . m = H.
 
     H has pivots left to right with positive pivot entries, entries above a
-    pivot reduced into [0, pivot), and zero rows collected at the bottom.
+    pivot reduced into [0, pivot), and zero rows collected at the bottom;
+    U is the right block of the reduced rows (m | 1).  Entries follow as_int.
     """
-    h = [[int(x) for x in row] for row in m]
-    rows = len(h)
-    cols = len(h[0]) if rows else 0
-    u = identity(rows)
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    h = _augmented([list(map(as_int, row)) for row in m])
     r = 0
     for c in range(cols):
         # push all weight in column c below row r into row r via Euclid
-        while True:
-            nz = [i for i in range(r, rows) if h[i][c] != 0]
-            if not nz:
-                break
+        while nz := [i for i in range(r, rows) if h[i][c]]:
             i0 = min(nz, key=lambda i: abs(h[i][c]))
             h[r], h[i0] = h[i0], h[r]
-            u[r], u[i0] = u[i0], u[r]
             done = True
             for i in range(r + 1, rows):
-                if h[i][c] != 0:
+                if h[i][c]:
                     q = h[i][c] // h[r][c]
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                    if h[i][c] != 0:
-                        done = False
+                    done = done and not h[i][c]
             if done:
                 break
-        if r >= rows or h[r][c] == 0:
+        if h[r][c] == 0:
             continue
         if h[r][c] < 0:
             h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):                 # reduce entries above the pivot
             q = h[i][c] // h[r][c]
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
         if r == rows:
             break
-    return h, u
+    return [row[:cols] for row in h], [row[cols:] for row in h]
 
 
 # Largest residue system box_sides enumerates; the Gauss-sum kernel's int64
@@ -239,11 +247,12 @@ def box_sides(h: Matrix) -> list[int]:
 
     h is the lattice's HNF from ``hnf_with_transform``.  With h upper
     triangular the products of [0, h_ii) enumerate the quotient exactly
-    once, so the product of the sides is the index |det|.  Raises if that
-    index exceeds MAX_CLASSES.
+    once, so the product of the sides is the index |det|.  ValueError
+    unless h has full rank and that index is at most MAX_CLASSES.
     """
     sides = [h[i][i] for i in range(len(h))]
-    assert all(d > 0 for d in sides), "row lattice does not have full rank"
+    if not all(d > 0 for d in sides):
+        raise ValueError("row lattice does not have full rank")
     index = math.prod(sides)
     if index > MAX_CLASSES:
         raise ValueError(f"residue system too large: {index} classes > {MAX_CLASSES}")

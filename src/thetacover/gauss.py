@@ -82,14 +82,8 @@ def _gauss_sum_hnf(h, ud) -> tuple:
     m = len(h)
     sides = xla.box_sides(h)
     den = math.prod(sides)                          # D = |det c| = det h
-    # Q = D c^{-1} d = D h^{-1} u d is integral (D h^{-1} = adj h): solve
-    # h Q = D u d by back substitution, every division exact.
-    q = [None] * m
-    for i in reversed(range(m)):
-        row = [den * x - sum(h[i][j] * q[j][t] for j in range(i + 1, m))
-               for t, x in enumerate(ud[i])]
-        assert all(x % h[i][i] == 0 for x in row), "D c^-1 d is integral"
-        q[i] = [x // h[i][i] for x in row]
+    # h Q = D u d: Q = D c^{-1} d = D h^{-1} u d is integral (D h^{-1} = adj h)
+    q = xla._upper_solve(h, ud, den)
     # Entries of Q mod 2D and of x stay below 2D, and D <= 10**6 (the class
     # guard), so x Q and (x Q mod 2D) . x stay below 2m 10**12 in int64.
     two_den = 2 * den

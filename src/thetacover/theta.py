@@ -211,7 +211,7 @@ def j_half(g: IntegerSymplectic, z: SiegelPoint) -> complex:
     """
     if z.m != g.m:
         raise ValueError("dimension mismatch")
-    j, x, (p, den), _ = _rank_normal_form(g)
+    j, x, p, den, _ = _rank_normal_form(g)
     scale = float(abs(x)) ** -0.5
     if j == 0:
         return complex(scale)

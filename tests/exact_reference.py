@@ -1,13 +1,16 @@
 """Fraction Gauss-Jordan references for the exact layer.
 
 The library eliminates fraction-free over ints in one kernel
-(``exactla._pivoting``).  The Fraction eliminations and lattice helpers
-it replaced live here, so the tests can check the kernel, the rank normal
-form and the beta_tilde quotient against code that never calls it.  The
-Maslov signature of three Lagrangians, from their row bases, is the
-oracle of rao_cocycle's block formula.  The block rules for theta-group
-membership and the coset label are the references of the library's one
-Q0 (symplectic._q0), which reads them off the rows and the columns.
+(``exactla._pivoting``), with each transform riding along as the columns
+of (m | 1), and inverts by one fraction-free triangular solve.  The
+Fraction Gauss-Jordan eliminations and lattice helpers it replaced live
+here, so the tests can check the kernel, inv, the rank normal form's P,
+the Q^{-1} the oracle reads off it and the beta_tilde quotient against
+code that never calls it.  The Maslov signature of three Lagrangians,
+from their row bases, is the oracle of rao_cocycle's block formula.  The
+block rules for theta-group membership and the coset label are the
+references of the library's one Q0 (symplectic._q0), which reads them
+off the rows and the columns.
 """
 
 from fractions import Fraction

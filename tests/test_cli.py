@@ -116,6 +116,16 @@ def test_gauss_sum_known_value(capsys, tmp_path):
     assert rep["residual"] < 1e-12
 
 
+def test_gauss_sum_off_the_unit_circle_has_no_root(capsys, tmp_path):
+    # G(0, 2) = 2, so the normalized value is sqrt 2: no eighth root
+    fd = block_file(tmp_path, "d.json", [[0]])
+    fc = block_file(tmp_path, "c.json", [[2]])
+    code, rep = run_json(capsys, "gauss-sum", "--d", fd, "--c", fc)
+    assert code == 0
+    assert rep["normalized"]["re"] == pytest.approx(2 ** 0.5, abs=1e-12)
+    assert rep["mu8_exponent"] is None and rep["residual"] is None
+
+
 @pytest.mark.parametrize("d, c", [
     ([[1]], [[3]]),                              # odd diagonal of c d^T
     ([[1, 0], [1, 1]], [[2, 0], [0, 2]]),        # c d^T not symmetric
@@ -248,6 +258,24 @@ def test_malformed_files(capsys, tmp_path):
         lax.write_text(json.dumps({"m": 1, "X": [[x]], "Y": [[y]]}))
         code, rep = run_json(capsys, "theta", "--z", str(lax))
         assert code == 2 and "X and Y must be numeric" in rep["error"]
+
+
+def test_incomplete_or_mismatched_files_exit_2(capsys, tmp_path):
+    noentries = tmp_path / "noentries.json"
+    noentries.write_text(json.dumps({"m": 1}))
+    code, rep = run_json(capsys, "beta", "--g", str(noentries))
+    assert code == 2 and rep["error"].endswith("needs keys 'm' and 'entries'")
+    noy = tmp_path / "noy.json"
+    noy.write_text(json.dumps({"m": 1, "X": [[0.0]]}))
+    code, rep = run_json(capsys, "theta", "--z", str(noy))
+    assert code == 2 and rep["error"].endswith("needs keys 'm', 'X' and 'Y'")
+    small = point_file(tmp_path, "small.json", 2, [[0.0]], [[1.0]])
+    code, rep = run_json(capsys, "theta", "--z", small)
+    assert code == 2 and rep["error"].endswith("X and Y must be 2x2")
+    f1 = matrix_file(tmp_path, "g1.json", make_generator("omega", 1))
+    f2 = matrix_file(tmp_path, "g2.json", make_generator("omega", 2))
+    code, rep = run_json(capsys, "cocycle", "--g1", f1, "--g2", f2)
+    assert code == 2 and rep["error"] == "g1 and g2 must have the same size"
 
 
 def test_verify_small_run(capsys):

@@ -14,7 +14,7 @@ from thetacover import (CoverElement, IntegerSymplectic, Mu8,
                         random_word_element, rao_cocycle)
 import exact_reference as ref
 from thetacover import exactla as xla
-from thetacover.cocycle import _fractions, _rank_normal_form, word_lift
+from thetacover.cocycle import _frames, _rank_normal_form, word_lift
 from thetacover.symplectic import _draw_word
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -233,14 +233,18 @@ def test_rank_normal_form_matches_fraction_elimination():
     words += [rec.M for m in (1, 2, 3) for rec in coset_table(m)]
     ranks = {}
     for g in words:
-        want = reference_rank_normal_form(g)
-        j, x, (p, row_den), q_int = _rank_normal_form(g)
+        want_j, want_x, want_p, want_q = reference_rank_normal_form(g)
+        want = (want_j, want_x, want_p, ref.inv(want_q))
+        j, x, p, row_den, _ = _rank_normal_form(g)
         assert all(type(v) is int for v in row_den + sum(p, ()))
         # P[k] = p[k] / row_den[k]
         p = tuple(tuple(Fraction(v, k) for v in row) for row, k in zip(p, row_den))
-        got = (j, x, p, _fractions(q_int))
+        # the oracle's P^T and its Q^{-1}, which it reads without forming Q
+        pws_j, a1, q_inv = _frames(g)
+        assert pws_j == j and a1 == xla.transpose(p)
+        got = (j, x, p, q_inv)
         assert got == want, g
-        assert all(type(v) is Fraction for mat in got[2:] for row in mat for v in row)
+        assert all(type(v) is Fraction for mat in (a1, q_inv) for row in mat for v in row)
         ranks.setdefault(g.m, set()).add(j)
     assert ranks == {m: set(range(m + 1)) for m in (1, 2, 3, 4)}
 

@@ -76,6 +76,23 @@ def test_nonsingular_elimination_swaps_no_row(mat):
     assert sign * pivots[-1] == want
 
 
+@given(st.tuples(st.integers(min_value=1, max_value=4),
+                 st.integers(min_value=1, max_value=4))
+       .flatmap(lambda t: matrices(sparse_int, *t)))
+@settings(max_examples=200, deadline=None)
+def test_elimination_carries_the_row_transform(mat):
+    # eliminating (c | 1) pivots in c alone, leaves c's elimination as it
+    # is, and its right block p carries every row operation: the columns
+    # of p c in the order cols are the left block
+    n = len(mat[0])
+    pivots, sign, order, cols, rows = xla._pivoting(xla._augmented(mat), n)
+    assert len(pivots) == ref.rank(mat)
+    assert xla._pivoting(mat) == (pivots, sign, order, cols,
+                                  [row[:n] for row in rows])
+    pc = xla.mat_mul([row[n:] for row in rows], mat)
+    assert [[row[t] for t in cols] for row in pc] == [row[:n] for row in rows]
+
+
 @given(st.one_of(square(2), square(3), square(4)))
 @settings(max_examples=60, deadline=None)
 def test_det_matches_float(mat):

@@ -43,15 +43,18 @@ def test_validation_survives_optimize():
     # python -O strips assert statements; input checks must still raise
     code = """
 import numpy as np
+from fractions import Fraction
 from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
-                        SiegelPoint, ThetaParams, coset_table,
+                        SiegelPoint, ThetaParams, big_theta, coset_table,
                         enumerate_isotropic, gamma_pair, j_matrix,
                         make_generator, mobius_act, q0_eval,
                         random_word_element, rao_cocycle, sample_gamma48,
                         sample_point, sqrt_det, subgroup_membership,
-                        symplectic_gauss_sum, transvection_rep,
-                        verify_scalar_law, verify_vector_law)
-from thetacover.exactla import congruence_signature, det, inv
+                        symplectic_gauss_sum, theta_component, theta_series,
+                        transvection_rep, verify_scalar_law,
+                        verify_vector_law)
+from thetacover.exactla import (box_sides, congruence_signature, det,
+                                hnf_with_transform, inv)
 from thetacover.f2cosets import refine_rep
 assert False, "asserts are live: not running under -O"
 cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
@@ -89,6 +92,16 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: congruence_signature([[0, 1], [0, 0]]),
          lambda: det([[1, 2]]),
          lambda: inv([[1, 2], [2, 4]]),
+         # a residue box of a lattice without full rank
+         lambda: box_sides([[0]]),
+         lambda: box_sides([[2, 1], [0, 0]]),
+         # a weight, genus, subgroup or index that has no meaning
+         lambda: theta_series(SiegelPoint.z0(1), "one"),
+         lambda: theta_component(coset_table(1)[0], SiegelPoint.z0(1), "one"),
+         lambda: big_theta(SiegelPoint.z0(1), "one"),
+         lambda: theta_component(coset_table(1)[0], SiegelPoint.z0(2), "half"),
+         lambda: make_generator("u_minus", 2, c=[[0, 1], [0, 0]]),
+         lambda: random_word_element(2, "Gamma4_8", length=3, seed=1),
          # entries that int() would truncate or parse
          lambda: IntegerSymplectic([[1.9, 0], [0, 1]]),
          lambda: IntegerSymplectic([["1", "0"], ["0", "1"]]),
@@ -100,6 +113,8 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: q0_eval((1.9, 1)),
          lambda: q0_eval(("1", 1)),
          lambda: q0_eval((1, 1, 1, 0.5)),
+         lambda: hnf_with_transform([[1.5, 0], [0, 1]]),
+         lambda: hnf_with_transform([[Fraction(1, 2)]]),
          # counts that range() or product() would refuse with a TypeError
          lambda: coset_table(2.5),
          lambda: enumerate_isotropic("2"),
@@ -126,6 +141,7 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: make_generator("u", 1, b=[[float("inf")]]),
          lambda: symplectic_gauss_sum([[float("inf")]], [[1]])]
 unit4 = [[int(r == c) for c in range(4)] for r in range(4)]
+cases.append(lambda: make_generator("iota_pair", 2, jk=(1, 1), g=unit4))
 for bad in (0, 3):
     cases += [lambda bad=bad, kind=kind: make_generator(kind, 2, i=bad, j=1)
               for kind in ("u_ij", "u_minus_ij", "v_ij")]

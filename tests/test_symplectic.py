@@ -49,8 +49,11 @@ def out_of_range_generators(m):
 
 
 def test_generator_validation():
-    with pytest.raises(ValueError):
-        make_generator("u", 2, b=[[0, 1], [2, 0]])       # not symmetric
+    # the symplectic check refuses these too, but without naming the block
+    with pytest.raises(ValueError, match=r"u\(b\) needs symmetric b"):
+        make_generator("u", 2, b=[[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match=r"u_minus\(c\) needs symmetric c"):
+        make_generator("u_minus", 2, c=[[0, 1], [0, 0]])
     with pytest.raises(ValueError):
         make_generator("h", 2, a=[[2, 0], [0, 1]])       # not unimodular
     with pytest.raises(ValueError):

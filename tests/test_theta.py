@@ -829,7 +829,7 @@ def test_capacity_error_is_raised_on_every_call():
 
 def reference_j_half(g, z) -> complex:
     """j_half with P formed as Fraction rows P[k] = p[k] / den[k]."""
-    j, x, (p, den), _ = _rank_normal_form(g)
+    j, x, p, den, _ = _rank_normal_form(g)
     big_p = [[Fraction(v, k) for v in row] for row, k in zip(p, den)]
     scale = float(abs(x)) ** -0.5
     if j == 0:
