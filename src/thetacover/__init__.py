@@ -11,9 +11,8 @@ harness module runs randomized end-to-end checks of the laws; the cli
 module exposes everything as a command line tool.
 """
 
-from .cocycle import (CoverElement, Mu8, PwsFactorization, cbar_cocycle,
-                      cover_inv, cover_mul, m_xstar, pws_decompose,
-                      rao_cocycle)
+from .cocycle import (CoverElement, Mu8, cbar_cocycle, cover_inv, cover_mul,
+                      m_xstar, pws_decompose, rao_cocycle)
 from .f2cosets import (CosetRecord, coset_index_of, coset_profile,
                        coset_table, enumerate_isotropic, q0_eval,
                        transvection_rep)
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "CosetRecord", "CoverElement", "IntegerSymplectic",
-    "MonomialMatrix", "Mu8", "PwsFactorization",
+    "MonomialMatrix", "Mu8",
     "SiegelPoint", "SnappedRoot", "ThetaComponentValue", "ThetaParams",
     "VerificationReport", "beta_tilde", "big_theta", "cbar_cocycle",
     "coset_index_of", "coset_profile", "coset_split", "coset_table",

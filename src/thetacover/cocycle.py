@@ -8,8 +8,9 @@ of x(g) = det(a1 a2) mod squares, both read off the rank normal form
 P c Q = diag(1_j, 0) of the c block.  That form, computed once per g, also
 fixes the square root of det(cz + d) in the theta module.  The full
 factorization g = p1 omega_S p2 with p1, p2 block upper triangular over Q,
-below, derives the same constant and branch independently; no library path
-calls it, and it is kept as the oracle of the tests.  Dividing the cocycle
+below, derives the same constant and branch independently, from m x m
+block formulas on the same form; no library path calls it, and it is kept
+as the oracle of the tests.  Dividing the cocycle
 by the m coboundary leaves a sign, which is the multiplication rule of the
 nontrivial double cover.
 
@@ -29,12 +30,18 @@ from .symplectic import IntegerSymplectic, make_generator
 
 
 class Mu8:
-    """Eighth root of unity exp(i pi k / 4), stored as the exponent k mod 8."""
+    """Eighth root of unity exp(i pi k / 4), stored as the exponent k mod 8.
+
+    k follows the xla.as_int rule: 7.0 acts as 7, and 1.5, "3" or inf
+    raise ValueError.
+    """
 
     __slots__ = ("exponent",)
 
     def __init__(self, exponent: int):
-        object.__setattr__(self, "exponent", int(exponent) % 8)
+        if type(exponent) is not int:       # ints, nearly every call, skip the check
+            exponent = xla.as_int_arg(exponent, "exponent")
+        object.__setattr__(self, "exponent", exponent % 8)
 
     def __setattr__(self, *a):
         raise AttributeError("Mu8 is immutable")
@@ -70,15 +77,9 @@ def _maslov_gram(p12, p23, p31) -> list[list[int]]:
     p12, p23 and p31 are the m x m pairings <l1, l2>, <l2, l3>, <l3, l1> of
     their row bases under the form <w1, w2> = x1 x2*^T - x1* x2^T.
     """
-    m = len(p12)
+    m, t = len(p12), xla.transpose
     z = xla.zeros(m, m)
-    big = []
-    for blocks in ([z, p12, xla.transpose(p31)],
-                   [xla.transpose(p12), z, p23],
-                   [p31, xla.transpose(p23), z]):
-        for i in range(m):
-            big.append([x for blk in blocks for x in blk[i]])
-    return big
+    return xla.from_blocks([[z, p12, t(p31)], [t(p12), z, p23], [p31, t(p23), z]])
 
 
 def rao_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> Mu8:
@@ -139,78 +140,47 @@ def _normalizing_constant(j: int, x) -> Mu8:
     return Mu8(-j + (2 if x < 0 else 0))
 
 
-def _h_mat(a):
-    m = len(a)
-    ainv_t = xla.transpose(xla.inv(a))
-    rows = [[Fraction(a[i][j]) for j in range(m)] + [Fraction(0)] * m for i in range(m)]
-    rows += [[Fraction(0)] * m + [Fraction(ainv_t[i][j]) for j in range(m)]
-             for i in range(m)]
-    return rows
-
-
-def _u_mat(b):
-    m = len(b)
-    rows = [[Fraction(i == j) for j in range(m)] + [Fraction(b[i][j]) for j in range(m)]
-            for i in range(m)]
-    rows += [[Fraction(0)] * m + [Fraction(i == j) for j in range(m)] for i in range(m)]
-    return rows
-
-
 def pws_decompose(g: IntegerSymplectic) -> PwsFactorization:
     """Factor g = p1 omega_{S_j} p2 exactly, j = rank of the c block.
 
-    The reconstruction p1 omega p2 == g is asserted, so a wrong branch can
-    never return silently.
+    Everything is read off m x m blocks.  With (j, a1, a2) = (j, P^T,
+    Q^{-1}) from _frames, a' = a1^{-1} a a2^{-1} has a12 = 0, and
+    delta^{-1} = (1_j 0; a21 a22) is read straight off it.  With
+    E = delta^{-1} a2, b3 = a1^{-1} b a2^T delta^{-T} = a1^{-1} b E^T and
+    d3 = a1^T d E^T; sigma = diag(a11, 0), and rho + tau has the first j
+    rows of d3 over (d3[:j, j:]^T | b3[j:, j:]).  Then
+        p1 = (a1, a1 sigma; 0, a1^{-T}),  p2 = (E, (rho + tau) E^{-T}; 0, E^{-T}),
+    and x_sign = sign(det a1 det a2 det a22), since det delta = 1 / det a22.
+    The reconstruction p1 omega p2 == g, the one 2m x 2m product, is
+    asserted, so a wrong branch can never return silently.
     """
     m = g.m
     j, a1, a2 = _frames(g)                          # P c Q = E_j
-    gpp = xla.mat_mul(xla.mat_mul(_h_mat(xla.inv(a1)), g.rows), _h_mat(xla.inv(a2)))
-
-    def blk(mat, r0, c0, nr, nc):
-        return [[mat[r0 + i][c0 + j_] for j_ in range(nc)] for i in range(nr)]
-
-    k = m - j
-    a21 = blk(gpp, j, 0, k, j)
-    a22 = blk(gpp, j, j, k, k)
-    assert all(x == 0 for row in blk(gpp, 0, j, j, k) for x in row), "a12 != 0"
-    # delta restores the lower right a block to the identity
-    delta = [[Fraction(i == j_) for j_ in range(j)] + [Fraction(0)] * k
-             for i in range(j)]
-    if k:
-        a22_inv = xla.inv(a22)
-        low = xla.mat_mul([[-x for x in row] for row in a22_inv], a21)
-        for i in range(k):
-            delta.append(list(low[i]) + list(a22_inv[i]))
-    g3 = xla.mat_mul(gpp, _h_mat(delta))
-    sigma = [[g3[i][j_] if (i < j and j_ < j) else Fraction(0) for j_ in range(m)]
-             for i in range(m)]
-    g4 = xla.mat_mul(_u_mat([[-x for x in row] for row in sigma]), g3)
-    d11 = blk(g4, m, m, j, j)
-    d12 = blk(g4, m, m + j, j, k)
-    tau = [list(d11[i]) + list(d12[i]) for i in range(j)]
-    tau += [[d12[i_][i] for i_ in range(j)] + [Fraction(0)] * k for i in range(k)]
-    g5 = xla.mat_mul(g4, _u_mat([[-x for x in row] for row in tau]))
-    # remainder must be omega_{S_j} u(rho) with rho supported on the lower block
-    rho = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(k):
-        for j_ in range(k):
-            rho[j + i][j + j_] = g5[j + i][m + j + j_]
+    a1_inv = xla.inv(a1)
+    ap = xla.mat_mul(xla.mat_mul(a1_inv, g.a), xla.inv(a2))
+    assert not any(x for row in ap[:j] for x in row[j:]), "a12 != 0"
+    delta_inv = [[Fraction(i == t) for t in range(m)] for i in range(j)] + ap[j:]
+    e = xla.mat_mul(delta_inv, a2)
+    e_t = xla.transpose(e)
+    b3 = xla.mat_mul(xla.mat_mul(a1_inv, g.b), e_t)
+    d3 = xla.mat_mul(xla.mat_mul(xla.transpose(a1), g.d), e_t)
+    sigma = [row[:j] + [0] * (m - j) for row in ap[:j]] + xla.zeros(m - j, m)
+    rho_tau = d3[:j] + [[row[i] for row in d3[:j]] + b3[i][j:] for i in range(j, m)]
+    e_inv_t = xla.transpose(xla.inv(e))
+    zero = [[Fraction(0)] * m for _ in range(m)]
+    p1 = xla.from_blocks([[a1, xla.mat_mul(a1, sigma)], [zero, xla.transpose(a1_inv)]])
+    p2 = xla.from_blocks([[e, xla.mat_mul(rho_tau, e_inv_t)], [zero, e_inv_t]])
     omega = make_generator("omega_S", m, S=set(range(1, j + 1)))
-    p1 = xla.mat_mul(_h_mat(a1), _u_mat(sigma))
-    p2 = xla.mat_mul(_u_mat(xla.mat_add(rho, tau)), _h_mat(xla.mat_mul(xla.inv(delta), a2)))
     recon = xla.mat_mul(xla.mat_mul(p1, omega.rows), p2)
     assert xla.mat_eq(recon, g.rows), "factorization does not reconstruct g"
 
-    det_a1 = xla.det(a1)
-    det_a2 = xla.det(a2)
-    det_delta = xla.det(delta)
-    x_sign = 1 if det_a1 * det_a2 / det_delta > 0 else -1
+    x = xla.det(a1) * xla.det(a2) * xla.det([row[j:] for row in ap[j:]])
     return PwsFactorization(
         p1=tuple(tuple(row) for row in p1),
         p2=tuple(tuple(row) for row in p2),
         S=frozenset(range(1, j + 1)),
         j=j,
-        x_sign=x_sign,
+        x_sign=1 if x > 0 else -1,
     )
 
 

@@ -1,15 +1,16 @@
 """Exact linear algebra over Python ints and fractions.
 
-Everything here operates on matrices given as lists (or tuples) of rows.
-Entries are ints or Fractions; no floats ever enter these routines, so
-results are exact.  There is one elimination, the fraction-free full-pivot
-Bareiss elimination over Python ints (_pivoting): det, rank and inv read
-it, and so does the rank normal form of the cocycle module.  It does each
-row operation once, and a transform rides along as the columns of (m | 1),
-as in the Hermite normal form; inv and the Gauss-sum kernel share one
-triangular solve.  Rational input is first scaled to ints by the lcm of
-its denominators.  Matrices are tiny (at most ~25 x 25), which keeps the
-classical O(n^3) algorithms comfortably fast.
+Everything here operates on matrices given as lists (or tuples) of rows,
+which from_blocks assembles from blocks.  Entries are ints or Fractions;
+no floats ever enter these routines, so results are exact.  There is one
+elimination, the fraction-free full-pivot Bareiss elimination over
+Python ints (_pivoting): det, rank and inv read it, and so does the rank
+normal form of the cocycle module.  It does each row operation once, and
+a transform rides along as the columns of (m | 1), as in the Hermite
+normal form; inv and the Gauss-sum kernel share one triangular solve.
+Rational input is first scaled to ints by the lcm of its denominators.
+Matrices are tiny (at most ~25 x 25), which keeps the classical O(n^3)
+algorithms comfortably fast.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ def as_int_arg(x, name: str) -> int:
 
 def transpose(m: Matrix) -> list[list]:
     return [list(col) for col in zip(*m)]
+
+
+def from_blocks(grid) -> list[list]:
+    """The matrix with the given rows of blocks, e.g. [[a, b], [c, d]].
+
+    The blocks of one row of the grid have its height; ValueError if not.
+    """
+    return [[x for part in parts for x in part]
+            for blocks in grid for parts in zip(*blocks, strict=True)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> list[list]:

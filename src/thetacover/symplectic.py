@@ -166,9 +166,7 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
     zero = xla.zeros(m, m)
 
     def assemble(a, b, c, d):
-        rows = [list(a[i]) + list(b[i]) for i in range(m)]
-        rows += [list(c[i]) + list(d[i]) for i in range(m)]
-        return IntegerSymplectic(rows)
+        return IntegerSymplectic(xla.from_blocks([[a, b], [c, d]]))
 
     if kind == "u":
         b = _int_square(params["b"], m, "b")
@@ -403,11 +401,11 @@ def mobius_act(g, z: SiegelPoint) -> SiegelPoint:
 @lru_cache(maxsize=None)
 def _alphabet(m: int, family: tuple) -> tuple:
     """(kind, params, element) per letter of a word sampler, each built and
-    validated once, by make_generator."""
+    validated once, as make_generator(kind, m, **params)."""
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i < j]
     out = []
     if family in (("Sp", 1), ("Gamma(1,2)", 1)):
-        out.append(("omega", {"S": frozenset(range(1, m + 1))}))
+        out.append(("omega_S", {"S": frozenset(range(1, m + 1))}))
         step = 2 if family[0] == "Gamma(1,2)" else 1
         for i in range(1, m + 1):          # u with even diagonal inside Gamma(1,2)
             out.append(("u_ij", {"i": i, "j": i, "t": step}))
@@ -416,10 +414,11 @@ def _alphabet(m: int, family: tuple) -> tuple:
             out.append(("u_ij", {"i": i, "j": j, "t": 1}))
             out.append(("u_ij", {"i": i, "j": j, "t": -1}))
         for i, j in pairs:
-            out.append(("h_elem", {"i": i, "j": j, "t": 1}))
-            out.append(("h_elem", {"i": i, "j": j, "t": -1}))
+            out.append(("v_ij", {"i": i, "j": j, "t": 1}))
+            out.append(("v_ij", {"i": i, "j": j, "t": -1}))
     elif family == ("Gamma(d)", 2):
-        out.append(("minus_one", {}))
+        out.append(("h", {"a": tuple(tuple(-(i == j) for j in range(m))
+                                     for i in range(m))}))
         for i in range(1, m + 1):
             for kind in ("u_ij", "u_minus_ij"):
                 out.append((kind, {"i": i, "j": i, "t": 2}))
@@ -430,19 +429,8 @@ def _alphabet(m: int, family: tuple) -> tuple:
             out.append(("v_ij", {"i": i, "j": j, "t": 2}))
     else:
         raise ValueError(f"no word sampler for {family[0]} with d = {family[1]}")
-    return tuple((kind, params, _letter(kind, m, params)) for kind, params in out)
-
-
-def _letter(kind: str, m: int, params: dict) -> IntegerSymplectic:
-    if kind == "h_elem":
-        a = xla.identity(m)
-        a[params["i"] - 1][params["j"] - 1] = params["t"]
-        return make_generator("h", m, a=a)
-    if kind == "minus_one":
-        return make_generator("h", m, a=[[-(i == j) for j in range(m)] for i in range(m)])
-    if kind == "omega":
-        return make_generator("omega_S", m, S=set(params["S"]))
-    return make_generator(kind, m, **params)
+    return tuple((kind, params, make_generator(kind, m, **params))
+                 for kind, params in out)
 
 
 def _draw_word(m: int, subgroup: str, length: int, seed: int) -> list:

@@ -62,9 +62,9 @@ def test_maslov_alternating_in_cyclic_order():
 
 
 def parabolic_element(m, seed):
-    """A seeded word in the Siegel parabolic: u and h letters only."""
+    """A seeded word in the Siegel parabolic: u_ij and v_ij letters only."""
     letters = [letter for kind, _, letter in _draw_word(m, "Sp", 12, seed)
-               if kind != "omega"]
+               if kind != "omega_S"]
     return functools.reduce(operator.matmul, letters, IntegerSymplectic.identity(m))
 
 
@@ -112,7 +112,7 @@ def test_normalized_cocycle_is_sign(seed):
 @given(seeds)
 @settings(max_examples=30, deadline=None)
 def test_factorization_reconstructs(seed):
-    m = 1 + seed % 3
+    m = 1 + seed % 4
     g = word(m, seed)
     fac = pws_decompose(g)
     om = make_generator("omega_S", m, S=set(fac.S))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import exact_reference as ref
 from thetacover import exactla as xla
-from thetacover import random_word_element
+from thetacover import Mu8, random_word_element
 from thetacover.cocycle import _maslov_gram
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -275,3 +275,14 @@ def test_as_int_refuses_non_integers_alike(x):
     # and "one"; each must reach the caller as the documented ValueError
     with pytest.raises(ValueError, match="entries must be integers"):
         xla.as_int(x)
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        Mu8(x)
+
+
+def test_from_blocks_reads_rows_of_blocks():
+    a, b = [[1, 2], [3, 4]], ((5,), (6,))
+    assert xla.from_blocks([[a, b], [[[7, 8]], [[9]]]]) == \
+        [[1, 2, 5], [3, 4, 6], [7, 8, 9]]
+    assert xla.from_blocks([[a]]) == a and xla.from_blocks([[a]]) is not a
+    with pytest.raises(ValueError):            # blocks of one row, two heights
+        xla.from_blocks([[a, [[5]]]])

@@ -6,12 +6,11 @@ import pytest
 from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
                         cbar_cocycle, coset_profile, coset_table, cover_inv,
                         cover_mul, induced_rep_matrix, lambda_bar,
-                        random_word_element, sample_gamma48, sample_point,
-                        subgroup_membership, verify_scalar_law,
+                        make_generator, random_word_element, sample_gamma48,
+                        sample_point, subgroup_membership, verify_scalar_law,
                         verify_vector_law)
 from thetacover import harness
 from thetacover.harness import _rel_err
-from thetacover.symplectic import _letter
 
 
 def rand_monomial(n, rng):
@@ -104,7 +103,8 @@ def test_trial_word_is_the_sampler_word():
                     m, group, length=int(rng.integers(1, 9)),
                     seed=int(rng.integers(2**63)))
                 assert g == want
-                assert letters == [_letter(kind, m, params) for kind, params in word]
+                assert letters == [make_generator(kind, m, **params)
+                                   for kind, params in word]
 
 
 def test_word_path_matches_definition_on_acceptance_seeds():

@@ -83,6 +83,10 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: (MonomialMatrix(2, (0, 1), (Mu8(0),) * 2)
                   @ MonomialMatrix(3, (0, 1, 2), (Mu8(0),) * 3)),
          lambda: Mu8(2).as_sign(),
+         # an exponent that int() would truncate, parse or overflow on
+         lambda: Mu8(1.5),
+         lambda: Mu8("3"),
+         lambda: Mu8(float("inf")),
          lambda: sqrt_det(make_generator("u_ij", 2, i=1, j=1, t=2),
                           SiegelPoint.z0(1)),
          lambda: j_matrix(make_generator("omega", 2), SiegelPoint.z0(1)),
