@@ -2,13 +2,14 @@
 
 Every subcommand prints one JSON report on stdout (coset-table can opt
 into aligned text).  Exit codes: 0 success, 1 a verification ran and
-failed, 2 malformed input.  Every ValueError and CapacityError that the
-library raises on a subcommand's input means exit 2, with its message as
-the report's "error": cli_run alone makes that mapping.  Matrix files are
-JSON objects {"m": int, "entries": [[...]]} with integer entries, 2m x 2m
-for group elements and m x m for plain blocks; points of the Siegel half
-space are {"m": int, "X": [[...]], "Y": [[...]]}.  A config file given
-with --config holds default flag values under their long names.
+failed, 2 malformed input.  Every ValueError and CapacityError that a
+subcommand's input raises, in the file readers here or in the library,
+means exit 2, with its message as the report's "error": cli_run alone
+makes that mapping.  Matrix files are JSON objects {"m": int, "entries":
+[[...]]} with integer entries, 2m x 2m for group elements and m x m for
+plain blocks; points of the Siegel half space are {"m": int, "X": [[...]],
+"Y": [[...]]}.  A config file given with --config holds default flag
+values under their long names.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ from .theta import CapacityError, ThetaParams, det_invsqrt, gamma_pair, \
 SCHEMA = "thetacover-report/1"
 
 
-class InputError(Exception):
-    """Bad file or argument content; maps to exit code 2."""
-
-
 def _emit(payload: dict, text: str | None = None) -> None:
     if text is not None:
         print(text)
@@ -54,21 +51,21 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
+        raise ValueError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
-        raise InputError(f"{path} is not valid JSON: {e}") from None
+        raise ValueError(f"{path} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
-        raise InputError(f"{path}: top level must be an object")
+        raise ValueError(f"{path}: top level must be an object")
     return data
 
 
 def _int_matrix(data, path: str, rows: int, cols: int) -> list:
     try:
         mat = [[_number(x, int, path) for x in row] for row in data]
-    except (TypeError, InputError):
-        raise InputError(f"{path}: entries must be integers") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: entries must be integers") from None
     if len(mat) != rows or any(len(r) != cols for r in mat):
-        raise InputError(f"{path}: expected a {rows}x{cols} matrix")
+        raise ValueError(f"{path}: expected a {rows}x{cols} matrix")
     return mat
 
 
@@ -77,7 +74,7 @@ def _number(val, kind: type, what: str):
     allowed = int if kind is int else (int, float)
     if isinstance(val, bool) or not isinstance(val, allowed):
         noun = "an integer" if kind is int else "a number"
-        raise InputError(f"{what} must be {noun}")
+        raise ValueError(f"{what} must be {noun}")
     return kind(val)
 
 
@@ -85,7 +82,7 @@ def _load_matrix(path: str, per_m: int) -> list:
     """Entries of a {"m", "entries"} file, checked to be (per_m m) x (per_m m)."""
     data = _load_json(path)
     if "m" not in data or "entries" not in data:
-        raise InputError(f"{path}: needs keys 'm' and 'entries'")
+        raise ValueError(f"{path}: needs keys 'm' and 'entries'")
     n = per_m * _number(data["m"], int, f"{path}: m")
     return _int_matrix(data["entries"], path, n, n)
 
@@ -95,26 +92,26 @@ def _load_symplectic(path: str) -> IntegerSymplectic:
     try:
         return IntegerSymplectic(mat)
     except ValueError as e:
-        raise InputError(f"{path}: not symplectic: {e}") from None
+        raise ValueError(f"{path}: not symplectic: {e}") from None
 
 
 def _load_point(path: str) -> SiegelPoint:
     data = _load_json(path)
     for key in ("m", "X", "Y"):
         if key not in data:
-            raise InputError(f"{path}: needs keys 'm', 'X' and 'Y'")
+            raise ValueError(f"{path}: needs keys 'm', 'X' and 'Y'")
     m = _number(data["m"], int, f"{path}: m")
     try:
         X, Y = (np.array([[_number(x, float, path) for x in row]
                           for row in data[key]]) for key in ("X", "Y"))
-    except (TypeError, ValueError, InputError):
-        raise InputError(f"{path}: X and Y must be numeric matrices") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: X and Y must be numeric matrices") from None
     if X.shape != (m, m) or Y.shape != (m, m):
-        raise InputError(f"{path}: X and Y must be {m}x{m}")
+        raise ValueError(f"{path}: X and Y must be {m}x{m}")
     try:
         return SiegelPoint(X, Y)
     except ValueError as e:
-        raise InputError(f"{path}: not a point of the half space: {e}") from None
+        raise ValueError(f"{path}: not a point of the half space: {e}") from None
 
 
 def _rows(g: IntegerSymplectic) -> list:
@@ -162,7 +159,7 @@ def _cmd_cocycle(args, cfg) -> int:
     g1 = _load_symplectic(args.g1)
     g2 = _load_symplectic(args.g2)
     if g1.m != g2.m:
-        raise InputError("g1 and g2 must have the same size")
+        raise ValueError("g1 and g2 must have the same size")
     _emit({
         "schema": SCHEMA,
         "m": g1.m,
@@ -228,7 +225,7 @@ def _cmd_lambda(args, cfg) -> int:
 def _parse_label(text: str, m: int) -> tuple:
     bits = text.replace(",", "").replace(" ", "").replace("(", "").replace(")", "")
     if len(bits) != 2 * m or any(ch not in "01" for ch in bits):
-        raise InputError(f"component label must be 2m = {2 * m} bits of 0/1")
+        raise ValueError(f"component label must be 2m = {2 * m} bits of 0/1")
     return tuple(int(ch) for ch in bits)
 
 
@@ -247,7 +244,7 @@ def _cmd_theta(args, cfg) -> int:
         q = _parse_label(args.component, z.m)
         recs = [r for r in coset_table(z.m) if r.q == q]
         if not recs:
-            raise InputError(f"label {q} is not isotropic; no such component")
+            raise ValueError(f"label {q} is not isotropic; no such component")
         value = theta_component(recs[0], z, weight, params).value
         report["component"] = list(q)
     report["value"] = _cplx(value) if weight == "half" \
@@ -266,7 +263,7 @@ def _cmd_verify(args, cfg) -> int:
              "main112": ["vector"], "vector": ["vector"],
              "all": ["scalar", "vector"]}
     if args.thm not in names:
-        raise InputError(f"unknown theorem {args.thm!r}")
+        raise ValueError(f"unknown theorem {args.thm!r}")
     reports = []
     for kind in names[args.thm]:
         fn = verify_scalar_law if kind == "scalar" else verify_vector_law
@@ -402,7 +399,7 @@ def cli_run(argv=None) -> int:
             cfg = {k.replace("-", "_"): v
                    for k, v in _load_json(args.config).items()}
         return args.fn(args, cfg)
-    except (InputError, ValueError, CapacityError) as e:
+    except (ValueError, CapacityError) as e:
         _emit({"schema": SCHEMA, "error": str(e)})
         return 2
 

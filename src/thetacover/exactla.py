@@ -4,7 +4,7 @@ Everything here operates on matrices given as lists (or tuples) of rows,
 which from_blocks assembles from blocks.  Entries are ints or Fractions;
 no floats ever enter these routines, so results are exact.  There is one
 elimination, the fraction-free full-pivot Bareiss elimination over
-Python ints (_pivoting): det, rank and inv read it, and so does the rank
+Python ints (_pivoting): det and inv read it, and so does the rank
 normal form of the cocycle module.  It does each row operation once, and
 a transform rides along as the columns of (m | 1), as in the Hermite
 normal form; inv and the Gauss-sum kernel share one triangular solve.
@@ -174,10 +174,6 @@ def _square(m: Matrix, what: str) -> int:
     if any(len(row) != n for row in m):
         raise ValueError(f"{what} needs a square matrix")
     return n
-
-
-def rank(m: Matrix) -> int:
-    return len(_pivoting(_integral(m)[0])[0])
 
 
 def det(m: Matrix) -> Fraction:

@@ -5,10 +5,11 @@ are written in m x m blocks (a b; c d), and membership is the exact identity
 g^T J g = J with J = (0 -1; 1 0).  The Siegel half space carries the action
 g(z) = (az + b)(cz + d)^{-1} with base point z0 = i.1_m.
 
-Validation happens where matrices enter: IntegerSymplectic(rows) and
-make_generator raise ValueError on bad input.  Products and inverses of
-validated elements are symplectic by closure, so @ and inverse() build them
-unchecked, through _trusted.
+Validation happens where matrices enter: IntegerSymplectic(rows) checks
+g^T J g = J on rows from outside, and make_generator checks a kind's own
+parameters, which alone make it symplectic.  Generators, the identity,
+transvections, products and inverses are symplectic by construction or by
+closure, so they are built unchecked, through _trusted.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ def _exact_symplectic(rows) -> bool:
 class IntegerSymplectic:
     """Immutable 2m x 2m integer matrix with g^T J g = J exactly.
 
-    The constructor checks the identity; @ and inverse() need not (see the
-    module docstring).
+    The constructor checks the identity, on rows from outside; what is
+    symplectic by construction is built through _trusted (see the module
+    docstring).
     """
 
     __slots__ = ("m", "rows", "_blocks")
@@ -114,12 +116,15 @@ class IntegerSymplectic:
 
     @classmethod
     def identity(cls, m: int) -> "IntegerSymplectic":
-        return cls(xla.identity(2 * xla.as_int_arg(m, "m")))
+        return _trusted(tuple(map(tuple, xla.identity(2 * xla.as_int_arg(m, "m")))))
 
 
 def _trusted(rows: tuple) -> IntegerSymplectic:
-    """Unchecked IntegerSymplectic from int row tuples known to be symplectic;
-    only for @ and inverse(), never for outside input."""
+    """Unchecked IntegerSymplectic from int row tuples known to be symplectic,
+    never from outside input.  Only the empty matrix, of a genus below 1, is
+    refused, as IntegerSymplectic refuses it."""
+    if not rows:
+        raise ValueError("need an even-dimensional square matrix")
     g = object.__new__(IntegerSymplectic)
     object.__setattr__(g, "m", len(rows) // 2)
     object.__setattr__(g, "rows", rows)
@@ -127,12 +132,6 @@ def _trusted(rows: tuple) -> IntegerSymplectic:
 
 
 # --- generators ---
-
-def _eps(m, i, j, t=1):
-    e = xla.zeros(m, m)
-    e[i][j] = t
-    return e
-
 
 def _int_square(mat, n: int, name: str) -> list[list[int]]:
     """mat as n x n rows of xla.as_int; ValueError for any other shape."""
@@ -151,6 +150,22 @@ def _check_indices(m: int, *indices) -> tuple:
     return indices
 
 
+def _assemble(a, b, c, d) -> IntegerSymplectic:
+    """(a b; c d) from m x m int blocks that make it symplectic."""
+    return _trusted(tuple(map(tuple, xla.from_blocks([[a, b], [c, d]]))))
+
+
+def _embed(m: int, idx: list, block) -> IntegerSymplectic:
+    """The 2m x 2m identity with a symplectic block on the coordinates idx,
+    (x_j, x*_j) or (x_j, x_k, x*_j, x*_k): J restricted to them is the
+    block's own J."""
+    rows = xla.identity(2 * m)
+    for r, block_row in zip(idx, block):
+        for s, x in zip(idx, block_row):
+            rows[r][s] = x
+    return _trusted(tuple(map(tuple, rows)))
+
+
 def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
     """Standard generators and embeddings, all exactly integral.
 
@@ -159,82 +174,60 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
     v_ij (i != j), iota (2x2 block at index i), iota_pair (4x4 block at
     indices (j, k)).  Indices are 1-based as in the classical notation, and
     any index outside 1..m raises ValueError.  m and the indices follow the
-    xla.as_int rule.
+    xla.as_int rule.  Each kind checks its parameters alone: a symmetric b
+    or c, a unimodular a, indices in range, a symplectic block.  Those make
+    the matrix symplectic, so it is built unchecked, through _trusted, by
+    one block assembly (a b; c d) or one coordinate embedding.
     """
     m = xla.as_int_arg(m, "m")
     one = xla.identity(m)
     zero = xla.zeros(m, m)
-
-    def assemble(a, b, c, d):
-        return IntegerSymplectic(xla.from_blocks([[a, b], [c, d]]))
-
-    if kind == "u":
-        b = _int_square(params["b"], m, "b")
-        if not xla.is_symmetric(b):
-            raise ValueError("u(b) needs symmetric b")
-        return assemble(one, b, zero, one)
-    if kind == "u_minus":
-        c = _int_square(params["c"], m, "c")
-        if not xla.is_symmetric(c):
-            raise ValueError("u_minus(c) needs symmetric c")
-        return assemble(one, zero, c, one)
-    if kind == "h":
-        a = _int_square(params["a"], m, "a")
-        if abs(xla.det(a)) != 1:
-            raise ValueError("h(a) needs unimodular a")
+    if kind in ("u", "u_minus", "u_ij", "u_minus_ij"):   # (1 s; 0 1), (1 0; s 1)
+        if kind in ("u", "u_minus"):
+            name = "b" if kind == "u" else "c"
+            s = _int_square(params[name], m, name)
+            if not xla.is_symmetric(s):
+                raise ValueError(f"{kind}({name}) needs symmetric {name}")
+        else:
+            i, j = _check_indices(m, params["i"], params["j"])
+            t = xla.as_int(params.get("t", 1))
+            s = xla.zeros(m, m)
+            s[i - 1][j - 1] = s[j - 1][i - 1] = t if kind == "u_ij" else -t
+        if kind in ("u", "u_ij"):
+            return _assemble(one, s, zero, one)
+        return _assemble(one, zero, s, one)
+    if kind in ("h", "v_ij"):                # (a 0; 0 a^-T)
+        if kind == "h":
+            a = _int_square(params["a"], m, "a")
+            if abs(xla.det(a)) != 1:
+                raise ValueError("h(a) needs unimodular a")
+        else:
+            i, j = _check_indices(m, params["i"], params["j"])
+            t = xla.as_int(params.get("t", 1))
+            if i == j:
+                raise ValueError("v_ij needs i != j")
+            a = xla.identity(m)
+            a[i - 1][j - 1] = t
         d = [[int(x) for x in row] for row in xla.transpose(xla.inv(a))]
-        return assemble(a, zero, zero, d)
-    if kind == "omega":
-        return make_generator("omega_S", m, S=set(range(1, m + 1)))
-    if kind == "omega_S":
-        s = set(_check_indices(m, *params["S"]))
-        rows = xla.zeros(2 * m, 2 * m)
-        for i in range(1, m + 1):
-            if i in s:                       # e_i -> -e_i*, e_i* -> e_i
-                rows[i - 1][m + i - 1] = -1
-                rows[m + i - 1][i - 1] = 1
-            else:
-                rows[i - 1][i - 1] = 1
-                rows[m + i - 1][m + i - 1] = 1
-        return IntegerSymplectic(rows)
-    if kind in ("u_ij", "u_minus_ij"):
-        i, j = _check_indices(m, params["i"], params["j"])
-        t = xla.as_int(params.get("t", 1))
-        b = _eps(m, i - 1, j - 1, t)
-        if i != j:
-            b = xla.mat_add(b, _eps(m, j - 1, i - 1, t))
-        if kind == "u_ij":
-            return assemble(one, b, zero, one)
-        return assemble(one, zero, xla.mat_neg(b), one)
-    if kind == "v_ij":
-        i, j = _check_indices(m, params["i"], params["j"])
-        t = xla.as_int(params.get("t", 1))
-        if i == j:
-            raise ValueError("v_ij needs i != j")
-        a = xla.mat_add(one, _eps(m, i - 1, j - 1, t))
-        d = xla.mat_add(one, _eps(m, j - 1, i - 1, -t))
-        return assemble(a, zero, zero, d)
+        return _assemble(a, zero, zero, d)
+    if kind in ("omega", "omega_S"):         # e_i -> -e_i*, e_i* -> e_i on S
+        support = (set(range(1, m + 1)) if kind == "omega"
+                   else set(_check_indices(m, *params["S"])))
+        x = [[int(r == c and r + 1 in support) for c in range(m)]
+             for r in range(m)]
+        rest = xla.mat_add(one, xla.mat_neg(x))
+        return _assemble(rest, xla.mat_neg(x), x, rest)
     if kind == "iota":
         (i,) = _check_indices(m, params["i"])
-        g2 = _int_square(params["g"], 2, "g")
-        rows = xla.identity(2 * m)
-        idx = [i - 1, m + i - 1]
-        for r in range(2):
-            for s_ in range(2):
-                rows[idx[r]][idx[s_]] = g2[r][s_]
-        return IntegerSymplectic(rows)
-    if kind == "iota_pair":
+        idx, n = [i - 1, m + i - 1], 2
+    elif kind == "iota_pair":
         j, k = _check_indices(m, *params["jk"])
         if j == k:
             raise ValueError("iota_pair needs distinct indices")
-        g4 = _int_square(params["g"], 4, "g")
-        rows = xla.identity(2 * m)
-        idx = [j - 1, k - 1, m + j - 1, m + k - 1]
-        for r in range(4):
-            for s_ in range(4):
-                rows[idx[r]][idx[s_]] = g4[r][s_]
-        return IntegerSymplectic(rows)
-    raise ValueError(f"unknown generator kind {kind!r}")
+        idx, n = [j - 1, k - 1, m + j - 1, m + k - 1], 4
+    else:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return _embed(m, idx, IntegerSymplectic(_int_square(params["g"], n, "g")).rows)
 
 
 # --- congruence subgroups ---

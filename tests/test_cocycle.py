@@ -120,7 +120,7 @@ def test_factorization_reconstructs(seed):
     recon = xla.mat_mul(xla.mat_mul([list(r) for r in fac.p1], omq),
                         [list(r) for r in fac.p2])
     assert xla.mat_eq(recon, [[Fraction(x) for x in row] for row in g.rows])
-    assert fac.j == xla.rank(g.c)
+    assert fac.j == ref.rank(g.c)
     assert fac.x_sign in (1, -1)
 
 

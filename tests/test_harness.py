@@ -1,5 +1,9 @@
 """Induced monomial representation and the randomized law harness."""
 
+import functools
+import itertools
+import operator
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
                         sample_point, subgroup_membership, verify_scalar_law,
                         verify_vector_law)
 from thetacover import harness
+from thetacover.cocycle import word_lift
 from thetacover.harness import _rel_err
 
 
@@ -68,6 +73,51 @@ def test_induced_rep_is_multiplicative():
             lhs = induced_rep_matrix(cover_mul(a, b))
             rhs = induced_rep_matrix(a) @ induced_rep_matrix(b)
             assert lhs == rhs
+
+
+def relators(m):
+    """(name, letters) of words whose product is 1.
+
+    At m = 1 they present SL_2(Z) on omega and u: omega^4 and
+    (omega u)^3 omega^2, with omega^2 = -1 central, and u u^{-1}.  At m = 2
+    the relators of Sp_4(Z) are necessary, not sufficient: omega^4, the
+    commutator [u_12, u_11] and omega^2 v_12 omega^{-2} v_12^{-1}.
+    """
+    om = make_generator("omega", m)
+    if m == 1:
+        u, u_inv = (make_generator("u_ij", 1, i=1, j=1, t=t) for t in (1, -1))
+        return [("omega^4", [om] * 4),
+                ("(omega u)^3 omega^2", [om, u] * 3 + [om, om]),
+                ("u u^-1", [u, u_inv])]
+    u12, u12_inv, u11, u11_inv = (make_generator("u_ij", 2, i=1, j=j, t=t)
+                                  for j in (2, 1) for t in (1, -1))
+    v12, v12_inv = (make_generator("v_ij", 2, i=1, j=2, t=t) for t in (1, -1))
+    om_inv = om.inverse()
+    return [("omega^4", [om] * 4),
+            ("[u_12, u_11]", [u12, u11, u12_inv, u11_inv]),
+            ("omega^2 v_12 omega^-2 v_12^-1",
+             [om, om, v12, om_inv, om_inv, v12_inv])]
+
+
+def test_letter_images_satisfy_relators():
+    # on a relator the letters' plus lifts multiply to (1, s), so the
+    # letter images multiply to gamma_bar(1, s) = s Id exactly; each prefix
+    # is checked too, which is where word_lift's m(P_k)^{-1} shows
+    signs = {}
+    for m in (1, 2):
+        n = len(coset_table(m))
+        for name, letters in relators(m):
+            images = itertools.accumulate(map(harness._letter_image, letters),
+                                          operator.matmul)
+            for k, image in enumerate(images, 1):
+                assert image == induced_rep_matrix(word_lift(letters[:k]))
+            lift = word_lift(letters)
+            assert functools.reduce(operator.matmul, letters) \
+                == lift.g == IntegerSymplectic.identity(m)
+            assert image == MonomialMatrix(n, tuple(range(n)),
+                                           (Mu8(0 if lift.eps == 1 else 4),) * n)
+            signs[m, name] = lift.eps
+    assert signs[1, "omega^4"] == signs[1, "(omega u)^3 omega^2"] == -1
 
 
 def test_induced_rep_diagonal_on_stabilized_labels():

@@ -105,6 +105,14 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: big_theta(SiegelPoint.z0(1), "one"),
          lambda: theta_component(coset_table(1)[0], SiegelPoint.z0(2), "half"),
          lambda: make_generator("u_minus", 2, c=[[0, 1], [0, 0]]),
+         # parameters that would make a generator that is not symplectic:
+         # the checks of each kind are the only guard
+         lambda: make_generator("u", 2, b=[[0, 1], [2, 0]]),
+         lambda: make_generator("iota", 2, i=1, g=[[1, 1], [0, 2]]),
+         lambda: make_generator("iota_pair", 2, jk=(1, 2),
+                                g=[[1, 1, 0, 0], [0, 1, 0, 0],
+                                   [0, 0, 1, 0], [0, 0, 0, 1]]),
+         lambda: make_generator("v_ij", 2, i=1, j=1),
          lambda: random_word_element(2, "Gamma4_8", length=3, seed=1),
          # entries that int() would truncate or parse
          lambda: IntegerSymplectic([[1.9, 0], [0, 1]]),

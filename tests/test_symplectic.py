@@ -1,13 +1,17 @@
 """Group algebra, generators, membership predicates, half-space action."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetacover import (IntegerSymplectic, SiegelPoint, j_matrix,
-                        make_generator, mobius_act, random_word_element,
-                        subgroup_membership)
+from thetacover import (IntegerSymplectic, SiegelPoint, enumerate_isotropic,
+                        j_matrix, make_generator, mobius_act,
+                        random_word_element, subgroup_membership,
+                        transvection_rep)
+from thetacover.f2cosets import _PAIR_BLOCK
 from thetacover.symplectic import _exact_symplectic
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -17,20 +21,47 @@ def word(m, sub, seed, length=6):
     return random_word_element(m, sub, length=length, seed=seed)[0]
 
 
+def every_generator(m):
+    """Each kind at genus m: omega_S for every S, the elementary kinds for
+    all i, j and t, u, u_minus and h with non-diagonal blocks, iota with
+    four SL_2 blocks, iota_pair with _PAIR_BLOCK on every ordered pair."""
+    idx = range(1, m + 1)
+    for r in range(m + 1):
+        for s in itertools.combinations(idx, r):
+            yield make_generator("omega_S", m, S=set(s))
+    yield make_generator("omega", m)
+    for i, j in itertools.product(idx, repeat=2):
+        for t in (-3, -1, 1, 2):
+            yield make_generator("u_ij", m, i=i, j=j, t=t)
+            yield make_generator("u_minus_ij", m, i=i, j=j, t=t)
+            if i != j:
+                yield make_generator("v_ij", m, i=i, j=j, t=t)
+    sym = [[(r + c) % 3 - 1 for c in range(m)] for r in range(m)]
+    yield make_generator("u", m, b=sym)
+    yield make_generator("u_minus", m, c=sym)
+    # unitriangular, so unimodular, and with det -1 once its row 0 is negated
+    a = [[int(r == c) + (c == r + 1) - 2 * (c == r + 2) for c in range(m)]
+         for r in range(m)]
+    yield make_generator("h", m, a=a)
+    yield make_generator("h", m, a=[[-x for x in a[0]]] + a[1:])
+    for i in idx:
+        for g in ([[1, 1], [0, 1]], [[1, 0], [-1, 1]], [[0, -1], [1, 0]],
+                  [[2, 3], [1, 2]]):
+            yield make_generator("iota", m, i=i, g=g)
+    for jk in itertools.permutations(idx, 2):
+        yield make_generator("iota_pair", m, jk=jk, g=_PAIR_BLOCK)
+    yield IntegerSymplectic.identity(m)
+
+
 def test_generators_are_symplectic():
+    # every kind is built unchecked from its checked parameters, so this
+    # is the check that the parameters make it symplectic
+    for m in (1, 2, 3, 4):
+        for g in every_generator(m):
+            assert g.m == m and _exact_symplectic(g.rows)
     for m in (1, 2, 3):
-        gens = [make_generator("omega", m),
-                make_generator("u_ij", m, i=1, j=1, t=3),
-                make_generator("u_minus_ij", m, i=1, j=1, t=-2)]
-        if m >= 2:
-            gens += [make_generator("u_ij", m, i=1, j=2, t=1),
-                     make_generator("v_ij", m, i=1, j=2, t=2),
-                     make_generator("omega_S", m, S={2}),
-                     make_generator("iota", m, i=2, g=((1, 1), (0, 1))),
-                     make_generator("h", m, a=[[1 if i == j else (i == 0 and j == 1)
-                                               for j in range(m)] for i in range(m)])]
-        for g in gens:
-            assert _exact_symplectic(g.rows)
+        for q in enumerate_isotropic(m):
+            assert _exact_symplectic(transvection_rep(q).rows)
 
 
 def out_of_range_generators(m):
