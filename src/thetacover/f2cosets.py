@@ -21,7 +21,7 @@ from itertools import product
 
 from . import exactla as xla
 from .cocycle import Mu8, m_xstar, word_lift
-from .symplectic import IntegerSymplectic, _q0, _trusted, make_generator
+from .symplectic import IntegerSymplectic, _q0, _SymplecticRows, make_generator
 
 MAX_RANK = 8
 
@@ -64,12 +64,12 @@ def transvection_rep(q) -> IntegerSymplectic:
     """Integer matrix of v -> v + <v, q> q, for isotropic q = (x | x*).
 
     A transvection is symplectic for every q, so once q is checked the
-    matrix is built unchecked, through symplectic._trusted."""
+    matrix is built without the full check, as symplectic._SymplecticRows."""
     q = _isotropic(q)
     m = len(q) // 2
     u = [q[m + i] for i in range(m)] + [-q[i] for i in range(m)]
-    return _trusted(tuple(tuple((i == j) + u[i] * q[j] for j in range(2 * m))
-                          for i in range(2 * m)))
+    rows = [[(i == j) + u[i] * q[j] for j in range(2 * m)] for i in range(2 * m)]
+    return IntegerSymplectic(_SymplecticRows(rows))
 
 
 def coset_profile(g: IntegerSymplectic) -> tuple:

@@ -7,9 +7,10 @@ g(z) = (az + b)(cz + d)^{-1} with base point z0 = i.1_m.
 
 Validation happens where matrices enter: IntegerSymplectic(rows) checks
 g^T J g = J on rows from outside, and make_generator checks a kind's own
-parameters, which alone make it symplectic.  Generators, the identity,
-transvections, products and inverses are symplectic by construction or by
-closure, so they are built unchecked, through _trusted.
+parameters, which alone make it symplectic.  Generators, the identity and
+transvections are symplectic by construction: their rows enter the
+constructor as _SymplecticRows, unchecked.  Products and inverses are
+symplectic by closure and are built through _trusted.
 """
 
 from __future__ import annotations
@@ -44,17 +45,21 @@ def _exact_symplectic(rows) -> bool:
 class IntegerSymplectic:
     """Immutable 2m x 2m integer matrix with g^T J g = J exactly.
 
-    The constructor checks the identity, on rows from outside; what is
-    symplectic by construction is built through _trusted (see the module
-    docstring).
+    The constructor checks the identity on rows from outside, and takes
+    _SymplecticRows unchecked (see the module docstring).
     """
 
     __slots__ = ("m", "rows", "_blocks")
 
     def __init__(self, rows):
-        rows = tuple(tuple(map(xla.as_int, row)) for row in rows)
-        if not _exact_symplectic(rows):
-            raise ValueError("matrix is not symplectic")
+        if type(rows) is _SymplecticRows:
+            if not rows:                   # a genus below 1
+                raise ValueError("need an even-dimensional square matrix")
+            rows = tuple(map(tuple, rows))
+        else:
+            rows = tuple(tuple(map(xla.as_int, row)) for row in rows)
+            if not _exact_symplectic(rows):
+                raise ValueError("matrix is not symplectic")
         object.__setattr__(self, "m", len(rows) // 2)
         object.__setattr__(self, "rows", rows)
 
@@ -116,15 +121,19 @@ class IntegerSymplectic:
 
     @classmethod
     def identity(cls, m: int) -> "IntegerSymplectic":
-        return _trusted(tuple(map(tuple, xla.identity(2 * xla.as_int_arg(m, "m")))))
+        return cls(_SymplecticRows(xla.identity(2 * xla.as_int_arg(m, "m"))))
+
+
+class _SymplecticRows(tuple):
+    """Int rows symplectic by construction, from checked parameters, which
+    IntegerSymplectic takes without its check; never outside input."""
+
+    __slots__ = ()
 
 
 def _trusted(rows: tuple) -> IntegerSymplectic:
-    """Unchecked IntegerSymplectic from int row tuples known to be symplectic,
-    never from outside input.  Only the empty matrix, of a genus below 1, is
-    refused, as IntegerSymplectic refuses it."""
-    if not rows:
-        raise ValueError("need an even-dimensional square matrix")
+    """Unchecked IntegerSymplectic from int row tuples known to be symplectic;
+    only for @ and inverse(), never for outside input."""
     g = object.__new__(IntegerSymplectic)
     object.__setattr__(g, "m", len(rows) // 2)
     object.__setattr__(g, "rows", rows)
@@ -152,18 +161,7 @@ def _check_indices(m: int, *indices) -> tuple:
 
 def _assemble(a, b, c, d) -> IntegerSymplectic:
     """(a b; c d) from m x m int blocks that make it symplectic."""
-    return _trusted(tuple(map(tuple, xla.from_blocks([[a, b], [c, d]]))))
-
-
-def _embed(m: int, idx: list, block) -> IntegerSymplectic:
-    """The 2m x 2m identity with a symplectic block on the coordinates idx,
-    (x_j, x*_j) or (x_j, x_k, x*_j, x*_k): J restricted to them is the
-    block's own J."""
-    rows = xla.identity(2 * m)
-    for r, block_row in zip(idx, block):
-        for s, x in zip(idx, block_row):
-            rows[r][s] = x
-    return _trusted(tuple(map(tuple, rows)))
+    return IntegerSymplectic(_SymplecticRows(xla.from_blocks([[a, b], [c, d]])))
 
 
 def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
@@ -174,41 +172,44 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
     v_ij (i != j), iota (2x2 block at index i), iota_pair (4x4 block at
     indices (j, k)).  Indices are 1-based as in the classical notation, and
     any index outside 1..m raises ValueError.  m and the indices follow the
-    xla.as_int rule.  Each kind checks its parameters alone: a symmetric b
-    or c, a unimodular a, indices in range, a symplectic block.  Those make
-    the matrix symplectic, so it is built unchecked, through _trusted, by
-    one block assembly (a b; c d) or one coordinate embedding.
+    xla.as_int rule.  A kind checks only its parameters (a symmetric b or c,
+    a unimodular a, indices in range, a symplectic block), which make it
+    symplectic, and is built as _SymplecticRows, by one block assembly
+    (a b; c d) or one coordinate embedding.
     """
     m = xla.as_int_arg(m, "m")
     one = xla.identity(m)
     zero = xla.zeros(m, m)
-    if kind in ("u", "u_minus", "u_ij", "u_minus_ij"):   # (1 s; 0 1), (1 0; s 1)
-        if kind in ("u", "u_minus"):
-            name = "b" if kind == "u" else "c"
-            s = _int_square(params[name], m, name)
-            if not xla.is_symmetric(s):
-                raise ValueError(f"{kind}({name}) needs symmetric {name}")
-        else:
-            i, j = _check_indices(m, params["i"], params["j"])
-            t = xla.as_int(params.get("t", 1))
-            s = xla.zeros(m, m)
-            s[i - 1][j - 1] = s[j - 1][i - 1] = t if kind == "u_ij" else -t
-        if kind in ("u", "u_ij"):
-            return _assemble(one, s, zero, one)
-        return _assemble(one, zero, s, one)
-    if kind in ("h", "v_ij"):                # (a 0; 0 a^-T)
-        if kind == "h":
-            a = _int_square(params["a"], m, "a")
-            if abs(xla.det(a)) != 1:
-                raise ValueError("h(a) needs unimodular a")
-        else:
-            i, j = _check_indices(m, params["i"], params["j"])
-            t = xla.as_int(params.get("t", 1))
-            if i == j:
-                raise ValueError("v_ij needs i != j")
-            a = xla.identity(m)
-            a[i - 1][j - 1] = t
+    if kind == "u":
+        b = _int_square(params["b"], m, "b")
+        if not xla.is_symmetric(b):
+            raise ValueError("u(b) needs symmetric b")
+        return _assemble(one, b, zero, one)
+    if kind == "u_minus":
+        c = _int_square(params["c"], m, "c")
+        if not xla.is_symmetric(c):
+            raise ValueError("u_minus(c) needs symmetric c")
+        return _assemble(one, zero, c, one)
+    if kind == "h":                          # (a 0; 0 a^-T)
+        a = _int_square(params["a"], m, "a")
+        if abs(xla.det(a)) != 1:
+            raise ValueError("h(a) needs unimodular a")
         d = [[int(x) for x in row] for row in xla.transpose(xla.inv(a))]
+        return _assemble(a, zero, zero, d)
+    if kind in ("u_ij", "u_minus_ij"):       # s = t(E_ij + E_ji), or tE_ii
+        i, j = _check_indices(m, params["i"], params["j"])
+        s = xla.zeros(m, m)
+        s[i - 1][j - 1] = s[j - 1][i - 1] = xla.as_int(params.get("t", 1))
+        if kind == "u_ij":
+            return _assemble(one, s, zero, one)
+        return _assemble(one, zero, xla.mat_neg(s), one)
+    if kind == "v_ij":                       # (1 + tE_ij, 0; 0, 1 - tE_ji)
+        i, j = _check_indices(m, params["i"], params["j"])
+        t = xla.as_int(params.get("t", 1))
+        if i == j:
+            raise ValueError("v_ij needs i != j")
+        a, d = xla.identity(m), xla.identity(m)
+        a[i - 1][j - 1], d[j - 1][i - 1] = t, -t
         return _assemble(a, zero, zero, d)
     if kind in ("omega", "omega_S"):         # e_i -> -e_i*, e_i* -> e_i on S
         support = (set(range(1, m + 1)) if kind == "omega"
@@ -219,15 +220,23 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
         return _assemble(rest, xla.mat_neg(x), x, rest)
     if kind == "iota":
         (i,) = _check_indices(m, params["i"])
-        idx, n = [i - 1, m + i - 1], 2
+        idx = [i - 1, m + i - 1]
     elif kind == "iota_pair":
         j, k = _check_indices(m, *params["jk"])
         if j == k:
             raise ValueError("iota_pair needs distinct indices")
-        idx, n = [j - 1, k - 1, m + j - 1, m + k - 1], 4
+        idx = [j - 1, k - 1, m + j - 1, m + k - 1]
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
-    return _embed(m, idx, IntegerSymplectic(_int_square(params["g"], n, "g")).rows)
+    block = _int_square(params["g"], len(idx), "g")
+    if not _exact_symplectic(block):
+        raise ValueError("matrix is not symplectic")
+    # J restricted to the coordinates idx is the block's own J
+    rows = xla.identity(2 * m)
+    for r, block_row in zip(idx, block):
+        for s, x in zip(idx, block_row):
+            rows[r][s] = x
+    return IntegerSymplectic(_SymplecticRows(rows))
 
 
 # --- congruence subgroups ---
@@ -393,8 +402,8 @@ def mobius_act(g, z: SiegelPoint) -> SiegelPoint:
 
 @lru_cache(maxsize=None)
 def _alphabet(m: int, family: tuple) -> tuple:
-    """(kind, params, element) per letter of a word sampler, each built and
-    validated once, as make_generator(kind, m, **params)."""
+    """(kind, params, element) per letter of a word sampler, each built
+    once, from checked parameters, as make_generator(kind, m, **params)."""
     pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i < j]
     out = []
     if family in (("Sp", 1), ("Gamma(1,2)", 1)):

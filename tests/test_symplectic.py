@@ -55,13 +55,19 @@ def every_generator(m):
 
 def test_generators_are_symplectic():
     # every kind is built unchecked from its checked parameters, so this
-    # is the check that the parameters make it symplectic
+    # is the check that the parameters make it symplectic; the rows are
+    # plain tuples of ints, as the checked constructor makes them
+    def plain(g):
+        return (type(g.rows) is tuple and
+                all(type(r) is tuple and all(type(x) is int for x in r) for r in g.rows))
+
     for m in (1, 2, 3, 4):
         for g in every_generator(m):
-            assert g.m == m and _exact_symplectic(g.rows)
+            assert g.m == m and _exact_symplectic(g.rows) and plain(g)
     for m in (1, 2, 3):
         for q in enumerate_isotropic(m):
-            assert _exact_symplectic(transvection_rep(q).rows)
+            g = transvection_rep(q)
+            assert _exact_symplectic(g.rows) and plain(g)
 
 
 def out_of_range_generators(m):
