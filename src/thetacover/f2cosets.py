@@ -105,6 +105,24 @@ def coset_index_of(g: IntegerSymplectic) -> int:
 _PAIR_BLOCK = ((0, -1, -1, 0), (-1, 0, 0, -1), (1, 1, 1, 0), (1, 1, 0, 1))
 
 
+# The unipotent 2 x 2 blocks of refine_rep's single coordinates: upper for
+# a component e_i*, lower for a component e_i.
+_UPPER_BLOCK = ((1, 1), (0, 1))
+_LOWER_BLOCK = ((1, 0), (-1, 1))
+
+
+@lru_cache(maxsize=None)
+def _factor(m: int, block: tuple, at) -> IntegerSymplectic:
+    """A factor of refine_rep: the constant block embedded at coordinate i
+    (a 2 x 2 block, at = i) or at the pair (j, k) (_PAIR_BLOCK, at = (j, k)).
+
+    make_generator checks the block on every call, so each factor is made
+    once per (m, block, at) and shared by every label that reads it."""
+    if len(block) == 4:
+        return make_generator("iota_pair", m, jk=at, g=block)
+    return make_generator("iota", m, i=at, g=block)
+
+
 @dataclass(frozen=True)
 class CosetRecord:
     """One coset: its profile q, both representatives, and shift data.
@@ -149,14 +167,14 @@ def refine_rep(q) -> CosetRecord:
     exp = 0
     for i in singles:
         if q[m + i - 1]:                         # component e_i*: upper block
-            factors.append(make_generator("iota", m, i=i, g=[[1, 1], [0, 1]]))
+            factors.append(_factor(m, _UPPER_BLOCK, i))
             m_q[i - 1] = 1
         else:                                    # component e_i: lower block
-            factors.append(make_generator("iota", m, i=i, g=[[1, 0], [-1, 1]]))
+            factors.append(_factor(m, _LOWER_BLOCK, i))
             eps_q[i - 1] = 1
             exp += 1
     for (j, k) in pairs:
-        factors.append(make_generator("iota_pair", m, jk=(j, k), g=_PAIR_BLOCK))
+        factors.append(_factor(m, _PAIR_BLOCK, (j, k)))
         m_q[j - 1] = m_q[k - 1] = -1
         eps_q[j - 1] = eps_q[k - 1] = -1
         exp -= 1

@@ -23,16 +23,21 @@ reads the box in one fixed order, as a tensor of shape (2R + 1,)^m in lex
 order, so results are bit-identical run to run.  R is kept on the point per
 ThetaParams (``_radius``), so a point pays for one eigenvalue solve however
 many sums and checks read it.  ``theta_component`` sums one box term by
-term, with a complex exp per point, and forms no point list;
-``theta_series`` is the same direct sum at the zero label.  They are the
-oracles.  ``theta_vector`` gives every component at both weights from
-one pass that evaluates each half shift once and sums it against the
-characters of n mod 2.  Its terms are one real exp of an exponent
-broadcast from the coordinates 2v, times the phases of the pairs of axes;
-the per-axis phases ride the character weights.  What a pass reads that
-depends on m and R alone, from the exact coordinates 2v to the grid
-of its phase factors, is built once per (m, R) and kept read-only
-(``_grid``); the factors that depend on X are then one vectorized
+term and forms no point list; ``theta_series`` is the same direct sum at
+the zero label.  They are the oracles.  Over the whole box they form only
+the real log-magnitude -pi v Y v^T, 8 bytes a point; a term at or below
+max - 60 log 2 - log(N w) (N box points, w the largest moment factor)
+counts as 0, so the dropped terms are below 2^-60 of the largest one, and
+only the kept points get a phase and a complex exp (``_box_sum``).  Each
+kept term is bit for bit the one of the whole-box sum.  They share nothing
+with the pass below but the radius.  ``theta_vector`` gives every
+component at both weights from one pass that evaluates each half shift
+once and sums it against the characters of n mod 2.  Its terms are one
+real exp of an exponent broadcast from the coordinates 2v, times the
+phases of the pairs of axes; the per-axis phases ride the character
+weights.  What a pass reads that depends on m and R alone, from the exact
+coordinates 2v to the grid of its phase factors, is built once per (m, R)
+and kept read-only (``_grid``); the factors that depend on X are then one vectorized
 exponential.  Terms of the pass at or below a floor derived from
 ThetaParams.tail_tol count as 0; together they are at most 2^-53 tail_tol
 per component (``_floor``).  So the pass reads only the sub-box
@@ -233,29 +238,57 @@ def j_half_bar(gbar: CoverElement, z: SiegelPoint) -> complex:
 
 # --- lattice sums ---
 
+# A term of a direct sum whose log-magnitude is at or below
+# max - _DROP_BITS log 2 - log(N w) counts as 0 (_box_sum), N being the
+# (2R + 1)^m points of the box, and w = R + 1/2 at weight 3/2, w = 1 at
+# weight 1/2.  Each dropped term is at most 2^-_DROP_BITS / (N w) of the
+# largest term, a moment factor |v_k| <= R + 1/2 multiplies it by at most w,
+# and there are fewer than N of them: together they are below 2^-60 of the
+# largest term, under 1/128 ulp of it.
+_DROP_BITS = 60
+
+
 def _box_sum(z: SiegelPoint, m_q: tuple, eps_q: tuple, weight: str,
              params: ThetaParams | None):
     """Direct sum of (-1)^{m_q . n} e^{i pi v z v^T}, v = n + eps_q/2, over
-    the box, one complex exp per point; weight "three_half" inserts the
-    moment vector v^T.  The box is a tensor of shape (2R + 1,)^m in lex
-    order, as in the pass, with v_k along axis k: the terms are broadcast
-    from per-axis vectors, so no point list is formed and nothing is kept.
+    the box [-R, R]^m; weight "three_half" inserts the moment vector v^T.
+
+    Only the real log-magnitude -pi v Y v^T is formed over the whole box, a
+    tensor of shape (2R + 1,)^m in lex order with v_k along axis k, at 8
+    bytes a point.  Terms whose log-magnitude is at or below max -
+    _DROP_BITS log 2 - log(N w) count as 0: together they are below 2^-60
+    of the largest term (see _DROP_BITS).  The kept points, gathered in lex
+    order, get the phase pi v X v^T and one complex exp each.  Both sums add
+    z's entries over (k, l) in one order from 0, so every kept term, sign
+    and moment is bit for bit the one of the whole-box sum; the value moves
+    only by the dropped terms and the grouping of the final sum.  The sum
+    shares nothing with the pass but the radius, and keeps nothing.
     """
     if weight not in ("half", "three_half"):
         raise ValueError(f"unknown weight {weight!r}")
     m, zz = z.m, z.z
+    Y, X = zz.imag, zz.real
     radius = _radius(z, params or ThetaParams())
     n = np.arange(-radius, radius + 1)
     along = [(-1,) + (1,) * (m - 1 - k) for k in range(m)]   # axis k's shape
-    v = [(n + e / 2).reshape(along[k]) for k, e in enumerate(eps_q)]
-    w = np.exp(1j * math.pi * sum(zz[k, l] * v[k] * v[l]
-                                  for k in range(m) for l in range(m)))
+    axes = [n + e / 2 for e in eps_q]                        # v_k on axis k
+    v = [a.reshape(along[k]) for k, a in enumerate(axes)]
+    size = (2 * radius + 1) ** m
+    reach = radius + 0.5 if weight == "three_half" else 1.0
+    log_mag = -math.pi * sum(Y[k, l] * v[k] * v[l]
+                             for k in range(m) for l in range(m))
+    cut = log_mag.max() - _DROP_BITS * math.log(2) - math.log(size * reach)
+    kept = np.nonzero(log_mag > cut)
+    u = [a[i] for a, i in zip(axes, kept)]                 # v_k at kept points
+    phase = math.pi * sum(X[k, l] * u[k] * u[l]
+                          for k in range(m) for l in range(m))
+    w = np.exp(log_mag[kept] + 1j * phase)
     for k, x in enumerate(m_q):
         if x % 2:
-            w *= (1 - 2 * (n & 1)).reshape(along[k])
+            w *= 1 - 2 * (n[kept[k]] & 1)
     if weight == "half":
         return complex(w.sum())
-    return np.array([np.sum(v[k] * w) for k in range(m)])
+    return np.array([np.sum(u[k] * w) for k in range(m)])
 
 
 def theta_series(z: SiegelPoint, weight: str, params: ThetaParams | None = None):
@@ -264,6 +297,9 @@ def theta_series(z: SiegelPoint, weight: str, params: ThetaParams | None = None)
     weight "half": sum of e^{i pi n z n^T} (scalar).
     weight "three_half": sum of n^T e^{i pi n z n^T} (m-vector; identically
     zero by the n <-> -n symmetry, kept as an honest computation).
+    Over the box [-R, R]^m, as _box_sum: terms at or below 2^-60 / (N w)
+    of the largest one count as 0 and sum to below 2^-60 of it; every kept
+    term is bit for bit the whole-box sum's.
     """
     return _box_sum(z, (0,) * z.m, (0,) * z.m, weight, params)
 
@@ -283,7 +319,10 @@ def theta_component(rec: CosetRecord, z: SiegelPoint, weight: str,
 
     Computes sum (-1)^{m_q . n} e^{i pi (n + eps_q/2) z (n + eps_q/2)^T}, the
     component at the plus lift (weight "three_half" inserts the moment
-    vector (n + eps_q/2)^T).
+    vector (n + eps_q/2)^T), over the box [-R, R]^m as _box_sum: only the
+    real log-magnitude is formed over the box, terms at or below 2^-60 /
+    (N w) of the largest one count as 0 and sum to below 2^-60 of it, and
+    every kept term, sign and moment is bit for bit the whole-box sum's.
     """
     if z.m != rec.M.m:
         raise ValueError("dimension mismatch")

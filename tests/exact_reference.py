@@ -10,14 +10,20 @@ code that never calls it.  The Maslov signature of three Lagrangians,
 from their row bases, is the oracle of rao_cocycle's block formula.  The
 block rules for theta-group membership and the coset label are the
 references of the library's one Q0 (symplectic._q0), which reads them
-off the rows and the columns.
+off the rows and the columns.  The whole-box direct theta sum, one complex
+exp per point of [-R, R]^m, is the reference of the library's direct sum,
+which drops the terms too small to reach it.
 """
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from thetacover import exactla as xla
 from thetacover.cocycle import _maslov_gram
 from thetacover.symplectic import _j_blocks
+from thetacover.theta import ThetaParams, _radius
 
 
 def to_fractions(m):
@@ -180,3 +186,26 @@ def label_by_blocks(g):
     """The coset label by blocks: (diag(a^T c) | diag(b^T d)) mod 2."""
     return (_diag_mod2(xla.transpose(g.a), g.c)
             + _diag_mod2(xla.transpose(g.b), g.d))
+
+
+def box_sum(z, m_q, eps_q, weight, params):
+    """Direct sum of (-1)^{m_q . n} e^{i pi v z v^T}, v = n + eps_q/2, over
+    the whole box, one complex exp per point; weight "three_half" inserts
+    the moment vector v^T.  The box is a tensor of shape (2R + 1,)^m in lex
+    order, with v_k along axis k, broadcast from per-axis vectors.
+    """
+    if weight not in ("half", "three_half"):
+        raise ValueError(f"unknown weight {weight!r}")
+    m, zz = z.m, z.z
+    radius = _radius(z, params or ThetaParams())
+    n = np.arange(-radius, radius + 1)
+    along = [(-1,) + (1,) * (m - 1 - k) for k in range(m)]   # axis k's shape
+    v = [(n + e / 2).reshape(along[k]) for k, e in enumerate(eps_q)]
+    w = np.exp(1j * math.pi * sum(zz[k, l] * v[k] * v[l]
+                                  for k in range(m) for l in range(m)))
+    for k, x in enumerate(m_q):
+        if x % 2:
+            w *= (1 - 2 * (n & 1)).reshape(along[k])
+    if weight == "half":
+        return complex(w.sum())
+    return np.array([np.sum(v[k] * w) for k in range(m)])

@@ -252,6 +252,130 @@ def test_direct_sum_forms_z_once(monkeypatch):
     assert len(reads) == 1
 
 
+def direct_sum_cases():
+    """(m, z, params): sampled points with radius up to 12 (m < 4) under the
+    default tail_tol, and rescaled sampled points at radius 3 and 4 under a
+    coarse one, where the box edge carries weight."""
+    coarse = ThetaParams(tail_tol=0.5)
+    for m in (1, 2, 3, 4):
+        rng = np.random.default_rng(40 + m)
+        kept = 0
+        while m < 4 and kept < 3:
+            z = sample_point(m, rng)
+            if truncation_radius(z.Y, ThetaParams()) <= 12:
+                kept += 1
+                yield m, z, ThetaParams()
+        for radius in (3, 4):
+            yield m, point_at_radius(m, radius, coarse, 40 + radius), coarse
+
+
+def test_direct_sum_matches_whole_box():
+    # the terms the direct sum drops are below 2^-60 of its largest term,
+    # and its kept terms are the whole-box sum's bit for bit, so only they
+    # and the grouping of the sum move the value
+    worst, cases = 0.0, 0
+    for m, z, params in direct_sum_cases():
+        for rec in coset_table(m):
+            for weight in ("half", "three_half"):
+                want = ref.box_sum(z, rec.m_q, rec.eps_q, weight, params)
+                got = theta_component(rec, z, weight, params).value
+                worst = max(worst, float(np.max(np.abs(got - want)))
+                            / max(1.0, float(np.max(np.abs(want)))))
+                cases += 1
+    assert cases == 2 * (3 * 5 + 10 * 5 + 36 * 5 + 136 * 2)
+    assert worst <= 2e-15, worst
+
+
+# Law-free identities: checks that read no transformation law, only the
+# sums' definitions.  Jacobi's quartic at genus 1, and at block-diagonal z
+# the factorization of every component into lower-genus ones; Riemann's
+# theta formula is not among them.
+
+def block_diagonal(z1, z2):
+    """diag(z1, z2) as one point."""
+    k, m = z1.m, z1.m + z2.m
+    X, Y = np.zeros((m, m)), np.zeros((m, m))
+    X[:k, :k], X[k:, k:] = z1.X, z2.X
+    Y[:k, :k], Y[k:, k:] = z1.Y, z2.Y
+    return SiegelPoint(X, Y)
+
+
+def characteristic(rec):
+    """(|eps_q| mod 2, |m_q| mod 2): theta[-a, b] = (-1)^{a . b} theta[a, b],
+    so on an even characteristic the sign of a shift does not matter."""
+    return (tuple(abs(e) % 2 for e in rec.eps_q),
+            tuple(abs(x) % 2 for x in rec.m_q))
+
+
+def vector_half(z):
+    return theta_vector(z)[0]
+
+
+def component_half(z):
+    return [theta_component(rec, z, "half").value for rec in coset_table(z.m)]
+
+
+def identity_bound(z, power):
+    """128 ulp of S^power, S = sum of |terms| at z = theta_series(iY).
+
+    S bounds every component at z: a half shift only lowers the plain sum
+    at iY (by Poisson summation, whose coefficients are positive).  A
+    component is its sum to within 8 ulp of S, so a product or a fourth
+    power of such values is within power * 8 ulp of S^power, and the
+    identities add three of them plus the rounding of their arithmetic.
+    """
+    s = theta_series(SiegelPoint(np.zeros_like(z.Y), z.Y), "half").real
+    bound = 2.0 ** -46 * s ** power
+    assert bound <= 1e-13, bound
+    return bound
+
+
+GENUS_ONE = (SiegelPoint([[0.31]], [[0.83]]), SiegelPoint([[-0.17]], [[1.07]]))
+GENUS_TWO = SiegelPoint([[0.2, -0.35], [-0.35, 0.1]], [[0.9, 0.25], [0.25, 0.7]])
+
+
+def test_jacobi_quartic_identity():
+    # theta00^4 = theta01^4 + theta10^4, the labels (eps_q, m_q) = (0, 0),
+    # (0, 1) and (1, 0) of coset_table(1)
+    assert {(rec.eps_q, rec.m_q) for rec in coset_table(1)} \
+        == {((0,), (0,)), ((0,), (1,)), ((1,), (0,))}
+    for z in GENUS_ONE + (SiegelPoint([[0.5]], [[0.6]]), SiegelPoint.z0(1)):
+        bound = identity_bound(z, 4)
+        for values_of in (vector_half, component_half):
+            theta = {(rec.eps_q, rec.m_q): value
+                     for rec, value in zip(coset_table(1), values_of(z))}
+            t00, t01, t10 = (theta[(e,), (x,)] for e, x in ((0, 0), (0, 1), (1, 0)))
+            assert abs(t00 ** 4 - t01 ** 4 - t10 ** 4) <= bound
+
+
+def test_components_factor_at_block_diagonal_points():
+    # at z = diag(z1, z2) the sum over Z^m splits into sums over the two
+    # blocks: a label whose pieces are even characteristics is the product
+    # of the lower-genus components, and one whose pieces are odd vanishes
+    # (its pieces' parities add to that of the label, which is even)
+    products = odd = 0
+    for z1, z2 in ((GENUS_ONE[0], GENUS_ONE[1]), (GENUS_ONE[0], GENUS_TWO),
+                   (GENUS_TWO, GENUS_ONE[1])):
+        z, k = block_diagonal(z1, z2), z1.m
+        bound = identity_bound(z, 1)
+        for values_of in (vector_half, component_half):
+            lower = [{characteristic(rec): value for rec, value
+                      in zip(coset_table(w.m), values_of(w))} for w in (z1, z2)]
+            for rec, value in zip(coset_table(z.m), values_of(z)):
+                eps, sign = characteristic(rec)
+                pieces = ((eps[:k], sign[:k]), (eps[k:], sign[k:]))
+                parities = {sum(a * b for a, b in zip(*p)) % 2 for p in pieces}
+                assert len(parities) == 1
+                if parities == {0}:
+                    want = lower[0][pieces[0]] * lower[1][pieces[1]]
+                    products += 1
+                else:
+                    want = 0
+                    odd += 1
+                assert abs(value - want) <= bound, (rec.q, value, want)
+    assert products == 2 * (9 + 30 + 30) and odd == 2 * (1 + 6 + 6)
+
+
 def test_component_zero_label_is_plain_sum():
     for m in (1, 2):
         z = SiegelPoint.z0(m)
