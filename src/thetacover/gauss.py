@@ -13,11 +13,12 @@ with the integer matrix Q = D c^{-1} d every phase is e^{i pi k / D} for
 an integer k mod 2D, so the residue classes are counted by k in exact
 int64 arithmetic (D is at most 10**6 classes, which keeps every
 intermediate below 2m 10**12) and floats enter only in the final sum of
-counts times phases.  The sum is defined when c d^T is symmetric with an
-even diagonal, exactly the condition that makes the phase a class
-function.  The multiplier lambda = m_xstar * beta_tilde^{-1} is what the
-holomorphic transformation law of the theta series picks up on this
-subgroup.
+counts times phases.  When D = 1 the quotient has one class, x = 0, whose
+phase is e^0, so the sum is exactly 1 + 0j and no phase is counted.  The
+sum is defined when c d^T is symmetric with an even diagonal, exactly the
+condition that makes the phase a class function.  The multiplier
+lambda = m_xstar * beta_tilde^{-1} is what the holomorphic transformation
+law of the theta series picks up on this subgroup.
 
 f_shift and modified_cocycle push beta_tilde from the subgroup to the
 whole group along the coset representatives: f(g) = beta_tilde(r) c~(r, M)
@@ -57,6 +58,8 @@ def symplectic_gauss_sum(d, c) -> complex:
     denominator D = |det c| the phase is e^{i pi k / D} with the integer
     k = x Q x^T mod 2D, Q = D c^{-1} d: the classes are counted by k
     exactly, and floats enter only in the final sum of counts times phases.
+    With |det c| = 1 there is one class, x = 0, and the sum is exactly
+    1 + 0j.
     """
     c_rows = _int_rows(c)
     d_rows = _int_rows(d)
@@ -77,11 +80,15 @@ def _gauss_sum_hnf(h, ud) -> tuple:
 
     The kernel of symplectic_gauss_sum: the rows of h span the lattice of
     c and h^{-1} u d = c^{-1} d, so G(d, c) = G(u d, h).  The pair is not
-    validated; h must be square with a positive diagonal.
+    validated; h must be square with a positive diagonal, which box_sides
+    checks with the class guard.  D = 1 is one class, x = 0, with phase
+    e^0: it returns (1 + 0j, 1) there, before any solve or count.
     """
     m = len(h)
     sides = xla.box_sides(h)
     den = math.prod(sides)                          # D = |det c| = det h
+    if den == 1:                    # one class, x = 0, whose phase is e^0
+        return 1 + 0j, 1
     # h Q = D u d: Q = D c^{-1} d = D h^{-1} u d is integral (D h^{-1} = adj h)
     q = xla._upper_solve(h, ud, den)
     # Entries of Q mod 2D and of x stay below 2D, and D <= 10**6 (the class

@@ -120,18 +120,40 @@ def test_inverse_roundtrip(mat):
     assert xla.mat_eq(xla.mat_mul(mat, xla.inv(mat)), xla.identity(3))
 
 
-@given(st.one_of(square(2), square(3)))
-@settings(max_examples=80, deadline=None)
+def zero_lines(drawn):
+    """The drawn matrix with row i and column j set to zero where asked."""
+    mat, i, j, zero_row, zero_col = drawn
+    return [[0 if (zero_row and r == i) or (zero_col and c == j) else x
+             for c, x in enumerate(row)] for r, row in enumerate(mat)]
+
+
+# rectangular and rank-deficient, up to 5 x 5, often with a zero row or column
+hnf_inputs = (st.tuples(st.integers(min_value=1, max_value=5),
+                        st.integers(min_value=1, max_value=5))
+              .flatmap(lambda t: st.tuples(matrices(sparse_int, *t),
+                                           st.integers(0, t[0] - 1),
+                                           st.integers(0, t[1] - 1),
+                                           st.booleans(), st.booleans()))
+              .map(zero_lines))
+
+
+@given(hnf_inputs)
+@settings(max_examples=300, deadline=None)
 def test_hnf_transform_exact(mat):
     h, u = xla.hnf_with_transform(mat)
     assert xla.mat_eq(xla.mat_mul(u, mat), h)
     assert abs(xla.det(u)) == 1
-    # pivots positive, zero rows at the bottom
+    # zero rows at the bottom, one per rank deficiency
     nonzero = [row for row in h if any(row)]
-    assert h[:len(nonzero)] == nonzero
+    assert h[:len(nonzero)] == nonzero and len(nonzero) == ref.rank(mat)
+    # pivots strictly left to right and positive, zeros below each, and the
+    # entries above each pivot reduced into [0, pivot)
     pivots = [next(j for j, x in enumerate(row) if x) for row in nonzero]
-    assert pivots == sorted(pivots)
-    assert all(row[p] > 0 for row, p in zip(nonzero, pivots))
+    assert pivots == sorted(set(pivots))
+    for k, p in enumerate(pivots):
+        assert h[k][p] > 0
+        assert all(h[i][p] == 0 for i in range(k + 1, len(h)))
+        assert all(0 <= h[i][p] < h[k][p] for i in range(k))
 
 
 @given(square(3))

@@ -164,6 +164,39 @@ def test_beta_singular_c_matches_quotient_reference():
     assert {(2, 1), (3, 1), (3, 2)} <= seen
 
 
+def test_one_class_quotients_are_exactly_one():
+    # with one residue class, x = 0, the sum is e^0 = 1 + 0j exactly, and
+    # beta_tilde's raw value is exactly 1 with residual 0
+    for d, c in [([[0]], [[1]]), ([[0]], [[-1]]), ([[4]], [[1]]),
+                 ([[2, 1], [1, 0]], [[1, 0], [0, 1]]),
+                 ([[0, 0], [0, 0]], [[1, 1], [0, 1]])]:
+        got = symplectic_gauss_sum(d, c)
+        assert repr(got) == "(1+0j)" and got == reference_gauss_sum(d, c)
+    seen = set()
+    for m in (1, 2, 3):
+        for s in ([1], list(range(1, m + 1))):
+            got = beta_tilde(make_generator("omega_S", m, S=s))
+            assert got.raw == 1 + 0j and got.residual == 0.0
+        for seed in range(150):
+            g = gword(m, seed, length=4 + seed % 20)
+            j = ref.rank(g.c)
+            if j == m:
+                index = abs(ref.det(g.c))
+            else:
+                index = reference_beta_quotient_sum(g)[1] if j else 1
+            if index != 1:
+                continue
+            if j == m:
+                got = symplectic_gauss_sum(g.d, g.c)
+                assert repr(got) == "(1+0j)"
+                assert got == reference_gauss_sum(g.d, g.c)
+            beta = beta_tilde(g)
+            assert beta.raw == 1 + 0j and beta.residual == 0.0
+            seen.add((m, 0 < j < m, j == m))
+    assert {(1, False, True), (2, False, True), (3, False, True),
+            (3, True, False)} <= seen
+
+
 def test_beta_rejects_outside_subgroup():
     u1 = make_generator("u_ij", 1, i=1, j=1, t=1)
     with pytest.raises(ValueError):
