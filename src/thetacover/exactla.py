@@ -272,13 +272,11 @@ def congruence_signature(s: Matrix) -> tuple[int, int]:
 
     Fraction-free symmetric elimination over Python ints.  Rational input is
     first scaled by the lcm of its denominators, which is positive and so
-    keeps the signature.  The pivot's row and column are swapped to the
-    front, itself a congruence, so the pivot p sits at (0, 0) with row
-    (p, a); the new active block is p A' - a^T a for A' the rest: p times
-    the Schur complement, so each negative pivot swaps the roles of
-    positive and negative from then on.  Dividing the block by the gcd of
-    its entries (positive) keeps them small.  With a zero diagonal,
-    row+column addition creates a pivot.
+    keeps the signature.  After pivot p on row a of the active block A, the
+    new active block is p A - a a^T: p times the Schur complement, so each
+    negative pivot swaps the roles of positive and negative from then on.
+    Dividing the block by the gcd of its entries (positive) keeps them
+    small.  With a zero diagonal, row+column addition creates a pivot.
     """
     if not is_symmetric(s):
         raise ValueError("signature needs a symmetric matrix")
@@ -298,18 +296,17 @@ def congruence_signature(s: Matrix) -> tuple[int, int]:
             for row in a:
                 row[i] += row[j]
             k = i
-        if k:                               # pivot to the front, a congruence
-            a[0], a[k] = a[k], a[0]
-            for row in a:
-                row[0], row[k] = row[k], row[0]
-        p, *rest = a[0]
+        pivot_row = a[k]
+        p = pivot_row[k]
         if (p > 0) != flipped:
             pos += 1
         else:
             neg += 1
         if p < 0:
             flipped = not flipped
-        a = [[p * x - row[0] * y for x, y in zip(row[1:], rest)] for row in a[1:]]
+        a = [[p * x - row[k] * y
+              for t, (x, y) in enumerate(zip(row, pivot_row)) if t != k]
+             for r, row in enumerate(a) if r != k]
         g = math.gcd(*(x for row in a for x in row))
         if g > 1:
             a = [[x // g for x in row] for row in a]

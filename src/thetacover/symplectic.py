@@ -49,7 +49,7 @@ class IntegerSymplectic:
     _SymplecticRows unchecked (see the module docstring).
     """
 
-    __slots__ = ("m", "rows", "_blocks", "_hash")
+    __slots__ = ("m", "rows", "_blocks")
 
     def __init__(self, rows):
         if type(rows) is _SymplecticRows:
@@ -73,11 +73,8 @@ class IntegerSymplectic:
             return self._blocks
         except AttributeError:
             m, rows = self.m, self.rows
-            top, bottom = rows[:m], rows[m:]
-            blocks = (tuple([row[:m] for row in top]),
-                      tuple([row[m:] for row in top]),
-                      tuple([row[:m] for row in bottom]),
-                      tuple([row[m:] for row in bottom]))
+            blocks = tuple(tuple(row[c0:c0 + m] for row in rows[r0:r0 + m])
+                           for r0 in (0, m) for c0 in (0, m))
             object.__setattr__(self, "_blocks", blocks)
             return blocks
 
@@ -117,13 +114,7 @@ class IntegerSymplectic:
         return isinstance(other, IntegerSymplectic) and self.rows == other.rows
 
     def __hash__(self):
-        # hash(rows), formed on first use and kept, as the blocks are
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self.rows)
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash(self.rows)
 
     def __repr__(self):
         return f"IntegerSymplectic({[list(r) for r in self.rows]})"

@@ -294,26 +294,6 @@ def test_trusted_products_and_inverses_match_the_checked_constructor():
                 assert h == g
 
 
-def test_hash_is_hash_of_rows_kept_on_first_use():
-    # every way an element is built (checked rows, generators, the
-    # identity, products, inverses) hashes as its rows do, and keeps it
-    for m in (1, 2, 3):
-        for seed in range(10):
-            g, word = random_word_element(m, "Sp", length=1 + seed, seed=seed)
-            # g itself may be a cached letter; these are all built afresh
-            one = IntegerSymplectic.identity(m)
-            built = [g.inverse(), g @ g, g @ g.inverse(), one,
-                     IntegerSymplectic(g.rows),
-                     *(make_generator(kind, m, **params) for kind, params in word)]
-            for h in built:
-                assert not hasattr(h, "_hash")
-                assert hash(h) == hash(h.rows) == h._hash
-                assert hash(h) == hash(h.rows)
-            assert hash(g) == hash(g.rows)
-            assert hash(IntegerSymplectic(g.rows)) == hash(g)
-            assert g @ g.inverse() == one and hash(g @ g.inverse()) == hash(one)
-
-
 # recorded from the sampler before its letters were cached; the theta-m3
 # bench inputs are drawn through it
 PINNED_WORDS = [
