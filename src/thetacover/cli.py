@@ -211,13 +211,12 @@ def _cmd_beta(args, cfg) -> int:
 
 def _cmd_lambda(args, cfg) -> int:
     g = _load_symplectic(args.g)
-    root = beta_tilde(g)
-    lam = m_xstar(g) * root.value.inv()
+    lam = lambda_multiplier(g)
     _emit({
         "schema": SCHEMA,
         "value": _cplx(lam.value),
         "mu8_exponent": lam.exponent,
-        "residual": root.residual,
+        "residual": beta_tilde(g).residual,
     })
     return 0
 

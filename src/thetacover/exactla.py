@@ -38,7 +38,7 @@ def as_int(x) -> int:
     """int(x) for an entry of outside input; ValueError unless int(x) == x."""
     try:
         n = int(x)
-    except (OverflowError, ValueError):      # +-inf, nan, a non-numeric str
+    except (OverflowError, ValueError, TypeError):  # inf, nan, "a", None, 1j, [1]
         n = None
     if n is None or n != x:
         raise ValueError(f"entries must be integers, got {x!r}")

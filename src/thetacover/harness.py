@@ -129,7 +129,7 @@ def _conjugate(rec: CosetRecord, rbar: CoverElement) -> tuple:
     mi_r = cover_mul(CoverElement(rec.M, rec.kappa), rbar)
     j = coset_index_of(mi_r.g)
     sbar = cover_mul(mi_r, _inv_lift(rbar.g.m, j))
-    assert subgroup_membership(sbar.g, "Gamma1_2"), "coset bookkeeping broke"
+    assert subgroup_membership(sbar.g, "Gamma(1,2)"), "coset bookkeeping broke"
     return j, lambda_bar(sbar)
 
 
@@ -314,7 +314,7 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
         # up to 51 draws for an r that fixes some shifted label (stab holds
         # their indices); without one the trial would compare nothing
         for _ in range(51):
-            r = _random_word(m, "Gamma12", rng)
+            r = _random_word(m, "Gamma(1,2)", rng)
             stab = [k for k, rec in enumerate(table)
                     if any(rec.eps_q) and coset_profile(rec.M @ r) == rec.q]
             if stab:

@@ -5,12 +5,11 @@ are written in m x m blocks (a b; c d), and membership is the exact identity
 g^T J g = J with J = (0 -1; 1 0).  The Siegel half space carries the action
 g(z) = (az + b)(cz + d)^{-1} with base point z0 = i.1_m.
 
-Validation happens where matrices enter: IntegerSymplectic(rows) checks
-g^T J g = J on rows from outside, and make_generator checks a kind's own
-parameters, which alone make it symplectic.  Generators, the identity and
-transvections are symplectic by construction: their rows enter the
-constructor as _SymplecticRows, unchecked.  Products and inverses are
-symplectic by closure and are built through _trusted.
+The constructor IntegerSymplectic(rows) is the only way to make an
+element.  It checks g^T J g = J on rows from outside.  Rows symplectic by
+construction (generators, whose kind checks its own parameters, the
+identity and transvections) or by closure (products and inverses) enter
+it as _SymplecticRows, unchecked.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ def _exact_symplectic(rows) -> bool:
 class IntegerSymplectic:
     """Immutable 2m x 2m integer matrix with g^T J g = J exactly.
 
-    The constructor checks the identity on rows from outside, and takes
+    Every element, products and inverses included, is made by this
+    constructor: it checks the identity on rows from outside and takes
     _SymplecticRows unchecked (see the module docstring).
     """
 
@@ -97,7 +97,7 @@ class IntegerSymplectic:
     def __matmul__(self, other: "IntegerSymplectic") -> "IntegerSymplectic":
         if self.m != other.m:
             raise ValueError("genus mismatch")
-        return _trusted(tuple(map(tuple, xla.mat_mul(self.rows, other.rows))))
+        return IntegerSymplectic(_SymplecticRows(xla.mat_mul(self.rows, other.rows)))
 
     def inverse(self) -> "IntegerSymplectic":
         # g^{-1} = (d^T -b^T; -c^T a^T), an exact consequence of g^T J g = J
@@ -105,7 +105,7 @@ class IntegerSymplectic:
         cols = list(zip(*self.rows))
         rows = [cols[m + i][m:] + tuple(-x for x in cols[m + i][:m]) for i in range(m)]
         rows += [tuple(-x for x in cols[i][m:]) + cols[i][:m] for i in range(m)]
-        return _trusted(tuple(rows))
+        return IntegerSymplectic(_SymplecticRows(rows))
 
     def to_float(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
@@ -125,19 +125,11 @@ class IntegerSymplectic:
 
 
 class _SymplecticRows(tuple):
-    """Int rows symplectic by construction, from checked parameters, which
+    """Int rows symplectic by construction (from checked parameters) or by
+    closure (a product or an inverse), which the one constructor
     IntegerSymplectic takes without its check; never outside input."""
 
     __slots__ = ()
-
-
-def _trusted(rows: tuple) -> IntegerSymplectic:
-    """Unchecked IntegerSymplectic from int row tuples known to be symplectic;
-    only for @ and inverse(), never for outside input."""
-    g = object.__new__(IntegerSymplectic)
-    object.__setattr__(g, "m", len(rows) // 2)
-    object.__setattr__(g, "rows", rows)
-    return g
 
 
 # --- generators ---
@@ -324,8 +316,10 @@ class SiegelPoint:
     def __init__(self, X, Y):
         X = np.array(X, dtype=float)
         Y = np.array(Y, dtype=float)
-        if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
-            raise ValueError("X and Y must be square matrices of one size")
+        if (X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]
+                or X.shape[0] < 1):
+            raise ValueError("X and Y must be square matrices of one size, "
+                             "at least 1 x 1")
         if not np.max(np.abs(X - X.T)) < 1e-12:
             raise ValueError("X must be symmetric")
         if not np.max(np.abs(Y - Y.T)) < 1e-12:

@@ -266,6 +266,18 @@ def test_cover_is_associative_group(seed):
     assert e.g == IntegerSymplectic.identity(m) and e.eps == 1
 
 
+def test_cover_element_takes_eps_by_the_as_int_rule():
+    g = word(2, 5)
+    x = CoverElement(g, 1.0)
+    assert type(x.eps) is int and x.eps == 1
+    y = cover_mul(x, CoverElement(g, -1.0))
+    assert type(y.eps) is int and y == cover_mul(CoverElement(g, 1),
+                                                  CoverElement(g, -1))
+    for bad in (0, 2, 1.5, "1", None, 1 + 0j):
+        with pytest.raises(ValueError, match="eps must be"):
+            CoverElement(g, bad)
+
+
 def test_word_lift_matches_cover_walk():
     # the closed-form sign of a word's plus lifts against walking the word
     # on the cover with cover_mul, from either lift of the first letter:

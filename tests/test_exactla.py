@@ -296,10 +296,11 @@ def test_signature_of_maslov_grams_matches_reference():
 
 
 @pytest.mark.parametrize("x", [float("inf"), -float("inf"), float("nan"),
-                               1.5, "1", "one"])
+                               1.5, "1", "one", None, 1 + 0j, [1]])
 def test_as_int_refuses_non_integers_alike(x):
-    # int() raises OverflowError at +-inf and messages of its own at nan
-    # and "one"; each must reach the caller as the documented ValueError
+    # int() raises OverflowError at +-inf, TypeError at None, a complex or
+    # a list, and messages of its own at nan and "one"; each must reach
+    # the caller as the documented ValueError
     with pytest.raises(ValueError, match="entries must be integers"):
         xla.as_int(x)
     with pytest.raises(ValueError, match="exponent must be an integer"):

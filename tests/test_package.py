@@ -151,7 +151,19 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          # entries on which int() raises OverflowError
          lambda: IntegerSymplectic([[float("inf"), 0], [0, 1]]),
          lambda: make_generator("u", 1, b=[[float("inf")]]),
-         lambda: symplectic_gauss_sum([[float("inf")]], [[1]])]
+         lambda: symplectic_gauss_sum([[float("inf")]], [[1]]),
+         # entries and counts on which int() raises TypeError
+         lambda: Mu8(1 + 0j),
+         lambda: IntegerSymplectic([[1 + 0j, 0], [0, 1]]),
+         lambda: make_generator("omega", None),
+         lambda: coset_table(None),
+         # a lift sign that is not +-1 by the as_int rule
+         lambda: CoverElement(IntegerSymplectic.identity(1), 1.5),
+         lambda: CoverElement(IntegerSymplectic.identity(1), None),
+         # a genus below 1
+         lambda: SiegelPoint.z0(0),
+         lambda: SiegelPoint(np.zeros((0, 0)), np.zeros((0, 0))),
+         lambda: sample_point(0, np.random.default_rng(0))]
 unit4 = [[int(r == c) for c in range(4)] for r in range(4)]
 cases.append(lambda: make_generator("iota_pair", 2, jk=(1, 1), g=unit4))
 for bad in (0, 3):
@@ -170,6 +182,8 @@ if coset_table(2.0) is not coset_table(2):
     raise SystemExit("coset_table keyed 2.0 apart from 2")
 if SiegelPoint.z0(2.0) is not SiegelPoint.z0(2):
     raise SystemExit("SiegelPoint.z0 keyed 2.0 apart from 2")
+if type(CoverElement(IntegerSymplectic.identity(1), 1.0).eps) is not int:
+    raise SystemExit("CoverElement kept a float eps")
 print("ok")
 """
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=src_env(),

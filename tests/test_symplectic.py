@@ -1,6 +1,7 @@
 """Group algebra, generators, membership predicates, half-space action."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from thetacover import (IntegerSymplectic, SiegelPoint, enumerate_isotropic,
                         j_matrix, make_generator, mobius_act,
                         random_word_element, subgroup_membership,
                         transvection_rep)
+import thetacover
 from thetacover.f2cosets import _PAIR_BLOCK
-from thetacover.symplectic import _exact_symplectic
+from thetacover.symplectic import _exact_symplectic, _SymplecticRows
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -231,6 +233,12 @@ def test_point_validation():
         SiegelPoint([[0.0]], [[-1.0]])
     with pytest.raises(ValueError):
         SiegelPoint([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
+    # genus 0, which numpy would refuse with its own message
+    for make in (lambda: SiegelPoint(np.zeros((0, 0)), np.zeros((0, 0))),
+                 lambda: SiegelPoint.z0(0),
+                 lambda: thetacover.sample_point(0, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="at least 1 x 1"):
+            make()
 
 
 # every spelling the word sampler accepts, and the group it names
@@ -273,7 +281,8 @@ def test_word_sampler_deterministic():
 
 
 def assert_trusted(g):
-    # a trusted product or inverse is what the checking constructor makes
+    # a product or inverse, whose rows the constructor takes unchecked, is
+    # what the checking constructor makes of them
     again = IntegerSymplectic(g.rows)
     assert again == g and hash(again) == hash(g) and again.m == g.m
     assert _exact_symplectic(g.rows)
@@ -292,6 +301,42 @@ def test_trusted_products_and_inverses_match_the_checked_constructor():
                     assert_trusted(h)
                     assert_trusted(h.inverse())
                 assert h == g
+
+
+# how each kind of element is made from g = omega and h = u_12(3) at
+# m = 2, and the type of rows it hands to the constructor
+MAKERS = {"product": (lambda g, h: g @ h, _SymplecticRows),
+          "inverse": (lambda g, h: h.inverse(), _SymplecticRows),
+          "generator": (lambda g, h: make_generator("v_ij", 2, i=1, j=2),
+                        _SymplecticRows),
+          "identity": (lambda g, h: IntegerSymplectic.identity(2),
+                       _SymplecticRows),
+          "transvection": (lambda g, h: transvection_rep((1, 0, 0, 1)),
+                           _SymplecticRows),
+          "outside_rows": (lambda g, h: IntegerSymplectic(g.rows), tuple)}
+
+
+@pytest.mark.parametrize("kind", MAKERS)
+def test_every_element_enters_the_one_constructor(monkeypatch, kind):
+    make, rows_type = MAKERS[kind]
+    g = make_generator("omega", 2)
+    h = make_generator("u_ij", 2, i=1, j=2, t=3)
+    entered = []
+    init = IntegerSymplectic.__init__
+
+    def counting(self, rows):
+        entered.append(type(rows))
+        init(self, rows)
+
+    monkeypatch.setattr(IntegerSymplectic, "__init__", counting)
+    assert isinstance(make(g, h), IntegerSymplectic)
+    assert entered == [rows_type]
+
+
+def test_no_element_is_made_around_the_constructor():
+    src = Path(thetacover.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        assert "__new__" not in path.read_text(), path.name
 
 
 # recorded from the sampler before its letters were cached; the theta-m3
