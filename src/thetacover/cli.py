@@ -24,8 +24,8 @@ import numpy as np
 from .cocycle import cbar_cocycle, m_xstar, rao_cocycle
 from .exactla import det as exact_det
 from .f2cosets import coset_table
-from .gauss import beta_tilde, lambda_multiplier, modified_cocycle, \
-    snap_mu8, symplectic_gauss_sum
+from .gauss import _lambda_of, beta_tilde, lambda_multiplier, \
+    modified_cocycle, snap_mu8, symplectic_gauss_sum
 from .harness import verify_scalar_law, verify_vector_law
 from .symplectic import IntegerSymplectic, SiegelPoint, make_generator
 from .theta import CapacityError, ThetaParams, det_invsqrt, gamma_pair, \
@@ -211,12 +211,13 @@ def _cmd_beta(args, cfg) -> int:
 
 def _cmd_lambda(args, cfg) -> int:
     g = _load_symplectic(args.g)
-    lam = lambda_multiplier(g)
+    root = beta_tilde(g)
+    lam = _lambda_of(g, root)
     _emit({
         "schema": SCHEMA,
         "value": _cplx(lam.value),
         "mu8_exponent": lam.exponent,
-        "residual": beta_tilde(g).residual,
+        "residual": root.residual,
     })
     return 0
 

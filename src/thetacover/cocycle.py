@@ -251,15 +251,13 @@ def cbar_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> int:
 
 @dataclass(frozen=True)
 class CoverElement:
-    """Pair (g, eps) with eps = +-1, multiplied through the sign cocycle.
-
-    eps follows the xla.as_int rule and is kept as an int: 1.0 acts as 1."""
+    """Pair (g, eps) with eps = +-1, multiplied through the sign cocycle;
+    eps is read by the xla.as_int rule and kept as an int: 1.0 acts as 1."""
     g: IntegerSymplectic
     eps: int
 
     def __post_init__(self):
-        if type(self.eps) is not int:       # ints, nearly every call, skip the check
-            object.__setattr__(self, "eps", xla.as_int_arg(self.eps, "eps"))
+        object.__setattr__(self, "eps", xla.as_int_arg(self.eps, "eps"))
         if self.eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
 

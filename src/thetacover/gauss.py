@@ -164,7 +164,12 @@ def beta_tilde(g: IntegerSymplectic) -> SnappedRoot:
 
 def lambda_multiplier(r: IntegerSymplectic) -> Mu8:
     """Theta multiplier on the even-diagonal subgroup: m_xstar * beta_tilde^{-1}."""
-    return m_xstar(r) * beta_tilde(r).value.inv()
+    return _lambda_of(r, beta_tilde(r))
+
+
+def _lambda_of(r: IntegerSymplectic, root: SnappedRoot) -> Mu8:
+    """lambda_multiplier(r) from root = beta_tilde(r), already computed."""
+    return m_xstar(r) * root.value.inv()
 
 
 def lambda_bar(rbar: CoverElement) -> Mu8:

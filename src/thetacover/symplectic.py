@@ -316,10 +316,8 @@ class SiegelPoint:
     def __init__(self, X, Y):
         X = np.array(X, dtype=float)
         Y = np.array(Y, dtype=float)
-        if (X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]
-                or X.shape[0] < 1):
-            raise ValueError("X and Y must be square matrices of one size, "
-                             "at least 1 x 1")
+        if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1] or not X.size:
+            raise ValueError("X and Y must be square matrices of one size, at least 1 x 1")
         if not np.max(np.abs(X - X.T)) < 1e-12:
             raise ValueError("X must be symmetric")
         if not np.max(np.abs(Y - Y.T)) < 1e-12:
