@@ -1,15 +1,18 @@
 """Command line front end.
 
-Every subcommand prints one JSON report on stdout (coset-table can opt
-into aligned text).  Exit codes: 0 success, 1 a verification ran and
-failed, 2 malformed input.  Every ValueError and CapacityError that a
-subcommand's input raises, in the file readers here or in the library,
-means exit 2, with its message as the report's "error": cli_run alone
-makes that mapping.  Matrix files are JSON objects {"m": int, "entries":
-[[...]]} with integer entries, 2m x 2m for group elements and m x m for
-plain blocks; points of the Siegel half space are {"m": int, "X": [[...]],
-"Y": [[...]]}.  A config file given with --config holds default flag
-values under their long names.
+Each subcommand returns its report, a dict, or the aligned text of
+coset-table --text, and neither prints nor picks an exit code.  cli_run
+alone prints one report per run, a dict as JSON stamped with "schema",
+and picks the exit code: 0 success, 1 a verification ran and failed (a
+report with "passed": false), 2 malformed input.  Every ValueError and
+CapacityError that a subcommand's input raises, in the file readers here
+or in the library, means exit 2, with its message as the report's
+"error".  A flag that argparse cannot parse gets its usage message on
+stderr and exit 2, before any subcommand runs.  Matrix files are JSON
+objects {"m": int, "entries": [[...]]} with integer entries, 2m x 2m for
+group elements and m x m for plain blocks; points of the Siegel half
+space are {"m": int, "X": [[...]], "Y": [[...]]}.  A config file given
+with --config holds default flag values under their long names.
 """
 
 from __future__ import annotations
@@ -32,13 +35,6 @@ from .theta import CapacityError, ThetaParams, det_invsqrt, gamma_pair, \
     j_half, sqrt_det, theta_component, theta_series, truncation_radius
 
 SCHEMA = "thetacover-report/1"
-
-
-def _emit(payload: dict, text: str | None = None) -> None:
-    if text is not None:
-        print(text)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _cplx(v) -> dict:
@@ -129,7 +125,7 @@ def _eff(args, cfg: dict, name: str, default):
 
 # --- subcommands ---
 
-def _cmd_coset_table(args, cfg) -> int:
+def _cmd_coset_table(args, cfg) -> dict | str:
     m = _eff(args, cfg, "m", 1)
     rows = [{
         "q": list(rec.q),
@@ -149,19 +145,16 @@ def _cmd_coset_table(args, cfg) -> int:
                          f"kappa={r['kappa']:+d}")
             lines.append(f"  M' = {r['M_prime']}")
             lines.append(f"  M  = {r['M']}")
-        _emit({}, text="\n".join(lines))
-    else:
-        _emit({"schema": SCHEMA, "m": m, "count": len(rows), "cosets": rows})
-    return 0
+        return "\n".join(lines)
+    return {"m": m, "count": len(rows), "cosets": rows}
 
 
-def _cmd_cocycle(args, cfg) -> int:
+def _cmd_cocycle(args, cfg) -> dict:
     g1 = _load_symplectic(args.g1)
     g2 = _load_symplectic(args.g2)
     if g1.m != g2.m:
         raise ValueError("g1 and g2 must have the same size")
-    _emit({
-        "schema": SCHEMA,
+    return {
         "m": g1.m,
         "c_tilde_exponent": rao_cocycle(g1, g2).exponent,
         "c_bar_sign": cbar_cocycle(g1, g2),
@@ -170,11 +163,10 @@ def _cmd_cocycle(args, cfg) -> int:
             "g2": m_xstar(g2).exponent,
             "g1g2": m_xstar(g1 @ g2).exponent,
         },
-    })
-    return 0
+    }
 
 
-def _cmd_gauss_sum(args, cfg) -> int:
+def _cmd_gauss_sum(args, cfg) -> dict:
     d = _load_matrix(args.d, 1)
     c = _load_matrix(args.c, 1)
     value = symplectic_gauss_sum(d, c)
@@ -185,41 +177,35 @@ def _cmd_gauss_sum(args, cfg) -> int:
         exponent, residual = snapped.value.exponent, snapped.residual
     except ArithmeticError:
         exponent, residual = None, None
-    _emit({
-        "schema": SCHEMA,
+    return {
         "value": _cplx(value),
         "abs_det_c": detc,
         "normalized": _cplx(normalized),
         "mu8_exponent": exponent,
         "residual": residual,
-    })
-    return 0
+    }
 
 
-def _cmd_beta(args, cfg) -> int:
+def _cmd_beta(args, cfg) -> dict:
     g = _load_symplectic(args.g)
     root = beta_tilde(g)
-    _emit({
-        "schema": SCHEMA,
+    return {
         "value": _cplx(root.value.value),
         "mu8_exponent": root.value.exponent,
         "raw": _cplx(root.raw),
         "residual": root.residual,
-    })
-    return 0
+    }
 
 
-def _cmd_lambda(args, cfg) -> int:
+def _cmd_lambda(args, cfg) -> dict:
     g = _load_symplectic(args.g)
     root = beta_tilde(g)
     lam = _lambda_of(g, root)
-    _emit({
-        "schema": SCHEMA,
+    return {
         "value": _cplx(lam.value),
         "mu8_exponent": lam.exponent,
         "residual": root.residual,
-    })
-    return 0
+    }
 
 
 def _parse_label(text: str, m: int) -> tuple:
@@ -229,13 +215,13 @@ def _parse_label(text: str, m: int) -> tuple:
     return tuple(int(ch) for ch in bits)
 
 
-def _cmd_theta(args, cfg) -> int:
+def _cmd_theta(args, cfg) -> dict:
     z = _load_point(args.z)
     tol = _eff(args, cfg, "tol", 1e-12)
     weight = {"1/2": "half", "half": "half",
               "3/2": "three_half", "three_half": "three_half"}[args.weight]
     params = ThetaParams(tail_tol=tol)
-    report = {"schema": SCHEMA, "m": z.m, "weight": args.weight,
+    report = {"m": z.m, "weight": args.weight,
               "tail_bound": tol, "radius": truncation_radius(z.Y, params)}
     if args.component is None:
         value = theta_series(z, weight, params)
@@ -249,11 +235,10 @@ def _cmd_theta(args, cfg) -> int:
         report["component"] = list(q)
     report["value"] = _cplx(value) if weight == "half" \
         else [_cplx(v) for v in value]
-    _emit(report)
-    return 0
+    return report
 
 
-def _cmd_verify(args, cfg) -> int:
+def _cmd_verify(args, cfg) -> dict:
     m = _eff(args, cfg, "m", 2)
     trials = _eff(args, cfg, "trials", 200)
     tol = _eff(args, cfg, "tol", 1e-8)
@@ -269,10 +254,8 @@ def _cmd_verify(args, cfg) -> int:
         fn = verify_scalar_law if kind == "scalar" else verify_vector_law
         reports.append(fn(m, trials=trials, tol=tol, seed=seed,
                           params=ThetaParams(tail_tol=tail)))
-    _emit({"schema": SCHEMA,
-           "reports": [r.as_dict() for r in reports],
-           "passed": all(r.passed for r in reports)})
-    return 0 if all(r.passed for r in reports) else 1
+    return {"reports": [r.as_dict() for r in reports],
+            "passed": all(r.passed for r in reports)}
 
 
 def _selftest_checks() -> list:
@@ -322,18 +305,14 @@ def _selftest_checks() -> list:
     return checks
 
 
-def _cmd_selftest(args, cfg) -> int:
+def _cmd_selftest(args, cfg) -> dict:
     results = []
-    ok_all = True
     for name, got, expected in _selftest_checks():
         err = abs(complex(got) - complex(expected))
-        ok = err < 5e-12
-        ok_all = ok_all and ok
         results.append({"name": name, "got": _cplx(got),
                         "expected": _cplx(expected),
-                        "abs_error": err, "ok": ok})
-    _emit({"schema": SCHEMA, "checks": results, "passed": ok_all})
-    return 0 if ok_all else 1
+                        "abs_error": err, "ok": err < 5e-12})
+    return {"checks": results, "passed": all(r["ok"] for r in results)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -392,16 +371,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_run(argv=None) -> int:
+    """Run one subcommand, print its report and return its exit code."""
     args = _build_parser().parse_args(argv)
     try:
         cfg = {}
         if args.config:
             cfg = {k.replace("-", "_"): v
                    for k, v in _load_json(args.config).items()}
-        return args.fn(args, cfg)
+        report = args.fn(args, cfg)
+        code = 1 if isinstance(report, dict) and report.get("passed") is False else 0
     except (ValueError, CapacityError) as e:
-        _emit({"schema": SCHEMA, "error": str(e)})
-        return 2
+        report, code = {"error": str(e)}, 2
+    print(report if isinstance(report, str)
+          else json.dumps({"schema": SCHEMA, **report}, indent=2, sort_keys=True))
+    return code
 
 
 def main() -> None:

@@ -35,6 +35,7 @@ drawn and compared.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import asdict, dataclass
@@ -253,22 +254,26 @@ def _workable_point(m: int, r: IntegerSymplectic, rng,
                        f"{WORKABLE_BUDGET} draws")
 
 
-def _verify(theorem: str, m: int, trials: int, tol: float,
+def _verify(theorem: str, m: int, trials: int, tol: float, seed: int,
             params: ThetaParams | None, trial) -> VerificationReport:
     """The trial loop both verifiers share.
 
-    trial(t, m, params) draws trial t from its own seeded rng, at the int m
-    validated here, and returns (r, z, half, three_half, magnitude, extra):
-    the element, the point, the (abs, rel) error pair of each weight, the
-    largest weight-3/2 magnitude at r z and any further worst-case fields.
+    trial(t, m, seed, params) draws trial t from its own seeded rng, at the
+    int m and int seed validated here, and returns (r, z, half, three_half,
+    magnitude, extra): the element, the point, the (abs, rel) error pair of
+    each weight, the largest weight-3/2 magnitude at r z and any further
+    worst-case fields.
     """
     # a run that compares nothing must not report "passed", and one whose
     # bound no error can exceed (or none can meet) checks nothing
     m, trials = xla.as_int_arg(m, "m"), xla.as_int_arg(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not 0 < tol < math.inf:
+    if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    seed = xla.as_int_arg(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     params = params or ThetaParams()
     coset_table(m)                  # checks m's range, built before the clock starts
     t_start = time.time()
@@ -276,7 +281,8 @@ def _verify(theorem: str, m: int, trials: int, tol: float,
     max_rel = -1.0
     worst = {}
     for t in range(trials):
-        r, z, (abs12, rel12), (abs32, rel32), mag32, extra = trial(t, m, params)
+        r, z, (abs12, rel12), (abs32, rel32), mag32, extra = \
+            trial(t, m, seed, params)
         rel = max(rel12, rel32)
         max_abs = max(max_abs, abs12, abs32)
         if rel > max_rel:
@@ -308,7 +314,7 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
     (these components vanish identically, so this comparison is absolute;
     the report's worst_case records the magnitudes).
     """
-    def trial(t, m, params):
+    def trial(t, m, seed, params):
         rng = np.random.default_rng((seed, t))
         table = coset_table(m)
         # up to 51 draws for an r that fixes some shifted label (stab holds
@@ -338,7 +344,7 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
         return (r, z, half, _rel_err(v_rz, rhs_v), float(np.max(np.abs(v_rz))),
                 {})
 
-    return _verify("scalar-law", m, trials, tol, params, trial)
+    return _verify("scalar-law", m, trials, tol, seed, params, trial)
 
 
 def _vector_draw(m: int, seed: int, t: int) -> tuple:
@@ -384,7 +390,7 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
     absolutely).  gamma_bar(rbar^{-1}) is built from
     the letters of the drawn word (_word_rep_inv), not from its definition.
     """
-    def trial(t, m, params):
+    def trial(t, m, seed, params):
         rng, letters, rbar, sign = _vector_draw(m, seed, t)
         r = rbar.g
         z, rz = _workable_point(m, r, rng, params)
@@ -399,7 +405,7 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
         return (r, z, _rel_err(th_rz, rhs), _rel_err(v_rz, rhs_v),
                 float(np.max(np.abs(v_rz))), {"lift": rbar.eps})
 
-    return _verify("vector-law", m, trials, tol, params, trial)
+    return _verify("vector-law", m, trials, tol, seed, params, trial)
 
 
 def sample_gamma48(m: int, rng, factors: int = 2) -> IntegerSymplectic:

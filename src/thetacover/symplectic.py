@@ -318,10 +318,13 @@ class SiegelPoint:
         Y = np.array(Y, dtype=float)
         if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1] or not X.size:
             raise ValueError("X and Y must be square matrices of one size, at least 1 x 1")
-        if not np.max(np.abs(X - X.T)) < 1e-12:
-            raise ValueError("X must be symmetric")
-        if not np.max(np.abs(Y - Y.T)) < 1e-12:
-            raise ValueError("Y must be symmetric")
+        for name, A in (("X", X), ("Y", Y)):
+            if not np.max(np.abs(A - A.T)) < 1e-12:
+                # a non-finite entry always fails here (its residual is nan
+                # or inf), so an accepted point pays no finiteness test
+                if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+                    raise ValueError("X and Y must be finite")
+                raise ValueError(f"{name} must be symmetric")
         try:
             np.linalg.cholesky(Y)
         except np.linalg.LinAlgError:

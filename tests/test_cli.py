@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thetacover import CapacityError, make_generator
@@ -205,6 +206,14 @@ def test_theta_input_errors(capsys, tmp_path):
     bad = point_file(tmp_path, "bad.json", 1, [[0.0]], [[-1.0]])
     code, rep = run_json(capsys, "theta", "--z", bad)
     assert code == 2 and "error" in rep
+    # JSON's Infinity and NaN parse as floats; the point names them
+    for y in (float("inf"), float("nan")):
+        nonfinite = point_file(tmp_path, "nonfinite.json", 1, [[0.0]], [[y]])
+        with np.errstate(invalid="ignore"):
+            code, rep = run_json(capsys, "theta", "--z", nonfinite)
+        assert code == 2
+        assert rep["error"] == (f"{nonfinite}: not a point of the half space: "
+                                "X and Y must be finite")
 
 
 def test_malformed_files(capsys, tmp_path):
@@ -287,6 +296,42 @@ def test_verify_small_run(capsys):
     assert rep["reports"][0]["m"] == 1
 
 
+def test_failing_verification_exits_1(capsys):
+    # no rounding error meets 1e-30: the run completes and fails
+    code, rep = run_json(capsys, "verify", "--thm", "vector", "--m", "2",
+                         "--trials", "2", "--tol", "1e-30")
+    assert code == 1
+    assert rep["passed"] is False and rep["reports"][0]["passed"] is False
+    assert rep["schema"] == cli.SCHEMA
+
+
+def test_subcommands_return_their_reports_and_print_nothing(capsys, tmp_path):
+    # printing, the schema stamp and the exit code belong to cli_run alone
+    fg = matrix_file(tmp_path, "om.json", make_generator("omega", 1))
+    fd = block_file(tmp_path, "d.json", [[1]])
+    fc = block_file(tmp_path, "c.json", [[-4]])
+    fz = point_file(tmp_path, "z.json", 1, [[0.0]], [[1.0]])
+    runs = [["coset-table", "--m", "1"],
+            ["cocycle", "--g1", fg, "--g2", fg],
+            ["gauss-sum", "--d", fd, "--c", fc],
+            ["beta", "--g", fg],
+            ["lambda", "--g", fg],
+            ["theta", "--z", fz],
+            ["verify", "--thm", "scalar", "--m", "1", "--trials", "1"],
+            ["selftest"]]
+    for argv in runs:
+        args = cli._build_parser().parse_args(argv)
+        report = args.fn(args, {})
+        assert capsys.readouterr() == ("", ""), argv
+        assert isinstance(report, dict) and report and "schema" not in report, argv
+    args = cli._build_parser().parse_args(["coset-table", "--m", "1", "--text"])
+    text = args.fn(args, {})
+    assert capsys.readouterr() == ("", "")
+    assert isinstance(text, str) and text.startswith("q=(")
+    code, out = run(capsys, "coset-table", "--m", "1", "--text")
+    assert code == 0 and out == text + "\n"
+
+
 def test_out_of_range_runs_exit_2(capsys, tmp_path):
     # a run that compares nothing must not pass; m = 0 has no coset table
     fz = point_file(tmp_path, "z.json", 1, [[0.0]], [[1.0]])
@@ -298,7 +343,8 @@ def test_out_of_range_runs_exit_2(capsys, tmp_path):
                  ["verify", "--m", "1", "--trials", "1", "--tail-tol", "inf"],
                  ["theta", "--z", fz, "--tol", "1"],
                  ["coset-table", "--m", "0"],
-                 ["theta", "--z", fz, "--tol", "0"]):
+                 ["theta", "--z", fz, "--tol", "0"],
+                 ["verify", "--m", "1", "--trials", "1", "--seed", "-1"]):
         code, rep = run_json(capsys, *argv)
         assert code == 2 and rep["error"], argv
     code, rep = run_json(capsys, "verify", "--m", "1", "--trials", "0")
@@ -306,6 +352,9 @@ def test_out_of_range_runs_exit_2(capsys, tmp_path):
     code, rep = run_json(capsys, "verify", "--m", "1", "--trials", "1",
                          "--tail-tol", "2")
     assert "tail_tol must lie in (0, 1)" in rep["error"]
+    code, rep = run_json(capsys, "verify", "--thm", "vector", "--m", "1",
+                         "--trials", "1", "--seed", "-1")
+    assert rep["error"] == "seed must be non-negative, got -1"
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])

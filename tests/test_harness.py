@@ -255,10 +255,12 @@ def test_scalar_law_small_run():
 
 
 @pytest.mark.parametrize("verify", [verify_scalar_law, verify_vector_law])
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-8])
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-8,
+                                 "x", None, 1e-8 + 0j])
 def test_verifiers_refuse_a_tol_that_checks_nothing(verify, tol):
     # an infinite bound passes every error and nan, 0 or a negative one
-    # fails every run: neither is a check
+    # fails every run: neither is a check; a tol that is not a real number
+    # would fail in the comparison with a TypeError
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         verify(1, trials=2, tol=tol)
 
@@ -331,6 +333,19 @@ def test_verifiers_take_trials_by_the_integer_rule(verify):
     for rep in reps:
         del rep["elapsed_seconds"]
     assert reps[0] == reps[1] and type(reps[1]["m"]) is int
+
+
+@pytest.mark.parametrize("verify", [verify_scalar_law, verify_vector_law])
+def test_verifiers_take_seed_by_the_integer_rule(verify):
+    # numpy would refuse these with messages that name no argument
+    for bad in (1.5, None, "3", float("nan")):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            verify(1, trials=1, seed=bad)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        verify(1, trials=1, seed=-1)
+    # an integral float seed draws as its int
+    reps = [drop_clock(verify(1, trials=1, seed=s)) for s in (3, 3.0)]
+    assert reps[0] == reps[1]
 
 
 def test_samplers_take_counts_by_the_integer_rule():

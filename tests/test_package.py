@@ -62,6 +62,8 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: SiegelPoint([[0.0, 1.0], [0.0, 0.0]], np.eye(2)),
          lambda: SiegelPoint(np.zeros((2, 2)), [[1.0, 0.5], [0.0, 1.0]]),
          lambda: SiegelPoint(np.zeros((1, 1)), np.eye(2)),
+         lambda: SiegelPoint([[0.0]], [[float("inf")]]),
+         lambda: SiegelPoint([[float("nan")]], [[1.0]]),
          lambda: CoverElement(IntegerSymplectic.identity(1), 0),
          lambda: MonomialMatrix(2, (0, 0), (Mu8(0), Mu8(0))),
          lambda: q0_eval((1, 0, 1)),
@@ -132,6 +134,16 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: enumerate_isotropic("2"),
          lambda: verify_scalar_law(1, trials=2.5),
          lambda: verify_vector_law(1, trials=2.5),
+         # a seed numpy would refuse with its own message, or len() on
+         # None, and a tol the comparison would refuse with a TypeError
+         lambda: verify_scalar_law(1, trials=1, seed=1.5),
+         lambda: verify_vector_law(1, trials=1, seed=1.5),
+         lambda: verify_scalar_law(1, trials=1, seed=None),
+         lambda: verify_vector_law(1, trials=1, seed=None),
+         lambda: verify_scalar_law(1, trials=1, seed=-1),
+         lambda: verify_vector_law(1, trials=1, seed=-1),
+         lambda: verify_scalar_law(1, trials=1, tol="x"),
+         lambda: verify_vector_law(1, trials=1, tol="x"),
          lambda: make_generator("omega", 2.5),
          lambda: make_generator("u_ij", 2, i=1.5, j=1),
          lambda: random_word_element(2.5, "Sp", length=3, seed=1),

@@ -231,8 +231,18 @@ def test_mobius_cocycle_property():
 def test_point_validation():
     with pytest.raises(ValueError):
         SiegelPoint([[0.0]], [[-1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="X must be symmetric"):
         SiegelPoint([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
+    with pytest.raises(ValueError, match="Y must be symmetric"):
+        SiegelPoint(np.zeros((2, 2)), [[1.0, 0.5], [0.0, 1.0]])
+    # a non-finite entry is named as such, not as an asymmetry
+    inf, nan = float("inf"), float("nan")
+    for X, Y in (([[0.0]], [[inf]]), ([[nan]], [[1.0]]), ([[0.0]], [[-inf]]),
+                 ([[0.0, inf], [inf, 0.0]], np.eye(2)),
+                 ([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, nan]])):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="X and Y must be finite"):
+            SiegelPoint(X, Y)
     # genus 0, which numpy would refuse with its own message
     for make in (lambda: SiegelPoint(np.zeros((0, 0)), np.zeros((0, 0))),
                  lambda: SiegelPoint.z0(0),
