@@ -7,11 +7,13 @@ and picks the exit code: 0 success, 1 a verification ran and failed (a
 report with "passed": false), 2 malformed input.  Every ValueError and
 CapacityError that a subcommand's input raises, in the file readers here
 or in the library, means exit 2, with its message as the report's
-"error".  A flag that argparse cannot parse gets its usage message on
-stderr and exit 2, before any subcommand runs.  Matrix files are JSON
+"error".  So does a command line that argparse refuses, such as a flag
+that does not parse or a missing required one, before any subcommand
+runs; --help prints its usage and exits 0.  Matrix files are JSON
 objects {"m": int, "entries": [[...]]} with integer entries, 2m x 2m for
 group elements and m x m for plain blocks; points of the Siegel half
-space are {"m": int, "X": [[...]], "Y": [[...]]}.  A config file given
+space are {"m": int, "X": [[...]], "Y": [[...]]}, with finite entries,
+checked before the point is built.  A config file given
 with --config holds default flag values under their long names.
 """
 
@@ -104,6 +106,9 @@ def _load_point(path: str) -> SiegelPoint:
         raise ValueError(f"{path}: X and Y must be numeric matrices") from None
     if X.shape != (m, m) or Y.shape != (m, m):
         raise ValueError(f"{path}: X and Y must be {m}x{m}")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError(f"{path}: not a point of the half space: "
+                         "X and Y must be finite")
     try:
         return SiegelPoint(X, Y)
     except ValueError as e:
@@ -315,8 +320,16 @@ def _cmd_selftest(args, cfg) -> dict:
     return {"checks": results, "passed": all(r["ok"] for r in results)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the parser of each subcommand, whose refusals
+    raise ValueError, so that they reach cli_run's report."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="thetacover",
         description="Coset tables, cocycles, Gauss-sum trivializations and "
                     "theta transformation checks.")
@@ -372,8 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cli_run(argv=None) -> int:
     """Run one subcommand, print its report and return its exit code."""
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = {}
         if args.config:
             cfg = {k.replace("-", "_"): v

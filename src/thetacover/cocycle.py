@@ -2,7 +2,11 @@
 
 The cocycle value on a pair (g1, g2) is exp(i pi tau / 4) where tau is the
 signature of the triple-overlap quadratic form attached to the Lagrangian
-row spans (X*, X* g2^{-1}, X* g1), X* = (0 | 1_m).  The normalizing function
+row spans (X*, X* g2^{-1}, X* g1), X* = (0 | 1_m).  Its Gram matrix is
+3m x 3m, but on the hyperbolic block of an invertible pairing its Schur
+complement leaves an m x m form, Kashiwara's index, whose signature is
+taken instead; only a triple with no invertible pairing keeps the 3m x 3m
+Gram.  The normalizing function
 m(g) = exp(i pi (-j + 2 [x(g) < 0]) / 4) needs only j = rank c and the sign
 of x(g) = det(a1 a2) mod squares, both read off the rank normal form
 P c Q = diag(1_j, 0) of the c block.  That form, computed once per g, also
@@ -88,8 +92,8 @@ def rao_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> Mu8:
     tau is the Maslov signature of (X*, X* g2^{-1}, X* g1).  X* g1 has rows
     (c1 | d1), and X* g2^{-1} = (-c2^T | a2^T) by g^{-1} = (d^T -b^T; -c^T a^T);
     both are Lagrangian because g1, g2 are symplectic.  So the pairings are
-    read off the blocks: <X*, X* g2^{-1}> = c2, <X* g1, X*> = c1, and
-    <X* g2^{-1}, X* g1> = -c2^T d1^T - a2^T c1^T = -(c1 a2 + d1 c2)^T.
+    read off the blocks: (A, B, C) = (<X*, X* g2^{-1}>, <X* g2^{-1}, X* g1>,
+    <X* g1, X*>) = (c2, -(c1 a2 + d1 c2)^T, c1).
 
     When either argument lies in the Siegel parabolic (c = 0) the value is
     Mu8(0), returned without a signature.  Then X* g1 = X* or
@@ -98,6 +102,17 @@ def rao_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> Mu8:
     other) turns the Gram matrix into the hyperbolic form ((0, C), (C^T, 0))
     plus zeros, C the pairing of the two distinct Lagrangians, whose
     signature is exactly 0.
+
+    Otherwise tau comes from an m x m form, Kashiwara's index (Lion and
+    Vergne 1980; Rao 1993, section 2).  The Gram (0, A, C^T; A^T, 0, B;
+    C, B^T, 0) of ``_maslov_gram`` is the same form on every cyclic shift
+    of (A, B, C), so the first shift whose first pairing A is invertible
+    serves.  Then (0, A; A^T, 0) is hyperbolic, of signature 0, and its
+    Schur complement is -(K + K^T), K = B^T A^{-1} C^T.  With
+    M = B^T adj(A) C^T = det A . K, in ints,
+        tau = sign(det A) sig(-(M + M^T)).
+    A triple with no invertible pairing, which this reduction cannot take,
+    keeps the signature of the 3m x 3m Gram itself.
     """
     if g1.m != g2.m:
         raise ValueError("genus mismatch")
@@ -106,7 +121,16 @@ def rao_cocycle(g1: IntegerSymplectic, g2: IntegerSymplectic) -> Mu8:
     c1 = g1.c
     p23 = xla.mat_neg(xla.transpose(xla.mat_add(xla.mat_mul(c1, g2.a),
                                                 xla.mat_mul(g1.d, g2.c))))
-    pos, neg = xla.congruence_signature(_maslov_gram(g2.c, p23, c1))
+    pairings = (g2.c, p23, c1)
+    for k in range(3):
+        a, b, c = pairings[k:] + pairings[:k]
+        det, adj = xla._adjugate(a)
+        if det:
+            mm = xla.mat_mul(xla.mat_mul(xla.transpose(b), adj), xla.transpose(c))
+            pos, neg = xla.congruence_signature(
+                [[-x - y for x, y in zip(row, col)] for row, col in zip(mm, zip(*mm))])
+            return Mu8(pos - neg if det > 0 else neg - pos)
+    pos, neg = xla.congruence_signature(_maslov_gram(*pairings))
     return Mu8(pos - neg)
 
 

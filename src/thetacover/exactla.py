@@ -7,7 +7,8 @@ elimination, the fraction-free full-pivot Bareiss elimination over
 Python ints (_pivoting): det and inv read it, and so does the rank
 normal form of the cocycle module.  It does each row operation once, and
 a transform rides along as the columns of (m | 1), as in the Hermite
-normal form; inv and the Gauss-sum kernel share one triangular solve.
+normal form; the adjugate (closed forms up to 2 x 2) and the Gauss-sum
+kernel share one triangular solve, and inv reads the adjugate.
 Rational input is first scaled to ints by the lcm of its denominators.
 Matrices are tiny (at most ~25 x 25), which keeps the classical O(n^3)
 algorithms comfortably fast.
@@ -186,21 +187,47 @@ def det(m: Matrix) -> Fraction:
     return Fraction(sign * (pivots[-1] if n else 1), scale ** n)
 
 
-def inv(m: Matrix) -> list[list[Fraction]]:
-    """m^{-1} as Fraction rows, from the elimination (U | p) of (L m | 1).
+def _adjugate(a: Matrix) -> tuple[int, list[list[int]] | None]:
+    """(det a, adj a) of a square int matrix, in ints; adj is None if det = 0.
 
-    Column k of U is column cols[k] of p (L m), so row cols[k] of
-    (L m)^{-1} is row k of U^{-1} p; d (L m)^{-1} = +-adj(L m) is integral
-    for d the last pivot, so m^{-1} = L X / d with X = d U^{-1} p in ints.
+    Closed forms at n <= 2, the size of rao_cocycle's pairings at m <= 2,
+    where an elimination would add more than half to the cost of the call.
+    Above, a zero row or column gives det 0 at once (most singular pairings
+    of the letter images' cocycles at m = 4 have one), and otherwise the
+    elimination (U | p) of (a | 1) gives it: column k of U is column
+    cols[k] of p a, so row cols[k] of a^{-1} is row k of U^{-1} p, and
+    X = d U^{-1} p is integral for d the last pivot, since det a = sign d
+    and adj a = det a . a^{-1} = sign X.
     """
-    n = _square(m, "inverse")
-    a, scale = _integral(m)
-    pivots, _, _, cols, rows = _pivoting(_augmented(a), n)
+    n = len(a)
+    if n == 0:
+        return 1, []
+    if n == 1:
+        (x,), = a
+        return x, ([[1]] if x else None)
+    if n == 2:
+        (p, q), (r, s) = a
+        d = p * s - q * r
+        return d, ([[s, -q], [-r, p]] if d else None)
+    if not (all(map(any, a)) and all(map(any, zip(*a)))):
+        return 0, None
+    pivots, sign, _, cols, rows = _pivoting(_augmented(a), n)
     if len(pivots) < n:
+        return 0, None
+    x = _upper_solve([row[:n] for row in rows], [row[n:] for row in rows],
+                     pivots[-1])
+    return sign * pivots[-1], [[sign * v for v in row]
+                               for _, row in sorted(zip(cols, x))]
+
+
+def inv(m: Matrix) -> list[list[Fraction]]:
+    """m^{-1} as Fraction rows: L adj(L m) / det(L m) for m = (L m) / L."""
+    _square(m, "inverse")
+    a, scale = _integral(m)
+    d, adj = _adjugate(a)
+    if not d:
         raise ValueError("matrix is singular")
-    d = pivots[-1] if n else 1
-    x = _upper_solve([row[:n] for row in rows], [row[n:] for row in rows], d)
-    return [[Fraction(v * scale, d) for v in row] for _, row in sorted(zip(cols, x))]
+    return [[Fraction(v * scale, d) for v in row] for row in adj]
 
 
 # --- integer Hermite normal form with transform ---
@@ -275,8 +302,9 @@ def congruence_signature(s: Matrix) -> tuple[int, int]:
     keeps the signature.  After pivot p on row a of the active block A, the
     new active block is p A - a a^T: p times the Schur complement, so each
     negative pivot swaps the roles of positive and negative from then on.
-    Dividing the block by the gcd of its entries (positive) keeps them
-    small.  With a zero diagonal, row+column addition creates a pivot.
+    Dividing the block by the gcd of its entries (positive; taken as the gcd
+    of the rows' gcds) keeps them small.  With a zero diagonal, row+column
+    addition creates a pivot.
     """
     if not is_symmetric(s):
         raise ValueError("signature needs a symmetric matrix")
@@ -307,7 +335,7 @@ def congruence_signature(s: Matrix) -> tuple[int, int]:
         a = [[p * x - row[k] * y
               for t, (x, y) in enumerate(zip(row, pivot_row)) if t != k]
              for r, row in enumerate(a) if r != k]
-        g = math.gcd(*(x for row in a for x in row))
+        g = math.gcd(*(math.gcd(*row) for row in a))
         if g > 1:
             a = [[x // g for x in row] for row in a]
     return pos, neg

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from thetacover import CapacityError, make_generator
@@ -53,24 +52,24 @@ def test_selftest_passes(capsys):
     assert all(c["ok"] for c in rep["checks"])
 
 
-def test_module_entry_point_runs_the_cli():
+def run_module(module, *argv):
+    """python -m module argv in a fresh interpreter, on this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "thetacover.cli", "selftest"],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point_runs_the_cli():
+    proc = run_module("thetacover.cli", "selftest")
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["passed"] is True and len(rep["checks"]) == 19
 
 
 def test_package_entry_point_runs_the_cli():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "thetacover", "coset-table",
-                           "--m", "1"],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=300)
+    proc = run_module("thetacover", "coset-table", "--m", "1")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["count"] == 3
 
@@ -209,11 +208,48 @@ def test_theta_input_errors(capsys, tmp_path):
     # JSON's Infinity and NaN parse as floats; the point names them
     for y in (float("inf"), float("nan")):
         nonfinite = point_file(tmp_path, "nonfinite.json", 1, [[0.0]], [[y]])
-        with np.errstate(invalid="ignore"):
-            code, rep = run_json(capsys, "theta", "--z", nonfinite)
+        code, rep = run_json(capsys, "theta", "--z", nonfinite)
         assert code == 2
         assert rep["error"] == (f"{nonfinite}: not a point of the half space: "
                                 "X and Y must be finite")
+
+
+@pytest.mark.parametrize("y", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_point_is_refused_before_it_is_built(tmp_path, y):
+    # the file reader refuses the point before numpy computes with it, so
+    # nothing reaches stderr (an inf - inf used to print a RuntimeWarning)
+    path = tmp_path / "z.json"
+    path.write_text(f'{{"m": 1, "X": [[0.0]], "Y": [[{y}]]}}')
+    proc = run_module("thetacover", "theta", "--z", str(path))
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["error"] == (
+        f"{path}: not a point of the half space: X and Y must be finite")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--m", "x"], "thetacover verify: argument --m: invalid int value: 'x'"),
+    (["beta"], "thetacover beta: the following arguments are required: --g"),
+    (["cocycle", "--g1", "a.json"],
+     "thetacover cocycle: the following arguments are required: --g2"),
+    (["selftest", "--nope"], "thetacover: unrecognized arguments: --nope"),
+    ([], "thetacover: the following arguments are required: command"),
+])
+def test_argparse_refusals_print_a_report(capsys, argv, error):
+    # a command line argparse refuses takes the one report path: exit 2
+    # and a JSON report with the error, not usage text and SystemExit
+    code = cli_run(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"schema": cli.SCHEMA, "error": error}
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    for argv, usage in ((["--help"], "usage: thetacover "),
+                        (["verify", "--help"], "usage: thetacover verify ")):
+        with pytest.raises(SystemExit) as stop:
+            cli_run(argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith(usage)
 
 
 def test_malformed_files(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Eighth-root cocycle, exact factorization, sign cover."""
 
+import collections
 import functools
 import operator
 
@@ -68,22 +69,57 @@ def parabolic_element(m, seed):
     return functools.reduce(operator.matmul, letters, IntegerSymplectic.identity(m))
 
 
+def first_invertible_pairing(g1, g2):
+    """The branch rao_cocycle takes on a pair outside the parabolic: the
+    index of the first invertible one of the pairings (A, B, C) of
+    (X*, X* g2^{-1}, X* g1), read off the planes, or 3 when none is."""
+    xs = ref.x_star(g1.m)
+    l2, l3 = ref.x_star_image(g2.inverse()), ref.x_star_image(g1)
+    pairings = (ref.pairing(xs, l2), ref.pairing(l2, l3), ref.pairing(l3, xs))
+    return next((k for k, p in enumerate(pairings) if ref.det(p)), 3)
+
+
 def test_rao_cocycle_matches_lagrangian_oracle():
-    # the blocks (c1 | d1) and (-c2^T | a2^T) against the images X* g,
-    # and pairs with one Siegel-parabolic argument (c = 0), in both orders,
-    # where rao_cocycle computes no signature
+    # the blocks (c1 | d1) and (-c2^T | a2^T) against the images X* g:
+    # pairs with one Siegel-parabolic argument (c = 0), in both orders,
+    # where rao_cocycle computes no signature; and outside it, the m x m
+    # form of the first invertible pairing and the 3m Gram kept when none
+    # is, on seeded pairs in both orders, pairs with a singular c
+    # (p omega_S q, S proper) and triples built to have no invertible
+    # pairing (omega_S twice: c = x, and c1 a2 + d1 c2 = x(1 - x) + (1 - x)x = 0)
+    pairs = []
     for m in (1, 2, 3):
-        xs = ref.x_star(m)
         for seed in range(150):
             length = 1 + seed % 12
             g1 = random_word_element(m, "Sp", length, seed=2 * seed)[0]
             g2 = random_word_element(m, "Sp", length, seed=2 * seed + 1)[0]
             p = parabolic_element(m, seed)
             assert not any(map(any, p.c))
-            for a, b in ((g1, g2), (p, g1), (g1, p), (p, p)):
-                want = ref.maslov_signature(xs, ref.x_star_image(b.inverse()),
-                                            ref.x_star_image(a))
-                assert rao_cocycle(a, b) == Mu8(want)
+            pairs += [(g1, g2), (p, g1), (g1, p), (p, p)]
+    for m in (1, 2, 3, 4):
+        for sub in ("Sp", "Gamma(1,2)"):
+            for seed in range(40):
+                length = 8 + seed % 16
+                g1 = random_word_element(m, sub, length, seed=2 * seed)[0]
+                g2 = random_word_element(m, sub, length, seed=2 * seed + 1)[0]
+                pairs += [(g1, g2), (g2, g1)]
+        omega = make_generator("omega", m)
+        for size in range(1, m):
+            omega_s = make_generator("omega_S", m, S=set(range(1, size + 1)))
+            pairs += [(omega_s, omega_s), (omega, omega_s), (omega_s, omega)]
+            for seed in range(8):
+                g = parabolic_element(m, seed) @ omega_s @ parabolic_element(m, seed + 50)
+                h = word(m, seed, length=12)
+                pairs += [(g, h), (h, g), (g, g), (g, omega_s)]
+    branches = collections.Counter()
+    for a, b in pairs:
+        want = ref.maslov_signature(ref.x_star(a.m), ref.x_star_image(b.inverse()),
+                                    ref.x_star_image(a))
+        assert rao_cocycle(a, b) == Mu8(want)
+        if any(map(any, a.c)) and any(map(any, b.c)):
+            branches[first_invertible_pairing(a, b)] += 1
+    # A first, B first, C first and the kept Gram all occur
+    assert set(branches) == {0, 1, 2, 3}, branches
 
 
 @given(seeds)

@@ -1,7 +1,8 @@
 """Properties of the exact integer/rational linear algebra.
 
-det, inv and the rank (the number of pivots) come from one fraction-free
-kernel; they are checked against the Fraction Gauss-Jordan references of
+det, the adjugate, inv and the rank (the number of pivots) come from one
+fraction-free kernel, the adjugate from closed forms up to 2 x 2; they are
+checked against the Fraction Gauss-Jordan references of
 ``exact_reference``, whose lattice helpers are checked here too.
 """
 
@@ -58,6 +59,36 @@ def test_elimination_matches_fraction_reference(mat):
     inverse = xla.inv(mat)
     assert inverse == ref.inv(mat)
     assert all(type(x) is Fraction for row in inverse for x in row)
+
+
+def check_adjugate(mat):
+    det, adj = xla._adjugate(mat)
+    assert type(det) is int and det == ref.det(mat)
+    if det == 0:
+        assert adj is None
+        return
+    assert all(type(x) is int for row in adj for x in row)
+    assert adj == [[det * x for x in row] for row in ref.inv(mat)]
+
+
+@given(st.integers(min_value=0, max_value=5)
+       .flatmap(lambda n: matrices(sparse_int, n, n)))
+@settings(max_examples=300, deadline=None)
+def test_adjugate_matches_fraction_reference(mat):
+    # the closed forms at n <= 2 and the elimination above, all in ints
+    check_adjugate(mat)
+
+
+@pytest.mark.parametrize("mat", [
+    [], [[0]], [[-3]], [[1, 2], [3, 4]], [[0, 5], [-2, 0]], [[2, 4], [1, 2]],
+    [[0, 0], [0, 0]], [[2, 1, 0], [0, 0, 3], [1, 0, 1]],
+    [[1, 2, 3], [2, 4, 6], [0, 1, 5]],
+    [[1, 2, 3], [0, 0, 0], [4, 5, 6]], [[1, 0, 3], [2, 0, 6], [4, 0, 5]],
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -3, 0]],
+])
+def test_adjugate_examples(mat):
+    # every size up to 4 x 4: singular ones, a zero row or column, zero diagonals
+    check_adjugate(mat)
 
 
 @given(st.tuples(st.integers(min_value=1, max_value=4), int_or_fraction)
