@@ -13,14 +13,17 @@ induced_rep_matrix is that definition, and the oracle of everything built
 on it.  The vector-law verifier does not call it per trial.  Every element
 it draws is a word of letters l_1 ... l_k of a fixed alphabet, drawn as
 random_word_element draws it, and gamma_bar is a homomorphism on the
-cover, so it multiplies the images of the letters' plus lifts (each built
-by induced_rep_matrix once per genus and letter, on first use) and
-inverts the monomial matrix.  The plus lifts multiply to (l_1 ... l_k, s),
-and cocycle.word_lift gives s in closed form: the m factors of the sign
-cocycle telescope along the word, and Rao's cocycle needs a signature only
-at letters outside the Siegel parabolic, which in the Sp alphabet is omega
-alone.  The same fold of prefixes gives the element; walking the word
-with cover_mul is the oracle.
+cover, so it composes the images of the letters' plus lifts (each built
+by induced_rep_matrix once per genus and letter, on first use) as
+permutations and Mu8 exponents in ints, and inverts the result in ints.
+A trial applies that monomial matrix to its rows of components as one
+scatter by the permutation, times the eighth roots of unity looked up by
+exponent; it is never made dense.  The plus lifts multiply to
+(l_1 ... l_k, s), and cocycle.word_lift gives s in closed form: the m
+factors of the sign cocycle telescope along the word, and Rao's cocycle
+needs a signature only at letters outside the Siegel parabolic, which in
+the Sp alphabet is omega alone.  The same fold of prefixes gives the
+element; walking the word with cover_mul is the oracle.
 
 Error convention: every comparison is reported as
 |lhs - rhs| / max(1, |lhs|, |rhs|), so laws whose two sides vanish
@@ -71,8 +74,7 @@ class MonomialMatrix:
     Row i carries coeffs[i] in column perm[i]; perm is a permutation, so
     columns are covered exactly once as well.  Products and inverses stay
     exact (permutation composition plus Mu8 arithmetic).  Every instance,
-    including the results of @, inv() and negation, passes the
-    constructor's check.
+    including the results of @ and inv(), passes the constructor's check.
     """
 
     n: int
@@ -102,10 +104,6 @@ class MonomialMatrix:
             perm[self.perm[i]] = i
             coeffs[self.perm[i]] = self.coeffs[i].inv()
         return MonomialMatrix(self.n, tuple(perm), tuple(coeffs))
-
-    def __neg__(self) -> "MonomialMatrix":
-        return MonomialMatrix(self.n, self.perm,
-                              tuple(c * Mu8(4) for c in self.coeffs))
 
     def to_array(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=complex)
@@ -172,10 +170,10 @@ class VerificationReport:
 
 
 def _rel_err(lhs, rhs) -> tuple:
-    lhs = np.atleast_1d(np.asarray(lhs))
-    rhs = np.atleast_1d(np.asarray(rhs))
-    abs_err = float(np.max(np.abs(lhs - rhs)))
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    # as 1-d arrays: numpy's abs of a complex scalar may round differently
+    lhs, rhs = np.asarray(lhs).ravel(), np.asarray(rhs).ravel()
+    abs_err = float(abs(lhs - rhs).max())
+    scale = max(1.0, float(abs(lhs).max()), float(abs(rhs).max()))
     return abs_err, abs_err / scale
 
 
@@ -206,24 +204,39 @@ def _random_word(m: int, subgroup: str, rng) -> IntegerSymplectic:
     return reduce(operator.matmul, _random_letters(m, subgroup, rng))
 
 
+def _float_word(letters: list) -> np.ndarray:
+    """The letters' product as floats, from their kept float arrays, formed
+    from the first letter on as _random_word forms the exact product.
+
+    For the Sp letters, whose entries are 0 and +-1, and at most 8 of them,
+    every partial sum is an integer far below 2**53, so this is the exact
+    product's to_float() bit for bit.  Read-only for a single letter.
+    """
+    return reduce(np.matmul, [g._floats() for g in letters])
+
+
 def sample_point(m: int, rng) -> SiegelPoint:
     """Random z = p(g(z0)): integer word then a generic real parabolic.
 
-    Resamples until cond(Y) <= COND_CAP, at most SAMPLE_BUDGET times.  g(z0)
-    stays an array (z0 itself is built once per genus), so a draw builds
-    and validates one SiegelPoint, the candidate z.
+    Resamples until cond(Y) <= COND_CAP, at most SAMPLE_BUDGET times.  The
+    word g is only read as floats, so it is multiplied in floats
+    (_float_word), bit for bit its exact product; g(z0) stays an array (z0
+    itself is built once per genus), so a draw builds and validates one
+    SiegelPoint, the candidate z.  cond(Y) is the ratio of Y's extreme
+    singular values, the ratio np.linalg.cond forms.
     """
     m = xla.as_int_arg(m, "m")
     z0 = SiegelPoint.z0(m)
     for _ in range(SAMPLE_BUDGET):
-        w = _mobius(_random_word(m, "Sp", rng), z0)
+        w = _mobius(_float_word(_random_letters(m, "Sp", rng)), z0)
         a = np.eye(m) + 0.2 * rng.uniform(-1, 1, (m, m))
         if abs(np.linalg.det(a)) < 0.3:
             continue
         b = rng.uniform(-1, 1, (m, m))
         b = np.round((b + b.T) / 2, 6)
         z = SiegelPoint(a @ w.real @ a.T + b, a @ w.imag @ a.T)
-        if np.linalg.cond(z.Y) <= COND_CAP:
+        s = np.linalg.svd(z.Y, compute_uv=False)
+        if s[0] / s[-1] <= COND_CAP:
             return z
     raise RuntimeError(f"sample_point: no point with cond(Y) <= {COND_CAP} "
                        f"in {SAMPLE_BUDGET} draws")
@@ -283,8 +296,13 @@ def _verify(theorem: str, m: int, trials: int, tol: float, seed: int,
     for t in range(trials):
         r, z, (abs12, rel12), (abs32, rel32), mag32, extra = \
             trial(t, m, seed, params)
-        rel = max(rel12, rel32)
-        max_abs = max(max_abs, abs12, abs32)
+        # max() and > drop nan: a non-finite error counts as infinite, so
+        # it fails the run and the first such trial is the worst case
+        if all(map(math.isfinite, (abs12, rel12, abs32, rel32))):
+            rel = max(rel12, rel32)
+            max_abs = max(max_abs, abs12, abs32)
+        else:
+            rel = max_abs = math.inf
         if rel > max_rel:
             max_rel = rel
             worst = {
@@ -341,7 +359,7 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
         v_z = theta_component(rec, z, "three_half", params).value
         v_rz = theta_component(rec, rz, "three_half", params).value
         rhs_v = sd * (j_matrix(r, z) @ v_z) * lam.value
-        return (r, z, half, _rel_err(v_rz, rhs_v), float(np.max(np.abs(v_rz))),
+        return (r, z, half, _rel_err(v_rz, rhs_v), float(abs(v_rz).max()),
                 {})
 
     return _verify("scalar-law", m, trials, tol, seed, params, trial)
@@ -370,13 +388,39 @@ def _word_rep_inv(letters: list, sign: int) -> MonomialMatrix:
 
     (1, -1) is central and gamma_bar(1, -1) = -Id, so gamma_bar(rbar) is
     gamma_bar(l_1, 1) ... gamma_bar(l_k, 1), negated when sign = -1;
-    gamma_bar(rbar^{-1}) is its inverse.  The trial's element (r, eps) is
-    this rbar with sign = eps s, s the sign of the plus lifts' product
+    gamma_bar(rbar^{-1}) is its inverse.  The product is composed as
+    MonomialMatrix.__matmul__ does and inverted as its inv() does, on the
+    permutation and the Mu8 exponents as ints, so only the result is made
+    a MonomialMatrix.  The trial's element (r, eps) is this rbar with
+    sign = eps s, s the sign of the plus lifts' product
     (r, s) = word_lift(letters).  induced_rep_matrix(cover_inv(rbar)) is
     the oracle.
     """
-    image = reduce(operator.matmul, map(_letter_image, letters))
-    return (image if sign == 1 else -image).inv()
+    first, *rest = map(_letter_image, letters)
+    perm, exps = first.perm, [c.exponent for c in first.coeffs]
+    for image in rest:
+        exps = [e + image.coeffs[p].exponent for e, p in zip(exps, perm)]
+        perm = [image.perm[p] for p in perm]
+    shift = 0 if sign == 1 else 4
+    inv_perm, inv_exps = [0] * len(perm), [0] * len(perm)
+    for i, (p, e) in enumerate(zip(perm, exps)):
+        inv_perm[p], inv_exps[p] = i, -e - shift
+    return MonomialMatrix(len(perm), tuple(inv_perm),
+                          tuple(map(Mu8, inv_exps)))
+
+
+# Mu8(k).value for k = 0..7, looked up by exponent
+_EIGHTH_ROOTS = np.array([Mu8(k).value for k in range(8)])
+
+
+def _times_monomial(rows: np.ndarray, G: MonomialMatrix) -> np.ndarray:
+    """G^T rows for an n x k array rows, i.e. column c of the result is
+    rows[:, c] @ G.to_array(): row i, times coefficient i of G, lands in
+    row perm[i]."""
+    phases = _EIGHTH_ROOTS[[c.exponent for c in G.coeffs]]
+    out = np.empty_like(rows)
+    out[list(G.perm)] = rows * phases[:, None]
+    return out
 
 
 def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
@@ -387,23 +431,24 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
     as row vectors of components, where j_half_bar(rbar, z) =
     eps sqrt_det(r, z).  Weight 3/2: the same with the extra (cz+d) acting
     on the coordinate index (identically vanishing components, compared
-    absolutely).  gamma_bar(rbar^{-1}) is built from
-    the letters of the drawn word (_word_rep_inv), not from its definition.
+    absolutely).  gamma_bar(rbar^{-1}) is built from the letters of the
+    drawn word (_word_rep_inv), not from its definition, and applied to
+    both weights at once as a permutation with phases (_times_monomial).
     """
     def trial(t, m, seed, params):
         rng, letters, rbar, sign = _vector_draw(m, seed, t)
         r = rbar.g
         z, rz = _workable_point(m, r, rng, params)
         jb = j_half_bar(rbar, z)
-        G = _word_rep_inv(letters, sign).to_array()
+        G = _word_rep_inv(letters, sign)
 
         th_z, v_z = theta_vector(z, params)
         th_rz, v_rz = theta_vector(rz, params)
-        rhs = jb * (th_z @ G)
-        J = j_matrix(r, z)
-        rhs_v = jb * np.einsum("ab,jb,ji->ia", J, v_z, G)
-        return (r, z, _rel_err(th_rz, rhs), _rel_err(v_rz, rhs_v),
-                float(np.max(np.abs(v_rz))), {"lift": rbar.eps})
+        # the weight-1/2 row and the rows of v_z J^T, through G at once
+        both = jb * _times_monomial(
+            np.column_stack((th_z, v_z @ j_matrix(r, z).T)), G)
+        return (r, z, _rel_err(th_rz, both[:, 0]), _rel_err(v_rz, both[:, 1:]),
+                float(abs(v_rz).max()), {"lift": rbar.eps})
 
     return _verify("vector-law", m, trials, tol, seed, params, trial)
 

@@ -49,7 +49,7 @@ class IntegerSymplectic:
     _SymplecticRows unchecked (see the module docstring).
     """
 
-    __slots__ = ("m", "rows", "_blocks")
+    __slots__ = ("m", "rows", "_blocks", "_float")
 
     def __init__(self, rows):
         if type(rows) is _SymplecticRows:
@@ -107,8 +107,19 @@ class IntegerSymplectic:
         rows += [tuple(-x for x in cols[i][m:]) + cols[i][:m] for i in range(m)]
         return IntegerSymplectic(_SymplecticRows(rows))
 
+    # -- the rows as floats: read-only, built on first use and kept; the
+    # float layer (_as_float) reads this, to_float hands out a copy --
+    def _floats(self) -> np.ndarray:
+        try:
+            return self._float
+        except AttributeError:
+            arr = np.array(self.rows, dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, "_float", arr)
+            return arr
+
     def to_float(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float)
+        return self._floats().copy()
 
     def __eq__(self, other):
         return isinstance(other, IntegerSymplectic) and self.rows == other.rows
@@ -314,16 +325,15 @@ class SiegelPoint:
     __slots__ = ("m", "X", "Y", "z", "_radii", "_theta")
 
     def __init__(self, X, Y):
-        X = np.array(X, dtype=float)
-        Y = np.array(Y, dtype=float)
+        X, Y = _real_array(X, "X"), _real_array(Y, "Y")
         if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1] or not X.size:
             raise ValueError("X and Y must be square matrices of one size, at least 1 x 1")
+        # before the residuals, in which an infinite entry would make numpy
+        # warn (inf - inf)
+        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+            raise ValueError("X and Y must be finite")
         for name, A in (("X", X), ("Y", Y)):
-            if not np.max(np.abs(A - A.T)) < 1e-12:
-                # a non-finite entry always fails here (its residual is nan
-                # or inf), so an accepted point pays no finiteness test
-                if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-                    raise ValueError("X and Y must be finite")
+            if not abs(A - A.T).max() < 1e-12:
                 raise ValueError(f"{name} must be symmetric")
         try:
             np.linalg.cholesky(Y)
@@ -352,6 +362,18 @@ class SiegelPoint:
         return f"SiegelPoint(X={self.X.tolist()}, Y={self.Y.tolist()})"
 
 
+def _real_array(A, name: str) -> np.ndarray:
+    """A fresh float copy of A; ValueError for complex entries, which a
+    float conversion would refuse or drop with a warning."""
+    try:
+        A = np.asarray(A)
+        if A.dtype.kind != "c":
+            return np.array(A, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be a real matrix")
+
+
 # A few genera per run; the bound keeps a sweep over m from growing it.
 @lru_cache(maxsize=16)
 def _z0(m: int) -> SiegelPoint:
@@ -360,7 +382,7 @@ def _z0(m: int) -> SiegelPoint:
 
 def _as_float(g, m: int) -> np.ndarray:
     """g as a float array; ValueError unless it is 2m x 2m."""
-    arr = g.to_float() if isinstance(g, IntegerSymplectic) else np.asarray(g, dtype=float)
+    arr = g._floats() if isinstance(g, IntegerSymplectic) else np.asarray(g, dtype=float)
     if arr.shape != (2 * m, 2 * m):
         raise ValueError("dimension mismatch")
     return arr

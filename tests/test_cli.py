@@ -341,6 +341,23 @@ def test_failing_verification_exits_1(capsys):
     assert rep["schema"] == cli.SCHEMA
 
 
+def test_verification_on_nan_exits_1(capsys, monkeypatch):
+    # a nan error fails the run; the report still parses
+    from thetacover import harness
+    real = harness.theta_vector
+
+    def nan_half(z, params=None):
+        half, three_half = real(z, params)
+        return half * float("nan"), three_half
+
+    monkeypatch.setattr(harness, "theta_vector", nan_half)
+    code, rep = run_json(capsys, "verify", "--thm", "vector", "--m", "1",
+                         "--trials", "2")
+    assert code == 1
+    assert rep["passed"] is False and rep["reports"][0]["passed"] is False
+    assert rep["reports"][0]["worst_case"]["trial"] == 0
+
+
 def test_subcommands_return_their_reports_and_print_nothing(capsys, tmp_path):
     # printing, the schema stamp and the exit code belong to cli_run alone
     fg = matrix_file(tmp_path, "om.json", make_generator("omega", 1))

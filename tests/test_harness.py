@@ -1,7 +1,9 @@
 """Induced monomial representation and the randomized law harness."""
 
+import dataclasses
 import functools
 import itertools
+import json
 import operator
 
 import numpy as np
@@ -13,7 +15,7 @@ from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
                         make_generator, random_word_element, sample_gamma48,
                         sample_point, subgroup_membership, verify_scalar_law,
                         verify_vector_law)
-from thetacover import harness
+from thetacover import ThetaParams, harness, j_matrix, theta_vector
 from thetacover.cocycle import word_lift
 from thetacover.harness import _rel_err
 
@@ -171,6 +173,60 @@ def test_word_path_matches_definition_on_acceptance_seeds():
     assert lifts == {1, -1}
 
 
+def test_float_word_is_the_exact_product_bit_for_bit():
+    # sample_point reads its word as floats only: the product of the
+    # letters' kept float arrays is the exact product's to_float(), every
+    # bit, and the kept arrays stay read-only while to_float hands out a
+    # fresh writable copy
+    for m in (1, 2, 3, 4, 5):
+        for state in range(40):
+            letters = harness._random_letters(
+                m, "Sp", np.random.default_rng((state, m)))
+            exact = functools.reduce(operator.matmul, letters).to_float()
+            floats = harness._float_word(letters)
+            assert floats.tobytes() == exact.tobytes()
+            assert exact.flags.writeable
+            assert not any(g._floats().flags.writeable for g in letters)
+
+
+def vector_trials(ms=(1, 2, 3), trials=6, seed=3):
+    """(G, th_z, v_z, J) of the vector-law trials at the seed, as the
+    trial draws them."""
+    params = ThetaParams()
+    for m in ms:
+        for t in range(trials):
+            rng, letters, rbar, sign = harness._vector_draw(m, seed, t)
+            z, _ = harness._workable_point(m, rbar.g, rng, params)
+            th_z, v_z = theta_vector(z, params)
+            yield (harness._word_rep_inv(letters, sign), th_z, v_z,
+                   j_matrix(rbar.g, z))
+
+
+def test_monomial_scatter_is_the_dense_product():
+    # the trial applies G by a scatter and a phase lookup; that is exactly
+    # the dense product formed with numpy's own complex products (a column
+    # of G has one nonzero entry), and the BLAS matmul and the einsum the
+    # trial used before agree to rounding
+    exponents = set()
+    for G, th_z, v_z, J in vector_trials():
+        dense = G.to_array()
+        exponents.update(c.exponent for c in G.coeffs)
+        got = harness._times_monomial(th_z[:, None], G)[:, 0]
+        assert np.array_equal(got, (th_z[:, None] * dense).sum(axis=0))
+        assert np.allclose(got, th_z @ dense, rtol=0, atol=1e-15)
+        vj = v_z @ J.T
+        got_v = harness._times_monomial(vj, G)
+        assert np.array_equal(got_v, (vj[:, None, :] * dense[:, :, None]).sum(axis=0))
+        scale = max(1.0, abs(v_z).max())
+        assert np.allclose(got_v, np.einsum("ab,jb,ji->ia", J, v_z, dense),
+                           rtol=0, atol=1e-15 * scale)
+        # both rows at once, as the trial applies them
+        both = harness._times_monomial(np.column_stack((th_z, vj)), G)
+        assert np.array_equal(both[:, 0], got)
+        assert np.array_equal(both[:, 1:], got_v)
+    assert exponents == set(range(8))
+
+
 def test_vector_law_report_same_through_definition(monkeypatch):
     # the verifier's report does not change when G comes from the definition
     fast = [drop_clock(verify_vector_law(m, trials=6, seed=3)) for m in (1, 2)]
@@ -236,6 +292,51 @@ def test_lambda_bar_is_a_character():
                             == lambda_bar(abar) * lambda_bar(bbar))
     # the cover sign is exercised, not only the plain product
     assert signs == {1, -1}
+
+
+def nan_like(arr):
+    return np.full_like(arr, np.nan)
+
+
+def assert_fails_on_trial_0(rep):
+    # a nan error fails the run, names its trial and still serializes
+    assert rep.passed is False and rep.max_rel_error == np.inf
+    assert rep.worst_case["trial"] == 0
+    d = json.loads(json.dumps(rep.as_dict()))
+    assert d["passed"] is False and d["worst_case"]["trial"] == 0
+
+
+@pytest.mark.parametrize("weight", ["half", "three_half"])
+def test_vector_law_fails_on_nan(monkeypatch, weight):
+    real = harness.theta_vector
+
+    def nan_theta(z, params=None):
+        half, three_half = real(z, params)
+        return ((nan_like(half), three_half) if weight == "half"
+                else (half, nan_like(three_half)))
+
+    monkeypatch.setattr(harness, "theta_vector", nan_theta)
+    rep = verify_vector_law(2, trials=3, seed=0)
+    assert_fails_on_trial_0(rep)
+    assert np.isnan(rep.worst_case[f"rel_error_{weight}"])
+
+
+@pytest.mark.parametrize("weight", ["half", "three_half"])
+def test_scalar_law_fails_on_nan(monkeypatch, weight):
+    if weight == "half":
+        monkeypatch.setattr(harness, "theta_series",
+                            lambda *args: complex("nan"))
+    else:
+        real = harness.theta_component
+
+        def nan_component(*args):
+            out = real(*args)
+            return dataclasses.replace(out, value=nan_like(out.value))
+
+        monkeypatch.setattr(harness, "theta_component", nan_component)
+    rep = verify_scalar_law(1, trials=3, seed=0)
+    assert_fails_on_trial_0(rep)
+    assert np.isnan(rep.worst_case[f"rel_error_{weight}"])
 
 
 def test_rel_err_convention():

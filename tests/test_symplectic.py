@@ -1,6 +1,7 @@
 """Group algebra, generators, membership predicates, half-space action."""
 
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,30 @@ def test_mobius_cocycle_property():
             w1 = mobius_act(g1, mobius_act(g2, z))
             w2 = mobius_act(g1 @ g2, z)
             assert np.max(np.abs(w1.z - w2.z)) < 1e-9
+
+
+@pytest.mark.parametrize("X, Y, error", [
+    ([[0.0]], [[float("inf")]], "X and Y must be finite"),
+    ([[0.0]], [[-float("inf")]], "X and Y must be finite"),
+    ([[float("inf")]], [[1.0]], "X and Y must be finite"),
+    ([[0.0, float("inf")], [float("inf"), 0.0]], np.eye(2),
+     "X and Y must be finite"),
+    ([[float("nan")]], [[1.0]], "X and Y must be finite"),
+    ([[1j]], [[1.0]], "X must be a real matrix"),
+    ([[0.0]], np.array([[1.0 + 0.5j]]), "Y must be a real matrix"),
+    ([[0.0]], np.array([[1.0 + 0j]]), "Y must be a real matrix"),
+    ([["x"]], [[1.0]], "X must be a real matrix"),
+], ids=["inf-Y", "minus-inf-Y", "inf-X", "inf-off-diagonal", "nan-X",
+        "complex-list", "complex-array", "complex-dtype-real-values",
+        "not-a-number"])
+def test_point_refusals_are_named_without_a_warning(X, Y, error):
+    # numpy would warn on inf - inf in the symmetry residual, refuse a
+    # complex list with TypeError and drop the imaginary part of a complex
+    # array with a warning; each is a named ValueError instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=error):
+            SiegelPoint(X, Y)
 
 
 def test_point_validation():
