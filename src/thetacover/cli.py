@@ -12,9 +12,11 @@ that does not parse or a missing required one, before any subcommand
 runs; --help prints its usage and exits 0.  Matrix files are JSON
 objects {"m": int, "entries": [[...]]} with integer entries, 2m x 2m for
 group elements and m x m for plain blocks; points of the Siegel half
-space are {"m": int, "X": [[...]], "Y": [[...]]}, with finite entries,
-checked before the point is built.  A config file given
-with --config holds default flag values under their long names.
+space are {"m": int, "X": [[...]], "Y": [[...]]}, with finite entries.
+A config file given with --config holds default flag values under their
+long names.  Reports are strict JSON: a float that is not finite, such as
+the infinite error of a failed trial, prints as the string "inf", "-inf"
+or "nan", never as the bare Infinity or NaN that strict parsers refuse.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 
 import numpy as np
@@ -42,6 +45,18 @@ SCHEMA = "thetacover-report/1"
 def _cplx(v) -> dict:
     v = complex(v)
     return {"re": v.real, "im": v.imag}
+
+
+def _finite(obj):
+    """obj with every float that is not finite replaced by its str, "inf",
+    "-inf" or "nan", in dicts and lists at any depth."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 def _load_json(path: str) -> dict:
@@ -106,9 +121,6 @@ def _load_point(path: str) -> SiegelPoint:
         raise ValueError(f"{path}: X and Y must be numeric matrices") from None
     if X.shape != (m, m) or Y.shape != (m, m):
         raise ValueError(f"{path}: X and Y must be {m}x{m}")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise ValueError(f"{path}: not a point of the half space: "
-                         "X and Y must be finite")
     try:
         return SiegelPoint(X, Y)
     except ValueError as e:
@@ -396,7 +408,8 @@ def cli_run(argv=None) -> int:
     except (ValueError, CapacityError) as e:
         report, code = {"error": str(e)}, 2
     print(report if isinstance(report, str)
-          else json.dumps({"schema": SCHEMA, **report}, indent=2, sort_keys=True))
+          else json.dumps(_finite({"schema": SCHEMA, **report}), indent=2,
+                          sort_keys=True, allow_nan=False))
     return code
 
 

@@ -29,8 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import exactla as xla
 from .symplectic import IntegerSymplectic, make_generator
+
+
+# exp(i pi k / 4) for k = 0..7: Mu8.value reads it, and so does every
+# phase lookup by exponent (harness.MonomialMatrix)
+_ROOTS_OF_UNITY = np.array([cmath.exp(1j * cmath.pi * k / 4) for k in range(8)])
+_ROOTS_OF_UNITY.setflags(write=False)
 
 
 class Mu8:
@@ -58,7 +66,7 @@ class Mu8:
 
     @property
     def value(self) -> complex:
-        return cmath.exp(1j * cmath.pi * self.exponent / 4)
+        return _ROOTS_OF_UNITY.item(self.exponent)
 
     def as_sign(self) -> int:
         if self.exponent not in (0, 4):

@@ -78,8 +78,9 @@ def coset_profile(g: IntegerSymplectic) -> tuple:
     q is the tuple of Q0 values of the 2m columns of g: q_i = diag(a^T c)_i
     and q*_i = diag(b^T d)_i mod 2.  This label is unchanged by left
     multiplication with the theta subgroup, so it indexes the cosets that
-    carry the theta components; right multiplication by r moves it by the
-    mod-2 row action q -> q r.
+    carry the theta components.  Right multiplication by r moves it
+    affinely, q(g r) = q(g) r + q(r) mod 2 with q a row vector; only for r
+    in the theta subgroup, where q(r) = 0, is that the row action q -> q r.
     """
     q = tuple(map(_q0, zip(*g.rows)))
     assert not _q0(q), "profile of a symplectic matrix must be isotropic"

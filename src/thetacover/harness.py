@@ -13,12 +13,14 @@ induced_rep_matrix is that definition, and the oracle of everything built
 on it.  The vector-law verifier does not call it per trial.  Every element
 it draws is a word of letters l_1 ... l_k of a fixed alphabet, drawn as
 random_word_element draws it, and gamma_bar is a homomorphism on the
-cover, so it composes the images of the letters' plus lifts (each built
-by induced_rep_matrix once per genus and letter, on first use) as
-permutations and Mu8 exponents in ints, and inverts the result in ints.
-A trial applies that monomial matrix to its rows of components as one
-scatter by the permutation, times the eighth roots of unity looked up by
-exponent; it is never made dense.  The plus lifts multiply to
+cover, so it multiplies the images of the letters' plus lifts (each built
+by induced_rep_matrix once per genus and letter, on first use) and
+inverts the product.  MonomialMatrix holds gamma_bar as a permutation
+with one Mu8 exponent per row, as ints, and is the only code that
+composes, inverts and applies one: a trial applies the inverse to its
+rows of components as one scatter by the permutation, times the eighth
+roots of unity looked up by exponent in one table (the one Mu8.value
+reads); it is never made dense.  The plus lifts multiply to
 (l_1 ... l_k, s), and cocycle.word_lift gives s in closed form: the m
 factors of the sign cocycle telescope along the word, and Rao's cocycle
 needs a signature only at letters outside the Siegel parabolic, which in
@@ -47,7 +49,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import exactla as xla
-from .cocycle import CoverElement, Mu8, cover_inv, cover_mul, word_lift
+from .cocycle import (_ROOTS_OF_UNITY, CoverElement, cover_inv, cover_mul,
+                      word_lift)
 from .f2cosets import CosetRecord, coset_index_of, coset_profile, coset_table
 from .gauss import lambda_bar, lambda_multiplier
 from .symplectic import (IntegerSymplectic, SiegelPoint, _draw_word, _mobius,
@@ -69,46 +72,70 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MonomialMatrix:
-    """Square matrix with exactly one eighth-root-of-unity entry per row.
+    """Square matrix with exactly one eighth root of unity per row.
 
-    Row i carries coeffs[i] in column perm[i]; perm is a permutation, so
-    columns are covered exactly once as well.  Products and inverses stay
-    exact (permutation composition plus Mu8 arithmetic).  Every instance,
-    including the results of @ and inv(), passes the constructor's check.
+    Row i carries exp(i pi exponents[i] / 4) in column perm[i]; perm is a
+    permutation, so columns are covered exactly once as well.  Exponents
+    follow Mu8's rule: read by xla.as_int (7.0 acts as 7; 0.5 or a Mu8
+    raises ValueError) and kept mod 8.  This class alone composes
+    (_product, of which @ is the two-factor case), inverts (inv) and
+    applies (_apply) a monomial matrix, on the permutation and the
+    exponents as ints.  Every instance, including each result, passes the
+    constructor's check.
     """
 
     n: int
     perm: tuple
-    coeffs: tuple
+    exponents: tuple
 
     def __post_init__(self):
         if sorted(self.perm) != list(range(self.n)):
             raise ValueError("perm must be a permutation")
-        if len(self.coeffs) != self.n:
-            raise ValueError("need one coefficient per row")
-        if not all(isinstance(c, Mu8) for c in self.coeffs):
-            raise ValueError("coefficients must be Mu8")
+        if len(self.exponents) != self.n:
+            raise ValueError("need one exponent per row")
+        object.__setattr__(self, "exponents", tuple([
+            (e if type(e) is int else xla.as_int_arg(e, "exponent")) % 8
+            for e in self.exponents]))
+
+    @staticmethod
+    def _product(factors) -> "MonomialMatrix":
+        """The product of factors, in their order, folded in ints and built
+        once.  Row i of A @ B is row i of A carried on by row p = A.perm[i]
+        of B: column B.perm[p], exponent A's at i plus B's at p."""
+        first, *rest = factors
+        perm, exps = first.perm, first.exponents
+        for factor in rest:
+            if factor.n != first.n:
+                raise ValueError("size mismatch")
+            exps = [e + factor.exponents[p] for e, p in zip(exps, perm)]
+            perm = [factor.perm[p] for p in perm]
+        return MonomialMatrix(first.n, tuple(perm), tuple(exps))
 
     def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        perm = tuple(other.perm[self.perm[i]] for i in range(self.n))
-        coeffs = tuple(self.coeffs[i] * other.coeffs[self.perm[i]]
-                       for i in range(self.n))
-        return MonomialMatrix(self.n, perm, coeffs)
+        return MonomialMatrix._product((self, other))
 
-    def inv(self) -> "MonomialMatrix":
-        perm = [0] * self.n
-        coeffs = [Mu8(0)] * self.n
-        for i in range(self.n):
-            perm[self.perm[i]] = i
-            coeffs[self.perm[i]] = self.coeffs[i].inv()
-        return MonomialMatrix(self.n, tuple(perm), tuple(coeffs))
+    def inv(self, sign: int = 1) -> "MonomialMatrix":
+        """The inverse of sign times this matrix, sign = 1 or -1.
 
-    def to_array(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            out[i, self.perm[i]] = self.coeffs[i].value
+        gamma_bar(1, -1) = -Id, exponent 4 on every row, is central, so
+        sign = -1 shifts every exponent of the inverse by 4.
+        """
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+        shift = 0 if sign == 1 else 4
+        perm, exps = [0] * self.n, [0] * self.n
+        for i, (p, e) in enumerate(zip(self.perm, self.exponents)):
+            perm[p], exps[p] = i, -e - shift
+        return MonomialMatrix(self.n, tuple(perm), tuple(exps))
+
+    def _apply(self, rows: np.ndarray) -> np.ndarray:
+        """G^T rows for an n x k array rows, i.e. column c of the result is
+        rows[:, c] times G as a dense matrix: row i, times the root of
+        exponent i looked up in one table, lands in row perm[i] by one
+        scatter."""
+        phases = _ROOTS_OF_UNITY[list(self.exponents)]
+        out = np.empty_like(rows)
+        out[list(self.perm)] = rows * phases[:, None]
         return out
 
 
@@ -146,7 +173,7 @@ def induced_rep_matrix(rbar: CoverElement) -> MonomialMatrix:
     """
     rows = [_conjugate(rec, rbar) for rec in coset_table(rbar.g.m)]
     return MonomialMatrix(len(rows), tuple(j for j, _ in rows),
-                          tuple(lam.inv() for _, lam in rows))
+                          tuple(lam.inv().exponent for _, lam in rows))
 
 
 @dataclass(frozen=True)
@@ -386,41 +413,14 @@ def _letter_image(letter: IntegerSymplectic) -> MonomialMatrix:
 def _word_rep_inv(letters: list, sign: int) -> MonomialMatrix:
     """gamma_bar(rbar^{-1}) for rbar = (l_1, 1) ... (l_k, 1) (1, sign).
 
-    (1, -1) is central and gamma_bar(1, -1) = -Id, so gamma_bar(rbar) is
-    gamma_bar(l_1, 1) ... gamma_bar(l_k, 1), negated when sign = -1;
-    gamma_bar(rbar^{-1}) is its inverse.  The product is composed as
-    MonomialMatrix.__matmul__ does and inverted as its inv() does, on the
-    permutation and the Mu8 exponents as ints, so only the result is made
-    a MonomialMatrix.  The trial's element (r, eps) is this rbar with
-    sign = eps s, s the sign of the plus lifts' product
-    (r, s) = word_lift(letters).  induced_rep_matrix(cover_inv(rbar)) is
-    the oracle.
+    gamma_bar(rbar) is gamma_bar(l_1, 1) ... gamma_bar(l_k, 1) times
+    gamma_bar(1, sign) = sign Id, so this is the letter images' product,
+    folded in ints by MonomialMatrix._product, inverted with the sign by
+    inv.  The trial's element (r, eps) is this rbar with sign = eps s, s
+    the sign of the plus lifts' product (r, s) = word_lift(letters).
+    induced_rep_matrix(cover_inv(rbar)) is the oracle.
     """
-    first, *rest = map(_letter_image, letters)
-    perm, exps = first.perm, [c.exponent for c in first.coeffs]
-    for image in rest:
-        exps = [e + image.coeffs[p].exponent for e, p in zip(exps, perm)]
-        perm = [image.perm[p] for p in perm]
-    shift = 0 if sign == 1 else 4
-    inv_perm, inv_exps = [0] * len(perm), [0] * len(perm)
-    for i, (p, e) in enumerate(zip(perm, exps)):
-        inv_perm[p], inv_exps[p] = i, -e - shift
-    return MonomialMatrix(len(perm), tuple(inv_perm),
-                          tuple(map(Mu8, inv_exps)))
-
-
-# Mu8(k).value for k = 0..7, looked up by exponent
-_EIGHTH_ROOTS = np.array([Mu8(k).value for k in range(8)])
-
-
-def _times_monomial(rows: np.ndarray, G: MonomialMatrix) -> np.ndarray:
-    """G^T rows for an n x k array rows, i.e. column c of the result is
-    rows[:, c] @ G.to_array(): row i, times coefficient i of G, lands in
-    row perm[i]."""
-    phases = _EIGHTH_ROOTS[[c.exponent for c in G.coeffs]]
-    out = np.empty_like(rows)
-    out[list(G.perm)] = rows * phases[:, None]
-    return out
+    return MonomialMatrix._product(map(_letter_image, letters)).inv(sign)
 
 
 def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
@@ -433,7 +433,7 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
     on the coordinate index (identically vanishing components, compared
     absolutely).  gamma_bar(rbar^{-1}) is built from the letters of the
     drawn word (_word_rep_inv), not from its definition, and applied to
-    both weights at once as a permutation with phases (_times_monomial).
+    both weights at once as a permutation with phases (MonomialMatrix._apply).
     """
     def trial(t, m, seed, params):
         rng, letters, rbar, sign = _vector_draw(m, seed, t)
@@ -445,8 +445,7 @@ def verify_vector_law(m: int, trials: int = 100, tol: float = 1e-8,
         th_z, v_z = theta_vector(z, params)
         th_rz, v_rz = theta_vector(rz, params)
         # the weight-1/2 row and the rows of v_z J^T, through G at once
-        both = jb * _times_monomial(
-            np.column_stack((th_z, v_z @ j_matrix(r, z).T)), G)
+        both = jb * G._apply(np.column_stack((th_z, v_z @ j_matrix(r, z).T)))
         return (r, z, _rel_err(th_rz, both[:, 0]), _rel_err(v_rz, both[:, 1:]),
                 float(abs(v_rz).max()), {"lift": rbar.eps})
 

@@ -92,21 +92,37 @@ __all__ = [
 
 
 class CapacityError(RuntimeError):
-    """The truncation radius exceeds MAX_RADIUS.
+    """A lattice sum would pass a cap: the truncation radius MAX_RADIUS, or
+    _POINT_BUDGET, the points one of its arrays may hold.
 
-    needed is the radius the rule asks for, an int, or inf when it
-    overflows a float; the message gives it in 3 digits from 10^6 on.
+    needed is what the sum asks for, an int, or inf when a radius overflows
+    a float; the message names it after what, in 3 digits from 10^15 on.
     """
 
-    def __init__(self, needed, cap: int):
-        shown = needed if needed < 10 ** 6 else f"{needed:.3g}"
-        super().__init__(f"truncation radius {shown} exceeds cap {cap}")
+    def __init__(self, needed, cap: int, what: str = "truncation radius"):
+        shown = needed if needed < 10 ** 15 else f"{needed:.3g}"
+        super().__init__(f"{what} {shown} exceeds cap {cap}")
         self.needed = needed
         self.cap = cap
 
 
 # Largest truncation radius a lattice sum may use.
 MAX_RADIUS = 64
+
+# Most lattice points that one array of a sum may hold: the box of a direct
+# sum (_box_sum) or the cropped box of a pass (_theta_pass), counted before
+# the array is made.  65^4 is the whole box at m = 4 and R = 32, the
+# verifiers' workable radius, so no verifier draw at m <= 4 reaches it.
+# The memory it allows: about 90 bytes a point at the peak of a direct sum
+# and 45 of a pass (peak RSS growth at m = 4, R = 24), so about 1.6 GB and
+# 0.8 GB at the budget.
+_POINT_BUDGET = 65 ** 4
+
+
+def _check_points(points: int) -> None:
+    if points > _POINT_BUDGET:
+        raise CapacityError(points, _POINT_BUDGET,
+                            "point count of one lattice array")
 
 
 @dataclass(frozen=True)
@@ -262,7 +278,8 @@ def _box_sum(z: SiegelPoint, m_q: tuple, eps_q: tuple, weight: str,
     z's entries over (k, l) in one order from 0, so every kept term, sign
     and moment is bit for bit the one of the whole-box sum; the value moves
     only by the dropped terms and the grouping of the final sum.  The sum
-    shares nothing with the pass but the radius, and keeps nothing.
+    shares nothing with the pass but the radius, and keeps nothing.  A box
+    of more than _POINT_BUDGET points raises CapacityError before it is made.
     """
     if weight not in ("half", "three_half"):
         raise ValueError(f"unknown weight {weight!r}")
@@ -274,6 +291,7 @@ def _box_sum(z: SiegelPoint, m_q: tuple, eps_q: tuple, weight: str,
     axes = [n + e / 2 for e in eps_q]                        # v_k on axis k
     v = [a.reshape(along[k]) for k, a in enumerate(axes)]
     size = (2 * radius + 1) ** m
+    _check_points(size)
     reach = radius + 0.5 if weight == "three_half" else 1.0
     log_mag = -math.pi * sum(Y[k, l] * v[k] * v[l]
                              for k in range(m) for l in range(m))
@@ -640,7 +658,9 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     term above it (_axis_radii): the counted terms are those of the whole
     box above the floor, whatever the crop.  The shift classes go through
     the pass side by side, in blocks of at most _BLOCK points of the
-    sub-box times classes.  R is the point's kept radius (_radius), and
+    sub-box times classes; a sub-box of more than _POINT_BUDGET points
+    raises CapacityError before any array of it is made.  R is the point's
+    kept radius (_radius), and
     everything that depends on (m, R) alone comes from _grid(m, R).  Each
     block's product of E and the pair factors goes into the thread's work
     array (_times_cross), which the block's character sums read and the
@@ -654,9 +674,11 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     floor = _floor(params.tail_tol, len(shifts) * (2 * radius + 1) ** m)
     radii = _axis_radii(z.Y, radius, floor)
     crop = [slice(radius - r, radius + r + 1) for r in radii]
+    points = math.prod(2 * r + 1 for r in radii)
+    _check_points(points)           # a block holds max(points, _BLOCK) at most
     tables, cross, consts = _phases(z.X, radius, classes, crop)
     axes = [tables[:, k, c, None] * grid.weights[c] for k, c in enumerate(crop)]
-    width = max(1, _BLOCK // math.prod(2 * r + 1 for r in radii))
+    width = max(1, _BLOCK // points)
     sums = np.empty((len(shifts), 4 ** m), dtype=complex)
     for first in range(0, len(shifts), width):
         block = slice(first, first + width)

@@ -87,7 +87,7 @@ def letter_images(m: int) -> list:
         image = harness._letter_image(letter)
         out.append({"kind": kind, "params": _plain(params),
                     "perm": list(image.perm),
-                    "exponents": [c.exponent for c in image.coeffs]})
+                    "exponents": list(image.exponents)})
     return out
 
 

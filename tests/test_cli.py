@@ -20,9 +20,15 @@ def run(capsys, *argv):
     return code, out
 
 
+def refuse_constant(name):
+    raise AssertionError(f"not strict JSON: {name}")
+
+
 def run_json(capsys, *argv):
+    """The exit code and the report, parsed as strict JSON: Infinity, -Infinity
+    and NaN, which jq and JSON.parse refuse, are refused here too."""
     code, out = run(capsys, *argv)
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=refuse_constant)
 
 
 def matrix_file(tmp_path, name, g):
@@ -216,8 +222,9 @@ def test_theta_input_errors(capsys, tmp_path):
 
 @pytest.mark.parametrize("y", ["Infinity", "-Infinity", "NaN"])
 def test_non_finite_point_is_refused_before_it_is_built(tmp_path, y):
-    # the file reader refuses the point before numpy computes with it, so
-    # nothing reaches stderr (an inf - inf used to print a RuntimeWarning)
+    # SiegelPoint's constructor refuses the entry before numpy computes
+    # with it, so nothing reaches stderr (an inf - inf used to print a
+    # RuntimeWarning)
     path = tmp_path / "z.json"
     path.write_text(f'{{"m": 1, "X": [[0.0]], "Y": [[{y}]]}}')
     proc = run_module("thetacover", "theta", "--z", str(path))
@@ -342,7 +349,8 @@ def test_failing_verification_exits_1(capsys):
 
 
 def test_verification_on_nan_exits_1(capsys, monkeypatch):
-    # a nan error fails the run; the report still parses
+    # a nan error fails the run; the report is still strict JSON, as jq
+    # reads it, with the non-finite floats as strings
     from thetacover import harness
     real = harness.theta_vector
 
@@ -355,7 +363,10 @@ def test_verification_on_nan_exits_1(capsys, monkeypatch):
                          "--trials", "2")
     assert code == 1
     assert rep["passed"] is False and rep["reports"][0]["passed"] is False
-    assert rep["reports"][0]["worst_case"]["trial"] == 0
+    worst = rep["reports"][0]["worst_case"]
+    assert worst["trial"] == 0 and worst["rel_error_half"] == "nan"
+    assert rep["reports"][0]["max_abs_error"] == "inf"
+    assert rep["reports"][0]["max_rel_error"] == "inf"
 
 
 def test_subcommands_return_their_reports_and_print_nothing(capsys, tmp_path):

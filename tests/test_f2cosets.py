@@ -96,6 +96,30 @@ def test_right_action_on_labels(seed):
     assert coset_profile((r @ g1) @ g2) == coset_profile(g1 @ g2)
 
 
+def row_action(q, r):
+    """q r mod 2 for the label q as a row vector."""
+    return tuple(int(x) % 2 for x in np.array(q) @ np.array(r.rows))
+
+
+def test_profile_moves_affinely_under_right_multiplication():
+    # q(g r) = q(g) r + q(r) mod 2 on seeded Sp pairs; the linear rule
+    # q(g r) = q(g) r holds for r in the theta group, where q(r) = 0, and
+    # fails for most Sp pairs
+    linear_misses = 0
+    for m in (1, 2, 3):
+        rng = np.random.default_rng(m)
+        for _ in range(60):
+            g, r, t = (word(m, sub, int(rng.integers(2 ** 63)),
+                            length=int(rng.integers(1, 9)))
+                       for sub in ("Sp", "Sp", "Gamma1_2"))
+            moved = row_action(coset_profile(g), r)
+            assert coset_profile(g @ r) == tuple(
+                (a + b) % 2 for a, b in zip(moved, coset_profile(r)))
+            linear_misses += coset_profile(g @ r) != moved
+            assert coset_profile(g @ t) == row_action(coset_profile(g), t)
+    assert linear_misses > 60
+
+
 def test_table_is_indexed_by_labels():
     for m in (1, 2):
         table = coset_table(m)

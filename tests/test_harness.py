@@ -22,12 +22,20 @@ from thetacover.harness import _rel_err
 
 def rand_monomial(n, rng):
     perm = tuple(int(x) for x in rng.permutation(n))
-    coeffs = tuple(Mu8(int(k)) for k in rng.integers(0, 8, n))
-    return MonomialMatrix(n, perm, coeffs)
+    exponents = tuple(int(k) for k in rng.integers(0, 8, n))
+    return MonomialMatrix(n, perm, exponents)
+
+
+def dense(G):
+    """G as a dense complex matrix, entry by entry from Mu8.value."""
+    out = np.zeros((G.n, G.n), dtype=complex)
+    for i, (p, e) in enumerate(zip(G.perm, G.exponents)):
+        out[i, p] = Mu8(e).value
+    return out
 
 
 def eye(n):
-    return MonomialMatrix(n, tuple(range(n)), (Mu8(0),) * n)
+    return MonomialMatrix(n, tuple(range(n)), (0,) * n)
 
 
 def test_monomial_group_laws():
@@ -41,16 +49,29 @@ def test_monomial_group_laws():
         assert a @ e == a and e @ a == a
         assert a @ a.inv() == e and a.inv() @ a == e
         # dense image respects the product
-        assert np.allclose((a @ b).to_array(), a.to_array() @ b.to_array())
+        assert np.allclose(dense(a @ b), dense(a) @ dense(b))
+        # the product of many factors is the product of pairs, and the
+        # inverse with sign -1 that of the matrix times -Id, exponent 4
+        assert MonomialMatrix._product((a, b, c)) == (a @ b) @ c
+        minus = MonomialMatrix(5, tuple(range(5)), (4,) * 5)
+        assert a.inv(-1) == (a @ minus).inv() == minus @ a.inv()
+        assert a.inv(-1) != a.inv()
 
 
 def test_monomial_validation():
     with pytest.raises(ValueError):
-        MonomialMatrix(2, (0, 0), (Mu8(0), Mu8(0)))
+        MonomialMatrix(2, (0, 0), (0, 0))
     with pytest.raises(ValueError):
-        MonomialMatrix(2, (0, 1), (Mu8(0),))
+        MonomialMatrix(2, (0, 1), (0,))
     with pytest.raises(ValueError):
-        MonomialMatrix(1, (0,), (0,))
+        MonomialMatrix(1, (0,), (0.5,))
+    with pytest.raises(ValueError):
+        MonomialMatrix(1, (0,), (Mu8(0),))
+    with pytest.raises(ValueError):
+        eye(2).inv(0)
+    # exponents follow Mu8's rule: read as ints and kept mod 8
+    assert MonomialMatrix(2, (1, 0), (9, 7.0)).exponents == (1, 7)
+    assert MonomialMatrix(2, (1, 0), (-1, 8)) == MonomialMatrix(2, (1, 0), (7, 0))
     with pytest.raises(ValueError):
         eye(2) @ eye(3)
 
@@ -62,7 +83,7 @@ def test_induced_rep_identity_and_center():
         assert induced_rep_matrix(CoverElement(one, 1)) == eye(n)
         center = induced_rep_matrix(CoverElement(one, -1))
         assert center.perm == tuple(range(n))
-        assert all(c == Mu8(4) for c in center.coeffs)
+        assert center.exponents == (4,) * n
 
 
 def test_induced_rep_is_multiplicative():
@@ -117,7 +138,7 @@ def test_letter_images_satisfy_relators():
             assert functools.reduce(operator.matmul, letters) \
                 == lift.g == IntegerSymplectic.identity(m)
             assert image == MonomialMatrix(n, tuple(range(n)),
-                                           (Mu8(0 if lift.eps == 1 else 4),) * n)
+                                           (0 if lift.eps == 1 else 4,) * n)
             signs[m, name] = lift.eps
     assert signs[1, "omega^4"] == signs[1, "(omega u)^3 omega^2"] == -1
 
@@ -131,13 +152,13 @@ def test_induced_rep_diagonal_on_stabilized_labels():
         rbar = CoverElement(r, 1)
         G = induced_rep_matrix(rbar)
         assert G.perm[0] == 0
-        assert G.coeffs[0] == lambda_bar(rbar).inv()
+        assert Mu8(G.exponents[0]) == lambda_bar(rbar).inv()
         for i, rec in enumerate(table):
             if G.perm[i] != i:
                 continue
             mbar = CoverElement(rec.M, rec.kappa)
             lam = lambda_bar(cover_mul(cover_mul(mbar, rbar), cover_inv(mbar)))
-            assert G.coeffs[i] == lam.inv()
+            assert Mu8(G.exponents[i]) == lam.inv()
 
 
 def test_trial_word_is_the_sampler_word():
@@ -209,19 +230,19 @@ def test_monomial_scatter_is_the_dense_product():
     # trial used before agree to rounding
     exponents = set()
     for G, th_z, v_z, J in vector_trials():
-        dense = G.to_array()
-        exponents.update(c.exponent for c in G.coeffs)
-        got = harness._times_monomial(th_z[:, None], G)[:, 0]
-        assert np.array_equal(got, (th_z[:, None] * dense).sum(axis=0))
-        assert np.allclose(got, th_z @ dense, rtol=0, atol=1e-15)
+        g_dense = dense(G)
+        exponents.update(G.exponents)
+        got = G._apply(th_z[:, None])[:, 0]
+        assert np.array_equal(got, (th_z[:, None] * g_dense).sum(axis=0))
+        assert np.allclose(got, th_z @ g_dense, rtol=0, atol=1e-15)
         vj = v_z @ J.T
-        got_v = harness._times_monomial(vj, G)
-        assert np.array_equal(got_v, (vj[:, None, :] * dense[:, :, None]).sum(axis=0))
+        got_v = G._apply(vj)
+        assert np.array_equal(got_v, (vj[:, None, :] * g_dense[:, :, None]).sum(axis=0))
         scale = max(1.0, abs(v_z).max())
-        assert np.allclose(got_v, np.einsum("ab,jb,ji->ia", J, v_z, dense),
+        assert np.allclose(got_v, np.einsum("ab,jb,ji->ia", J, v_z, g_dense),
                            rtol=0, atol=1e-15 * scale)
         # both rows at once, as the trial applies them
-        both = harness._times_monomial(np.column_stack((th_z, vj)), G)
+        both = G._apply(np.column_stack((th_z, vj)))
         assert np.array_equal(both[:, 0], got)
         assert np.array_equal(both[:, 1:], got_v)
     assert exponents == set(range(8))
@@ -268,7 +289,8 @@ def test_induced_rep_scalar_on_gamma48():
             evaluated += 1
             for kbar, image in zip(lifts, images):
                 lam = lambda_bar(kbar).inv()
-                assert image == MonomialMatrix(n, tuple(range(n)), (lam,) * n)
+                assert image == MonomialMatrix(n, tuple(range(n)),
+                                               (lam.exponent,) * n)
     assert refused == 4
     assert evaluated >= 45
 

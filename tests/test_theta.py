@@ -942,6 +942,41 @@ def test_radius_is_kept_per_params(monkeypatch):
     assert len(solves) == 1
 
 
+def test_point_budget_is_checked_before_the_arrays_are_made(monkeypatch):
+    # past the budget the pass (cropped box) and the direct sum (whole box)
+    # raise CapacityError naming the count, before any array of the box:
+    # the pass never reaches _phases.  Each sum runs on a fresh point, as
+    # z0(2) is kept, with its pass.
+    def point():
+        return SiegelPoint(np.zeros((2, 2)), np.eye(2))
+
+    side = 2 * theta._radius(point(), ThetaParams()) + 1
+
+    def no_phases(*args):
+        raise AssertionError("the pass made its arrays")
+
+    monkeypatch.setattr(theta, "_POINT_BUDGET", 100)
+    monkeypatch.setattr(theta, "_phases", no_phases)
+    with pytest.raises(CapacityError, match=r"^point count of one lattice "
+                                            r"array \d+ exceeds cap 100$"):
+        theta_vector(point())
+    for weight in ("half", "three_half"):
+        with pytest.raises(CapacityError) as err:
+            theta_series(point(), weight)
+        assert (err.value.needed, err.value.cap) == (side ** 2, 100)
+        assert str(err.value) == (f"point count of one lattice array "
+                                  f"{side ** 2} exceeds cap 100")
+    # the budget is inclusive
+    monkeypatch.setattr(theta, "_POINT_BUDGET", side ** 2)
+    assert abs(theta_series(point(), "half")) > 1
+
+
+def test_point_budget_admits_every_workable_box():
+    # the budget holds the whole box at m = 4 and the workable radius, so
+    # no verifier draw at m <= 4 reaches it
+    assert theta._POINT_BUDGET >= (2 * harness.WORKABLE_RADIUS + 1) ** 4
+
+
 def test_capacity_error_is_raised_on_every_call():
     flat = SiegelPoint(np.zeros((2, 2)), 1e-5 * np.eye(2))
     for _ in range(2):
