@@ -154,7 +154,8 @@ def beta_tilde(g: IntegerSymplectic) -> SnappedRoot:
         # Hermite form.  The rows of S extend to the basis v^{-T} of Z^m, so
         # they span sat(c1).
         hc, v = xla.hnf_with_transform(xla.transpose(w))
-        s_t = [[int(x) for x in row[:j]] for row in xla.inv(v)]   # S^T
+        det, adj = xla._adjugate(v)           # v^-1 = det v adj v, det v = +-1
+        s_t = [[det * x for x in row[:j]] for row in adj]         # S^T
         w, d1 = xla.transpose(hc[:j]), xla.mat_mul(d1, s_t)
         w, uw = xla.hnf_with_transform(w)
         d1 = xla.mat_mul(uw, d1)

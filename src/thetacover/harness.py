@@ -56,7 +56,7 @@ from .gauss import lambda_bar, lambda_multiplier
 from .symplectic import (IntegerSymplectic, SiegelPoint, _draw_word, _mobius,
                          j_matrix, mobius_act, random_word_element,
                          subgroup_membership)
-from .theta import (CapacityError, ThetaParams, _radius, j_half_bar, sqrt_det,
+from .theta import (CapacityError, ThetaParams, _crop, j_half_bar, sqrt_det,
                     theta_component, theta_series, theta_vector)
 
 __all__ = [
@@ -249,8 +249,8 @@ def sample_point(m: int, rng) -> SiegelPoint:
     word g is only read as floats, so it is multiplied in floats
     (_float_word), bit for bit its exact product; g(z0) stays an array (z0
     itself is built once per genus), so a draw builds and validates one
-    SiegelPoint, the candidate z.  cond(Y) is the ratio of Y's extreme
-    singular values, the ratio np.linalg.cond forms.
+    SiegelPoint, the candidate z.  cond(Y) is lam_max / lam_min of the
+    spectrum that z keeps, which later sizes its lattice sums.
     """
     m = xla.as_int_arg(m, "m")
     z0 = SiegelPoint.z0(m)
@@ -262,8 +262,8 @@ def sample_point(m: int, rng) -> SiegelPoint:
         b = rng.uniform(-1, 1, (m, m))
         b = np.round((b + b.T) / 2, 6)
         z = SiegelPoint(a @ w.real @ a.T + b, a @ w.imag @ a.T)
-        s = np.linalg.svd(z.Y, compute_uv=False)
-        if s[0] / s[-1] <= COND_CAP:
+        lam = z._spectrum()[0]
+        if 0 < lam[0] and lam[-1] / lam[0] <= COND_CAP:
             return z
     raise RuntimeError(f"sample_point: no point with cond(Y) <= {COND_CAP} "
                        f"in {SAMPLE_BUDGET} draws")
@@ -275,9 +275,9 @@ WORKABLE_RADIUS = 32
 
 
 def _workable(z: SiegelPoint, rz: SiegelPoint, params: ThetaParams) -> bool:
+    """True if theta._crop sizes both passes, each with R <= WORKABLE_RADIUS."""
     try:
-        return (_radius(z, params) <= WORKABLE_RADIUS
-                and _radius(rz, params) <= WORKABLE_RADIUS)
+        return all(_crop(p, params)[0] <= WORKABLE_RADIUS for p in (z, rz))
     except CapacityError:
         return False
 

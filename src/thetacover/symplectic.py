@@ -195,9 +195,10 @@ def make_generator(kind: str, m: int, **params) -> IntegerSymplectic:
         return _assemble(one, zero, c, one)
     if kind == "h":                          # (a 0; 0 a^-T)
         a = _int_square(params["a"], m, "a")
-        if abs(xla.det(a)) != 1:
+        det, adj = xla._adjugate(a)
+        if det not in (1, -1):
             raise ValueError("h(a) needs unimodular a")
-        d = [[int(x) for x in row] for row in xla.transpose(xla.inv(a))]
+        d = [[det * x for x in col] for col in zip(*adj)]  # a^-1 = det a adj a
         return _assemble(a, zero, zero, d)
     if kind in ("u_ij", "u_minus_ij"):       # s = t(E_ij + E_ji), or tE_ii
         i, j = _check_indices(m, params["i"], params["j"])
@@ -316,13 +317,13 @@ class SiegelPoint:
     """z = X + iY with X, Y real symmetric and Y positive definite.
 
     Immutable, so whatever is computed from the point alone is formed once
-    and kept on it: z, the read-only X + iY, is formed here, and two maps
-    from ThetaParams start empty and are filled by the theta module on
-    first use, _radii with the truncation radius of Y and _theta with the
+    and kept on it: z, the read-only X + iY, is formed here, _spectrum()
+    keeps _spectrum_of(Y) from its first call, and _theta, a map from
+    ThetaParams that starts empty, is filled by the theta module with the
     read-only (half, three_half) of theta.theta_vector at the point.
     """
 
-    __slots__ = ("m", "X", "Y", "z", "_radii", "_theta")
+    __slots__ = ("m", "X", "Y", "z", "_eig", "_theta")
 
     def __init__(self, X, Y):
         X, Y = _real_array(X, "X"), _real_array(Y, "Y")
@@ -346,11 +347,17 @@ class SiegelPoint:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "_radii", {})
+        object.__setattr__(self, "_eig", None)
         object.__setattr__(self, "_theta", {})
 
     def __setattr__(self, *a):
         raise AttributeError("SiegelPoint is immutable")
+
+    def _spectrum(self) -> tuple:
+        """(lam, V) = _spectrum_of(Y), formed on the first call and kept."""
+        if self._eig is None:
+            object.__setattr__(self, "_eig", _spectrum_of(self.Y))
+        return self._eig
 
     @classmethod
     def z0(cls, m: int) -> "SiegelPoint":
@@ -360,6 +367,16 @@ class SiegelPoint:
 
     def __repr__(self):
         return f"SiegelPoint(X={self.X.tolist()}, Y={self.Y.tolist()})"
+
+
+def _spectrum_of(Y: np.ndarray) -> tuple:
+    """(lam, V), read-only, with (Y + Y^T) / 2 = V diag(lam) V^T and lam
+    ascending: the one eigendecomposition that sizes the lattice sums (the
+    radius, the pass's crop) and sample_point's cond(Y)."""
+    spectrum = np.linalg.eigh((Y + Y.T) / 2)
+    for arr in spectrum:
+        arr.setflags(write=False)
+    return spectrum
 
 
 def _real_array(A, name: str) -> np.ndarray:

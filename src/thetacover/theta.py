@@ -20,9 +20,9 @@ is the full degree-8 cocycle.
 Theta sums are box sums over n in [-R, R]^m, R from ``truncation_radius``
 (a heuristic radius, not a certified tail bound: see there).  Every sum
 reads the box in one fixed order, as a tensor of shape (2R + 1,)^m in lex
-order, so results are bit-identical run to run.  R is kept on the point per
-ThetaParams (``_radius``), so a point pays for one eigenvalue solve however
-many sums and checks read it.  ``theta_component`` sums one box term by
+order, so results are bit-identical run to run.  R is read off lambda_min
+of the one eigendecomposition of Y that the point keeps, however many sums
+and checks read it (``_radius``).  ``theta_component`` sums one box term by
 term and forms no point list; ``theta_series`` is the same direct sum at
 the zero label.  They are the oracles.  Over the whole box they form only
 the real log-magnitude -pi v Y v^T, 8 bytes a point; a term at or below
@@ -42,9 +42,9 @@ exponential.  Terms of the pass at or below a floor derived from
 ThetaParams.tail_tol count as 0; together they are at most 2^-53 tail_tol
 per component (``_floor``).  So the pass reads only the sub-box
 prod_k [-r_k, r_k] of the box that holds every term above the floor, with
-per-axis radii r_k <= R read off (Y + Y^T)^-1 (``_axis_radii``): its
-counted terms are those of the whole box above the floor.  The pass is kept
-on the point, so a point pays for at most one pass per ThetaParams.
+per-axis radii r_k <= R read off the same spectrum (``_crop``, which the
+verifiers' workable test asks too): its counted terms are those of the
+whole box above the floor.  The pass is kept on the point per ThetaParams.
 
 Each thread keeps one complex work array of _BLOCK entries (256 kB), made
 on its first pass, into which the pass writes a block's product of
@@ -72,7 +72,7 @@ from .cocycle import CoverElement, _rank_normal_form, m_xstar
 # bound here only so that perfbench's tracer test can read theta.pws_decompose
 from .cocycle import pws_decompose  # noqa: F401
 from .f2cosets import CosetRecord, coset_table
-from .symplectic import IntegerSymplectic, SiegelPoint
+from .symplectic import IntegerSymplectic, SiegelPoint, _spectrum_of
 
 __all__ = [
     "CapacityError",
@@ -150,9 +150,14 @@ def truncation_radius(Y: np.ndarray, params: ThetaParams) -> int:
     1e-12, for Y = lambda_min 1 with a half shift and the smallest
     lambda_min mapped to R, the exact tail beyond the box is 3.3e-12 at
     m = 3, R = 32, and 2.4e-12, 4.4e-11 and 8.6e-9 at m = 4, R = 24, 32
-    and 64.  Relative to the sum it stays below 5e-14.
+    and 64.  Relative to the sum it stays below 5e-14.  lambda_min is read
+    off the eigendecomposition a point keeps, so R is _radius's bit for bit.
     """
-    lam = float(np.linalg.eigvalsh((Y + Y.T) / 2)[0])
+    return _radius_at(float(_spectrum_of(Y)[0][0]), params)
+
+
+def _radius_at(lam: float, params: ThetaParams) -> int:
+    """truncation_radius's rule on lambda_min = lam."""
     if lam <= 0:
         raise ValueError("Y must be positive definite")
     # -log(tol), not log(1 / tol): 1 / tol overflows below about 5.6e-309
@@ -166,16 +171,8 @@ def truncation_radius(Y: np.ndarray, params: ThetaParams) -> int:
 
 
 def _radius(z: SiegelPoint, params: ThetaParams) -> int:
-    """truncation_radius(z.Y, params), kept on z per params.
-
-    Every lattice sum and the verifiers' workable test read the radius here,
-    so a point pays for one eigenvalue solve per params.  A CapacityError
-    (or ValueError) is not kept: it is raised again on every call.
-    """
-    radii = z._radii
-    if params not in radii:
-        radii[params] = truncation_radius(z.Y, params)
-    return radii[params]
+    """truncation_radius(z.Y, params), off the spectrum z keeps."""
+    return _radius_at(float(z._spectrum()[0][0]), params)
 
 
 # --- determinant branch ---
@@ -394,7 +391,7 @@ def _shift_classes(m: int) -> _ShiftClasses:
 # does not.
 _LOG_TINY = -700.0
 
-# Relative widening of the per-axis radii (_axis_radii), for the rounding of
+# Relative widening of the per-axis radii (_crop), for the rounding of
 # the exponent and of (S^-1)_kk: each is off by about m^2 cond(S) 2^-53
 # relative, well below 2^-20 while cond(S) < 1e8.
 _MARGIN = 2.0 ** -20
@@ -430,39 +427,29 @@ def _floor(tail_tol: float, terms: int) -> float:
                math.log(tail_tol) - 53 * math.log(2) - math.log(terms))
 
 
-def _axis_radii(Y: np.ndarray, radius: int, floor: float) -> list:
-    """Radii r_k <= R of the box prod_k [-r_k, r_k] that holds every term
-    of the pass above floor, for every shift class.
+def _crop(z: SiegelPoint, params: ThetaParams) -> tuple:
+    """(R, floor, radii, points) of a pass at z: its radius (_radius), the
+    log of its floor (_floor), the radii r_k <= R of the sub-box prod_k
+    [-r_k, r_k] that holds every term above floor, for every shift class,
+    and the sub-box's point count, checked against _POINT_BUDGET.
 
     With S = (Y + Y^T) / 2, the form the exponent reads, the minimum of
-    v S v^T over the other coordinates is v_k^2 / (S^-1)_kk, so
-    -pi v S v^T > floor gives |v_k| < sqrt(-floor (S^-1)_kk / pi), and
-    v_k = n_k + s_k with |s_k| <= 1/2 gives |n_k| <= r_k = min(R,
-    floor(sqrt(-floor (S^-1)_kk / pi) + 1/2)), the root widened by
-    _MARGIN.  (S^-1)_kk comes from Gauss-Jordan on Python floats, without
-    pivots since S is positive definite: at m = 2 a few scalar operations,
-    which cost less than np.linalg.inv alone.
-    """
-    s = Y.tolist()
-    m = len(s)
-    for i in range(m):
-        for k in range(i):
-            s[i][k] = s[k][i] = (s[i][k] + s[k][i]) / 2
-    for p in range(m):                          # s becomes S^-1
-        row = s[p]
-        pivot = 1 / row[p]
-        for i in range(m):
-            if i != p:
-                other = s[i]
-                f = other[p] * pivot
-                for j in range(m):
-                    other[j] -= f * row[j]
-                other[p] = -f
-        for j in range(m):
-            row[j] *= pivot
-        row[p] = pivot
+    v S v^T over the other coordinates is v_k^2 / (S^-1)_kk, so -pi v S v^T
+    > floor gives |v_k| < sqrt(-floor (S^-1)_kk / pi), and v_k = n_k + s_k
+    with |s_k| <= 1/2 gives |n_k| <= r_k = min(R, floor(sqrt(-floor
+    (S^-1)_kk / pi) + 1/2)), the root widened by _MARGIN.  (S^-1)_kk =
+    sum_i V_ki^2 / lam_i, off z's spectrum once R is within its cap: the
+    cap refuses every lam_min whose inverse would overflow."""
+    radius = _radius(z, params)
+    lam, vec = z._spectrum()
+    floor = _floor(params.tail_tol,
+                   len(_shift_classes(z.m).shifts) * (2 * radius + 1) ** z.m)
     scale = -floor / math.pi * (1 + _MARGIN) ** 2
-    return [min(radius, int(math.sqrt(scale * s[k][k]) + 0.5)) for k in range(m)]
+    radii = [min(radius, int(math.sqrt(scale * d) + 0.5))
+             for d in ((vec * vec) @ (1 / lam)).tolist()]
+    points = math.prod(2 * r + 1 for r in radii)
+    _check_points(points)
+    return radius, floor, radii, points
 
 
 def _split(x: np.ndarray) -> tuple:
@@ -655,30 +642,25 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     and _character_sums takes the per-axis ones with the character
     weights.  Terms at or below the floor (_floor) count as 0, and the pass
     reads only the sub-box prod_k [-r_k, r_k] of [-R, R]^m that holds every
-    term above it (_axis_radii): the counted terms are those of the whole
-    box above the floor, whatever the crop.  The shift classes go through
-    the pass side by side, in blocks of at most _BLOCK points of the
-    sub-box times classes; a sub-box of more than _POINT_BUDGET points
-    raises CapacityError before any array of it is made.  R is the point's
-    kept radius (_radius), and
-    everything that depends on (m, R) alone comes from _grid(m, R).  Each
+    term above it (_crop, which raises CapacityError for a sub-box of more
+    than _POINT_BUDGET points before any array of it is made): the counted
+    terms are those of the whole box above the floor, whatever the crop.
+    The shift classes go through the pass side by side, in blocks of at
+    most _BLOCK points of the sub-box times classes, and everything that
+    depends on (m, R) alone comes from _grid(m, R).  Each
     block's product of E and the pair factors goes into the thread's work
     array (_times_cross), which the block's character sums read and the
     next block overwrites; the returned sums are fresh arrays.
     """
     m = z.m
-    radius = _radius(z, params)
+    radius, floor, radii, points = _crop(z, params)
     classes = _shift_classes(m)
     shifts = classes.shifts
     grid = _grid(m, radius)
-    floor = _floor(params.tail_tol, len(shifts) * (2 * radius + 1) ** m)
-    radii = _axis_radii(z.Y, radius, floor)
     crop = [slice(radius - r, radius + r + 1) for r in radii]
-    points = math.prod(2 * r + 1 for r in radii)
-    _check_points(points)           # a block holds max(points, _BLOCK) at most
     tables, cross, consts = _phases(z.X, radius, classes, crop)
     axes = [tables[:, k, c, None] * grid.weights[c] for k, c in enumerate(crop)]
-    width = max(1, _BLOCK // points)
+    width = max(1, _BLOCK // points)    # a block holds max(points, _BLOCK)
     sums = np.empty((len(shifts), 4 ** m), dtype=complex)
     for first in range(0, len(shifts), width):
         block = slice(first, first + width)
@@ -721,12 +703,11 @@ def theta_vector(z: SiegelPoint, params: ThetaParams | None = None) -> tuple:
     a floor derived from params.tail_tol count as 0 (see _floor): they
     sum to at most 2^-53 tail_tol per component, and to R + 1/2 times that
     per moment sum.  The pass reads only the sub-box of [-R, R]^m that
-    holds every term above the floor (see _axis_radii).
+    holds every term above the floor (see _crop).
 
     The pair is kept on z per params: a second call at the same point, or
-    big_theta at the other weight, costs no pass.  So is the truncation
-    radius, which the verifiers' workable test has usually read first; the
-    pass's radius-only arrays are kept per (m, R).
+    big_theta at the other weight, costs no pass; so is the spectrum of Y
+    that sizes it, and its radius-only arrays are kept per (m, R).
     """
     params = params or ThetaParams()
     memo = z._theta

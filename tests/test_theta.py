@@ -205,6 +205,13 @@ def test_truncation_radius_past_float_range():
         assert err.value.cap == 64
         assert err.value.needed == pytest.approx(needed)
         assert len(str(err.value)) < 50, str(err.value)
+        # a point there is refused by its radius before its crop forms
+        # 1 / lambda_min, which overflows: no numpy warning on the way
+        z = SiegelPoint([[0.0]], [[y]])
+        for size in (theta._crop, theta_vector):
+            with pytest.raises(CapacityError, match="^truncation radius"):
+                size(z, ThetaParams())
+        assert not harness._workable(z, z, ThetaParams())
     # on both sides of the cap the rule is R = ceil(root) + 2
     tol = ThetaParams().tail_tol
     for radius in (60, 63, 64, 65, 66, 100):
@@ -718,7 +725,9 @@ def whole_box_exponents(Y, radius):
 def test_axis_radii_hold_every_term_above_the_floor():
     # every point of the whole box, of every shift class, whose exponent
     # exceeds the pass's floor lies in the crop; and the crop is sharp: on
-    # many axes a term above the floor sits on its edge |n_k| = r_k
+    # many axes a term above the floor sits on its edge |n_k| = r_k.  The
+    # radius and floor are the ones the rules give on Y, and the count is
+    # that of the crop.
     rng = np.random.default_rng(37)
     axes = on_edge = 0
     for m in (1, 2, 3, 4):
@@ -726,9 +735,13 @@ def test_axis_radii_hold_every_term_above_the_floor():
         for _ in range(4 if m < 4 else 1):
             for kind, Y in seeded_forms(m, rng):
                 for tol in (1e-12, 0.5):
-                    radius = truncation_radius(Y, ThetaParams(tail_tol=tol))
-                    floor = theta._floor(tol, classes * (2 * radius + 1) ** m)
-                    radii = theta._axis_radii(Y, radius, floor)
+                    params = ThetaParams(tail_tol=tol)
+                    radius, floor, radii, points = theta._crop(
+                        SiegelPoint(np.zeros_like(Y), Y), params)
+                    assert radius == truncation_radius(Y, params)
+                    assert floor == theta._floor(
+                        tol, classes * (2 * radius + 1) ** m)
+                    assert points == math.prod(2 * r + 1 for r in radii)
                     reach = np.zeros(m, dtype=int)
                     for _, e in whole_box_exponents(Y, radius):
                         above = np.nonzero(e > floor)
@@ -773,10 +786,8 @@ def test_floor_drops_at_most_an_ulp_of_the_tail():
 
 def crop_fraction(z, params):
     """The share of the box [-R, R]^m that the pass's crop keeps at z."""
-    radius = truncation_radius(z.Y, params)
-    terms = len(theta._shift_classes(z.m).shifts) * (2 * radius + 1) ** z.m
-    radii = theta._axis_radii(z.Y, radius, theta._floor(params.tail_tol, terms))
-    return math.prod(2 * r + 1 for r in radii) / (2 * radius + 1) ** z.m
+    radius, _, _, points = theta._crop(z, params)
+    return points / (2 * radius + 1) ** z.m
 
 
 def test_theta_vector_on_strong_crops():
@@ -876,10 +887,7 @@ def test_block_larger_than_the_buffer_matches_components():
     block_buffer()
     for z in cases:
         params = ThetaParams()
-        radius = truncation_radius(z.Y, params)
-        terms = len(theta._shift_classes(z.m).shifts) * (2 * radius + 1) ** z.m
-        radii = theta._axis_radii(z.Y, radius, theta._floor(params.tail_tol, terms))
-        assert math.prod(2 * r + 1 for r in radii) > theta._BLOCK
+        assert theta._crop(z, params)[3] > theta._BLOCK
         half, three_half = theta._theta_pass(z, params)
         table = coset_table(z.m)
         picked = range(0, len(table), 1 if z.m < 4 else 9)
@@ -920,8 +928,9 @@ def test_threads_have_their_own_buffers():
             assert np.array_equal(got[1], want[1])
 
 
-def test_radius_is_kept_per_params(monkeypatch):
-    # radius 6 at tail_tol 0.5 and 24 at 1e-12, read in both orders
+def test_one_eigendecomposition_per_point(monkeypatch):
+    # radius 6 at tail_tol 0.5 and 24 at 1e-12, read in both orders: the
+    # point's radius is truncation_radius's on its Y
     z = point_at_radius(2, 6, ThetaParams(tail_tol=0.5), 4)
     both = [ThetaParams(tail_tol=0.5), ThetaParams(tail_tol=1e-12)]
     for order in (both, both[::-1]):
@@ -930,16 +939,26 @@ def test_radius_is_kept_per_params(monkeypatch):
             assert theta._radius(point, params) \
                 == truncation_radius(point.Y, params)
     assert truncation_radius(z.Y, both[0]) != truncation_radius(z.Y, both[1])
-    # one eigenvalue solve per point and params, whoever reads the radius
-    solves = []
-    real = theta.truncation_radius
-    monkeypatch.setattr(theta, "truncation_radius",
-                        lambda Y, params: solves.append(1) or real(Y, params))
-    point = SiegelPoint(z.X, z.Y)
-    theta_vector(point)
-    theta_series(point, "half")
-    assert harness._workable(point, point, ThetaParams())
-    assert len(solves) == 1
+    # one eigendecomposition per point, whoever sizes it: sample_point's
+    # cond(Y), the workable test, the pass and the direct sums, at both
+    # params; neither an SVD nor another eigenvalue solve sizes a point
+    points = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: points.append(a.tolist()) or real(a))
+    for name in ("svd", "eigvalsh", "cond"):
+        monkeypatch.setattr(np.linalg, name, None)
+    rng = np.random.default_rng(5)
+    z = sample_point(2, rng)
+    assert len(points) == 1
+    rz = mobius_act(word(2, 5), z)
+    for params in both + both:
+        assert harness._workable(z, rz, params)
+        for point in (z, rz):
+            theta_vector(point, params)
+            theta_series(point, "half", params)
+    assert points == [((z.Y + z.Y.T) / 2).tolist(),
+                      ((rz.Y + rz.Y.T) / 2).tolist()]
 
 
 def test_point_budget_is_checked_before_the_arrays_are_made(monkeypatch):
