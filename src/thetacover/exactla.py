@@ -8,7 +8,9 @@ Python ints (_pivoting): det and inv read it, and so does the rank
 normal form of the cocycle module.  It does each row operation once, and
 a transform rides along as the columns of (m | 1), as in the Hermite
 normal form; the adjugate (closed forms up to 2 x 2) and the Gauss-sum
-kernel share one triangular solve, and inv reads the adjugate.
+count share one triangular solve, and inv reads the adjugate.  The Smith
+normal form (smith_form), on which the exact Weil index of gauss rests,
+clears rows and columns by Bezout steps with its transforms riding along.
 Rational input is first scaled to ints by the lcm of its denominators.
 Matrices are tiny (at most ~25 x 25), which keeps the classical O(n^3)
 algorithms comfortably fast.
@@ -270,7 +272,85 @@ def hnf_with_transform(m: Matrix) -> tuple[list[list[int]], list[list[int]]]:
     return [row[:cols] for row in h], [row[cols:] for row in h]
 
 
-# Largest residue system box_sides enumerates; the Gauss-sum kernel's int64
+# --- integer Smith normal form with transforms ---
+
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with s x + t y = g = gcd(x, y) >= 0."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (x, s0, t0) if x >= 0 else (-x, -s0, -t0)
+
+
+def _clear(x: int, y: int) -> tuple[int, int, int, int]:
+    """(s, t, p, q) with s q - t p = 1, s x + t y = gcd(x, y) and p x + q y
+    = 0, x != 0: the unimodular pair of operations that moves y onto x.
+    When x divides y it is (1, 0, -y / x, 1), so x is left as it is."""
+    if not y % x:
+        return 1, 0, -(y // x), 1
+    g, s, t = _xgcd(x, y)
+    return s, t, -(y // g), x // g
+
+
+def smith_form(m: Matrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """(e, U, V) with U, V unimodular and U . m . V = diag(e), in ints.
+
+    e has min(rows, cols) entries, e_i >= 0 and e_i | e_{i+1}: the
+    nonzero ones first, as many as the rank, then the zeros.  Step k brings
+    a nonzero entry of the remaining block to (k, k), then clears column k
+    below it by row operations and row k right of it by column operations
+    (_clear), in turns, until both are zero; if the pivot then fails to
+    divide some entry left below it, that entry's row is added to row k and
+    the step goes on.  An operation leaves the pivot as it is when the
+    pivot divides the entry it clears and puts the gcd there otherwise,
+    which lowers its modulus, so the steps end.  Row operations run over
+    the rows of (m | 1), so U rides along as their right block, as in the
+    Hermite normal form; column operations ride along on V.  Entries follow
+    as_int.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = _augmented([list(map(as_int, row)) for row in m])     # (m | U)
+    v = identity(cols)
+    for k in range(min(rows, cols)):
+        if not a[k][k]:
+            at = next(((i, t) for t in range(k, cols) for i in range(k, rows)
+                       if a[i][t]), None)
+            if at is None:
+                break
+            i, t = at
+            a[k], a[i] = a[i], a[k]
+            for row in (*a, *v):
+                row[k], row[t] = row[t], row[k]
+        while True:
+            for i in range(k + 1, rows):
+                if a[i][k]:
+                    s, t, p, q = _clear(a[k][k], a[i][k])
+                    a[k], a[i] = ([s * x + t * y for x, y in zip(a[k], a[i])],
+                                  [p * x + q * y for x, y in zip(a[k], a[i])])
+            for t in range(k + 1, cols):
+                if a[k][t]:
+                    s, tt, p, q = _clear(a[k][k], a[k][t])
+                    for row in (*a, *v):
+                        x, y = row[k], row[t]
+                        row[k], row[t] = s * x + tt * y, p * x + q * y
+            if any(a[i][k] for i in range(k + 1, rows)):
+                continue
+            bad = next((i for i in range(k + 1, rows)
+                        if any(x % a[k][k] for x in a[i][k + 1:cols])), None)
+            if bad is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[bad])]
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+    return ([a[i][i] for i in range(min(rows, cols))],
+            [row[cols:] for row in a], v)
+
+
+# Largest residue system box_sides enumerates; the Gauss-sum count's int64
 # bound rests on it.
 MAX_CLASSES = 10**6
 

@@ -56,8 +56,9 @@ from .gauss import lambda_bar, lambda_multiplier
 from .symplectic import (IntegerSymplectic, SiegelPoint, _draw_word, _mobius,
                          j_matrix, mobius_act, random_word_element,
                          subgroup_membership)
-from .theta import (CapacityError, ThetaParams, _crop, j_half_bar, sqrt_det,
-                    theta_component, theta_series, theta_vector)
+from .theta import (CapacityError, ThetaParams, _check_points, _crop,
+                    j_half_bar, sqrt_det, theta_component, theta_series,
+                    theta_vector)
 
 __all__ = [
     "MonomialMatrix",
@@ -274,21 +275,31 @@ def sample_point(m: int, rng) -> SiegelPoint:
 WORKABLE_RADIUS = 32
 
 
-def _workable(z: SiegelPoint, rz: SiegelPoint, params: ThetaParams) -> bool:
-    """True if theta._crop sizes both passes, each with R <= WORKABLE_RADIUS."""
+def _workable(z: SiegelPoint, rz: SiegelPoint, params: ThetaParams,
+              whole_box: bool = False) -> bool:
+    """True if theta._crop sizes both passes, each with R <= WORKABLE_RADIUS,
+    and, with whole_box, the whole box (2R + 1)^m of each side's direct
+    sums is within the point budget (theta._check_points)."""
     try:
-        return all(_crop(p, params)[0] <= WORKABLE_RADIUS for p in (z, rz))
+        for p in (z, rz):
+            radius = _crop(p, params)[0]
+            if radius > WORKABLE_RADIUS:
+                return False
+            if whole_box:
+                _check_points((2 * radius + 1) ** p.m)
     except CapacityError:
         return False
+    return True
 
 
-def _workable_point(m: int, r: IntegerSymplectic, rng,
-                    params: ThetaParams) -> tuple:
-    """(z, r z) for the first sampled z on which both sides are workable."""
+def _workable_point(m: int, r: IntegerSymplectic, rng, params: ThetaParams,
+                    whole_box: bool = False) -> tuple:
+    """(z, r z) for the first sampled z on which both sides are workable
+    (_workable, with whole_box for the direct sums of the scalar law)."""
     for _ in range(WORKABLE_BUDGET):
         z = sample_point(m, rng)
         rz = mobius_act(r, z)
-        if _workable(z, rz, params):
+        if _workable(z, rz, params, whole_box):
             return z, rz
     raise RuntimeError(f"_workable_point: no workable point in "
                        f"{WORKABLE_BUDGET} draws")
@@ -357,7 +368,10 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
     whose label r fixes,
     theta_q(rz) = sqrt_det(r,z) (cz+d) theta_q(z) lambda_bar(Mbar_q rbar Mbar_q^{-1})
     (these components vanish identically, so this comparison is absolute;
-    the report's worst_case records the magnitudes).
+    the report's worst_case records the magnitudes).  Both weights are
+    summed directly over whole boxes, so a draw is workable here only when
+    the box (2R + 1)^m at z and at r z fits the point budget (_workable
+    with whole_box).
     """
     def trial(t, m, seed, params):
         rng = np.random.default_rng((seed, t))
@@ -373,7 +387,7 @@ def verify_scalar_law(m: int, trials: int = 200, tol: float = 1e-8,
         else:
             raise RuntimeError("verify_scalar_law: no element fixing a "
                                "shifted label in 51 draws")
-        z, rz = _workable_point(m, r, rng, params)
+        z, rz = _workable_point(m, r, rng, params, whole_box=True)
         sd = sqrt_det(r, z)
 
         lhs = theta_series(rz, "half", params)

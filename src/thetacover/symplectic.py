@@ -318,12 +318,13 @@ class SiegelPoint:
 
     Immutable, so whatever is computed from the point alone is formed once
     and kept on it: z, the read-only X + iY, is formed here, _spectrum()
-    keeps _spectrum_of(Y) from its first call, and _theta, a map from
-    ThetaParams that starts empty, is filled by the theta module with the
-    read-only (half, three_half) of theta.theta_vector at the point.
+    keeps _spectrum_of(Y) from its first call, and _theta and _crops, maps
+    from ThetaParams that start empty, are filled by the theta module with
+    the read-only (half, three_half) of theta.theta_vector at the point and
+    with the sizing of its pass (theta._crop).
     """
 
-    __slots__ = ("m", "X", "Y", "z", "_eig", "_theta")
+    __slots__ = ("m", "X", "Y", "z", "_eig", "_theta", "_crops")
 
     def __init__(self, X, Y):
         X, Y = _real_array(X, "X"), _real_array(Y, "Y")
@@ -349,6 +350,7 @@ class SiegelPoint:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "_eig", None)
         object.__setattr__(self, "_theta", {})
+        object.__setattr__(self, "_crops", {})
 
     def __setattr__(self, *a):
         raise AttributeError("SiegelPoint is immutable")

@@ -439,17 +439,24 @@ def _crop(z: SiegelPoint, params: ThetaParams) -> tuple:
     with |s_k| <= 1/2 gives |n_k| <= r_k = min(R, floor(sqrt(-floor
     (S^-1)_kk / pi) + 1/2)), the root widened by _MARGIN.  (S^-1)_kk =
     sum_i V_ki^2 / lam_i, off z's spectrum once R is within its cap: the
-    cap refuses every lam_min whose inverse would overflow."""
-    radius = _radius(z, params)
-    lam, vec = z._spectrum()
-    floor = _floor(params.tail_tol,
-                   len(_shift_classes(z.m).shifts) * (2 * radius + 1) ** z.m)
-    scale = -floor / math.pi * (1 + _MARGIN) ** 2
-    radii = [min(radius, int(math.sqrt(scale * d) + 0.5))
-             for d in ((vec * vec) @ (1 / lam)).tolist()]
-    points = math.prod(2 * r + 1 for r in radii)
-    _check_points(points)
-    return radius, floor, radii, points
+    cap refuses every lam_min whose inverse would overflow.
+
+    The crop is kept on z per params, as its theta pair is, so the
+    workable test of a verifier draw and the pass at the same point size
+    it once; a refusal is not kept, and raises again on the next call."""
+    memo = z._crops
+    if params not in memo:
+        radius = _radius(z, params)
+        lam, vec = z._spectrum()
+        floor = _floor(params.tail_tol,
+                       len(_shift_classes(z.m).shifts) * (2 * radius + 1) ** z.m)
+        scale = -floor / math.pi * (1 + _MARGIN) ** 2
+        radii = tuple(min(radius, int(math.sqrt(scale * d) + 0.5))
+                      for d in ((vec * vec) @ (1 / lam)).tolist())
+        points = math.prod(2 * r + 1 for r in radii)
+        _check_points(points)
+        memo[params] = radius, floor, radii, points
+    return memo[params]
 
 
 def _split(x: np.ndarray) -> tuple:
@@ -706,8 +713,9 @@ def theta_vector(z: SiegelPoint, params: ThetaParams | None = None) -> tuple:
     holds every term above the floor (see _crop).
 
     The pair is kept on z per params: a second call at the same point, or
-    big_theta at the other weight, costs no pass; so is the spectrum of Y
-    that sizes it, and its radius-only arrays are kept per (m, R).
+    big_theta at the other weight, costs no pass; so are the spectrum of Y
+    and the crop (_crop) that size it, and its radius-only arrays are kept
+    per (m, R).
     """
     params = params or ThetaParams()
     memo = z._theta

@@ -97,8 +97,8 @@ def law(theorem: str, m: int, seed: int) -> dict:
     drawn = []
     workable_point = harness._workable_point
 
-    def record(m, r, rng, params):
-        z, rz = workable_point(m, r, rng, params)
+    def record(m, r, rng, params, whole_box=False):
+        z, rz = workable_point(m, r, rng, params, whole_box)
         drawn.append({"element": _rows(r), "z_X": z.X.tolist(),
                       "z_Y": z.Y.tolist()})
         return z, rz

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from thetacover import CapacityError, make_generator
+from thetacover import (CapacityError, IntegerSymplectic, Mu8, m_xstar,
+                        make_generator)
 from thetacover import cli
 from thetacover.cli import cli_run
 
@@ -164,6 +165,20 @@ def test_lambda_omega(capsys, tmp_path):
     code, rep = run_json(capsys, "lambda", "--g", fg)
     assert code == 0
     assert rep["mu8_exponent"] == 7
+
+
+def test_beta_and_lambda_past_the_old_class_guard(capsys, tmp_path):
+    # |det c| = 23165616 classes, which the count refuses past 10**6; the
+    # exact root needs no count: beta = e(1/8), with residual 0.0
+    g = IntegerSymplectic([[9692521, -2124096], [-23165616, 5076697]])
+    fg = matrix_file(tmp_path, "big.json", g)
+    code, rep = run_json(capsys, "beta", "--g", fg)
+    assert code == 0
+    assert rep["mu8_exponent"] == 1 and rep["residual"] == 0.0
+    code, rep = run_json(capsys, "lambda", "--g", fg)
+    assert code == 0
+    assert rep["mu8_exponent"] == (m_xstar(g) * Mu8(-1)).exponent
+    assert rep["residual"] == 0.0
 
 
 def test_theta_plain_and_component(capsys, tmp_path):

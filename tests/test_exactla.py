@@ -187,6 +187,29 @@ def test_hnf_transform_exact(mat):
         assert all(0 <= h[i][p] < h[k][p] for i in range(k))
 
 
+big_int = st.one_of(st.just(0), small_int, st.integers(-10**6, 10**6))
+
+
+@given(st.one_of(hnf_inputs,
+                 st.integers(1, 4).flatmap(lambda n: matrices(big_int, n, n))))
+@settings(max_examples=300, deadline=None)
+def test_smith_form_exact(mat):
+    e, u, v = xla.smith_form(mat)
+    rows, cols = len(mat), len(mat[0])
+    assert len(e) == min(rows, cols)
+    diag = [[e[i] if i == t else 0 for t in range(cols)] for i in range(rows)]
+    assert xla.mat_eq(xla.mat_mul(xla.mat_mul(u, mat), v), diag)
+    assert abs(xla.det(u)) == 1 and abs(xla.det(v)) == 1
+    # e_i >= 0, e_i | e_{i+1}, the nonzero ones first, one per rank
+    assert all(x >= 0 for x in e)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(e, e[1:]))
+    assert sum(1 for x in e if x) == ref.rank(mat)
+    # e_1 is the gcd of the entries, and for square m the product is |det|
+    assert e[0] == math.gcd(*(x for row in mat for x in row))
+    if rows == cols:
+        assert math.prod(e) == abs(xla.det(mat))
+
+
 @given(square(3))
 @settings(max_examples=60, deadline=None)
 def test_rank_agrees_with_float(mat):

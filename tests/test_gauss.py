@@ -1,20 +1,28 @@
 """Gauss sums, the trivializing phase, and the shifted cocycle."""
 
 import cmath
+from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetacover import (IntegerSymplectic, Mu8, beta_tilde, coset_split,
-                        f_shift, lambda_bar, lambda_multiplier,
+                        coset_table, f_shift, lambda_bar, lambda_multiplier,
                         make_generator, modified_cocycle,
-                        random_word_element, rao_cocycle, snap_mu8,
-                        subgroup_membership, symplectic_gauss_sum)
+                        random_word_element, rao_cocycle, sample_gamma48,
+                        snap_mu8, subgroup_membership,
+                        symplectic_gauss_sum)
 import exact_reference as ref
 from thetacover import exactla as xla
-from thetacover.cocycle import CoverElement
+from thetacover import gauss
+from thetacover.cocycle import CoverElement, cover_mul
+from thetacover.f2cosets import coset_index_of
+from thetacover.harness import _inv_lift
+from thetacover.symplectic import _draw_word
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -195,6 +203,182 @@ def test_one_class_quotients_are_exactly_one():
             seen.add((m, 0 < j < m, j == m))
     assert {(1, False, True), (2, False, True), (3, False, True),
             (3, True, False)} <= seen
+
+
+def quotient_size(g) -> int:
+    """|det W| of beta_tilde's reduced pair: its number of classes."""
+    pair = gauss._reduced_pair(g)
+    return 1 if pair is None else abs(int(ref.det(pair[0])))
+
+
+def counted_beta(g) -> Mu8:
+    """beta_tilde by the count: |det W|^{-1/2} conj(G(d', W)), snapped."""
+    pair = gauss._reduced_pair(g)
+    if pair is None:
+        return Mu8(0)
+    w, dp = pair
+    size = abs(int(ref.det(w)))
+    return snap_mu8(size ** -0.5 * symplectic_gauss_sum(dp, w).conjugate()).value
+
+
+@pytest.mark.parametrize("dp, w, k", [
+    # (Z/2, 3 x^2 / 4): e(3/8) (2|3) = e(7/8), the (2|r)^a of a = 1
+    ([[3]], [[2]], 7),
+    ([[1]], [[4]], 1),                           # (Z/4, x^2 / 8): e(1/8)
+    ([[3]], [[8]], 7),                           # e(3/8) (2|3)^3 = e(7/8)
+    # (Z/3, x^2 / 3) twice: eps_3^2 = -1; then eps_3 (2|3) eps_3 = 1
+    ([[2, 0], [0, 2]], [[3, 0], [0, 3]], 4),
+    ([[2, 0], [0, 4]], [[3, 0], [0, 3]], 0),
+    ([[2, 0], [0, 2]], [[9, 0], [0, 9]], 0),     # eps_9 = 1
+    # even 2 x 2 blocks on (Z/2^a)^2: U gives 1, and V, with both
+    # q-values odd, gives (-1)^a
+    ([[0, 1], [1, 0]], [[2, 0], [0, 2]], 0),
+    ([[2, 1], [1, 2]], [[2, 0], [0, 2]], 4),
+    ([[2, 1], [1, 2]], [[4, 0], [0, 4]], 0),
+    ([[2, 1], [1, 2]], [[8, 0], [0, 8]], 4),
+    # V at 2 beside (Z/3, x^2 / 3): (-1) (1|3) eps_3 = -i; then the same
+    # module on the rows of a W that is not diagonal
+    ([[2, 1], [3, -2]], [[2, 0], [0, 6]], 6),
+    ([[5, -1], [3, -2]], [[2, 6], [0, 6]], 6),
+])
+def test_weil_index_of_small_modules(dp, w, k):
+    # the local factors on hand-made modules, each against the count
+    size = abs(int(ref.det(w)))
+    assert snap_mu8(symplectic_gauss_sum(dp, w) / size ** 0.5).value == Mu8(k)
+    assert gauss._weil_index(w, dp) % 8 == k
+
+
+def test_beta_matches_the_count_oracle():
+    # every prefix of seeded words at m = 1..4, up to the count's 10**6
+    # classes: beta_tilde's exact root is the count's, at every rank j of
+    # c, with at least 1000 quotients of more than one class at each m <= 3
+    # and sizes past 10**5 at each m
+    ranks, sizes, largest = set(), Counter(), Counter()
+    for m, words, length in ((1, 16, 80), (2, 30, 70), (3, 40, 66),
+                             (4, 20, 90)):
+        for seed in range(words):
+            g = IntegerSymplectic.identity(m)
+            for *_, letter in _draw_word(m, "Gamma1_2", length, seed):
+                g = g @ letter
+                size = quotient_size(g)
+                if size > 10**6:
+                    break
+                assert beta_tilde(g).value == counted_beta(g)
+                ranks.add((m, ref.rank(g.c)))
+                sizes[m] += size > 1
+                largest[m] = max(largest[m], size)
+    assert ranks == {(m, j) for m in (1, 2, 3, 4) for j in range(m + 1)}
+    assert min(sizes[m] for m in (1, 2, 3)) >= 1000 and sizes[4] >= 500
+    assert min(largest[m] for m in (1, 2, 3, 4)) > 10**5
+
+
+def jacobi_by_factors(a: int, n: int) -> int:
+    """(a|n) for odd n > 0, a product of Legendre symbols, each by Euler's
+    criterion: no reciprocity."""
+    out, p = 1, 3
+    while n > 1:
+        if p * p > n:
+            p = n
+        while not n % p:
+            n //= p
+            r = pow(a, (p - 1) // 2, p)
+            out *= 0 if not r else (1 if r == 1 else -1)
+        p += 2
+    return out
+
+
+def classical_beta(g) -> Mu8:
+    """beta_tilde at genus 1 from the classical Gauss sums: with c > 0,
+    G(d, c) / sqrt(c) is ((d/2)|c) eps_c for odd c, and e(1/8) ((-c/2)|d)
+    eps_d for even c and odd d > 0 (Landsberg-Schaar), conjugated for
+    d < 0; eps_n = 1 or i as n = 1 or 3 mod 4."""
+    ((c,),), ((d,),) = g.c, g.d
+    if not c:
+        return Mu8(0)
+    if c < 0:
+        c, d = -c, -d
+    if c % 2:
+        k = 4 * (jacobi_by_factors(d // 2, c) < 0) + 2 * (c % 4 == 3)
+    else:
+        k = 1 + 4 * (jacobi_by_factors(-c // 2, abs(d)) < 0) \
+            + 2 * (abs(d) % 4 == 3)
+        k = k if d > 0 else -k
+    return Mu8(-k)
+
+
+def test_beta_at_genus_one_is_the_jacobi_multiplier():
+    # past the old 10**6-class guard too: long words, and the element of the
+    # level-(4,8) group the guard refused
+    past = 0
+    for seed in range(300):
+        g = gword(1, seed, length=5 + seed % 150)
+        assert beta_tilde(g).value == classical_beta(g)
+        past += quotient_size(g) > 10**6
+    refused = IntegerSymplectic([[9692521, -2124096], [-23165616, 5076697]])
+    assert quotient_size(refused) == 23165616
+    # a direct sum over all 23165616 classes gives G(d, c) / sqrt|c| =
+    # e(7/8)
+    assert beta_tilde(refused).value == classical_beta(refused) == Mu8(1)
+    assert past >= 50
+
+
+def character_rule(r1, r2) -> bool:
+    return beta_tilde(r1).value * beta_tilde(r2).value * rao_cocycle(r1, r2) \
+        == beta_tilde(r1 @ r2).value
+
+
+def test_beta_past_the_old_guard_is_a_character():
+    # seeded pairs whose product's quotient has more than 10**6 classes and
+    # whose factors' have at most 2 10**5, each checked by the count
+    for m in (1, 2, 3, 4):
+        found = 0
+        for seed in range(2000):
+            r1, r2 = gword(m, 2 * seed, length=50), gword(m, 2 * seed + 1,
+                                                         length=50)
+            if not all(1 < quotient_size(r) <= 2 * 10**5 for r in (r1, r2)) \
+                    or quotient_size(r1 @ r2) <= 10**6:
+                continue
+            assert beta_tilde(r1).value == counted_beta(r1)
+            assert beta_tilde(r2).value == counted_beta(r2)
+            assert character_rule(r1, r2)
+            found += 1
+            if found == 3:
+                break
+        assert found == 3
+    # the conjugates M_i k M_j^{-1} of the level-(4,8) elements of
+    # test_induced_rep_scalar_on_gamma48 past 10**6 classes, split as
+    # r1 (r1^{-1} s) with r1 a seeded word under the guard
+    past = 0
+    for m, count in ((1, 20), (2, 20), (3, 12)):
+        rng = np.random.default_rng(7)
+        for s in range(count):
+            k = CoverElement(sample_gamma48(m, rng, factors=1 + s % 3), 1)
+            for rec in coset_table(m):
+                mk = cover_mul(CoverElement(rec.M, rec.kappa), k)
+                conj = cover_mul(mk, _inv_lift(m, coset_index_of(mk.g))).g
+                if quotient_size(conj) <= 10**6:
+                    continue
+                r1 = gword(m, past, length=8)
+                assert beta_tilde(r1).value == counted_beta(r1)
+                assert character_rule(r1, r1.inverse() @ conj)
+                past += 1
+    assert past >= 20
+
+
+def test_beta_path_is_exact(monkeypatch):
+    # no numpy, no complex arithmetic and no snap on beta_tilde's path:
+    # its raw value is the root itself and its residual 0.0
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError(f"{name} on beta_tilde's path")
+
+    for name in ("np", "cmath", "snap_mu8", "symplectic_gauss_sum"):
+        monkeypatch.setattr(gauss, name, Refuse())
+    for m in (1, 2, 3):
+        for seed in range(60):
+            root = beta_tilde(gword(m, seed, length=10 + seed))
+            assert root.residual == 0.0 and root.raw == root.value.value
+            assert type(root.raw) is complex
 
 
 def test_beta_rejects_outside_subgroup():

@@ -289,29 +289,21 @@ def test_vector_law_report_same_through_definition(monkeypatch):
 
 def test_induced_rep_scalar_on_gamma48():
     # Igusa's quotient: on the level-(4,8) group gamma_bar is the scalar
-    # lambda_bar(kbar)^{-1} Id, for both lifts.  Some elements need more
-    # Gauss-sum classes than the 10**6 guard allows and are refused; their
-    # number is pinned for this seed.
-    evaluated, refused = 0, 0
+    # lambda_bar(kbar)^{-1} Id, for both lifts.  beta_tilde refuses no
+    # quotient size, so every element is evaluated, the 4 of this seed
+    # whose conjugates' Gauss quotients pass 10**6 classes included.
+    evaluated = 0
     for m, count in ((1, 20), (2, 20), (3, 12)):
         rng = np.random.default_rng(7)
         n = len(coset_table(m))
         for s in range(count):
             k = sample_gamma48(m, rng, factors=1 + s % 3)
-            lifts = [CoverElement(k, 1), CoverElement(k, -1)]
-            try:
-                images = [induced_rep_matrix(kbar) for kbar in lifts]
-            except ValueError as exc:
-                assert "residue system too large" in str(exc)
-                refused += 1
-                continue
-            evaluated += 1
-            for kbar, image in zip(lifts, images):
+            for kbar in (CoverElement(k, 1), CoverElement(k, -1)):
                 lam = lambda_bar(kbar).inv()
-                assert image == MonomialMatrix(n, tuple(range(n)),
-                                               (lam.exponent,) * n)
-    assert refused == 4
-    assert evaluated >= 45
+                assert induced_rep_matrix(kbar) == MonomialMatrix(
+                    n, tuple(range(n)), (lam.exponent,) * n)
+            evaluated += 1
+    assert evaluated == 52
 
 
 def test_lambda_bar_is_a_character():
@@ -469,6 +461,42 @@ def test_workable_asks_for_the_pass_sizing(monkeypatch):
     report = verify_vector_law(2, trials=10, seed=1, params=params)
     assert report.passed and report.trials == 10
     assert draws.count(True) == 10 and draws.count(False) >= 3
+
+
+def test_scalar_law_draws_again_past_the_whole_box_budget(monkeypatch):
+    # the scalar law sums whole boxes (2R + 1)^m; with the point budget
+    # patched to 19^3 at m = 3, a draw whose box would pass it is drawn
+    # again, so the run completes and no direct sum is refused
+    monkeypatch.setattr(theta, "_POINT_BUDGET", 19 ** 3)
+    boxes, draws = [], []
+    real_box, real_workable = theta._box_sum, harness._workable
+
+    def box_sum(z, *args):
+        boxes.append((2 * theta._radius(z, ThetaParams()) + 1) ** z.m)
+        return real_box(z, *args)
+
+    monkeypatch.setattr(theta, "_box_sum", box_sum)
+    monkeypatch.setattr(harness, "_workable", lambda *args: draws.append(
+        real_workable(*args)) or draws[-1])
+    report = verify_scalar_law(3, trials=8, seed=0)
+    assert report.passed and report.trials == 8
+    assert draws.count(True) == 8 and draws.count(False) > 0
+    assert boxes and max(boxes) <= 19 ** 3
+
+
+def test_vector_trial_sizes_each_point_once(monkeypatch):
+    # the workable test crops z and r z; the passes at those points read
+    # the crops kept on them, so a trial whose first draw is workable makes
+    # two crops (theta._floor runs once per crop)
+    floors, draws = [], []
+    real_floor, real_workable = theta._floor, harness._workable
+    monkeypatch.setattr(theta, "_floor",
+                        lambda *args: floors.append(args) or real_floor(*args))
+    monkeypatch.setattr(harness, "_workable", lambda *args: draws.append(
+        real_workable(*args)) or draws[-1])
+    report = verify_vector_law(2, trials=4, seed=1)
+    assert report.passed and draws == [True] * 4
+    assert len(floors) == 8
 
 
 def test_laws_meet_a_stated_error_ceiling():
