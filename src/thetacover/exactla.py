@@ -14,6 +14,16 @@ clears rows and columns by Bezout steps with its transforms riding along.
 Rational input is first scaled to ints by the lcm of its denominators.
 Matrices are tiny (at most ~25 x 25), which keeps the classical O(n^3)
 algorithms comfortably fast.
+
+At genus m <= 2 nearly every matrix that beta_tilde and rao_cocycle hand
+down is at most 2 x 2 (Kashiwara's m x m form, the block c, its Smith
+block W), and there a general loop costs several times the work, so three
+kernels take closed forms at n <= 2: _adjugate (det and adjugate
+written out), congruence_signature (the sign of the entry at n = 1, the
+signs of det and trace at n = 2) and smith_form (|x| at n = 1, two
+Bezout steps in _smith_2x2 at n = 2).  The general loops (_pivoting,
+_signature_loop, _smith_loop) take every other size and are the tests'
+oracles for the closed forms.
 """
 
 from __future__ import annotations
@@ -192,10 +202,13 @@ def det(m: Matrix) -> Fraction:
 def _adjugate(a: Matrix) -> tuple[int, list[list[int]] | None]:
     """(det a, adj a) of a square int matrix, in ints; adj is None if det = 0.
 
-    Closed forms at n <= 2, the size of rao_cocycle's pairings at m <= 2,
-    where an elimination would add more than half to the cost of the call.
-    Above, a zero row or column gives det 0 at once (most singular pairings
-    of the letter images' cocycles at m = 4 have one), and otherwise the
+    Closed forms at n <= 2: (x, [[1]]) for [[x]], and (ps - qr,
+    [[s, -q], [-r, p]]) for [[p, q], [r, s]].  That is the size of
+    rao_cocycle's pairings and of the block c that beta_tilde tests for
+    invertibility at m <= 2, where an elimination would add more than half
+    to the cost of the call.  Above, a zero row or column gives det 0 at
+    once (most singular pairings of the letter images' cocycles at m = 4
+    have one), and otherwise the
     elimination (U | p) of (a | 1) gives it: column k of U is column
     cols[k] of p a, so row cols[k] of a^{-1} is row k of U^{-1} p, and
     X = d U^{-1} p is integral for d the last pivot, since det a = sign d
@@ -287,29 +300,97 @@ def _xgcd(x: int, y: int) -> tuple[int, int, int]:
 
 def _clear(x: int, y: int) -> tuple[int, int, int, int]:
     """(s, t, p, q) with s q - t p = 1, s x + t y = gcd(x, y) and p x + q y
-    = 0, x != 0: the unimodular pair of operations that moves y onto x.
-    When x divides y it is (1, 0, -y / x, 1), so x is left as it is."""
-    if not y % x:
+    = 0, x or y nonzero: the unimodular pair of operations that moves y
+    onto x.  When x != 0 divides y it is (1, 0, -y / x, 1), so x is left as
+    it is."""
+    if x and not y % x:
         return 1, 0, -(y // x), 1
     g, s, t = _xgcd(x, y)
     return s, t, -(y // g), x // g
+
+
+def _smith_2x2(m: Matrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """smith_form of a 2 x 2 int matrix [[a, b], [c, d]] in closed form.
+
+    A zero row 0 is first swapped with row 1 (and the zero matrix returns
+    at once).  One column operation (_clear) takes row 0 to (h, 0), h =
+    gcd(a, b), and row 1 to (w, y).  The gcd g of all entries is then
+    gcd(h, w, y), and the column operation col0 += k col1, which leaves
+    row 0 as it is, makes gcd(h, w + k y) = g for k the largest divisor of
+    h / g prime to w / g (every prime of h / g divides just one of w / g
+    and k); that is the gcd fix, skipped when gcd(h, w) = g already.  One
+    row operation takes column 0 to (g, 0) and leaves t y at (0, 1) and
+    q y at (1, 1); g divides y, so one more column operation clears t y.
+    Two Bezout steps and at most four operations in all, with no pivot
+    search and no repeat, where the general loop (_smith_loop) has both.
+    """
+    (a, b), (c, d) = m
+    a, b, c, d = map(as_int, (a, b, c, d))
+    swap = not (a or b)
+    if swap:
+        if not (c or d):
+            return [0, 0], identity(2), identity(2)
+        a, b, c, d = c, d, a, b
+    s, t, p, q = _clear(a, b)                   # columns: row 0 -> (h, 0)
+    h, w, y = s * a + t * b, s * c + t * d, p * c + q * d
+    g = math.gcd(h, w, y)
+    k = 0
+    if math.gcd(h, w) != g:                     # the gcd fix
+        k = abs(h) // g
+        while (f := math.gcd(k, w // g)) > 1:
+            k //= f
+        w += k * y
+    v = [[s + k * p, p], [t + k * q, q]]
+    s, t, p, q = _clear(h, w)                   # rows: column 0 -> (g, 0)
+    e0, e1 = s * h + t * w, q * y
+    r = t * y // e0                             # clear (0, 1) = t y
+    v[0][1] -= r * v[0][0]
+    v[1][1] -= r * v[1][0]
+    u = [[s, t], [p, q]]
+    if swap:                                    # U times the row swap
+        u = [[t, s], [q, p]]
+    if e0 < 0:
+        e0, u[0] = -e0, [-x for x in u[0]]
+    if e1 < 0:
+        e1, u[1] = -e1, [-x for x in u[1]]
+    return [e0, e1], u, v
 
 
 def smith_form(m: Matrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """(e, U, V) with U, V unimodular and U . m . V = diag(e), in ints.
 
     e has min(rows, cols) entries, e_i >= 0 and e_i | e_{i+1}: the
-    nonzero ones first, as many as the rank, then the zeros.  Step k brings
-    a nonzero entry of the remaining block to (k, k), then clears column k
-    below it by row operations and row k right of it by column operations
-    (_clear), in turns, until both are zero; if the pivot then fails to
-    divide some entry left below it, that entry's row is added to row k and
-    the step goes on.  An operation leaves the pivot as it is when the
-    pivot divides the entry it clears and puts the gcd there otherwise,
-    which lowers its modulus, so the steps end.  Row operations run over
-    the rows of (m | 1), so U rides along as their right block, as in the
-    Hermite normal form; column operations ride along on V.  Entries follow
+    nonzero ones first, as many as the rank, then the zeros.  A square
+    matrix of size n <= 2, the block W of beta_tilde at genus m <= 2, takes
+    a closed form: ([|x|], [[sign x]], [[1]]) at n = 1 (U = [[1]] at x =
+    0) and two Bezout steps at n = 2 (_smith_2x2).  Other sizes take the
+    general loop (_smith_loop), which is also the closed forms' test
+    oracle.  e does not depend on the path; U and V may.  Entries follow
     as_int.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    if rows == cols == 2:
+        return _smith_2x2(m)
+    if rows == cols == 1:
+        x = as_int(m[0][0])
+        return [abs(x)], [[-1 if x < 0 else 1]], [[1]]
+    return _smith_loop(m)
+
+
+def _smith_loop(m: Matrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """smith_form of any matrix, by the general elimination loop.
+
+    Step k brings a nonzero entry of the remaining block to (k, k), then
+    clears column k below it by row operations and row k right of it by
+    column operations (_clear), in turns, until both are zero; if the pivot
+    then fails to divide some entry left below it, that entry's row is
+    added to row k and the step goes on.  An operation leaves the pivot as
+    it is when the pivot divides the entry it clears and puts the gcd there
+    otherwise, which lowers its modulus, so the steps end.  Row operations
+    run over the rows of (m | 1), so U rides along as their right block, as
+    in the Hermite normal form; column operations ride along on V.  Entries
+    follow as_int.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -377,6 +458,34 @@ def box_sides(h: Matrix) -> list[int]:
 def congruence_signature(s: Matrix) -> tuple[int, int]:
     """(positives, negatives) of a symmetric rational matrix, kernel dropped.
 
+    Sizes n <= 2, the Kashiwara forms of rao_cocycle at genus m <= 2, take
+    a closed form on the entries as given, ints or Fractions: at n = 1 the
+    sign of the entry; at n = 2 with det < 0 one of each, with det > 0 two
+    of the sign of the trace, and with det = 0 (rank at most 1) one of the
+    sign of the trace, none if it is 0 (then the matrix is 0).  Larger
+    matrices take the elimination (_signature_loop), which is also the
+    closed form's test oracle.
+    """
+    if not is_symmetric(s):
+        raise ValueError("signature needs a symmetric matrix")
+    n = len(s)
+    if n == 2:
+        (p, q), (_, r) = s
+        det, trace = p * r - q * q, p + r
+        if det < 0:
+            return 1, 1
+        if det > 0:
+            return (2, 0) if trace > 0 else (0, 2)
+        return (1, 0) if trace > 0 else (0, 1) if trace < 0 else (0, 0)
+    if n == 1:
+        (x,), = s
+        return (1, 0) if x > 0 else (0, 1) if x < 0 else (0, 0)
+    return _signature_loop(s)
+
+
+def _signature_loop(s: Matrix) -> tuple[int, int]:
+    """congruence_signature of a symmetric rational matrix of any size.
+
     Fraction-free symmetric elimination over Python ints.  Rational input is
     first scaled by the lcm of its denominators, which is positive and so
     keeps the signature.  After pivot p on row a of the active block A, the
@@ -386,8 +495,6 @@ def congruence_signature(s: Matrix) -> tuple[int, int]:
     of the rows' gcds) keeps them small.  With a zero diagonal, row+column
     addition creates a pivot.
     """
-    if not is_symmetric(s):
-        raise ValueError("signature needs a symmetric matrix")
     a, _ = _integral(s)
     pos = neg = 0
     flipped = False                 # active block is a negative multiple

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,14 +261,22 @@ def _weil_index(w, dp) -> int:
     of e_j is odd and prime to e_{j-1}, so that part is cyclic,
     (Z/f, x -> r x^2 / f) on the generator (e_j / f) eps_j, and takes a
     Jacobi symbol (_odd_cyclic).  Only e_{j-1} is factored.
+
+    S = d' W^T is formed once, as dot products of rows of d' and W, and
+    the Gram reads u_i S u_k^T on the live rows u_i of U only: no product
+    is taken over a trivial class and no transpose is formed.  At j <= 2
+    the Smith form is a closed form (exactla.smith_form); the index does
+    not depend on which Smith transform is used, so neither does the
+    exponent.
     """
     e, u, _ = xla.smith_form(w)
     live = [i for i, x in enumerate(e) if x > 1]
     if not live:
         return 0
     ul = [u[i] for i in live]
-    g = xla.mat_mul(xla.mat_mul(ul, xla.mat_mul(dp, xla.transpose(w))),
-                    xla.transpose(ul))
+    s = [[sum(map(operator.mul, x, y)) for y in w] for x in dp]     # d' W^T
+    su = [[sum(map(operator.mul, row, uk)) for row in s] for uk in ul]
+    g = [[sum(map(operator.mul, ui, col)) for col in su] for ui in ul]
     e = [e[i] for i in live]
     n = [[x // f for x, f in zip(row, e)] for row in g]
     last = e[-1]
@@ -288,17 +297,20 @@ def _weil_index(w, dp) -> int:
 def _reduced_pair(g: IntegerSymplectic):
     """(W, d') of beta_tilde, or None when its quotient has one class, at
     c = 0 and |det c| = 1.  W is the j x j block of c in a basis of its
-    saturated row lattice, j the rank of c, and d' matches it; an
-    invertible c is its own W, with d' = d, and takes no Hermite form.
+    saturated row lattice, j the rank of c, and d' matches it.  Two cases
+    take no Hermite form.  An invertible c is its own W, with d' = d, read
+    off the determinant of exactla._adjugate (a closed form at m <= 2).
+    A singular c that is 0 returns None on a scan of its entries (11 % of
+    gauss-m2's calls), where a Hermite form would only find j = 0.
     """
     c, d = g.c, g.d
     det = xla._adjugate(c)[0]
     if det:
         return None if abs(det) == 1 else (c, d)
+    if not any(map(any, c)):
+        return None
     h, u = xla.hnf_with_transform(c)               # u c = h, zero rows last
     j = sum(1 for row in h if any(row))
-    if not j:
-        return None
     w, d1 = h[:j], xla.mat_mul(u, d)[:j]
     # X* = (0 | 1) lies in the quotient's denominator, so every class has a
     # representative (x | 0), x in sat(c1) / <c1>, with no parity term;

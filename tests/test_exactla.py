@@ -7,6 +7,7 @@ checked against the Fraction Gauss-Jordan references of
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -190,10 +191,7 @@ def test_hnf_transform_exact(mat):
 big_int = st.one_of(st.just(0), small_int, st.integers(-10**6, 10**6))
 
 
-@given(st.one_of(hnf_inputs,
-                 st.integers(1, 4).flatmap(lambda n: matrices(big_int, n, n))))
-@settings(max_examples=300, deadline=None)
-def test_smith_form_exact(mat):
+def check_smith(mat):
     e, u, v = xla.smith_form(mat)
     rows, cols = len(mat), len(mat[0])
     assert len(e) == min(rows, cols)
@@ -208,6 +206,58 @@ def test_smith_form_exact(mat):
     assert e[0] == math.gcd(*(x for row in mat for x in row))
     if rows == cols:
         assert math.prod(e) == abs(xla.det(mat))
+    # the invariants are unique: the closed forms at n <= 2 meet the loop
+    assert e == xla._smith_loop(mat)[0]
+
+
+@given(st.one_of(hnf_inputs,
+                 st.integers(1, 4).flatmap(lambda n: matrices(big_int, n, n))))
+@settings(max_examples=300, deadline=None)
+def test_smith_form_exact(mat):
+    check_smith(mat)
+
+
+SMITH_2X2 = [
+    [[0, 0], [0, 0]],                   # zero: returns before any step
+    [[0, 0], [4, 6]],                   # zero row 0, swapped with row 1
+    [[1, 2], [2, 4]], [[0, 3], [0, 6]],             # rank 1
+    [[0, 2], [3, 5]], [[0, 1], [1, 0]],             # zero (0, 0) entry
+    [[1, 2], [3, 4]], [[3, 1], [4, -6]],            # negative determinant
+    [[-2, 0], [0, -4]],                 # both invariants come out negative
+    [[2, 0], [0, 3]], [[6, 0], [2, 3]],             # the gcd fix
+    [[4, 6], [6, 9]],                   # rank 1, gcd 1 but no unit entry
+    [[9692521, -2124096], [-23165616, 5076697]],    # large entries
+]
+
+
+@pytest.mark.parametrize("mat", SMITH_2X2)
+def test_smith_form_2x2_examples(mat):
+    check_smith(mat)
+
+
+def test_smith_form_2x2_examples_reach_every_line():
+    # every branch of the closed form: the zero return, the row swap, both
+    # ways of _clear, the gcd fix and its loop, and both sign corrections
+    codes = {f.__code__: set() for f in (xla._smith_2x2, xla._clear)}
+
+    def tracer(frame, event, arg):
+        if frame.f_code not in codes:
+            return None
+        if event == "line":
+            codes[frame.f_code].add(frame.f_lineno)
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for mat in SMITH_2X2:
+            xla.smith_form(mat)
+    finally:
+        sys.settrace(previous)
+    for code, hit in codes.items():
+        lines = {line for *_, line in code.co_lines() if line is not None}
+        assert lines - {code.co_firstlineno} <= hit, code.co_name
+    assert xla.smith_form([[2, 0], [0, 3]])[0] == [1, 6]
 
 
 @given(square(3))
@@ -294,24 +344,51 @@ def test_signature_of_diagonal():
     assert xla.congruence_signature([[0, 0], [0, 0]]) == (0, 0)
 
 
-@given(square(3))
-@settings(max_examples=60, deadline=None)
+# the closed forms at n <= 2, often singular or of zero trace, and the loop
+signature_inputs = st.one_of(
+    square(1), square(2), matrices(sparse_int, 1, 1),
+    matrices(sparse_int, 2, 2), square(3), square(4))
+
+
+@given(signature_inputs)
+@settings(max_examples=150, deadline=None)
 def test_signature_matches_eigenvalues(mat):
     sym = xla.mat_add(mat, xla.transpose(mat))
     pos, neg = xla.congruence_signature(sym)
     eig = np.linalg.eigvalsh(np.array(sym, dtype=float))
     assert pos == int(np.sum(eig > 1e-9))
     assert neg == int(np.sum(eig < -1e-9))
+    assert (pos, neg) == xla._signature_loop(sym)
 
 
-@given(st.one_of(square(3), square(4)),
+@given(signature_inputs,
        st.lists(st.integers(min_value=1, max_value=12), min_size=16, max_size=16))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_signature_of_fractions_matches_reference(mat, dens):
     n = len(mat)
     sym = [[Fraction(mat[i][j] + mat[j][i], dens[min(i, j) * 4 + max(i, j)])
             for j in range(n)] for i in range(n)]
     assert xla.congruence_signature(sym) == reference_signature(sym)
+    assert xla.congruence_signature(sym) == xla._signature_loop(sym)
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("s, want", [
+    ([], (0, 0)), ([[0]], (0, 0)), ([[5]], (1, 0)), ([[F(-1, 3)]], (0, 1)),
+    ([[2, 1], [1, 2]], (2, 0)), ([[-2, 1], [1, -2]], (0, 2)),     # definite
+    ([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 4)]], (2, 0)),
+    ([[1, 2], [2, 4]], (1, 0)), ([[-1, 2], [2, -4]], (0, 1)),     # det 0
+    ([[0, 0], [0, 5]], (1, 0)), ([[F(-1, 2), F(1, 2)], [F(1, 2), F(-1, 2)]],
+                                 (0, 1)),
+    ([[0, 0], [0, 0]], (0, 0)),
+    ([[3, 0], [0, -3]], (1, 1)), ([[0, 1], [1, 0]], (1, 1)),      # trace 0
+    ([[1, 3], [3, 2]], (1, 1)),
+])
+def test_signature_closed_forms(s, want):
+    assert xla.congruence_signature(s) == want == reference_signature(s)
+    assert xla._signature_loop(s) == want
 
 
 @pytest.mark.parametrize("s", [

@@ -381,6 +381,31 @@ def test_beta_path_is_exact(monkeypatch):
             assert type(root.raw) is complex
 
 
+def test_zero_c_takes_no_hermite_form(monkeypatch):
+    # c = 0 returns None on a scan of c, before any Hermite form; a singular
+    # nonzero c still takes them
+    def refuse(m):
+        raise AssertionError("a Hermite form was formed")
+
+    zero, singular = [], []
+    for m in (1, 2, 3):
+        zero.append(IntegerSymplectic.identity(m))
+        for seed in range(40):
+            g = gword(m, seed, length=2 + seed % 12)
+            if not any(map(any, g.c)):
+                zero.append(g)
+            elif m > 1 and ref.rank(g.c) < m:
+                singular.append(g)
+    assert len(zero) > 30 and singular
+    monkeypatch.setattr(xla, "hnf_with_transform", refuse)
+    for g in zero:
+        assert gauss._reduced_pair(g) is None
+        assert beta_tilde(g).value == Mu8(0)
+    for g in singular:
+        with pytest.raises(AssertionError, match="Hermite"):
+            gauss._reduced_pair(g)
+
+
 def test_beta_rejects_outside_subgroup():
     u1 = make_generator("u_ij", 1, i=1, j=1, t=1)
     with pytest.raises(ValueError):
