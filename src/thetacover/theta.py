@@ -25,20 +25,24 @@ of the one eigendecomposition of Y that the point keeps, however many sums
 and checks read it (``_radius``).  ``theta_component`` sums one box term by
 term and forms no point list; ``theta_series`` is the same direct sum at
 the zero label.  They are the oracles.  Over the whole box they form only
-the real log-magnitude -pi v Y v^T, 8 bytes a point; a term at or below
-max - 60 log 2 - log(N w) (N box points, w the largest moment factor)
+the real log-magnitude -pi v Y v^T, 8 bytes a point, from its m diagonal
+and m (m - 1) / 2 pair-summed terms (``_box_log_magnitude``); a term at or
+below max - 60 log 2 - log(N w) (N box points, w the largest moment factor)
 counts as 0, so the dropped terms are below 2^-60 of the largest one, and
 only the kept points get a phase and a complex exp (``_box_sum``).  Each
-kept term is bit for bit the one of the whole-box sum.  They share nothing
-with the pass below but the radius.  ``theta_vector`` gives every
-component at both weights from one pass that evaluates each half shift
-once and sums it against the characters of n mod 2.  Its terms are one
-real exp of an exponent broadcast from the coordinates 2v, times the
-phases of the pairs of axes; the per-axis phases ride the character
+kept phase is bit for bit the whole-box sum's, and the magnitude moves at
+rounding level: on the cases of the tests, every component lies within
+1.2e-15 relative of the whole-box reference (2e-15 is the bound).  They
+share nothing with the pass below but the radius.  ``theta_vector``
+gives every component at both weights from one pass that evaluates each
+half shift once and sums it against the characters of n mod 2.  Its terms
+are one real exp of an exponent broadcast from the coordinates 2v, times
+the phases of the pairs of axes; the per-axis phases ride the character
 weights.  What a pass reads that depends on m and R alone, from the exact
 coordinates 2v to the grid of its phase factors, is built once per (m, R)
-and kept read-only (``_grid``); the factors that depend on X are then one vectorized
-exponential.  Terms of the pass at or below a floor derived from
+and kept read-only (``_grid``); the factors that depend on X are then one
+vectorized exponential over the grid's distinct products, gathered by its
+index.  Terms of the pass at or below a floor derived from
 ThetaParams.tail_tol count as 0; together they are at most 2^-53 tail_tol
 per component (``_floor``).  So the pass reads only the sub-box
 prod_k [-r_k, r_k] of the box that holds every term above the floor, with
@@ -46,14 +50,16 @@ per-axis radii r_k <= R read off the same spectrum (``_crop``, which the
 verifiers' workable test asks too): its counted terms are those of the
 whole box above the floor.  The pass is kept on the point per ThetaParams.
 
-Each thread keeps one complex work array of _BLOCK entries (256 kB), made
-on its first pass, into which the pass writes a block's product of
-magnitudes and pair phases (``_times_cross``).  A fresh product per block
-would be freed, trimmed off the top of the heap by malloc and faulted back
-in by the next block: a median of 56 minor page faults per genus-3 pass
-on theta-m3 (126 per item), against 0.01 with the kept array.  A block
-larger than _BLOCK gets a fresh array; nothing a pass returns shares
-memory with the work array.
+Each thread keeps two work arrays of _BLOCK entries, made on its first
+pass (``_work_array``): a complex one (256 kB), into which the pass writes
+a block's product of magnitudes and pair phases, and a float one (128 kB)
+that holds the block's exponent, floored and exponentiated in place
+(``_theta_pass``).  A fresh array per block would be freed, trimmed off
+the top of the heap by malloc and faulted back in by the next block: a
+median of 56 minor page faults per genus-3 pass on theta-m3 (126 per item)
+without the complex array, and 27 per item against 2.1 without and with
+the float one (200 items of seed 5).  A block larger than _BLOCK gets
+fresh arrays; nothing a pass returns shares memory with a work array.
 """
 
 from __future__ import annotations
@@ -261,6 +267,27 @@ def j_half_bar(gbar: CoverElement, z: SiegelPoint) -> complex:
 _DROP_BITS = 60
 
 
+def _box_log_magnitude(Y: np.ndarray, v: list) -> np.ndarray:
+    """-pi v Y v^T over a direct sum's box, v[k] holding v_k along axis k.
+
+    It adds the m diagonal terms (-pi Y_kk) v_k^2 and, for each pair k < l,
+    (-pi (Y_kl + Y_lk) v_k) v_l, which reads both triangles of Y: m (m + 1)
+    / 2 broadcast products, each added onto the partial sum over the axes
+    so far, the pairs in place.  At -v every product rounds the same
+    factors up to sign, so at the zero label the values at n and -n are
+    equal bit for bit.  The pass's _exponent forms the same quantity; the
+    two share no code, so the direct sums stay an independent oracle.
+    """
+    m = len(v)
+    log_mag = (-math.pi * Y[0, 0]) * (v[0] * v[0])
+    for k in range(1, m):
+        log_mag = log_mag + (-math.pi * Y[k, k]) * (v[k] * v[k])
+        # log_mag now spans axes 0..k, so the pairs with axis k add in place
+        for i in range(k):
+            log_mag += (-math.pi * (Y[i, k] + Y[k, i]) * v[i]) * v[k]
+    return log_mag
+
+
 def _box_sum(z: SiegelPoint, m_q: tuple, eps_q: tuple, weight: str,
              params: ThetaParams | None):
     """Direct sum of (-1)^{m_q . n} e^{i pi v z v^T}, v = n + eps_q/2, over
@@ -268,15 +295,18 @@ def _box_sum(z: SiegelPoint, m_q: tuple, eps_q: tuple, weight: str,
 
     Only the real log-magnitude -pi v Y v^T is formed over the whole box, a
     tensor of shape (2R + 1,)^m in lex order with v_k along axis k, at 8
-    bytes a point.  Terms whose log-magnitude is at or below max -
-    _DROP_BITS log 2 - log(N w) count as 0: together they are below 2^-60
-    of the largest term (see _DROP_BITS).  The kept points, gathered in lex
-    order, get the phase pi v X v^T and one complex exp each.  Both sums add
-    z's entries over (k, l) in one order from 0, so every kept term, sign
-    and moment is bit for bit the one of the whole-box sum; the value moves
-    only by the dropped terms and the grouping of the final sum.  The sum
-    shares nothing with the pass but the radius, and keeps nothing.  A box
-    of more than _POINT_BUDGET points raises CapacityError before it is made.
+    bytes a point, from m (m + 1) / 2 products (_box_log_magnitude).  Terms
+    whose log-magnitude is at or below max - _DROP_BITS log 2 - log(N w)
+    count as 0: together they are below 2^-60 of the largest term (see
+    _DROP_BITS).  The kept points, gathered in lex order, get the phase
+    pi v X v^T, adding X's m^2 entries over (k, l) in one order from 0 as
+    the whole-box sum does, and one complex exp each.  So every kept phase,
+    sign and moment is bit for bit the whole-box sum's, and the magnitude,
+    pair-summed, moves at rounding level: the worst deviation of a sum from
+    the whole-box reference on the tests' cases is 1.2e-15 relative.  The
+    sum shares nothing with the pass but the radius, and keeps nothing.  A
+    box of more than _POINT_BUDGET points raises CapacityError before it is
+    made.
     """
     if weight not in ("half", "three_half"):
         raise ValueError(f"unknown weight {weight!r}")
@@ -290,8 +320,7 @@ def _box_sum(z: SiegelPoint, m_q: tuple, eps_q: tuple, weight: str,
     size = (2 * radius + 1) ** m
     _check_points(size)
     reach = radius + 0.5 if weight == "three_half" else 1.0
-    log_mag = -math.pi * sum(Y[k, l] * v[k] * v[l]
-                             for k in range(m) for l in range(m))
+    log_mag = _box_log_magnitude(Y, v)
     cut = log_mag.max() - _DROP_BITS * math.log(2) - math.log(size * reach)
     kept = np.nonzero(log_mag > cut)
     u = [a[i] for a, i in zip(axes, kept)]                 # v_k at kept points
@@ -314,7 +343,8 @@ def theta_series(z: SiegelPoint, weight: str, params: ThetaParams | None = None)
     zero by the n <-> -n symmetry, kept as an honest computation).
     Over the box [-R, R]^m, as _box_sum: terms at or below 2^-60 / (N w)
     of the largest one count as 0 and sum to below 2^-60 of it; every kept
-    term is bit for bit the whole-box sum's.
+    phase is bit for bit the whole-box sum's, and the pair-summed magnitude
+    keeps the sum within 1.2e-15 relative of it on the tests' cases.
     """
     return _box_sum(z, (0,) * z.m, (0,) * z.m, weight, params)
 
@@ -336,8 +366,10 @@ def theta_component(rec: CosetRecord, z: SiegelPoint, weight: str,
     component at the plus lift (weight "three_half" inserts the moment
     vector (n + eps_q/2)^T), over the box [-R, R]^m as _box_sum: only the
     real log-magnitude is formed over the box, terms at or below 2^-60 /
-    (N w) of the largest one count as 0 and sum to below 2^-60 of it, and
-    every kept term, sign and moment is bit for bit the whole-box sum's.
+    (N w) of the largest one count as 0 and sum to below 2^-60 of it,
+    every kept phase, sign and moment is bit for bit the whole-box sum's,
+    and the pair-summed magnitude keeps the value within 1.2e-15 relative
+    of it on the tests' cases.
     """
     if z.m != rec.M.m:
         raise ValueError("dimension mismatch")
@@ -396,19 +428,19 @@ _LOG_TINY = -700.0
 # relative, well below 2^-20 while cond(S) < 1e8.
 _MARGIN = 2.0 ** -20
 
-# Points times shift classes per block of a pass, and the length of the
-# thread's complex work array (_times_cross): 256 kB, with each float
-# temporary of a block half that.  Re-timed with the kept work array on
-# theta-m3 (m = 3, R = 8..10; 8 seeds of 200 items, one process per size
-# and seed): 2^14 ran 304 items/s in the median, ahead of 2^13 (267) and
-# 2^15 (274) on 7 of 8 seeds each; at 2^15 the float temporaries of a
-# block reach 256 kB and are again trimmed and faulted back in, about 109
-# minor faults per item against a median under 1 at 2^13 and 2^14.  The m = 2
-# passes of vector-law-m2 (at most 11956 points times classes) fit one
-# block at 2^14.
+# Points times shift classes per block of a pass, and the length of each
+# of the thread's work arrays (_work_array): 256 kB complex, 128 kB float.
+# Re-timed with the kept complex work array on theta-m3 (m = 3, R = 8..10;
+# 8 seeds of 200 items, one process per size and seed): 2^14 ran 304
+# items/s in the median, ahead of 2^13 (267) and 2^15 (274) on 7 of 8 seeds
+# each; at 2^15 the float temporaries of a block reach 256 kB and are again
+# trimmed and faulted back in, about 109 minor faults per item against a
+# median under 1 at 2^13 and 2^14.  The m = 2 passes of vector-law-m2 (at
+# most 11956 points times classes) fit one block at 2^14.
 _BLOCK = 1 << 14
 
-# Per thread, the complex work array that a pass's block product goes into.
+# Per thread, the work arrays of a pass's blocks, by name (_work_array):
+# "block", complex, and "exponent", float.
 _work = threading.local()
 
 
@@ -481,8 +513,10 @@ def _cis(hi, lo, k) -> np.ndarray:
     return np.exp(2j * math.pi * ((whole - np.rint(whole)) + lo * k))
 
 
-def _exponent(Y: np.ndarray, twice: list) -> np.ndarray:
-    """-pi v Y v^T over a box for a block of shift classes.
+def _exponent(Y: np.ndarray, twice: list, out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """-pi v Y v^T over a box for a block of shift classes, written into
+    out when one is given (of the result's shape), else into a fresh array.
 
     twice[k][c, j] = 2 v_k = 2 (n_k + s_k) at the j-th n_k of axis k holds
     exact integers; each axis has its own length.  The result, of shape
@@ -498,13 +532,15 @@ def _exponent(Y: np.ndarray, twice: list) -> np.ndarray:
     form = -math.pi / 8 * (Y + Y.T)
     v = [t.reshape(t.shape[:1] + (1,) * k + t.shape[1:] + (1,) * (m - 1 - k))
          for k, t in enumerate(twice)]          # 2 v_k along axis k
-    out = form[0, 0] * (v[0] * v[0])
+    # only the last partial sum spans the whole box, so only it goes to out
+    total = np.multiply(form[0, 0], v[0] * v[0], out=out if m == 1 else None)
     for k in range(1, m):
-        out = out + form[k, k] * (v[k] * v[k])
-        # out now spans axes 0..k, so the pairs with axis k add in place
+        total = np.add(total, form[k, k] * (v[k] * v[k]),
+                       out=out if k == m - 1 else None)
+        # total now spans axes 0..k, so the pairs with axis k add in place
         for i in range(k):
-            out += (2 * form[i, k] * v[i]) * v[k]
-    return out
+            total += (2 * form[i, k] * v[i]) * v[k]
+    return total
 
 
 @dataclass(frozen=True)
@@ -514,12 +550,14 @@ class _Grid:
     twice[c, k, j] = 2 (n_k + s_k), n_k = j - R, for shift class c (see
     _exponent); weights[j] holds the character weights 1, (-1)^n, n and
     (-1)^n n at n = j - R (see _character_sums); powers indexes each class's
-    half-pair factors (see _phases).  multipliers is the grid of the one
-    _cis call of _phases, in its order: n / 4 for the m^2 halves, n^2 / 2
-    for the m diagonal entries and n_k n_l / 2 for the pairs k < l.  Entry
-    i is multiplied by entry coefficients[i] of the flat 2m x m table
-    (X + X^T; X) that _phases forms from each part of X's split.  Every
-    array is read-only.
+    half-pair factors (see _phases).  The factors of _phases are, in its
+    order, the products of n / 4 for the m^2 halves, n^2 / 2 for the m
+    diagonal entries and n_k n_l / 2 for the pairs k < l with an entry of
+    the flat 2m x m table (X + X^T; X) that _phases forms from each part
+    of X's split.  multipliers[i] and coefficients[i] are the distinct
+    (multiplier, table entry) pairs among them, 393 of 1311 at m = 3 and
+    R = 9, and factor j is the product at expand[j].  Every array is
+    read-only.
     """
 
     twice: np.ndarray
@@ -527,6 +565,7 @@ class _Grid:
     powers: tuple
     multipliers: np.ndarray
     coefficients: np.ndarray
+    expand: np.ndarray
 
 
 # Unbounded in form, but a pass only asks for R <= MAX_RADIUS, so there
@@ -539,20 +578,26 @@ def _grid(m: int, radius: int) -> _Grid:
     sign = 1 - 2 * (steps & 1)
     axes = np.arange(m)
     upper = [k * m + l for k, l in itertools.combinations(range(m), 2)]
+    # 4 times a multiplier is an int, so each product is keyed exactly
+    quarters = np.concatenate([np.tile(steps, m * m),
+                               np.tile(2 * steps * steps, m),
+                               np.tile(2 * np.outer(steps, steps).ravel(),
+                                       len(upper))])
+    entries = np.concatenate([np.repeat(np.arange(m * m), side),
+                              np.repeat(m * m + axes * (m + 1), side),
+                              np.repeat(np.array(upper, dtype=int),
+                                        side * side)])
+    distinct, expand = np.unique(np.stack([entries, quarters], axis=1),
+                                 axis=0, return_inverse=True)
     grid = _Grid(
         twice=2 * (classes.shifts[:, :, None] + steps),
         weights=np.array([np.ones_like(steps), sign, steps, sign * steps]).T,
         powers=(classes.offsets[:, None, :], axes[:, None], axes),
-        multipliers=np.concatenate([np.tile(steps / 4, m * m),
-                                    np.tile(steps * steps / 2, m),
-                                    np.tile(np.outer(steps, steps).ravel() / 2,
-                                            len(upper))]),
-        coefficients=np.concatenate([np.repeat(np.arange(m * m), side),
-                                     np.repeat(m * m + axes * (m + 1), side),
-                                     np.repeat(np.array(upper, dtype=int),
-                                               side * side)]))
+        multipliers=distinct[:, 1] / 4,
+        coefficients=distinct[:, 0],
+        expand=expand.ravel())
     for arr in (grid.twice, grid.weights, grid.multipliers, grid.coefficients,
-                *grid.powers):
+                grid.expand, *grid.powers):
         arr.setflags(write=False)
     return grid
 
@@ -572,8 +617,9 @@ def _phases(X: np.ndarray, radius: int, classes: _ShiftClasses,
     Both triangles of X are read, as the oracles' v z v^T does: X is
     symmetric only to 1e-12.  hi + hi^T is exact, its two terms being on
     one grid.  Every factor comes from one _cis call over the grid's
-    multipliers; _cis works entry by entry, and scaling k or c by a power
-    of 2 is exact, so that is the same as one call per kind of factor.
+    distinct products, gathered by its index expand; _cis works entry by
+    entry, and scaling k or c by a power of 2 is exact, so that is the same
+    as one call per kind of factor.
     """
     m, side = len(X), 2 * radius + 1
     grid = _grid(m, radius)
@@ -581,7 +627,7 @@ def _phases(X: np.ndarray, radius: int, classes: _ShiftClasses,
     pairs = parts + parts.transpose(0, 2, 1)    # hi + hi^T, lo + lo^T
     table = np.concatenate([pairs, parts], axis=1)
     factors = _cis(*table.reshape(2, -1).take(grid.coefficients, axis=1),
-                   grid.multipliers)
+                   grid.multipliers)[grid.expand]
     diagonal = m * m * side                 # where the diagonal factors start
     cross_at = diagonal + m * side          # and where the pair factors start
     halves = factors[:diagonal].reshape(m, m, side)
@@ -621,21 +667,21 @@ def _character_sums(e: np.ndarray, axes: list) -> np.ndarray:
     return t.reshape(width, -1)
 
 
-def _times_cross(e: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """e * cross, written into this thread's work array when e fits it.
+def _work_array(name: str, shape: tuple, dtype) -> np.ndarray:
+    """This thread's work array `name`, of _BLOCK entries of dtype made on
+    its first use, viewed in shape; a fresh array when shape outgrows it.
 
-    The work array, _BLOCK complex entries made on the thread's first pass,
-    is overwritten by the next block, so only the block's character sums
-    may read the product; a larger e gets a fresh array.
+    The next block of a pass overwrites it, so only the block itself may
+    read what it holds.
     """
-    if e.size > _BLOCK:
-        out = np.empty(e.shape, dtype=complex)
-    else:
-        buffer = getattr(_work, "block", None)
-        if buffer is None:
-            buffer = _work.block = np.empty(_BLOCK, dtype=complex)
-        out = buffer[:e.size].reshape(e.shape)
-    return np.multiply(e, cross, out=out)
+    size = math.prod(shape)
+    if size > _BLOCK:
+        return np.empty(shape, dtype=dtype)
+    buffer = getattr(_work, name, None)
+    if buffer is None:
+        buffer = np.empty(_BLOCK, dtype=dtype)
+        setattr(_work, name, buffer)
+    return buffer[:size].reshape(shape)
 
 
 def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
@@ -654,10 +700,11 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     terms are those of the whole box above the floor, whatever the crop.
     The shift classes go through the pass side by side, in blocks of at
     most _BLOCK points of the sub-box times classes, and everything that
-    depends on (m, R) alone comes from _grid(m, R).  Each
-    block's product of E and the pair factors goes into the thread's work
-    array (_times_cross), which the block's character sums read and the
-    next block overwrites; the returned sums are fresh arrays.
+    depends on (m, R) alone comes from _grid(m, R).  Each block's exponent
+    goes into the thread's float work array, where it is floored and
+    exponentiated in place, and its product with the pair factors into the
+    complex one, which the block's character sums read (_work_array); the
+    next block overwrites both, and the returned sums are fresh arrays.
     """
     m = z.m
     radius, floor, radii, points = _crop(z, params)
@@ -671,13 +718,16 @@ def _theta_pass(z: SiegelPoint, params: ThetaParams) -> tuple:
     sums = np.empty((len(shifts), 4 ** m), dtype=complex)
     for first in range(0, len(shifts), width):
         block = slice(first, first + width)
-        e = _exponent(z.Y, [grid.twice[block, k, c] for k, c in enumerate(crop)])
+        twice = [grid.twice[block, k, c] for k, c in enumerate(crop)]
+        shape = (len(twice[0]), *(t.shape[1] for t in twice))
+        e = _exponent(z.Y, twice, _work_array("exponent", shape, float))
         kept = e > floor
         np.maximum(e, floor, out=e)
         np.exp(e, out=e)
         e *= kept
-        sums[block] = _character_sums(_times_cross(e, cross),
-                                      [a[block] for a in axes])
+        product = np.multiply(e, cross,
+                              out=_work_array("block", e.shape, complex))
+        sums[block] = _character_sums(product, [a[block] for a in axes])
     sums *= consts[:, None]
     of_label = classes.of_label
     half = sums[of_label, classes.half_index]

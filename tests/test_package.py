@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -252,3 +253,27 @@ def test_benchmark_tracer_binds_the_library(monkeypatch):
     assert tr.counts["theta.theta_component.lattice_points"] > 0
     assert tr.counts["gauss.symplectic_gauss_sum.classes"] == 4
     assert tr.counts["gauss.beta_tilde.degenerate_calls"] == 0
+
+
+def test_a_failing_property_test_does_not_end_the_run(tmp_path):
+    # under the repo's warning filters, a failing @given test must be
+    # reported as one failure and leave the run going to the next test;
+    # the run writes its caches under tmp_path, none in the checkout
+    (tmp_path / "test_two_failures.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_property_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_plain_fails():\n"
+        "    assert False\n")
+    before = sorted(os.listdir(ROOT))
+    proc = subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, "-m", "pytest", "-q",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_two_failures.py"],
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True,
+        timeout=300)
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out, out
+    assert re.search(r"^2 failed in ", out, re.MULTILINE), out
+    assert sorted(os.listdir(ROOT)) == before

@@ -278,8 +278,9 @@ def direct_sum_cases():
 
 def test_direct_sum_matches_whole_box():
     # the terms the direct sum drops are below 2^-60 of its largest term,
-    # and its kept terms are the whole-box sum's bit for bit, so only they
-    # and the grouping of the sum move the value
+    # and its kept terms have the whole-box sum's phases bit for bit and a
+    # pair-summed magnitude, so only they, the magnitude's rounding and the
+    # grouping of the sum move the value (worst 1.2e-15 here)
     worst, cases = 0.0, 0
     for m, z, params in direct_sum_cases():
         for rec in coset_table(m):
@@ -291,6 +292,25 @@ def test_direct_sum_matches_whole_box():
                 cases += 1
     assert cases == 2 * (3 * 5 + 10 * 5 + 36 * 5 + 136 * 2)
     assert worst <= 2e-15, worst
+
+
+def test_direct_sum_log_magnitude_is_the_form_and_even():
+    # at the zero label, against -pi n Y n^T by einsum over the box, for a Y
+    # with both triangles apart by 1e-13; at -n it must agree bit for bit,
+    # as the pass's exponent does
+    rng = np.random.default_rng(31)
+    for m in (1, 2, 3, 4):
+        for radius in (2, 5, 9):
+            a = np.eye(m) + 0.3 * rng.uniform(-1, 1, (m, m))
+            Y = a @ a.T + 1e-13 * np.triu(rng.uniform(-1, 1, (m, m)), 1)
+            n = np.arange(-radius, radius + 1)
+            got = theta._box_log_magnitude(
+                Y, [n.reshape((-1,) + (1,) * (m - 1 - k)) for k in range(m)])
+            v = np.stack(np.meshgrid(*[n] * m, indexing="ij"), axis=-1)
+            want = -math.pi * np.einsum("...k,kl,...l->...", v, Y, v)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+            assert np.array_equal(got[(slice(None, None, -1),) * m], got)
 
 
 # Law-free identities: checks that read no transformation law, only the
@@ -654,7 +674,14 @@ def test_exponent_is_the_form_and_even():
             want = -math.pi * np.einsum("...k,kl,...l->...", v, Y, v)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-            assert np.array_equal(theta._exponent(Y, [-t for t in twice]), got)
+            flipped = theta._exponent(Y, [-t for t in twice])
+            # without an output each call makes its own array, so the
+            # comparison above cannot read one array twice
+            assert not np.shares_memory(flipped, got)
+            assert np.array_equal(flipped, got)
+            out = np.full(got.shape, np.nan)
+            assert theta._exponent(Y, twice, out) is out
+            assert np.array_equal(out, got)
 
 
 def reference_phases(X, radius, classes, crop):
@@ -822,27 +849,54 @@ def test_pass_grids_are_read_only_and_kept():
             assert theta._grid(m, radius) is grid
             arrays = [value for value in vars(grid).values()
                       if isinstance(value, np.ndarray)] + list(grid.powers)
-            assert len(arrays) == 7
+            assert len(arrays) == 8
             for arr in arrays:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr.flat[0] = 0
 
 
-def block_buffer():
-    """The calling thread's work array, made by a pass if it has none."""
+def test_pass_grids_expand_the_distinct_products():
+    # the full (coefficient, multiplier) table of _phases's one _cis call,
+    # built here entry by entry, is the grid's distinct entries expanded
+    # by its index; each entry is kept once, and some are repeats
+    for m in (1, 2, 3):
+        for radius in (1, 4, 9):
+            steps = list(range(-radius, radius + 1))
+            full = [(k, n / 4) for k in range(m * m) for n in steps]
+            full += [(m * m + k * (m + 1), n * n / 2)
+                     for k in range(m) for n in steps]
+            full += [(k * m + l, a * b / 2)
+                     for k, l in itertools.combinations(range(m), 2)
+                     for a in steps for b in steps]
+            grid = theta._grid(m, radius)
+            distinct = list(zip(grid.coefficients.tolist(),
+                                grid.multipliers.tolist()))
+            assert len(set(distinct)) == len(distinct)
+            assert [distinct[j] for j in grid.expand.tolist()] == full
+            if radius >= 2:
+                assert len(distinct) < len(full)
+    grid = theta._grid(3, 9)
+    assert (len(grid.multipliers), len(grid.expand)) == (393, 1311)
+
+
+def work_arrays():
+    """The calling thread's work arrays (block, exponent), made by a pass if
+    it has none."""
     theta._theta_pass(sample_point(2, np.random.default_rng(0)), ThetaParams())
-    return theta._work.block
+    return theta._work.block, theta._work.exponent
 
 
 def test_pass_output_does_not_alias_the_block_buffer():
-    buffer = block_buffer()
-    assert buffer.shape == (theta._BLOCK,) and buffer.dtype == complex
+    buffers = work_arrays()
+    assert [(b.shape, b.dtype) for b in buffers] \
+        == [((theta._BLOCK,), complex), ((theta._BLOCK,), float)]
     for m in (1, 2, 3, 4):
         z = point_at_radius(m, 5, ThetaParams(), m)
         for arrays in (theta._theta_pass(z, ThetaParams()), theta_vector(z)):
-            assert theta._work.block is buffer
-            for arr in arrays:
+            assert theta._work.block is buffers[0]
+            assert theta._work.exponent is buffers[1]
+            for arr, buffer in itertools.product(arrays, buffers):
                 assert not np.shares_memory(arr, buffer)
 
 
@@ -867,11 +921,17 @@ def pass_in_a_fresh_thread(z, params):
 
 
 def test_interleaved_passes_match_a_fresh_thread():
-    # each pass overwrites the work array that the one before it left behind
+    # each pass overwrites the work arrays that the one before it left
+    # behind; poisoned before each pass, they must not reach its sums
     cases = buffer_cases()
-    block_buffer()
-    here = [theta._theta_pass(SiegelPoint(z.X, z.Y), params)
-            for z, params in cases]
+    buffers = work_arrays()
+    here = []
+    for z, params in cases:
+        for buffer in buffers:
+            buffer[:] = np.nan
+        here.append(theta._theta_pass(SiegelPoint(z.X, z.Y), params))
+        assert theta._work.block is buffers[0]
+        assert theta._work.exponent is buffers[1]
     for (z, params), got in zip(cases, here):
         want = pass_in_a_fresh_thread(z, params)
         assert np.array_equal(got[0], want[0])
@@ -884,7 +944,7 @@ def test_block_larger_than_the_buffer_matches_components():
     cases = [SiegelPoint([[0.1, 0.02, -0.03], [0.02, -0.2, 0.05],
                           [-0.03, 0.05, 0.3]], 0.06 * np.eye(3)),
              SiegelPoint(0.1 * np.eye(4), 0.5 * np.eye(4))]
-    block_buffer()
+    work_arrays()
     for z in cases:
         params = ThetaParams()
         assert theta._crop(z, params)[3] > theta._BLOCK
@@ -901,7 +961,7 @@ def test_threads_have_their_own_buffers():
     cases = buffer_cases()
     serial = [theta._theta_pass(SiegelPoint(z.X, z.Y), params)
               for z, params in cases]
-    mine = block_buffer()
+    mine = work_arrays()
     start = threading.Barrier(3)
     results = {}
 
@@ -912,15 +972,16 @@ def test_threads_have_their_own_buffers():
         got = [theta._theta_pass(SiegelPoint(z.X, z.Y), params)
                for z, params in order]
         results[k] = got[len(cases) - k:] + got[:len(cases) - k], \
-            theta._work.block
+            (theta._work.block, theta._work.exponent)
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    blocks = [mine] + [results[k][1] for k in range(3)]
-    for a, b in itertools.combinations(blocks, 2):
+    buffers = [*mine] + [b for k in range(3) for b in results[k][1]]
+    assert len(buffers) == 8
+    for a, b in itertools.combinations(buffers, 2):
         assert not np.shares_memory(a, b)
     for k in range(3):
         for got, want in zip(results[k][0], serial):
