@@ -53,8 +53,8 @@ from .cocycle import (_ROOTS_OF_UNITY, CoverElement, cover_inv, cover_mul,
                       word_lift)
 from .f2cosets import CosetRecord, coset_index_of, coset_profile, coset_table
 from .gauss import lambda_bar, lambda_multiplier
-from .symplectic import (IntegerSymplectic, SiegelPoint, _draw_word, _mobius,
-                         j_matrix, mobius_act, random_word_element,
+from .symplectic import (IntegerSymplectic, SiegelPoint, _det, _draw_word,
+                         _mobius, j_matrix, mobius_act, random_word_element,
                          subgroup_membership)
 from .theta import (CapacityError, ThetaParams, _check_points, _crop,
                     j_half_bar, sqrt_det, theta_component, theta_series,
@@ -251,20 +251,24 @@ def sample_point(m: int, rng) -> SiegelPoint:
     (_float_word), bit for bit its exact product; g(z0) stays an array (z0
     itself is built once per genus), so a draw builds and validates one
     SiegelPoint, the candidate z.  cond(Y) is lam_max / lam_min of the
-    spectrum that z keeps, which later sizes its lattice sums.
+    spectrum that z keeps, which later sizes its lattice sums; z's
+    constructor has made sure lam_min > 0.  At m <= 2 the draw makes no
+    numpy.linalg call: g(z0), det(a) and the spectrum are the closed forms
+    of symplectic (_mobius, _det, _spectrum_of), and from m = 3 on they
+    are numpy.linalg's.
     """
     m = xla.as_int_arg(m, "m")
     z0 = SiegelPoint.z0(m)
     for _ in range(SAMPLE_BUDGET):
         w = _mobius(_float_word(_random_letters(m, "Sp", rng)), z0)
         a = np.eye(m) + 0.2 * rng.uniform(-1, 1, (m, m))
-        if abs(np.linalg.det(a)) < 0.3:
+        if abs(_det(a)) < 0.3:
             continue
         b = rng.uniform(-1, 1, (m, m))
         b = np.round((b + b.T) / 2, 6)
         z = SiegelPoint(a @ w.real @ a.T + b, a @ w.imag @ a.T)
         lam = z._spectrum()[0]
-        if 0 < lam[0] and lam[-1] / lam[0] <= COND_CAP:
+        if lam[-1] / lam[0] <= COND_CAP:
             return z
     raise RuntimeError(f"sample_point: no point with cond(Y) <= {COND_CAP} "
                        f"in {SAMPLE_BUDGET} draws")

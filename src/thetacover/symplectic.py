@@ -14,6 +14,7 @@ it as _SymplecticRows, unchecked.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from functools import lru_cache, reduce
@@ -317,8 +318,11 @@ class SiegelPoint:
     """z = X + iY with X, Y real symmetric and Y positive definite.
 
     Immutable, so whatever is computed from the point alone is formed once
-    and kept on it: z, the read-only X + iY, is formed here, _spectrum()
-    keeps _spectrum_of(Y) from its first call, and _theta and _crops, maps
+    and kept on it: z, the read-only X + iY, is formed here, and so is the
+    one eigendecomposition _spectrum_of(Y), which _spectrum() returns.  Its
+    lambda_min decides "Y must be positive definite" at every m, so a point
+    pays no Cholesky test besides; at m <= 2 it is a closed form and from
+    m = 3 on one numpy.linalg.eigh.  _theta and _crops, maps
     from ThetaParams that start empty, are filled by the theta module with
     the read-only (half, three_half) of theta.theta_vector at the point and
     with the sizing of its pass (theta._crop).
@@ -337,10 +341,9 @@ class SiegelPoint:
         for name, A in (("X", X), ("Y", Y)):
             if not abs(A - A.T).max() < 1e-12:
                 raise ValueError(f"{name} must be symmetric")
-        try:
-            np.linalg.cholesky(Y)
-        except np.linalg.LinAlgError:
-            raise ValueError("Y must be positive definite") from None
+        spectrum = _spectrum_of(Y)
+        if not spectrum[0][0] > 0:
+            raise ValueError("Y must be positive definite")
         z = X + 1j * Y
         for arr in (X, Y, z):
             arr.setflags(write=False)
@@ -348,7 +351,7 @@ class SiegelPoint:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "_eig", None)
+        object.__setattr__(self, "_eig", spectrum)
         object.__setattr__(self, "_theta", {})
         object.__setattr__(self, "_crops", {})
 
@@ -356,9 +359,7 @@ class SiegelPoint:
         raise AttributeError("SiegelPoint is immutable")
 
     def _spectrum(self) -> tuple:
-        """(lam, V) = _spectrum_of(Y), formed on the first call and kept."""
-        if self._eig is None:
-            object.__setattr__(self, "_eig", _spectrum_of(self.Y))
+        """(lam, V) = _spectrum_of(Y), formed and kept by the constructor."""
         return self._eig
 
     @classmethod
@@ -373,12 +374,95 @@ class SiegelPoint:
 
 def _spectrum_of(Y: np.ndarray) -> tuple:
     """(lam, V), read-only, with (Y + Y^T) / 2 = V diag(lam) V^T and lam
-    ascending: the one eigendecomposition that sizes the lattice sums (the
-    radius, the pass's crop) and sample_point's cond(Y)."""
-    spectrum = np.linalg.eigh((Y + Y.T) / 2)
+    ascending: the one eigendecomposition that decides a point's positive
+    definiteness and sizes its lattice sums (the radius, the pass's crop)
+    and sample_point's cond(Y).  In closed form at n <= 2
+    (_spectrum_2x2), numpy.linalg.eigh from n = 3 on."""
+    n = len(Y)
+    if n > 2:
+        spectrum = np.linalg.eigh((Y + Y.T) / 2)
+    elif n == 2:
+        lam, vec = _spectrum_2x2(*Y.tolist())
+        spectrum = np.array(lam), np.array(vec)
+    else:
+        spectrum = np.array(Y[0], dtype=float), np.ones((1, 1))
     for arr in spectrum:
         arr.setflags(write=False)
     return spectrum
+
+
+# --- the float layer's kernels at n <= 2 ---
+#
+# On a 1 x 1 or 2 x 2 matrix numpy.linalg spends microseconds on dispatch
+# for a handful of flops.  There the float layer takes the closed forms
+# below, on Python scalars; from n = 3 on it calls numpy.linalg, which is
+# also the tests' oracle for them.  The size alone picks the path.  Their
+# error bounds are the textbook ones for these formulas (Higham, Accuracy
+# and Stability of Numerical Algorithms, 2nd ed.).
+
+def _det(a: np.ndarray):
+    """det a of a square float or complex array: the entry at n = 1, ps - qr
+    at n = 2, numpy.linalg.det from n = 3 on."""
+    if len(a) > 2:
+        return np.linalg.det(a)
+    rows = a.tolist()
+    if len(rows) == 1:
+        return rows[0][0]
+    (p, q), (r, s) = rows
+    return p * s - q * r
+
+
+def _spectrum_2x2(row0: list, row1: list) -> tuple:
+    """([lam_min, lam_max], V) of S = (Y + Y^T) / 2 for the 2 x 2 Y with
+    rows row0, row1, as lists: V's columns are unit eigenvectors of lam_min
+    and lam_max.
+
+    With S = (p b; b s), mean = (p + s) / 2, h = (p - s) / 2 and
+    rad = hypot(h, b), the roots are mean -+ rad.  The one of larger
+    modulus, mean + sign(mean) rad, is formed without cancellation, and the
+    other as det S / it = (p / big) s - (b / big) b, so each is within a
+    few ulps of ||S|| of its exact value.  (h + rad, b), or (b, rad - h)
+    when h < 0, is the eigenvector of mean + rad without cancellation; its
+    rotation by a right angle is the other.  S = mean 1 (rad = 0) takes
+    V = 1, as any orthonormal V would do.
+    """
+    (p, q), (r, s) = row0, row1
+    b = (q + r) / 2
+    mean, h = (p + s) / 2, (p - s) / 2
+    rad = math.hypot(h, b)
+    big = mean + rad if mean >= 0 else mean - rad
+    small = (p / big) * s - (b / big) * b if big else 0.0
+    lam = [small, big] if mean >= 0 else [big, small]
+    if not rad:
+        return lam, [[1.0, 0.0], [0.0, 1.0]]
+    u, v = (h + rad, b) if h >= 0 else (b, rad - h)
+    norm = math.hypot(u, v)
+    u, v = u / norm, v / norm
+    return lam, [[-v, u], [u, v]]
+
+
+def _mobius_2x2(rows: list, z: list) -> list:
+    """(az + b)(cz + d)^{-1} at m = 2, symmetrized, from g's float rows and
+    z's complex rows as lists: the inverse of J = cz + d is adj(J) / det J
+    (Cramer's rule, forward stable at 2 x 2).  ValueError when |det J| <
+    1e-12, as _mobius refuses at every m."""
+    (a00, a01, b00, b01), (a10, a11, b10, b11), \
+        (c00, c01, d00, d01), (c10, c11, d10, d11) = rows
+    (z00, z01), (z10, z11) = z
+    j00 = c00 * z00 + c01 * z10 + d00
+    j01 = c00 * z01 + c01 * z11 + d01
+    j10 = c10 * z00 + c11 * z10 + d10
+    j11 = c10 * z01 + c11 * z11 + d11
+    det = j00 * j11 - j01 * j10
+    if abs(det) < 1e-12:
+        raise ValueError("cz + d numerically singular")
+    i00, i01, i10, i11 = j11 / det, -j01 / det, -j10 / det, j00 / det
+    n00 = a00 * z00 + a01 * z10 + b00
+    n01 = a00 * z01 + a01 * z11 + b01
+    n10 = a10 * z00 + a11 * z10 + b10
+    n11 = a10 * z01 + a11 * z11 + b11
+    off = (n00 * i01 + n01 * i11 + n10 * i00 + n11 * i10) / 2
+    return [[n00 * i00 + n01 * i10, off], [off, n10 * i01 + n11 * i11]]
 
 
 def _real_array(A, name: str) -> np.ndarray:
@@ -400,10 +484,14 @@ def _z0(m: int) -> SiegelPoint:
 
 
 def _as_float(g, m: int) -> np.ndarray:
-    """g as a float array; ValueError unless it is 2m x 2m."""
-    arr = g._floats() if isinstance(g, IntegerSymplectic) else np.asarray(g, dtype=float)
+    """g as a float array; ValueError unless it is 2m x 2m and finite, the
+    latter before any arithmetic, in which numpy would warn on inf or nan."""
+    exact = isinstance(g, IntegerSymplectic)
+    arr = g._floats() if exact else np.asarray(g, dtype=float)
     if arr.shape != (2 * m, 2 * m):
         raise ValueError("dimension mismatch")
+    if not (exact or np.isfinite(arr).all()):
+        raise ValueError("g must be finite")
     return arr
 
 
@@ -417,9 +505,22 @@ def j_matrix(g, z: SiegelPoint) -> np.ndarray:
 
 def _mobius(g, z: SiegelPoint) -> np.ndarray:
     """g(z) = (az + b)(cz + d)^{-1} as a complex array, symmetrized;
-    ValueError when cz + d is numerically singular."""
+    ValueError when |det(cz + d)| < 1e-12 ("cz + d numerically singular").
+
+    In closed form on Python scalars at m <= 2 (_mobius_2x2; one division
+    at m = 1), by numpy.linalg's det and inv from m = 3 on.
+    """
     m = z.m
     arr = _as_float(g, m)
+    if m == 2:
+        return np.array(_mobius_2x2(arr.tolist(), z.z.tolist()))
+    if m == 1:
+        (a, b), (c, d) = arr.tolist()
+        zz = complex(z.z[0, 0])
+        jm = c * zz + d
+        if abs(jm) < 1e-12:
+            raise ValueError("cz + d numerically singular")
+        return np.array([[(a * zz + b) / jm]])
     a, b = arr[:m, :m], arr[:m, m:]
     jm = j_matrix(arr, z)
     if abs(np.linalg.det(jm)) < 1e-12:

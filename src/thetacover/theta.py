@@ -64,6 +64,7 @@ fresh arrays; nothing a pass returns shares memory with a work array.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import numbers
@@ -78,7 +79,7 @@ from .cocycle import CoverElement, _rank_normal_form, m_xstar
 # bound here only so that perfbench's tracer test can read theta.pws_decompose
 from .cocycle import pws_decompose  # noqa: F401
 from .f2cosets import CosetRecord, coset_table
-from .symplectic import IntegerSymplectic, SiegelPoint, _spectrum_of
+from .symplectic import IntegerSymplectic, SiegelPoint, _det, _spectrum_of
 
 __all__ = [
     "CapacityError",
@@ -186,18 +187,34 @@ def _radius(z: SiegelPoint, params: ThetaParams) -> int:
 def det_invsqrt(S) -> complex:
     """det^{-1/2}(S) for complex symmetric S with positive definite Re S.
 
-    Equals the Gaussian integral of e^{-pi x S x^T} over R^m.  Computed as
-    the product of principal inverse square roots of the eigenvalues; the
-    numerical range of S lies in the right half plane, so no eigenvalue
-    can cross the branch cut.
+    Equals the Gaussian integral of e^{-pi x S x^T} over R^m, the product
+    of the principal inverse square roots of the eigenvalues of S.  Each
+    eigenvalue lam of S has Re lam = x^* (Re S) x / x^* x > 0 for its
+    eigenvector x, so none lies on the branch cut.  At m <= 2 this is
+    1 / sqrt(det S) with the principal root: the two arguments lie in
+    (-pi/2, pi/2), so their sum lies in (-pi, pi) and is the argument of
+    det S, whose principal root is then the product of theirs.  There Re S
+    is tested by its leading minors and det S is symplectic._det's closed
+    form, both on S / max |S_ij|; from m = 3 on numpy.linalg's eigvalsh
+    tests Re S and eigvals gives the eigenvalues.  A non-finite entry, an
+    unsymmetric S and one whose Re S is not positive definite raise
+    ValueError by name, before any arithmetic that numpy would warn on.
     """
     S = np.asarray(S, dtype=complex)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("S must be square")
-    scale = max(1.0, float(np.max(np.abs(S))))
-    if np.max(np.abs(S - S.T)) > 1e-10 * scale:
+    if not np.isfinite(S).all():
+        raise ValueError("S must be finite")
+    top = float(np.max(np.abs(S)))
+    if np.max(np.abs(S - S.T)) > 1e-10 * max(1.0, top):
         raise ValueError("S must be symmetric")
     re = (S.real + S.real.T) / 2
+    if len(S) <= 2:
+        # det S = top^m det(S / top), whose det neither overflows nor
+        # underflows where S's entries would
+        if not (re[0, 0] > 0 and _det(re / top) > 0):
+            raise ValueError("Re S must be positive definite")
+        return 1 / (math.sqrt(top) ** len(S) * cmath.sqrt(_det(S / top)))
     if float(np.linalg.eigvalsh(re)[0]) <= 0:
         raise ValueError("Re S must be positive definite")
     eig = np.linalg.eigvals(S)
@@ -205,12 +222,13 @@ def det_invsqrt(S) -> complex:
 
 
 def gamma_pair(z1: SiegelPoint, z2: SiegelPoint) -> complex:
-    """det^{-1/2}((z1 - conj(z2))/2i) * det(Im z1)^{1/4} * det(Im z2)^{1/4}."""
+    """det^{-1/2}((z1 - conj(z2))/2i) * det(Im z1)^{1/4} * det(Im z2)^{1/4},
+    each det(Im z) the product of the eigenvalues the point keeps."""
     if z1.m != z2.m:
         raise ValueError("dimension mismatch")
     s = (z1.z - np.conj(z2.z)) / 2j
-    return det_invsqrt(s) * float(np.linalg.det(z1.Y)) ** 0.25 \
-        * float(np.linalg.det(z2.Y)) ** 0.25
+    return det_invsqrt(s) * math.prod(z1._spectrum()[0].tolist()) ** 0.25 \
+        * math.prod(z2._spectrum()[0].tolist()) ** 0.25
 
 
 def sqrt_det(g: IntegerSymplectic, z: SiegelPoint) -> complex:

@@ -14,6 +14,7 @@ from thetacover import (IntegerSymplectic, SiegelPoint, enumerate_isotropic,
                         random_word_element, subgroup_membership,
                         transvection_rep)
 import thetacover
+from thetacover import symplectic
 from thetacover.f2cosets import _PAIR_BLOCK
 from thetacover.symplectic import _exact_symplectic, _SymplecticRows
 
@@ -274,6 +275,200 @@ def test_point_validation():
                  lambda: thetacover.sample_point(0, np.random.default_rng(0))):
         with pytest.raises(ValueError, match="at least 1 x 1"):
             make()
+
+
+# --- the float layer: its refusals at m = 1, 2 (closed forms) and 3
+# (numpy.linalg), and the closed forms against numpy.linalg ---
+
+INF, NAN = float("inf"), float("nan")
+EPS = np.finfo(float).eps
+
+
+def rotation(m, angle=0.3):
+    """The real orthogonal m x m matrix that turns the first two axes by
+    angle (1 at m = 1)."""
+    q = np.eye(m)
+    if m > 1:
+        q[:2, :2] = [[np.cos(angle), -np.sin(angle)],
+                     [np.sin(angle), np.cos(angle)]]
+    return q
+
+
+def refused(match, fn, *args):
+    # a refusal by name, with no numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            fn(*args)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "inf", "minus-inf"])
+def test_a_non_finite_g_is_refused_by_name(m, bad):
+    # an entry of c, of a and of b
+    for r, c in ((2 * m - 1, 0), (0, 0), (0, 2 * m - 1)):
+        g = np.eye(2 * m)
+        g[r, c] = bad
+        for fn in (mobius_act, j_matrix):
+            refused("^g must be finite$", fn, g, SiegelPoint.z0(m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_singular_cz_plus_d_is_refused_by_name(m):
+    z = SiegelPoint.z0(m)
+    # c = 0, d = diag(delta, 1, ...): det(cz + d) = delta exactly, on both
+    # sides of the 1e-12 cut
+    for delta in (0.0, 0.99e-12, 1.01e-12):
+        g = np.eye(2 * m)
+        g[m, m] = delta
+        if delta < 1e-12:
+            refused("^cz \\+ d numerically singular$", mobius_act, g, z)
+        else:
+            w = mobius_act(g, z)
+            assert w.Y[0, 0] == pytest.approx(1 / delta, rel=1e-15)
+    # two equal rows of c and d: cz + d has two equal rows, det 0 exactly
+    if m > 1:
+        g = np.eye(2 * m)
+        g[m, 0] = g[m + 1, 0] = 1.0
+        g[m, m] = g[m + 1, m + 1] = 0.0
+        refused("^cz \\+ d numerically singular$", mobius_act, g, z)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_y_that_is_not_positive_definite_is_refused_by_name(m):
+    q = rotation(m)
+    singular = np.diag([0.0] + [1.0] * (m - 1))
+    cases = [-np.eye(m), q @ -np.diag(np.arange(1.0, m + 1)) @ q.T,
+             np.zeros((m, m)), singular]
+    if m > 1:                               # indefinite, and singular in full
+        cases.append(q @ np.diag([-1.0] + [2.0] * (m - 1)) @ q.T)
+        cases.append(np.diag([-1e-3] + [1.0] * (m - 1)))
+        block = np.eye(m)
+        block[:2, :2] = 1.0
+        cases.append(block)
+    for y in cases:
+        y = (y + y.T) / 2
+        refused("^Y must be positive definite$", SiegelPoint, np.zeros((m, m)), y)
+        assert (y.diagonal() <= 0).any() or np.linalg.eigvalsh(y)[0] <= 1e-15
+
+
+def spectrum_cases():
+    """(name, Y) at n = 1, 2: seeded draws (positive definite, indefinite
+    and unsymmetric, over six decades of scale) and the edge cases: Y =
+    lam 1 (a repeated eigenvalue), a diagonal Y in either order, cond(Y) =
+    COND_CAP = 1e4 turned and not, and a 2 x 2 Y with a negative mean."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2):
+        for t in range(300):
+            a = rng.normal(size=(n, n))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            yield f"pd-{n}-{t}", scale * (a @ a.T + 0.01 * np.eye(n))
+            yield f"any-{n}-{t}", scale * rng.normal(size=(n, n))
+        for lam in (2.5, 1e-3, 7e5):
+            yield f"scalar-{n}-{lam}", lam * np.eye(n)
+    yield "diag-up", np.diag([0.5, 3.0])
+    yield "diag-down", np.diag([3.0, 0.5])
+    yield "cond-cap", np.diag([1e-4, 1.0])
+    for angle in (0.3, 1e-9, np.pi / 4):
+        q = rotation(2, angle)
+        yield f"cond-cap-{angle}", q @ np.diag([1e-4, 1.0]) @ q.T
+        yield f"negative-mean-{angle}", q @ np.diag([-3.0, 0.5]) @ q.T
+    yield "near-scalar", np.array([[1.0, 1e-17], [1e-17, 1.0 + 1e-16]])
+
+
+def test_spectrum_closed_form_matches_eigh():
+    # With S = (Y + Y^T) / 2 and ||S|| = max |lam|: each formula below
+    # rounds a handful of times on quantities of size <= ||S||, so its
+    # eigenvalues lie within about 13 eps ||S|| of the exact ones (the
+    # larger root carries three relative roundings, the smaller root
+    # (p / big) s - (b / big) b six on terms of size <= ||S||); eigh is
+    # backward stable, within a few eps ||S|| for n <= 2.  The unit
+    # vectors carry about five relative roundings, so S V - V diag(lam)
+    # is within (2 ||S|| 5 + 13) eps ||S||, and the columns are exactly
+    # orthogonal with norms within 4 eps of 1.
+    for name, y in spectrum_cases():
+        n = len(y)
+        s = (y + y.T) / 2
+        lam, vec = symplectic._spectrum_of(y)
+        want = np.linalg.eigh(s)[0]
+        norm = abs(want).max()
+        assert lam.shape == (n,) and vec.shape == (n, n), name
+        assert not (lam.flags.writeable or vec.flags.writeable), name
+        assert abs(lam - want).max() <= 32 * EPS * norm, name
+        assert lam[0] <= lam[-1] + 4 * EPS * norm, name
+        assert abs(s @ vec - vec * lam).max() <= 32 * EPS * norm, name
+        assert abs(vec.T @ vec - np.eye(n)).max() <= 8 * EPS, name
+
+
+def reference_mobius(g, z):
+    """(az + b)(cz + d)^{-1}, symmetrized, by numpy.linalg.inv, with cz + d."""
+    m = z.m
+    arr = np.asarray(g, dtype=float)
+    a, b, c, d = arr[:m, :m], arr[:m, m:], arr[m:, :m], arr[m:, m:]
+    jm = c @ z.z + d
+    w = (a @ z.z + b) @ np.linalg.inv(jm)
+    return (w + w.T) / 2, a @ z.z + b, jm
+
+
+def mobius_bound(num, jm):
+    # Cramer's rule and LU each give (cz + d)^{-1} within a few eps
+    # kappa(J) ||J^{-1}||, both forward stable at 2 x 2, and the product
+    # with N = az + b adds a few eps ||N|| ||J^{-1}||
+    inv = np.linalg.norm(np.linalg.inv(jm), 2)
+    return 16 * EPS * np.linalg.cond(jm) * np.linalg.norm(num, 2) * inv
+
+
+def test_mobius_closed_form_matches_numpy():
+    rng = np.random.default_rng(3)
+    for m in (1, 2):
+        points = [SiegelPoint.z0(m)] + [thetacover.sample_point(m, rng)
+                                        for _ in range(20)]
+        for t in range(400):
+            z = points[t % len(points)]
+            # Sp words, whose cz + d is not symmetric, and any real g
+            g = (word(m, "Sp", t, length=1 + t % 8).to_float() if t % 2
+                 else rng.normal(size=(2 * m, 2 * m)))
+            want, num, jm = reference_mobius(g, z)
+            got = symplectic._mobius(g, z)
+            assert got.shape == (m, m) and got.dtype == complex
+            assert abs(got - want).max() <= mobius_bound(num, jm), (m, t)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mobius_refuses_where_numpy_det_does(m):
+    # the c and d rows of an Sp word scaled by tau, so det(cz + d) =
+    # tau^m det, 1e-12 (1 -+ 1e-6) in modulus: refused below the cut and
+    # within mobius_bound of numpy.linalg above it, at both paths
+    rng = np.random.default_rng(m)
+    for t in range(20):
+        z = thetacover.sample_point(m, rng)
+        g = word(m, "Sp", 100 + t).to_float()
+        det = abs(np.linalg.det(reference_mobius(g, z)[2]))
+        for target in (1e-12 * (1 - 1e-6), 1e-12 * (1 + 1e-6)):
+            h = g.copy()
+            h[m:] *= (target / det) ** (1 / m)
+            want, num, jm = reference_mobius(h, z)
+            assert (abs(np.linalg.det(jm)) < 1e-12) == (target < 1e-12)
+            if target < 1e-12:
+                refused("^cz \\+ d numerically singular$", symplectic._mobius, h, z)
+            else:
+                got = symplectic._mobius(h, z)
+                assert abs(got - want).max() <= mobius_bound(num, jm)
+
+
+def test_det_closed_form_matches_numpy():
+    # ps - qr rounds three times on terms of size |ps| and |qr|, the entry
+    # at n = 1 not at all; LU's det is within a few eps of the same
+    rng = np.random.default_rng(8)
+    for n in (1, 2):
+        for _ in range(200):
+            for a in (rng.normal(size=(n, n)),
+                      rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))):
+                got = symplectic._det(a)
+                bound = (abs(a[0, 0]) if n == 1 else
+                         abs(a[0, 0] * a[1, 1]) + abs(a[0, 1] * a[1, 0]))
+                assert abs(got - np.linalg.det(a)) <= 8 * EPS * bound
+    assert symplectic._det(np.array([[2.0, 3.0], [1.0, 4.0]])) == 5.0
 
 
 # every spelling the word sampler accepts, and the group it names

@@ -1,9 +1,11 @@
 """Lattice sums, branch bookkeeping, automorphy factors."""
 
+import cmath
 import itertools
 import math
 import random
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,7 @@ from thetacover import (CapacityError, CoverElement, IntegerSymplectic,
                         random_word_element, sqrt_det, theta_component,
                         theta_series, theta_vector, truncation_radius)
 from thetacover import exactla as xla
-from thetacover import harness, theta
+from thetacover import harness, symplectic, theta
 from thetacover.cocycle import _rank_normal_form, cbar_cocycle, rao_cocycle
 from thetacover.harness import sample_point
 
@@ -238,6 +240,86 @@ def test_det_invsqrt_validation():
     # multiplicative on commuting positive pieces
     a = det_invsqrt(np.diag([2.0, 3.0]))
     assert abs(a - 6 ** -0.5) < 1e-12
+
+
+INF, NAN = float("inf"), float("nan")
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_det_invsqrt_refusals_are_named_without_a_warning(m):
+    # m <= 2 takes the closed form, m = 3 numpy.linalg; numpy raised
+    # LinAlgError on nan and warned on inf - inf before
+    one = np.eye(m, dtype=complex)
+    cases = []
+    for bad in (NAN, INF, -INF, complex(0, INF), complex(NAN, 1)):
+        s = one.copy()
+        s[-1, 0] = bad
+        cases.append((s, "S must be finite"))
+    cases += [(-one, "Re S must be positive definite"),       # negative definite
+              (np.diag([0.0] + [1.0] * (m - 1)) + 1j * one,  # singular
+               "Re S must be positive definite")]
+    if m > 1:
+        s = one.copy()
+        s[0, 1] = 0.5
+        cases += [(s, "S must be symmetric"),
+                  (np.diag([-1.0] + [2.0] * (m - 1)) + 1j * one,  # indefinite
+                   "Re S must be positive definite")]
+    for s, error in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                det_invsqrt(s)
+
+
+def det_invsqrt_oracle(s) -> tuple:
+    """(prod of the principal lam^{-1/2} over numpy.linalg.eigvals, its error
+    bound): eigvals is backward stable, so each lam moves by at most a few
+    eps kappa(V) ||S||, and lam^{-1/2} by half that relative to |lam|."""
+    lam, vec = np.linalg.eig(s)
+    value = complex(np.prod(1 / np.sqrt(lam)))
+    bound = 4 * EPS * np.linalg.cond(vec) * np.linalg.norm(s, 2) \
+        * float(np.sum(1 / abs(lam)))
+    return value, bound
+
+
+def test_det_invsqrt_closed_form_matches_the_eigenvalue_product():
+    # 1 / sqrt(det S) at n <= 2: det S = s00 s11 - s01 s10 rounds on terms
+    # of size |s00 s11| and |s01 s10|, so its relative error is a few eps
+    # (|s00 s11| + |s01 s10|) / |det S|, half of which reaches the root
+    rng = np.random.default_rng(17)
+    # one or both eigenvalues delta from the imaginary axis, both on one
+    # side of the real axis (arguments summing to nearly +-pi) or not,
+    # as given and turned by a real rotation q
+    q = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+    cases = []
+    for delta in (1e-9, 1e-6):
+        for pair in ((delta + 1j, 1 + 0.5j), (delta + 4j, delta + 3j),
+                     (delta - 4j, delta - 3j), (delta + 4j, delta - 3j)):
+            cases += [(q @ np.diag(pair) @ q.T, pair), (np.diag(pair), pair)]
+    for n in (1, 2):
+        for _ in range(300):
+            a = rng.normal(size=(n, n))
+            b = rng.normal(size=(n, n))
+            cases.append((a @ a.T + 0.05 * np.eye(n) + 1.5j * (b + b.T), None))
+    for s, pair in cases:
+        got = det_invsqrt(s)
+        want, oracle_bound = det_invsqrt_oracle(s)
+        if len(s) == 1:
+            terms = abs(s[0, 0])
+        else:
+            terms = abs(s[0, 0] * s[1, 1]) + abs(s[0, 1] * s[1, 0])
+        closed_bound = 4 * EPS * terms / abs(np.linalg.det(s))
+        assert abs(got - want) <= (closed_bound + oracle_bound + 4 * EPS) * abs(want)
+        if pair is not None:         # the product of the principal roots
+            exact = 1 / (cmath.sqrt(pair[0]) * cmath.sqrt(pair[1]))
+            assert abs(got - exact) <= (closed_bound + 4 * EPS) * abs(exact)
+    # across the float range, where det S itself would underflow or overflow
+    for m in (1, 2):
+        for scale in (1e-200, 1e200):
+            want = (scale * (2 - 1j)) ** (-m / 2)
+            got = det_invsqrt(np.eye(m) * scale * (2 - 1j))
+            assert abs(got - want) <= 8 * EPS * abs(want)
 
 
 def test_periodicity_in_even_integer_shifts():
@@ -1000,14 +1082,16 @@ def test_one_eigendecomposition_per_point(monkeypatch):
             assert theta._radius(point, params) \
                 == truncation_radius(point.Y, params)
     assert truncation_radius(z.Y, both[0]) != truncation_radius(z.Y, both[1])
-    # one eigendecomposition per point, whoever sizes it: sample_point's
-    # cond(Y), the workable test, the pass and the direct sums, at both
-    # params; neither an SVD nor another eigenvalue solve sizes a point
+    # one eigendecomposition per point, whoever sizes it: the constructor's
+    # positive-definiteness test, sample_point's cond(Y), the workable test,
+    # the pass and the direct sums, at both params; neither an SVD nor
+    # another eigenvalue solve nor a Cholesky test sizes a point
+    SiegelPoint.z0(2)                       # kept per genus
     points = []
-    real = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
+    real = symplectic._spectrum_of
+    monkeypatch.setattr(symplectic, "_spectrum_of",
                         lambda a: points.append(a.tolist()) or real(a))
-    for name in ("svd", "eigvalsh", "cond"):
+    for name in ("svd", "eigvalsh", "cond", "cholesky"):
         monkeypatch.setattr(np.linalg, name, None)
     rng = np.random.default_rng(5)
     z = sample_point(2, rng)
@@ -1018,8 +1102,49 @@ def test_one_eigendecomposition_per_point(monkeypatch):
         for point in (z, rz):
             theta_vector(point, params)
             theta_series(point, "half", params)
-    assert points == [((z.Y + z.Y.T) / 2).tolist(),
-                      ((rz.Y + rz.Y.T) / 2).tolist()]
+    assert points == [z.Y.tolist(), rz.Y.tolist()]
+
+
+def _raise_linalg(monkeypatch, keep=()) -> None:
+    """Replace every numpy.linalg function but those named in keep by one
+    that raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg was called")
+
+    for name in dir(np.linalg):
+        value = getattr(np.linalg, name)
+        if not (name.startswith("_") or name in keep or isinstance(value, type)
+                or not callable(value)):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_trials_below_genus_3_call_no_numpy_linalg(monkeypatch, m):
+    # below m = 3 the float layer takes its closed forms: a vector-law and
+    # a scalar-law run, gamma_pair and det_invsqrt make no numpy.linalg
+    # call (the parent made 9.8 a genus-2 vector-law trial)
+    SiegelPoint.z0(m)
+    coset_table(m)
+    _raise_linalg(monkeypatch)
+    assert harness.verify_vector_law(m, trials=3, seed=7).passed
+    assert harness.verify_scalar_law(m, trials=2, seed=7).passed
+    z = sample_point(m, np.random.default_rng(1))
+    assert abs(gamma_pair(z, z) - 1) < 1e-12
+    assert abs(det_invsqrt(np.eye(m) * (2 - 1j)) - (2 - 1j) ** (-m / 2)) < 1e-15
+    assert truncation_radius(np.eye(m), ThetaParams()) > 0
+
+
+def test_a_genus_3_point_reaches_eigh(monkeypatch):
+    # from m = 3 on numpy.linalg sizes a point: one eigh, no Cholesky
+    calls = []
+    real = np.linalg.eigh
+    _raise_linalg(monkeypatch, keep=("eigh",))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.tolist()) or real(a))
+    y = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
+    z = SiegelPoint(np.zeros((3, 3)), y)
+    assert calls == [y.tolist()]
+    assert z._spectrum()[0][0] > 0 and len(calls) == 1
 
 
 def test_point_budget_is_checked_before_the_arrays_are_made(monkeypatch):
