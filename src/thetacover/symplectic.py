@@ -14,6 +14,7 @@ it as _SymplecticRows, unchecked.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import random
@@ -444,8 +445,8 @@ def _spectrum_2x2(row0: list, row1: list) -> tuple:
 def _mobius_2x2(rows: list, z: list) -> list:
     """(az + b)(cz + d)^{-1} at m = 2, symmetrized, from g's float rows and
     z's complex rows as lists: the inverse of J = cz + d is adj(J) / det J
-    (Cramer's rule, forward stable at 2 x 2).  ValueError when |det J| <
-    1e-12, as _mobius refuses at every m."""
+    (Cramer's rule, forward stable at 2 x 2).  ValueError when det J is not
+    finite or |det J| < 1e-12, as _mobius refuses at every m."""
     (a00, a01, b00, b01), (a10, a11, b10, b11), \
         (c00, c01, d00, d01), (c10, c11, d10, d11) = rows
     (z00, z01), (z10, z11) = z
@@ -454,6 +455,8 @@ def _mobius_2x2(rows: list, z: list) -> list:
     j10 = c10 * z00 + c11 * z10 + d10
     j11 = c10 * z01 + c11 * z11 + d11
     det = j00 * j11 - j01 * j10
+    if not cmath.isfinite(det):
+        raise ValueError("det(cz + d) overflows")
     if abs(det) < 1e-12:
         raise ValueError("cz + d numerically singular")
     i00, i01, i10, i11 = j11 / det, -j01 / det, -j10 / det, j00 / det
@@ -505,10 +508,15 @@ def j_matrix(g, z: SiegelPoint) -> np.ndarray:
 
 def _mobius(g, z: SiegelPoint) -> np.ndarray:
     """g(z) = (az + b)(cz + d)^{-1} as a complex array, symmetrized;
-    ValueError when |det(cz + d)| < 1e-12 ("cz + d numerically singular").
+    ValueError when |det(cz + d)| < 1e-12 ("cz + d numerically singular"),
+    and from m = 2 on when det(cz + d) is not finite ("det(cz + d)
+    overflows"), before numpy could warn on it.
 
     In closed form on Python scalars at m <= 2 (_mobius_2x2; one division
-    at m = 1), by numpy.linalg's det and inv from m = 3 on.
+    at m = 1), by numpy.linalg's det and inv from m = 3 on.  m = 1 forms
+    no determinant: its one division is refused only when cz + d is
+    numerically 0, and an image whose Y underflows to a subnormal is
+    returned as it is.
     """
     m = z.m
     arr = _as_float(g, m)
@@ -523,7 +531,11 @@ def _mobius(g, z: SiegelPoint) -> np.ndarray:
         return np.array([[(a * zz + b) / jm]])
     a, b = arr[:m, :m], arr[:m, m:]
     jm = j_matrix(arr, z)
-    if abs(np.linalg.det(jm)) < 1e-12:
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(jm)
+    if not cmath.isfinite(det):
+        raise ValueError("det(cz + d) overflows")
+    if abs(det) < 1e-12:
         raise ValueError("cz + d numerically singular")
     w = (a @ z.z + b) @ np.linalg.inv(jm)
     return (w + w.T) / 2                   # symmetrize away roundoff

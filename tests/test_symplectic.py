@@ -335,6 +335,26 @@ def test_a_singular_cz_plus_d_is_refused_by_name(m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
+def test_an_overflowing_det_cz_plus_d_is_refused_by_name(m):
+    # a = d = 0, b = -1 / t, c = t at z0 = i 1, t = 1e160: cz + d = i t 1,
+    # whose det (i t)^m overflows from m = 2 on.  m = 1 forms no det: its
+    # one division gives g(z0) = i / t^2, Y = 1e-320, a subnormal but
+    # positive Y, so that point is returned as it is.
+    t = 1e160
+    g = np.zeros((2 * m, 2 * m))
+    g[:m, m:] = -np.eye(m) / t
+    g[m:, :m] = t * np.eye(m)
+    z = SiegelPoint.z0(m)
+    if m == 1:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = mobius_act(g, z)
+        assert w.X[0, 0] == 0 and 0 < w.Y[0, 0] < 2e-320
+    else:
+        refused("^det\\(cz \\+ d\\) overflows$", mobius_act, g, z)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_y_that_is_not_positive_definite_is_refused_by_name(m):
     q = rotation(m)
     singular = np.diag([0.0] + [1.0] * (m - 1))

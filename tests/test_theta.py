@@ -1,6 +1,7 @@
 """Lattice sums, branch bookkeeping, automorphy factors."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 import random
@@ -699,6 +700,164 @@ def test_shift_classes_fold_opposite_shifts():
             assert np.array_equal(rec.eps_q, 2 * flip * classes.shifts[c])
 
 
+def patterns_of(m):
+    """{parity pattern: its classes' normalized eps (first odd entry +1)},
+    from coset_table(m) alone."""
+    found = {}
+    for rec in coset_table(m):
+        eps = max(rec.eps_q, tuple(-e for e in rec.eps_q))
+        found.setdefault(tuple(e % 2 for e in eps), set()).add(eps)
+    return found
+
+
+def test_shift_classes_group_into_parity_patterns():
+    # 2, 4, 8, 16, 32 patterns at m = 1..5; a class is its pattern's shift
+    # moved by an integer vector t in {0, 1}^m; classes and patterns are
+    # contiguous per group, whose patterns share variant count and reach
+    for m, count in ((1, 2), (2, 4), (3, 8), (4, 16), (5, 32)):
+        classes = theta._shift_classes(m)
+        found = patterns_of(m)
+        assert len(classes.patterns) == len(found) == count
+        assert np.array_equal(
+            classes.patterns[classes.pattern_of] - classes.shifts,
+            classes.moves)
+        assert set(np.unique(classes.moves)) <= {0, 1}
+        halves = (2 * classes.patterns).astype(int)
+        assert {tuple(row) for row in halves.tolist()} == set(found)
+        seen_patterns = seen_classes = 0
+        for patterns, members, below in classes.groups:
+            assert (patterns.start, members.start) == (seen_patterns, seen_classes)
+            variants = (members.stop - members.start) \
+                // (patterns.stop - patterns.start)
+            for p in range(patterns.start, patterns.stop):
+                mine = np.nonzero(classes.pattern_of == p)[0]
+                assert len(mine) == variants
+                assert len(found[tuple(halves[p].tolist())]) == variants
+                assert tuple(classes.moves[mine].max(axis=0)) == below
+            seen_patterns, seen_classes = patterns.stop, members.stop
+        assert (seen_patterns, seen_classes) == (count, len(classes.shifts))
+        assert classes.below == tuple(
+            max(group[2][k] for group in classes.groups) for k in range(m))
+        if m <= 2:
+            assert np.array_equal(classes.shifts, classes.patterns)
+        else:
+            assert len(classes.shifts) > count
+
+
+def edge_points(m, count, seed):
+    """Near-isotropic flat points, at tail_tol 0.5 R = 4 or 5: the crop is
+    the whole box, so it reaches +-R on every axis."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        Y = q @ np.diag(rng.uniform(0.05, 0.08, m)) @ q.T
+        X = rng.uniform(-0.5, 0.5, (m, m))
+        yield SiegelPoint((X + X.T) / 2, (Y + Y.T) / 2)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_pattern_pass_matches_components_at_the_box_edge(m):
+    # where a pattern's classes differ on a half axis the union box reaches
+    # one step past the crop, and on flat points at tail_tol 0.5 the terms
+    # there are large: a variant that counted a term outside its own crop,
+    # read its weights at n0, or took its own constant with its pattern's
+    # tables would be off by far more than rounding
+    params = ThetaParams(tail_tol=0.5)
+    classes = theta._shift_classes(m)
+    differ = [k for k in range(m) if classes.below[k]]
+    assert differ
+    table = coset_table(m)
+    picked = range(len(table)) if m == 3 else range(0, len(table), 3)
+    worst, cases = 0.0, 0
+    for z in edge_points(m, 3 if m == 3 else 1, 61 + m):
+        radius, _, radii, _ = theta._crop(z, params)
+        cases += any(radii[k] == radius for k in differ)
+        half, three_half = theta_vector(z, params)
+        for weight, got in (("half", half), ("three_half", three_half)):
+            want = np.array([theta_component(table[k], z, weight, params).value
+                             for k in picked])
+            worst = max(worst, float(relative_errors(got[list(picked)], want).max()))
+    assert cases > 0
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pass_exponentiates_each_union_box_once(monkeypatch, m):
+    # the points _exponent sees in one pass: at m >= 3 one union box per
+    # pattern, each the bounding box of its classes' crops in v, fewer than
+    # one crop per class; below m = 3 one crop per class, as before
+    seen = []
+    real = theta._exponent
+
+    def counted(*args):
+        out = real(*args)
+        seen.append(out.size)
+        return out
+
+    monkeypatch.setattr(theta, "_exponent", counted)
+    params = ThetaParams(tail_tol=0.5)
+    z = next(edge_points(m, 1, 5 + m))
+    theta_vector(z, params)
+    _, _, radii, points = theta._crop(z, params)
+    found = patterns_of(m)
+    unions = sum(math.prod(2 * r + 1 + (len({e[k] for e in eps}) > 1)
+                           for k, r in enumerate(radii))
+                 for eps in found.values())
+    classes = sum(len(eps) for eps in found.values())
+    assert sum(seen) == unions
+    if m >= 3:
+        assert unions < classes * points
+    else:
+        assert unions == classes * points
+
+
+def test_pass_exponents_are_the_class_exponents_bit_for_bit(monkeypatch):
+    # each point of each class's crop gets, in its pattern's union box, the
+    # exponent that _exponent gives it on the class's own box, bit for bit,
+    # and so the same floor decision
+    blocks = []
+    real = theta._exponent
+
+    def kept(twice, terms, box, out=None):
+        result = real(twice, terms, box, out)
+        blocks.append((twice, box, result.copy()))
+        return result
+
+    monkeypatch.setattr(theta, "_exponent", kept)
+    for m in (3, 4):
+        blocks.clear()
+        params = ThetaParams(tail_tol=0.5)
+        z = next(edge_points(m, 1, 17 + m))
+        theta_vector(z, params)
+        values = {}
+        for twice, box, result in blocks:
+            for p in range(len(twice)):
+                grid = np.meshgrid(*[twice[p, k, b] for k, b in enumerate(box)],
+                                   indexing="ij")
+                for key, value in zip(zip(*[g.ravel().tolist() for g in grid]),
+                                      result[p].ravel().tolist()):
+                    assert values.setdefault(key, value) == value
+        _, _, radii, _ = theta._crop(z, params)
+        for s in theta._shift_classes(m).shifts:
+            twice = 2 * (s[None, :, None] + np.arange(-max(radii), max(radii) + 1))
+            box = [slice(max(radii) - r, max(radii) + r + 1) for r in radii]
+            want = real(twice, theta._axis_terms(z.Y, theta._axial(twice)), box)
+            grid = np.meshgrid(*[twice[0, k, b] for k, b in enumerate(box)],
+                               indexing="ij")
+            for key, value in zip(zip(*[g.ravel().tolist() for g in grid]),
+                                  want[0].ravel().tolist()):
+                assert values[key] == value
+
+
+def test_component_value_is_frozen_and_slotted():
+    value = big_theta(sample_point(2, np.random.default_rng(3)), "half")[0]
+    assert type(value).__slots__ == ("q", "value")
+    assert not hasattr(value, "__dict__")
+    for name in ("q", "value"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+
+
 # per-axis radii of the boxes the pass helpers are tested on: cubes, and
 # the ragged boxes a crop gives
 BOXES = {m: [(radius,) * m for radius in (1, 2, 3, 4)]
@@ -737,6 +896,13 @@ def test_character_sums_match_the_box():
                 assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
+def pass_exponent(Y, twice, box, out=None):
+    """_exponent on the sub-box box of twice[p, k, j] = 2 v_k, with its
+    axis terms formed from Y."""
+    terms = theta._axis_terms(Y, theta._axial(twice))
+    return theta._exponent(twice, terms, box, out)
+
+
 def test_exponent_is_the_form_and_even():
     # against -pi v Y v^T by einsum over the box, for every shift class and
     # a Y with both triangles apart; at -v it must agree bit for bit, the
@@ -748,42 +914,46 @@ def test_exponent_is_the_form_and_even():
         for radii in [(2,) * m, (5,) * m, (1, 4, 2, 3)[:m]]:
             a = np.eye(m) + 0.3 * rng.uniform(-1, 1, (m, m))
             Y = a @ a.T + 0.1 * rng.uniform(-1, 1, (m, m))
-            ns = [np.arange(-r, r + 1) for r in radii]
-            twice = [2 * (shifts[:, k, None] + n) for k, n in enumerate(ns)]
-            got = theta._exponent(Y, twice)
-            v = np.stack(np.meshgrid(*ns, indexing="ij"), axis=-1)
+            top = max(radii)
+            n = np.arange(-top, top + 1)
+            twice = 2 * (shifts[:, :, None] + n)
+            box = [slice(top - r, top + r + 1) for r in radii]
+            got = pass_exponent(Y, twice, box)
+            v = np.stack(np.meshgrid(*[n[b] for b in box], indexing="ij"),
+                         axis=-1)
             v = v + shifts.reshape((len(shifts),) + (1,) * m + (m,))
             want = -math.pi * np.einsum("...k,kl,...l->...", v, Y, v)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-            flipped = theta._exponent(Y, [-t for t in twice])
+            flipped = pass_exponent(Y, -twice, box)
             # without an output each call makes its own array, so the
             # comparison above cannot read one array twice
             assert not np.shares_memory(flipped, got)
             assert np.array_equal(flipped, got)
             out = np.full(got.shape, np.nan)
-            assert theta._exponent(Y, twice, out) is out
+            assert pass_exponent(Y, twice, box, out) is out
             assert np.array_equal(out, got)
 
 
 def reference_phases(X, radius, classes, crop):
-    """(tables, cross, consts) of _phases with one _cis call per kind of
-    factor: the halves on n, the diagonal on n^2 and each pair on n_k n_l,
-    the last on the steps that crop keeps."""
+    """(tables, cross, consts) of _phases and _cross with one _cis call per
+    kind of factor: the halves on n, the diagonal on n^2 and each pair on
+    n_k n_l, the last on the steps that crop keeps, in _pairs(m) order."""
     m = len(X)
     hi, lo = theta._split(X)
     pair_hi, pair_lo = hi + hi.T, lo + lo.T
     steps = np.arange(-radius, radius + 1)
     halves = theta._cis(pair_hi[..., None] / 4, pair_lo[..., None] / 4, steps)
-    powers = np.stack([halves.conj(), np.ones_like(halves), halves])
+    powers = np.stack([np.ones_like(halves), halves])
     axes = np.arange(m)
     tables = theta._cis(np.diag(hi)[:, None] / 2, np.diag(lo)[:, None] / 2,
                         steps * steps) \
-        * powers[classes.offsets[:, None, :], axes[:, None], axes].prod(axis=2)
-    shifts = classes.shifts
+        * powers[(2 * classes.patterns).astype(int)[:, None, :], axes[:, None],
+                 axes].prod(axis=2)
+    shifts = classes.patterns
     consts = np.exp(1j * math.pi * np.sum((shifts @ X) * shifts, axis=1))
     cross = np.ones((1,) * (m + 1))
-    for k, l in itertools.combinations(range(m), 2):
+    for k, l in zip(*theta._pairs(m)):
         shape = [1] * (m + 1)
         shape[1 + k], shape[1 + l] = len(steps[crop[k]]), len(steps[crop[l]])
         factor = theta._cis(pair_hi[k, l] / 2, pair_lo[k, l] / 2,
@@ -804,7 +974,8 @@ def test_fused_phases_match_one_call_per_factor():
             ragged = [slice(radius - r, radius + r + 1)
                       for r in (radius, radius // 2, 0, radius - 1)[:m]]
             for crop in ([slice(None)] * m, ragged):
-                got = theta._phases(X, radius, classes, crop)
+                tables, pairs, consts = theta._phases(X, radius, classes)
+                got = tables, theta._cross(pairs, crop), consts
                 want = reference_phases(X, radius, classes, crop)
                 for a, b in zip(got, want):
                     assert a.shape == b.shape
@@ -828,7 +999,8 @@ def whole_box_exponents(Y, radius):
     [-R, R]^m, from _exponent (one class at a time, to keep it small)."""
     n = np.arange(-radius, radius + 1)
     for s in theta._shift_classes(len(Y)).shifts:
-        yield s, theta._exponent(Y, [2 * (x + n)[None] for x in s])[0]
+        yield s, pass_exponent(Y, 2 * (s[None, :, None] + n),
+                               [slice(None)] * len(Y))[0]
 
 
 def test_axis_radii_hold_every_term_above_the_floor():
@@ -931,7 +1103,7 @@ def test_pass_grids_are_read_only_and_kept():
             assert theta._grid(m, radius) is grid
             arrays = [value for value in vars(grid).values()
                       if isinstance(value, np.ndarray)] + list(grid.powers)
-            assert len(arrays) == 8
+            assert len(arrays) == 10
             for arr in arrays:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
@@ -962,22 +1134,34 @@ def test_pass_grids_expand_the_distinct_products():
     assert (len(grid.multipliers), len(grid.expand)) == (393, 1311)
 
 
+# the names of a thread's work arrays: a block's product, its exponent,
+# the pair factors over the hull and a group's copy of them (from m = 3 on)
+WORK = ("block", "exponent", "cross", "union")
+
+
+def this_threads_work():
+    """The calling thread's work arrays, in WORK order."""
+    return tuple(getattr(theta._work, name) for name in WORK)
+
+
 def work_arrays():
-    """The calling thread's work arrays (block, exponent), made by a pass if
+    """The calling thread's work arrays, made by passes at m = 2 and 3 if
     it has none."""
-    theta._theta_pass(sample_point(2, np.random.default_rng(0)), ThetaParams())
-    return theta._work.block, theta._work.exponent
+    for m in (2, 3):
+        theta._theta_pass(sample_point(m, np.random.default_rng(0)),
+                          ThetaParams())
+    return this_threads_work()
 
 
 def test_pass_output_does_not_alias_the_block_buffer():
     buffers = work_arrays()
     assert [(b.shape, b.dtype) for b in buffers] \
-        == [((theta._BLOCK,), complex), ((theta._BLOCK,), float)]
+        == [((theta._BLOCK,), complex), ((theta._BLOCK,), float),
+            ((theta._BLOCK,), complex), ((theta._BLOCK,), complex)]
     for m in (1, 2, 3, 4):
         z = point_at_radius(m, 5, ThetaParams(), m)
         for arrays in (theta._theta_pass(z, ThetaParams()), theta_vector(z)):
-            assert theta._work.block is buffers[0]
-            assert theta._work.exponent is buffers[1]
+            assert all(a is b for a, b in zip(this_threads_work(), buffers))
             for arr, buffer in itertools.product(arrays, buffers):
                 assert not np.shares_memory(arr, buffer)
 
@@ -1012,8 +1196,7 @@ def test_interleaved_passes_match_a_fresh_thread():
         for buffer in buffers:
             buffer[:] = np.nan
         here.append(theta._theta_pass(SiegelPoint(z.X, z.Y), params))
-        assert theta._work.block is buffers[0]
-        assert theta._work.exponent is buffers[1]
+        assert all(a is b for a, b in zip(this_threads_work(), buffers))
     for (z, params), got in zip(cases, here):
         want = pass_in_a_fresh_thread(z, params)
         assert np.array_equal(got[0], want[0])
@@ -1024,7 +1207,7 @@ def test_block_larger_than_the_buffer_matches_components():
     # the cropped box alone outgrows _BLOCK: one class per block, each in a
     # fresh array
     cases = [SiegelPoint([[0.1, 0.02, -0.03], [0.02, -0.2, 0.05],
-                          [-0.03, 0.05, 0.3]], 0.06 * np.eye(3)),
+                          [-0.03, 0.05, 0.3]], 0.05 * np.eye(3)),
              SiegelPoint(0.1 * np.eye(4), 0.5 * np.eye(4))]
     work_arrays()
     for z in cases:
@@ -1054,7 +1237,7 @@ def test_threads_have_their_own_buffers():
         got = [theta._theta_pass(SiegelPoint(z.X, z.Y), params)
                for z, params in order]
         results[k] = got[len(cases) - k:] + got[:len(cases) - k], \
-            (theta._work.block, theta._work.exponent)
+            this_threads_work()
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
     for thread in threads:
@@ -1062,7 +1245,7 @@ def test_threads_have_their_own_buffers():
     for thread in threads:
         thread.join()
     buffers = [*mine] + [b for k in range(3) for b in results[k][1]]
-    assert len(buffers) == 8
+    assert len(buffers) == 4 * len(WORK)
     for a, b in itertools.combinations(buffers, 2):
         assert not np.shares_memory(a, b)
     for k in range(3):
