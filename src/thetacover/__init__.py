@@ -18,7 +18,7 @@ from .f2cosets import (CosetRecord, coset_index_of, coset_profile,
                        transvection_rep)
 from .gauss import (SnappedRoot, beta_tilde, coset_split, f_shift,
                     lambda_bar, lambda_multiplier, modified_cocycle,
-                    snap_mu8, symplectic_gauss_sum)
+                    symplectic_gauss_sum)
 from .harness import (MonomialMatrix, VerificationReport,
                       induced_rep_matrix, sample_gamma48, sample_point,
                       verify_scalar_law, verify_vector_law)
@@ -44,7 +44,7 @@ __all__ = [
     "m_xstar", "make_generator", "mobius_act",
     "modified_cocycle", "pws_decompose", "q0_eval", "random_word_element",
     "rao_cocycle", "sample_gamma48", "sample_point",
-    "snap_mu8", "sqrt_det", "subgroup_membership", "symplectic_gauss_sum",
+    "sqrt_det", "subgroup_membership", "symplectic_gauss_sum",
     "theta_component", "theta_series", "theta_vector", "transvection_rep",
     "truncation_radius", "verify_scalar_law", "verify_vector_law",
 ]

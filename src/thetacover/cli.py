@@ -30,10 +30,9 @@ import sys
 import numpy as np
 
 from .cocycle import cbar_cocycle, m_xstar, rao_cocycle
-from .exactla import det as exact_det
 from .f2cosets import coset_table
-from .gauss import _lambda_of, beta_tilde, lambda_multiplier, \
-    modified_cocycle, snap_mu8, symplectic_gauss_sum
+from .gauss import _gauss_sum_parts, _lambda_of, beta_tilde, \
+    lambda_multiplier, modified_cocycle, symplectic_gauss_sum
 from .harness import verify_scalar_law, verify_vector_law
 from .symplectic import IntegerSymplectic, SiegelPoint, make_generator
 from .theta import CapacityError, ThetaParams, det_invsqrt, gamma_pair, \
@@ -186,20 +185,12 @@ def _cmd_cocycle(args, cfg) -> dict:
 def _cmd_gauss_sum(args, cfg) -> dict:
     d = _load_matrix(args.d, 1)
     c = _load_matrix(args.c, 1)
-    value = symplectic_gauss_sum(d, c)
-    detc = abs(int(exact_det(c)))
-    normalized = value / detc ** 0.5
-    try:
-        snapped = snap_mu8(normalized)
-        exponent, residual = snapped.value.exponent, snapped.residual
-    except ArithmeticError:
-        exponent, residual = None, None
+    value, size, exponent, radical = _gauss_sum_parts(d, c)
     return {
         "value": _cplx(value),
-        "abs_det_c": detc,
-        "normalized": _cplx(normalized),
+        "abs_det_c": size,
+        "radical_order": radical,
         "mu8_exponent": exponent,
-        "residual": residual,
     }
 
 

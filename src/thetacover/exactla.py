@@ -7,10 +7,12 @@ elimination, the fraction-free full-pivot Bareiss elimination over
 Python ints (_pivoting): det and inv read it, and so does the rank
 normal form of the cocycle module.  It does each row operation once, and
 a transform rides along as the columns of (m | 1), as in the Hermite
-normal form; the adjugate (closed forms up to 2 x 2) and the Gauss-sum
-count share one triangular solve, and inv reads the adjugate.  The Smith
-normal form (smith_form), on which the exact Weil index of gauss rests,
-clears rows and columns by Bezout steps with its transforms riding along.
+normal form; the adjugate (closed forms up to 2 x 2) reads one
+triangular solve (_upper_solve), which the tests' Gauss-sum count
+shares, and inv reads the adjugate.  The Smith normal form (smith_form),
+on which the exact Weil index of gauss rests (beta_tilde and
+symplectic_gauss_sum), clears rows and columns by Bezout steps with its
+transforms riding along.
 Rational input is first scaled to ints by the lcm of its denominators.
 Matrices are tiny (at most ~25 x 25), which keeps the classical O(n^3)
 algorithms comfortably fast.
@@ -429,28 +431,6 @@ def _smith_loop(m: Matrix) -> tuple[list[int], list[list[int]], list[list[int]]]
             a[k] = [-x for x in a[k]]
     return ([a[i][i] for i in range(min(rows, cols))],
             [row[cols:] for row in a], v)
-
-
-# Largest residue system box_sides enumerates; the Gauss-sum count's int64
-# bound rests on it.
-MAX_CLASSES = 10**6
-
-
-def box_sides(h: Matrix) -> list[int]:
-    """Side lengths of the residue box of Z^r modulo a full-rank row lattice.
-
-    h is the lattice's HNF from ``hnf_with_transform``.  With h upper
-    triangular the products of [0, h_ii) enumerate the quotient exactly
-    once, so the product of the sides is the index |det|.  ValueError
-    unless h has full rank and that index is at most MAX_CLASSES.
-    """
-    sides = [h[i][i] for i in range(len(h))]
-    if not all(d > 0 for d in sides):
-        raise ValueError("row lattice does not have full rank")
-    index = math.prod(sides)
-    if index > MAX_CLASSES:
-        raise ValueError(f"residue system too large: {index} classes > {MAX_CLASSES}")
-    return sides
 
 
 # --- signatures of symmetric rational forms ---

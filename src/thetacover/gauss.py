@@ -12,22 +12,14 @@ finite quadratic module (Z^j / Z^j W, x -> x W^{-1} d' x^T / 2 mod 1), so
 beta_tilde is the conjugate of that module's Weil index, computed exactly
 in ints: a Smith form of W puts the module on sum_i Z/e_i, which splits
 into p-parts, each an orthogonal sum of Jordan components with a closed
-Gauss sum (Conway-Sloane, SPLAG ch. 15).  Only e_{j-1} is factored; the
-rest of e_j is cyclic and takes a Jacobi symbol.  No class is counted, no
-float is formed and no size is refused.
+Gauss sum (Conway-Sloane, SPLAG ch. 15).  Only e_{j-1} is factored, by
+trial division up to PRIME_SEARCH_BOUND; the rest of e_j is cyclic and
+takes a Jacobi symbol.  No class is counted and no float is formed.
 
-symplectic_gauss_sum(d, c), the public sum, counts instead: over the
-common denominator D = |det c|, with the integer matrix Q = D c^{-1} d,
-every phase is e^{i pi k / D} for an integer k mod 2D, so the residue
-classes are counted by k in exact int64 arithmetic (D is at most 10**6
-classes, which keeps every intermediate below 2m 10**12) and floats enter
-only in the final sum of counts times phases.  When D = 1 the quotient has
-one class, x = 0, whose phase is e^0, so the sum is exactly 1 + 0j.  The
-sum is defined when c d^T is symmetric with an even diagonal, exactly the
-condition that makes the phase a class function.  It is beta_tilde's test
-oracle.  The multiplier lambda = m_xstar * beta_tilde^{-1} is what the
-holomorphic transformation law of the theta series picks up on this
-subgroup.
+symplectic_gauss_sum(d, c), the public sum, reads the same index, whose
+Jordan splitting also finds the radical of a degenerate module.  The
+multiplier lambda = m_xstar * beta_tilde^{-1} is what the holomorphic
+transformation law of the theta series picks up on this subgroup.
 
 f_shift and modified_cocycle push beta_tilde from the subgroup to the
 whole group along the coset representatives: f(g) = beta_tilde(r) c~(r, M)
@@ -38,19 +30,16 @@ lies in the subgroup, but is not identically one.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import exactla as xla
 from .cocycle import CoverElement, Mu8, m_xstar, rao_cocycle
 from .f2cosets import coset_index_of, coset_table
 from .symplectic import IntegerSymplectic, subgroup_membership
 
-SNAP_TOL = 1e-9
+PRIME_SEARCH_BOUND = 10**6             # largest trial divisor, _prime_factors
 
 
 def _int_rows(mat) -> list[list[int]]:
@@ -59,20 +48,9 @@ def _int_rows(mat) -> list[list[int]]:
     return [list(map(xla.as_int, row)) for row in mat]
 
 
-def symplectic_gauss_sum(d, c) -> complex:
-    """G(d, c) = sum of e^{i pi x c^{-1} d x^T} over x in Z^m mod rows of c.
-
-    Defined when d and c are square of one size and c d^T is symmetric with
-    an even diagonal, which is exactly when the phase is a class function
-    (raises ValueError otherwise, and past 10**6 classes).  With the HNF
-    u c = h, whose rows span the lattice of c, G(d, c) = G(u d, h) since
-    h^{-1} u d = c^{-1} d.  Over the common denominator D = |det c| = det h
-    the phase is e^{i pi k / D} with the integer k = x Q x^T mod 2D,
-    Q = D h^{-1} u d: the classes of the HNF box (exactla.box_sides) are
-    counted by k exactly in int64, and floats enter only in the final sum
-    of counts times phases.  With |det c| = 1 there is one class, x = 0,
-    and the sum is exactly 1 + 0j.  beta_tilde does not count; this sum is
-    its test oracle.
+def _gauss_sum_parts(d, c) -> tuple[complex, int, int | None, int | None]:
+    """(G(d, c), |det c|, k, |R|) for symplectic_gauss_sum, with G(d, c) =
+    (|det c| |R|)^{1/2} e^{i pi k / 4}; k and |R| are None when G(d, c) = 0.
     """
     c_rows = _int_rows(c)
     d_rows = _int_rows(d)
@@ -82,50 +60,49 @@ def symplectic_gauss_sum(d, c) -> complex:
     cdt = xla.mat_mul(c_rows, xla.transpose(d_rows))
     if not xla.is_symmetric(cdt) or any(cdt[i][i] % 2 for i in range(m)):
         raise ValueError("Gauss sum needs c d^T symmetric with an even diagonal")
-    h, u = xla.hnf_with_transform(c_rows)          # u c = h, u unimodular
-    if not all(h[i][i] for i in range(m)):
+    size = abs(xla._adjugate(c_rows)[0])
+    if not size:
         raise ValueError("Gauss sum needs an invertible lower-left block")
-    sides = xla.box_sides(h)
-    den = math.prod(sides)                          # D = |det c| = det h
-    if den == 1:                    # one class, x = 0, whose phase is e^0
-        return 1 + 0j
-    # h Q = D u d: Q = D c^{-1} d = D h^{-1} u d is integral (D h^{-1} = adj h)
-    q = xla._upper_solve(h, xla.mat_mul(u, d_rows), den)
-    # Entries of Q mod 2D and of x stay below 2D, and D <= 10**6 (the class
-    # guard), so x Q and (x Q mod 2D) . x stay below 2m 10**12 in int64.
-    two_den = 2 * den
-    qmod = np.array([[x % two_den for x in row] for row in q],
-                    dtype=np.int64).reshape(m, m)
-    x = np.indices(sides, dtype=np.int64).reshape(m, den)   # one class a column
-    k = ((qmod @ x) % two_den * x).sum(axis=0) % two_den
-    counts = np.bincount(k, minlength=two_den)
-    # e^{i pi (k + D) / D} = -e^{i pi k / D}
-    folded = counts[:den] - counts[den:]
-    return complex(folded @ np.exp(1j * np.pi * np.arange(den) / den))
+    index = _weil_index(c_rows, d_rows)
+    if index is None:
+        return 0j, size, None, None
+    k, quotient = index
+    radical = size // quotient
+    if (size * radical).bit_length() > 1000:
+        raise ValueError("|G(d, c)|^2 = |det c| |R| is past a float")
+    return math.sqrt(size * radical) * Mu8(k).value, size, k % 8, radical
+
+
+def symplectic_gauss_sum(d, c) -> complex:
+    """G(d, c) = sum of e^{i pi x c^{-1} d x^T} over x in Z^m mod rows of c.
+
+    Defined when d and c are square of one size, c is invertible and c d^T
+    is symmetric with an even diagonal, which is exactly when the phase is
+    a class function; ValueError otherwise.  The classes form the finite
+    quadratic module A = (Z^m / Z^m c, x -> x c^{-1} d x^T / 2 mod 1),
+    degenerate when c and d share a factor; on the radical R of its
+    bilinear form q is a character.  G(d, c) is 0 when q is not trivial on
+    R, and otherwise |R| G(A/R) = (|det c| |R|)^{1/2} e^{i pi k / 4}, k the
+    Weil index of A/R (_weil_index; Scheithauer, IMRN 2009): exact in ints
+    up to the final float product.  With |det c| = 1 there is one class,
+    x = 0, and the sum is exactly 1 + 0j.  ValueError when e_{j-1} of the
+    Smith form of c is past the prime search (_prime_factors), or when
+    |G(d, c)| is past a float.
+    """
+    return _gauss_sum_parts(d, c)[0]
 
 
 @dataclass(frozen=True)
 class SnappedRoot:
-    """An eighth root of unity with the complex number it was read from.
+    """An eighth root of unity, with its complex value and a residual.
 
-    snap_mu8 reads one off a floating value, raw, at distance residual.
     beta_tilde computes its root exactly and returns it in this form, with
-    raw the root's own value and residual 0.0.
+    raw the root's own value and residual 0.0; nothing in the library
+    snaps a float to a root.  perfbench reads value and residual.
     """
     value: Mu8
     raw: complex
     residual: float
-
-
-def snap_mu8(raw: complex) -> SnappedRoot:
-    # the root nearest by angle is the root nearest by distance
-    best = round(4 * cmath.phase(raw) / math.pi) % 8
-    residual = abs(raw - Mu8(best).value)
-    if residual >= SNAP_TOL:
-        raise ArithmeticError(
-            f"value {raw!r} is not an eighth root of unity "
-            f"(residual {residual:.3e} >= {SNAP_TOL})")
-    return SnappedRoot(value=Mu8(best), raw=raw, residual=residual)
 
 
 # beta_tilde's answers, one per exponent: exact, so residual 0.0
@@ -166,9 +143,20 @@ def _valuation(x: int, p: int, cap: int) -> int:
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The primes dividing n > 0, by trial division."""
+    """The primes dividing n > 0, by trial division up to PRIME_SEARCH_BOUND.
+
+    What is left past the bound is 1 or a prime when it is below the
+    bound's square.  Otherwise it may be composite, and ValueError refuses
+    it by name.  So the search tries at most 5 10**5 odd candidates, 0.08 s
+    on one Xeon core in CPython; unbounded, its time grows with the second
+    largest prime factor, and took a minute on 2 p q with p, q near 10**9.
+    """
     out, p = [], 2
     while p * p <= n:
+        if p > PRIME_SEARCH_BOUND:
+            raise ValueError(f"Smith invariant has a part {n} with no prime "
+                             f"factor up to the prime search bound "
+                             f"{PRIME_SEARCH_BOUND}")
         if not n % p:
             out.append(p)
             while not n % p:
@@ -188,21 +176,32 @@ def _congruence(gram: list, block: list, coef: dict, mod: int) -> list:
              % mod for s in rest] for l in rest]
 
 
-def _p_part(p: int, e: list, n: list) -> int:
-    """Exponent of the Weil index of the p-part of the module (e, n) of
-    _weil_index, from a Jordan splitting (Conway-Sloane, SPLAG ch. 15).
+def _p_part(p: int, e: list, n: list) -> tuple[int, int] | None:
+    """(k, b) for the p-part A_p of the module (e, n) of _weil_index, from a
+    Jordan splitting (Conway-Sloane, SPLAG ch. 15): k the exponent of the
+    Weil index of A_p / R_p, R_p its radical, and |A_p / R_p| = p^b; None
+    when G(A_p) = 0.
 
     The p-part is sum_i Z/p^{a_i} on the generators (e_i / p^{a_i}) eps_i,
     a_i = v_p(e_i), and with t the largest a_i its form is q(z) =
     z M z^T / (2 p^t) for the integer M_ik = p^{t - a_i} (e_k / p^{a_k})
-    n_ik, kept mod 2 p^t.  The entry of least valuation v of M mod p^t has
-    order p^a, a = t - v, the exponent of what is left.  On the diagonal it
+    n_ik, kept mod 2 p^t.  That Gram fixes A_p / R_p and its form, so the
+    splitting runs on the quotient, where a generator's order is its Gram
+    row's.  The entry of least valuation v of M mod p^t has order p^a,
+    a = t - v, the exponent of what is left.  On the diagonal it
     spans a cyclic component (Z/p^a, mu x^2 / (2 p^a)), mu = M_ii / p^v:
     (mu/2 | p)^a eps_{p^a} at odd p and e(mu/8) (2|mu)^a at p = 2.  Off the
     diagonal at odd p, z_i += z_k puts it on the diagonal.  At p = 2 the
     pair spans an even block with q-values alpha / 2^a and beta / 2^a: 1, or
     (-1)^a when alpha and beta are both odd.  Each component is split off
-    by subtracting from every other generator its projection on it.
+    by subtracting from every other generator its projection on it, and
+    adds a to b, or 2a for a block.
+
+    When v reaches t, every generator left lies in R_p, where q is a
+    character: G(A_p) = 0 unless M_ll = 0 mod 2 p^t on each of them, which
+    can fail at p = 2 only.  In A_p a generator's order can exceed its Gram
+    row's, so part of R_p can sit in a component split off before; q
+    vanishes there, so only the generators left can make G(A_p) vanish.
     """
     a = [_valuation(x, p, 0) for x in e]
     live = [i for i, ai in enumerate(a) if ai]
@@ -211,11 +210,15 @@ def _p_part(p: int, e: list, n: list) -> int:
     mod = 2 * pt
     gram = [[p ** (top - a[i]) * (e[k] // p ** a[k]) * n[i][k] % mod
              for k in live] for i in live]
-    total = 0
+    total = order = 0
     while gram:
         size = len(gram)
         v, off, i, k = min((_valuation(gram[i][k] % pt, p, top), i != k, i, k)
                            for i in range(size) for k in range(i, size))
+        if v == top:
+            if any(row[l] % mod for l, row in enumerate(gram)):
+                return None
+            break
         s, pa = p ** v, p ** (top - v)
         if off and p != 2:
             gram[i] = [x + y for x, y in zip(gram[i], gram[k])]
@@ -228,6 +231,7 @@ def _p_part(p: int, e: list, n: list) -> int:
                 total += mu % 8 + 4 * ((top - v) % 2 and mu % 8 in (3, 5))
             else:
                 total += _odd_cyclic(mu // 2, pa)
+            order += top - v
             inv = pow(mu, -1, pa)
             block = [i]
             coef = {l: [gram[l][i] // s * inv % pa] for l in range(size)}
@@ -235,6 +239,7 @@ def _p_part(p: int, e: list, n: list) -> int:
             alpha, beta, u = gram[i][i] // (2 * s), gram[k][k] // (2 * s), \
                 gram[i][k] // s
             total += 4 * ((top - v) % 2 and alpha % 2 and beta % 2)
+            order += 2 * (top - v)
             inv = pow(4 * alpha * beta - u * u, -1, pa)
             block = [i, k]
             coef = {l: [(2 * beta * gram[l][i] // s - u * gram[l][k] // s)
@@ -242,11 +247,12 @@ def _p_part(p: int, e: list, n: list) -> int:
                         (2 * alpha * gram[l][k] // s - u * gram[l][i] // s)
                         * inv % pa] for l in range(size)}
         gram = _congruence(gram, block, coef, mod)
-    return total
+    return total, order
 
 
-def _weil_index(w, dp) -> int:
-    """Exponent k with G(d', W) = e^{i pi k / 4} |det W|^{1/2}, exactly.
+def _weil_index(w, dp) -> tuple[int, int] | None:
+    """(k, |A/R|) with G(d', W) = e^{i pi k / 4} (|det W| |R|)^{1/2}, exactly,
+    R the radical of the module A below; None when G(d', W) = 0.
 
     The classes of G(d', W) form the quadratic module (Z^j / Z^j W,
     x -> x W^{-1} d' x^T / 2 mod 1).  With the Smith form U W V =
@@ -259,8 +265,11 @@ def _weil_index(w, dp) -> int:
     The module is the orthogonal sum of its p-parts.  Each prime p that
     divides e_{j-1}, and 2 if it divides e_j, takes _p_part.  What is left
     of e_j is odd and prime to e_{j-1}, so that part is cyclic,
-    (Z/f, x -> r x^2 / f) on the generator (e_j / f) eps_j, and takes a
-    Jacobi symbol (_odd_cyclic).  Only e_{j-1} is factored.
+    (Z/f, x -> r x^2 / f) on the generator (e_j / f) eps_j: with g =
+    gcd(r, f), its radical has g elements, and its quotient is (Z/(f/g),
+    x -> (r/g) x^2 / (f/g)), which takes a Jacobi symbol (_odd_cyclic).
+    Only e_{j-1} is factored.  beta_tilde's pairs are coprime, so there
+    R is trivial and |A/R| = |det W|.
 
     S = d' W^T is formed once, as dot products of rows of d' and W, and
     the Gram reads u_i S u_k^T on the live rows u_i of U only: no product
@@ -272,7 +281,7 @@ def _weil_index(w, dp) -> int:
     e, u, _ = xla.smith_form(w)
     live = [i for i, x in enumerate(e) if x > 1]
     if not live:
-        return 0
+        return 0, 1
     ul = [u[i] for i in live]
     s = [[sum(map(operator.mul, x, y)) for y in w] for x in dp]     # d' W^T
     su = [[sum(map(operator.mul, row, uk)) for row in s] for uk in ul]
@@ -287,11 +296,20 @@ def _weil_index(w, dp) -> int:
     for p in primes:
         while not rest % p:
             rest //= p
-    total = sum(_p_part(p, e, n) for p in primes)
+    total, order = 0, 1
+    for p in primes:
+        part = _p_part(p, e, n)
+        if part is None:
+            return None
+        total += part[0]
+        order *= p ** part[1]
     if rest > 1:
         # q(x) = c x^2 / (2 rest), c even since q is a class function
-        total += _odd_cyclic(last // rest * n[-1][-1] // 2, rest)
-    return total
+        r = last // rest * n[-1][-1] // 2
+        g = math.gcd(r, rest)
+        total += _odd_cyclic(r // g, rest // g)
+        order *= rest // g
+    return total, order
 
 
 def _reduced_pair(g: IntegerSymplectic):
@@ -337,14 +355,15 @@ def beta_tilde(g: IntegerSymplectic) -> SnappedRoot:
     beta_tilde(g) = |det W|^{-1/2} conj(G(d', W)), and 1 when c = 0 or
     |det W| = 1.  That is the conjugate Weil index of a finite quadratic
     module, an eighth root of unity computed exactly in ints from a Smith
-    form and local factors (_weil_index): no class is counted, no float is
-    formed, and no size is refused.  The result is a SnappedRoot whose raw
+    form and local factors (_weil_index): no class is counted and no float
+    is formed.  Only a W whose e_{j-1} is past the prime search is refused
+    (ValueError, _prime_factors).  The result is a SnappedRoot whose raw
     value is the root itself, with residual 0.0.
     """
     if not subgroup_membership(g, "Gamma(1,2)"):
         raise ValueError("beta_tilde needs diag(a b^T) and diag(c d^T) even")
     pair = _reduced_pair(g)
-    return _EXACT_ROOTS[0 if pair is None else -_weil_index(*pair) % 8]
+    return _EXACT_ROOTS[0 if pair is None else -_weil_index(*pair)[0] % 8]
 
 
 def lambda_multiplier(r: IntegerSymplectic) -> Mu8:

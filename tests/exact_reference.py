@@ -12,7 +12,10 @@ block rules for theta-group membership and the coset label are the
 references of the library's one Q0 (symplectic._q0), which reads them
 off the rows and the columns.  The whole-box direct theta sum, one complex
 exp per point of [-R, R]^m, is the reference of the library's direct sum,
-which drops the terms too small to reach it.
+which drops the terms too small to reach it.  The int64 count of the
+Gauss sum G(d, c), class by class over an HNF box of at most MAX_CLASSES
+classes, is the oracle of the library's exact Weil index; it shares the
+library's triangular solve (exactla._upper_solve).
 """
 
 import math
@@ -186,6 +189,58 @@ def label_by_blocks(g):
     """The coset label by blocks: (diag(a^T c) | diag(b^T d)) mod 2."""
     return (_diag_mod2(xla.transpose(g.a), g.c)
             + _diag_mod2(xla.transpose(g.b), g.d))
+
+
+# Largest residue system box_sides enumerates; the count's int64 bound
+# rests on it.
+MAX_CLASSES = 10**6
+
+
+def box_sides(h):
+    """Side lengths of the residue box of Z^r modulo a full-rank row lattice.
+
+    h is the lattice's HNF from ``hnf_with_transform``.  With h upper
+    triangular the products of [0, h_ii) enumerate the quotient exactly
+    once, so the product of the sides is the index |det|.  ValueError
+    unless h has full rank and that index is at most MAX_CLASSES.
+    """
+    sides = [h[i][i] for i in range(len(h))]
+    if not all(d > 0 for d in sides):
+        raise ValueError("row lattice does not have full rank")
+    index = math.prod(sides)
+    if index > MAX_CLASSES:
+        raise ValueError(f"residue system too large: {index} classes > {MAX_CLASSES}")
+    return sides
+
+
+def counted_gauss_sum(d, c) -> complex:
+    """G(d, c) = sum of e^{i pi x c^{-1} d x^T} over x in Z^m mod rows of c,
+    by counting, for d and c with c d^T symmetric with an even diagonal.
+
+    With the HNF u c = h, whose rows span the lattice of c, G(d, c) =
+    G(u d, h) since h^{-1} u d = c^{-1} d.  Over the common denominator
+    D = |det c| = det h the phase is e^{i pi k / D} with the integer
+    k = x Q x^T mod 2D, Q = D h^{-1} u d: the classes of the HNF box
+    (box_sides) are counted by k exactly in int64, and floats enter only
+    in the final sum of counts times phases.
+    """
+    m = len(c)
+    h, u = xla.hnf_with_transform(c)          # u c = h, u unimodular
+    sides = box_sides(h)
+    den = math.prod(sides)                     # D = |det c| = det h
+    # h Q = D u d: Q = D c^{-1} d = D h^{-1} u d is integral (D h^{-1} = adj h)
+    q = xla._upper_solve(h, xla.mat_mul(u, d), den)
+    # Entries of Q mod 2D and of x stay below 2D, and D <= MAX_CLASSES, so
+    # x Q and (x Q mod 2D) . x stay below 2m 10**12 in int64.
+    two_den = 2 * den
+    qmod = np.array([[x % two_den for x in row] for row in q],
+                    dtype=np.int64).reshape(m, m)
+    x = np.indices(sides, dtype=np.int64).reshape(m, den)   # one class a column
+    k = ((qmod @ x) % two_den * x).sum(axis=0) % two_den
+    counts = np.bincount(k, minlength=two_den)
+    # e^{i pi (k + D) / D} = -e^{i pi k / D}
+    folded = counts[:den] - counts[den:]
+    return complex(folded @ np.exp(1j * np.pi * np.arange(den) / den))
 
 
 def box_sum(z, m_q, eps_q, weight, params):

@@ -17,7 +17,8 @@ What is pinned:
 
 Not pinned: the law reports' errors and worst-case trial, which sit at
 rounding level and move with any rounding-level change of a lattice sum,
-the Gauss sums' snap residuals and the selftest's abs_error.
+beta_tilde's residual (0.0: its root is exact, and no sum is snapped) and
+the selftest's abs_error.
 """
 
 from __future__ import annotations

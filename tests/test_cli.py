@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -119,18 +120,32 @@ def test_gauss_sum_known_value(capsys, tmp_path):
     assert rep["abs_det_c"] == 4
     want = 2 * cmath.exp(-1j * cmath.pi / 4)
     assert abs(complex(rep["value"]["re"], rep["value"]["im"]) - want) < 1e-12
-    assert rep["mu8_exponent"] == 7
-    assert rep["residual"] < 1e-12
+    assert rep["mu8_exponent"] == 7 and rep["radical_order"] == 1
 
 
-def test_gauss_sum_off_the_unit_circle_has_no_root(capsys, tmp_path):
-    # G(0, 2) = 2, so the normalized value is sqrt 2: no eighth root
-    fd = block_file(tmp_path, "d.json", [[0]])
-    fc = block_file(tmp_path, "c.json", [[2]])
+@pytest.mark.parametrize("d, c, value, exponent, radical", [
+    # (Z/4, x^2 / 4): R = 2 Z/4, and G = 2 (1 + i)
+    ([[2]], [[4]], 2 + 2j, 1, 2),
+    # (Z/2, 0): all radical, G = 2
+    ([[0]], [[2]], 2, 0, 2),
+    # (Z/2, x^2 / 2): q is a nontrivial character of R = A, G = 0
+    ([[2]], [[2]], 0, None, None),
+    # 1002000 classes, past the count's former guard of 10**6
+    ([[1, 0], [0, 1]], [[1000, 0], [0, 1002]], 1002000 ** 0.5 * 1j, 2, 1),
+], ids=["degenerate", "all-radical", "zero", "past-the-old-guard"])
+def test_gauss_sum_reports_the_radical(capsys, tmp_path, d, c, value,
+                                       exponent, radical):
+    # |G|^2 = |det c| |R|, R the radical of the module; its exponent and |R|
+    # are null only when G = 0
+    fd = block_file(tmp_path, "d.json", d)
+    fc = block_file(tmp_path, "c.json", c)
     code, rep = run_json(capsys, "gauss-sum", "--d", fd, "--c", fc)
     assert code == 0
-    assert rep["normalized"]["re"] == pytest.approx(2 ** 0.5, abs=1e-12)
-    assert rep["mu8_exponent"] is None and rep["residual"] is None
+    assert set(rep) == {"schema", "value", "abs_det_c", "radical_order",
+                        "mu8_exponent"}
+    assert abs(complex(rep["value"]["re"], rep["value"]["im"]) - value) < 1e-9
+    assert rep["abs_det_c"] == math.prod(c[i][i] for i in range(len(c)))
+    assert rep["mu8_exponent"] == exponent and rep["radical_order"] == radical
 
 
 @pytest.mark.parametrize("d, c", [
@@ -486,7 +501,7 @@ def test_library_errors_exit_2_from_every_subcommand(capsys, tmp_path, monkeypat
     fz = point_file(tmp_path, "z.json", 1, [[0.0]], [[1.0]])
     runs = [("coset_table", ["coset-table", "--m", "1"]),
             ("rao_cocycle", ["cocycle", "--g1", fg, "--g2", fg]),
-            ("symplectic_gauss_sum", ["gauss-sum", "--d", fb, "--c", fb]),
+            ("_gauss_sum_parts", ["gauss-sum", "--d", fb, "--c", fb]),
             ("beta_tilde", ["beta", "--g", fg]),
             ("beta_tilde", ["lambda", "--g", fg]),
             ("theta_series", ["theta", "--z", fz]),

@@ -1,8 +1,13 @@
 """Gauss sums, the trivializing phase, and the shifted cocycle."""
 
 import cmath
+import itertools
+import math
+import operator
+import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -14,8 +19,7 @@ from thetacover import (IntegerSymplectic, Mu8, beta_tilde, coset_split,
                         coset_table, f_shift, lambda_bar, lambda_multiplier,
                         make_generator, modified_cocycle,
                         random_word_element, rao_cocycle, sample_gamma48,
-                        snap_mu8, subgroup_membership,
-                        symplectic_gauss_sum)
+                        subgroup_membership, symplectic_gauss_sum)
 import exact_reference as ref
 from thetacover import exactla as xla
 from thetacover import gauss
@@ -40,15 +44,15 @@ def test_classical_rank_one_sums():
 
 def box_representatives(c) -> list[list[int]]:
     """Coset representatives of Z^r modulo the row lattice of square c,
-    one per point of the HNF box (see ``exactla.box_sides``)."""
+    one per point of the HNF box (see ``exact_reference.box_sides``)."""
     reps: list[list[int]] = [[]]
-    for d in xla.box_sides(xla.hnf_with_transform(c)[0]):
+    for d in ref.box_sides(xla.hnf_with_transform(c)[0]):
         reps = [rep + [k] for rep in reps for k in range(d)]
     return reps
 
 
 def reference_gauss_sum(d, c) -> complex:
-    """The per-class Fraction loop that the integer kernel replaced."""
+    """G(d, c) by the per-class Fraction loop."""
     q = xla.mat_mul(ref.inv(c), d)
     total = 0j
     for x in box_representatives(c):
@@ -60,32 +64,135 @@ def reference_gauss_sum(d, c) -> complex:
     return total
 
 
+def gauss_pairs(m, count, seed, limit=20000):
+    """count seeded pairs (d, c) = (t d0, t c0) with 0 < |det c| <= limit:
+    (c0 | d0) the bottom rows of an Sp word with c0 invertible, t an integer
+    matrix whose rows x have x diag(c0 d0^T) even, so c d^T = t c0 d0^T t^T
+    is symmetric with an even diagonal.  Every third pair takes t = 1 on a
+    Gamma(1,2) word, which keeps the module nondegenerate; otherwise its
+    radical may be nontrivial, and q may vanish on it or not."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        plain = len(out) % 3 == 0
+        g = random_word_element(m, "Gamma1_2" if plain else "Sp",
+                                length=int(rng.integers(2, 13)),
+                                seed=int(rng.integers(2 ** 32)))[0]
+        parity = [sum(map(operator.mul, c, d)) % 2 for c, d in zip(g.c, g.d)]
+        t = xla.identity(m) if plain else \
+            [[int(x) for x in row] for row in rng.integers(-3, 4, (m, m))]
+        t = [row if sum(map(operator.mul, row, parity)) % 2 == 0
+             else [2 * x for x in row] for row in t]
+        c = xla.mat_mul(t, g.c)
+        if 0 < abs(xla._adjugate(c)[0]) <= limit:
+            out.append((xla.mat_mul(t, g.d), c))
+    return out
+
+
 def test_gauss_sum_matches_fraction_reference():
-    # seeded Gamma(1,2) words with invertible c, |det c| from 1 past 1000
+    # seeded Gamma(1,2) words with invertible c, |det c| from 1 past 1000,
+    # and degenerate pairs
     for m in (1, 2, 3):
         largest = 0
-        for seed in range(40):
-            g = random_word_element(m, "Gamma1_2", length=15 * (1 + seed % 4),
-                                    seed=seed)[0]
-            det = abs(int(xla.det(g.c)))
+        pairs = [(g.d, g.c) for g in (
+            random_word_element(m, "Gamma1_2", length=15 * (1 + seed % 4),
+                                seed=seed)[0] for seed in range(40))]
+        for d, c in pairs + gauss_pairs(m, 10, m, limit=2000):
+            det = abs(xla._adjugate(c)[0])
             if not 0 < det <= 20000:
                 continue
             largest = max(largest, det)
-            got = symplectic_gauss_sum(g.d, g.c)
-            want = reference_gauss_sum(g.d, g.c)
-            assert abs(got - want) <= 1e-12 * abs(want)
-            assert snap_mu8(got / det ** 0.5).value == \
-                snap_mu8(want / det ** 0.5).value
+            want = reference_gauss_sum(d, c)
+            assert abs(symplectic_gauss_sum(d, c) - want) <= \
+                1e-12 * max(1, abs(want))
         assert largest >= 1000
 
 
-def test_gauss_sum_at_the_class_guard():
-    # 10**6 classes is the largest allowed: G(1, 1000)^2 = (sqrt(1000) e^{i pi/4})^2
-    one = [[1, 0], [0, 1]]
-    got = symplectic_gauss_sum(one, [[1000, 0], [0, 1000]])
-    assert abs(got - 1000j) < 1e-9
-    with pytest.raises(ValueError, match="residue system too large"):
-        symplectic_gauss_sum(one, [[1000, 0], [0, 1002]])
+def test_gauss_sum_matches_the_count_oracle():
+    # seeded pairs at m = 1..4, each against the int64 count: coprime,
+    # degenerate nonzero and zero sums all occur at each m.  The count sums
+    # |det c| phases, each within a few ulps, so it is within 1e-12 |det c|
+    for m in (1, 2, 3, 4):
+        kinds = Counter()
+        for d, c in gauss_pairs(m, 150, 10 + m):
+            value, size, k, radical = gauss._gauss_sum_parts(d, c)
+            assert abs(value - ref.counted_gauss_sum(d, c)) <= 1e-12 * size
+            assert value == symplectic_gauss_sum(d, c)
+            if k is None:
+                assert value == 0 and radical is None
+                kinds["zero"] += 1
+            else:
+                assert size % radical == 0 and 0 <= k < 8
+                kinds["coprime" if radical == 1 else "degenerate"] += 1
+        assert min(kinds[x] for x in ("coprime", "degenerate", "zero")) >= 3, m
+
+
+def test_gauss_sum_past_the_old_guard_is_a_product():
+    # block-diagonal pairs past the count's 10**6 classes: the sum is the
+    # product of its blocks' counted sums, each under 10**6 classes
+    def block(x, y):
+        m, n = len(x), len(y)
+        return [list(r) + [0] * n for r in x] + [[0] * m + list(r) for r in y]
+
+    one = [[1]]
+    # at least 1000 classes each: nondegenerate, degenerate with |R| = 6,
+    # 2 and 1000, and zero
+    big = [(one, [[1000]]), (one, [[1002]]), ([[6]], [[3600]]),
+           ([[2]], [[2000]]), ([[1000]], [[2000]]), ([[1000]], [[1000]])]
+    small = [([[2]], [[4]]), ([[2]], [[2]])] + gauss_pairs(2, 6, 6, limit=5000)
+    past = 0
+    for d1, c1 in big:
+        for d2, c2 in big + small:
+            d, c = block(d1, d2), block(c1, c2)
+            size = abs(xla._adjugate(c)[0])
+            want = (ref.counted_gauss_sum(d1, c1)
+                    * ref.counted_gauss_sum(d2, c2))
+            assert abs(symplectic_gauss_sum(d, c) - want) <= 1e-12 * size
+            past += size > ref.MAX_CLASSES
+    assert past >= 30
+    got = symplectic_gauss_sum(block(one, one), [[1000, 0], [0, 1002]])
+    assert abs(got - 1002000 ** 0.5 * 1j) < 1e-9
+
+
+def test_prime_search_is_bounded():
+    # u_minus(N 1_2), N = 2 p q with p, q the first primes past 10**9: its
+    # e_{j-1} = N has a part p q past the bound's square, which an unbounded
+    # trial division would search for a minute
+    p, q = 1000000007, 1000000009
+    n = 2 * p * q
+    g = make_generator("u_minus", 2, c=[[n, 0], [0, n]])
+    start = time.perf_counter()
+    for call in (lambda: beta_tilde(g),
+                 lambda: symplectic_gauss_sum([[1, 0], [0, 1]], g.c)):
+        with pytest.raises(ValueError, match="prime search bound"):
+            call()
+    assert time.perf_counter() - start < 2
+    assert gauss._prime_factors(2 * 999983 * 1000003) == [2, 999983, 1000003]
+
+
+def test_no_shipped_input_nears_the_prime_search(monkeypatch):
+    # only a part past PRIME_SEARCH_BOUND**2 can be refused; the golden
+    # words and law draws and the benchmark's gauss and vector-law items
+    # factor nothing near it (the golden and acceptance suites would fail on
+    # a refusal, the benchmark would count it as a failed item)
+    searched = []
+    factors = gauss._prime_factors
+    monkeypatch.setattr(gauss, "_prime_factors",
+                        lambda n: searched.append(n) or factors(n))
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import golden
+    import workloads
+    for m in golden.GENERA:
+        golden.exponents(m)
+    for m in golden.IMAGE_GENERA:
+        golden.law("vector", m, golden.LAW_SEEDS[0])
+    for name, items in (("gauss-m2", 400), ("vector-law-m2", 20)):
+        w = workloads.WORKLOADS[name]
+        w.prepare()
+        for inp in itertools.islice(w.inputs(1), items):
+            assert w.check(inp, w.compute(inp))
+    assert len(searched) > 100
+    assert max(searched) < gauss.PRIME_SEARCH_BOUND
 
 
 @pytest.mark.parametrize("d, c", [
@@ -97,13 +204,6 @@ def test_gauss_sum_at_the_class_guard():
 def test_gauss_sum_rejects_ill_defined_blocks(d, c):
     with pytest.raises(ValueError):
         symplectic_gauss_sum(d, c)
-
-
-def test_snap_rejects_generic_values():
-    with pytest.raises(ArithmeticError):
-        snap_mu8(0.9 + 0.1j)
-    root = snap_mu8(cmath.exp(1j * cmath.pi / 4) * (1 + 1e-13))
-    assert root.value == Mu8(1) and root.residual < 1e-9
 
 
 def test_beta_degenerate_anchors():
@@ -165,7 +265,6 @@ def test_beta_singular_c_matches_quotient_reference():
                 continue
             want, index = reference_beta_quotient_sum(g)
             got = beta_tilde(g)
-            assert got.value == snap_mu8(want).value
             assert abs(got.raw - want) < 1e-12
             if index > 1:
                 seen.add((m, j))
@@ -211,14 +310,22 @@ def quotient_size(g) -> int:
     return 1 if pair is None else abs(int(ref.det(pair[0])))
 
 
+def nearest_root(z: complex) -> Mu8:
+    """The eighth root of unity at distance below 1e-9 from z."""
+    k = round(4 * cmath.phase(z) / math.pi) % 8
+    assert abs(z - Mu8(k).value) < 1e-9, z
+    return Mu8(k)
+
+
 def counted_beta(g) -> Mu8:
-    """beta_tilde by the count: |det W|^{-1/2} conj(G(d', W)), snapped."""
+    """beta_tilde by the count: |det W|^{-1/2} conj(G(d', W)), rounded."""
     pair = gauss._reduced_pair(g)
     if pair is None:
         return Mu8(0)
     w, dp = pair
     size = abs(int(ref.det(w)))
-    return snap_mu8(size ** -0.5 * symplectic_gauss_sum(dp, w).conjugate()).value
+    return nearest_root(size ** -0.5
+                        * ref.counted_gauss_sum(dp, w).conjugate())
 
 
 @pytest.mark.parametrize("dp, w, k", [
@@ -240,12 +347,41 @@ def counted_beta(g) -> Mu8:
     # module on the rows of a W that is not diagonal
     ([[2, 1], [3, -2]], [[2, 0], [0, 6]], 6),
     ([[5, -1], [3, -2]], [[2, 6], [0, 6]], 6),
+    # degenerate: (Z/4, x^2 / 4) has R = 2 Z/4 and A/R = (Z/2, x^2 / 4),
+    # e(1/8); (Z/2, 0) is all radical; on (Z/2, x^2 / 2) q is a nontrivial
+    # character of R = A, and so it is on the first summand of
+    # (Z/2, x^2 / 2) + (Z/4, x^2 / 8)
+    ([[2]], [[4]], 1),
+    ([[0]], [[2]], 0),
+    ([[2]], [[2]], None),
+    ([[2, 0], [0, 1]], [[2, 0], [0, 4]], None),
+    # (Z/4)^2 with q = (x^2 + x y + y^2) / 2: R = (2 Z/4)^2, and A/R is V
+    # at 2 with a = 1, whose sum is -2
+    ([[4, 2], [2, 4]], [[4, 0], [0, 4]], 4),
+    # odd cyclic rest with gcd(r, f) = 3: (Z/9, 3 x^2 / 9) is (Z/3, x^2 / 3)
+    # on A/R with R of order 3; the same beside the 2-part (Z/2, 3 x^2 / 4)
+    ([[6]], [[9]], 2),
+    ([[3, 0], [0, 6]], [[2, 0], [0, 9]], 1),
+    # odd p with a radical inside a split component: (Z/3, x^2 / 3) next
+    # to (Z/9, 3 x^2 / 9), whose generator's Gram row has order 3
+    ([[2, 0], [0, 6]], [[3, 0], [0, 9]], 4),
+    # V at 2 over (Z/4)^2, whose sum is 4, beside (Z/8, x^2 / 4) of R =
+    # 2 Z/8
+    ([[2, 1, 0], [1, 2, 0], [0, 0, 4]], [[4, 0, 0], [0, 4, 0], [0, 0, 8]], 1),
 ])
 def test_weil_index_of_small_modules(dp, w, k):
-    # the local factors on hand-made modules, each against the count
+    # the local factors on hand-made modules, nondegenerate and degenerate,
+    # each against the count: G = (|det W| |R|)^{1/2} e(k/8), or 0 at k None
     size = abs(int(ref.det(w)))
-    assert snap_mu8(symplectic_gauss_sum(dp, w) / size ** 0.5).value == Mu8(k)
-    assert gauss._weil_index(w, dp) % 8 == k
+    counted = ref.counted_gauss_sum(dp, w)
+    index = gauss._weil_index(w, dp)
+    if k is None:
+        assert index is None and abs(counted) < 1e-12 * size
+        return
+    radical = round(abs(counted) ** 2 / size)
+    assert radical >= 1 and size % radical == 0
+    assert abs(counted - (size * radical) ** 0.5 * Mu8(k).value) < 1e-12 * size
+    assert index[0] % 8 == k and index[1] == size // radical
 
 
 def test_beta_matches_the_count_oracle():
@@ -366,13 +502,16 @@ def test_beta_past_the_old_guard_is_a_character():
 
 
 def test_beta_path_is_exact(monkeypatch):
-    # no numpy, no complex arithmetic and no snap on beta_tilde's path:
-    # its raw value is the root itself and its residual 0.0
+    # no numpy, no complex arithmetic and no snap in gauss, and no sum on
+    # beta_tilde's path: its raw value is the root itself and its residual
+    # 0.0
     class Refuse:
         def __getattr__(self, name):
             raise AssertionError(f"{name} on beta_tilde's path")
 
-    for name in ("np", "cmath", "snap_mu8", "symplectic_gauss_sum"):
+    for name in ("np", "numpy", "cmath", "snap_mu8", "SNAP_TOL"):
+        assert not hasattr(gauss, name), name
+    for name in ("symplectic_gauss_sum", "_gauss_sum_parts"):
         monkeypatch.setattr(gauss, name, Refuse())
     for m in (1, 2, 3):
         for seed in range(60):

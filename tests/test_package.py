@@ -54,7 +54,7 @@ from thetacover import (CoverElement, IntegerSymplectic, MonomialMatrix, Mu8,
                         symplectic_gauss_sum, theta_component, theta_series,
                         transvection_rep, verify_scalar_law,
                         verify_vector_law)
-from thetacover.exactla import (box_sides, congruence_signature, det,
+from thetacover.exactla import (congruence_signature, det,
                                 hnf_with_transform, inv)
 from thetacover.f2cosets import refine_rep
 assert False, "asserts are live: not running under -O"
@@ -100,9 +100,11 @@ cases = [lambda: IntegerSymplectic([[1, 1], [0, 2]]),
          lambda: congruence_signature([[0, 1], [0, 0]]),
          lambda: det([[1, 2]]),
          lambda: inv([[1, 2], [2, 4]]),
-         # a residue box of a lattice without full rank
-         lambda: box_sides([[0]]),
-         lambda: box_sides([[2, 1], [0, 0]]),
+         # a Gauss sum past a float, and one past the prime search
+         lambda: symplectic_gauss_sum([[1]], [[2 * 10**400]]),
+         lambda: symplectic_gauss_sum([[1, 0], [0, 1]],
+                                      [[2 * 1000000007 * 1000000009, 0],
+                                       [0, 2 * 1000000007 * 1000000009]]),
          # a weight, genus, subgroup or index that has no meaning
          lambda: theta_series(SiegelPoint.z0(1), "one"),
          lambda: theta_component(coset_table(1)[0], SiegelPoint.z0(1), "one"),

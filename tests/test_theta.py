@@ -612,6 +612,41 @@ def test_theta_vector_matches_components():
     assert worst["oracle"] < 1e-13
 
 
+def test_theta_at_the_fixed_point_is_exact():
+    # law-free values at z0 = i 1_m.  z0 is block-diagonal, and at genus 1
+    # theta_01(i) = theta_10(i) = 2^(-1/4) theta_00(i) and theta_11(i) = 0
+    # (tau -> -1/tau and Jacobi's quartic; Mumford, Tata I, ch. I), so
+    # theta_q(z0) / theta_0(z0) = 2^(-k(q)/4), k(q) the label's (01) and
+    # (10) axes (eps_k, m_k) mod 2, and 0 on a label with a (11) axis.
+    # Every weight-3/2 entry is 0: on its axis the terms of v and -v cancel,
+    # unless that axis is (11), and then a second (11) axis (labels have an
+    # even number) gives the factor theta_11(i) = 0.
+    # Bound: the terms are +-e^{-a}, a = pi |v|^2, summing in absolute value
+    # to at most theta_0(z0).  Each a is formed with an error of at most
+    # (m^2 + 2) a u, u = 2^-53, and sum a e^{-a} <= m theta_0(z0), so the
+    # terms are within ((m^2 + 2) m + 1) u theta_0(z0) together, and
+    # summing N = (2R + 1)^m of them adds at most N u theta_0(z0).  The
+    # tail past R = 5 is below e^{-25 pi}.  Both theta_q and theta_0 move,
+    # so a ratio moves by at most twice that; a moment |v_k| <= R + 1/2.
+    u = 2.0 ** -53
+    for m in (1, 2, 3, 4):
+        z, params = SiegelPoint.z0(m), ThetaParams()
+        radius = truncation_radius(z.Y, params)
+        bound = 2 * ((2 * radius + 1) ** m + (m * m + 2) * m + 1) * u
+        half, three_half = theta_vector(z, params)
+        base = half[0].real
+        for k, rec in enumerate(coset_table(m)):
+            axes = [(rec.q[i] % 2, rec.q[m + i] % 2) for i in range(m)]
+            want = 0.0 if (1, 1) in axes else \
+                2 ** (-sum(a != b for a, b in axes) / 4)
+            comp = [theta_component(rec, z, w, params).value
+                    for w in ("half", "three_half")]
+            for got in (half[k], comp[0]):
+                assert abs(got / base - want) <= bound, (m, rec.q)
+            for got in (three_half[k], comp[1]):
+                assert np.abs(got).max() <= (radius + 0.5) * bound * base
+
+
 def test_theta_vector_bit_identical_and_read_by_big_theta():
     # two points built from one X and Y: two passes, not one kept pair
     for m in (1, 2, 3):
